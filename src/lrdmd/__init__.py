@@ -22,7 +22,6 @@ from .errors import (
     SnapshotFormatError,
     ValidationError,
 )
-from .kernels import NUMBA_ENABLED, backend_name
 from .linalg import (
     DEFAULT_TOL,
     SvdFactors,
@@ -93,7 +92,6 @@ __all__ = [
     "DmdOperator",
     "EigenpairReport",
     "LowRankDmdError",
-    "NUMBA_ENABLED",
     "NumericalGuardError",
     "OptimalLowRankFactors",
     "OverflowGuardError",
@@ -109,7 +107,6 @@ __all__ = [
     "ToyModel",
     "ValidationError",
     "amplitudes",
-    "backend_name",
     "build_data_matrices",
     "companion_residual",
     "compute_modes",

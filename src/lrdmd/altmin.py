@@ -4,7 +4,9 @@ fit, used to cross-check the closed-form solver.
 Deliberately independent of the SVD-based machinery in the rest of the
 package: the factor updates go through numpy's pseudo-inverse / solves
 directly, and the best objective over many random restarts upper-bounds
-the true optimum (every iterate is a feasible rank-<=k point).
+the true optimum (every iterate is a feasible rank-<=k point). The sweep
+itself is `kernels.als_sweep`, which advances all restarts together as
+stacked (restarts, k, k) solves, one Python step per iteration.
 """
 
 import numpy as np
