@@ -22,15 +22,7 @@ from .errors import (
     SnapshotFormatError,
     ValidationError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    SvdFactors,
-    numerical_rank,
-    pseudo_inverse,
-    thin_svd,
-    top_left_singular_basis,
-    truncate_rank,
-)
+from .linalg import DEFAULT_TOL, SvdFactors, numerical_rank, thin_svd
 from .modes import (
     AmplitudeSchedule,
     DmdModes,
@@ -57,7 +49,9 @@ from .snapshots import (
 )
 from .solvers import (
     DmdOperator,
+    Factorization,
     OptimalLowRankFactors,
+    factorize,
     fit_exact_dmd,
     fit_optimal_lowrank_dmd,
     fit_projected_dmd,
@@ -91,6 +85,7 @@ __all__ = [
     "DmdModes",
     "DmdOperator",
     "EigenpairReport",
+    "Factorization",
     "LowRankDmdError",
     "NumericalGuardError",
     "OptimalLowRankFactors",
@@ -110,6 +105,7 @@ __all__ = [
     "build_data_matrices",
     "companion_residual",
     "compute_modes",
+    "factorize",
     "fit_exact_dmd",
     "fit_optimal_lowrank_dmd",
     "fit_projected_dmd",
@@ -120,7 +116,6 @@ __all__ = [
     "load_snapshots",
     "materialize",
     "numerical_rank",
-    "pseudo_inverse",
     "reconstruct_from_modes",
     "residual_norm",
     "run_benchmark",
@@ -129,8 +124,6 @@ __all__ = [
     "simulate_full",
     "simulate_reduced",
     "thin_svd",
-    "top_left_singular_basis",
-    "truncate_rank",
     "validate_rank_assumptions",
     "verify_eigenpairs",
     "write_result_csv",

@@ -21,17 +21,11 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalGuardError, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL, thin_svd
+from .linalg import DEFAULT_TOL
 from .modes import amplitudes, compute_modes, verify_eigenpairs
 from .rom import reconstruct_from_modes, save_trajectory, simulate_reduced
 from .snapshots import build_data_matrices, load_snapshots, save_snapshots, validate_rank_assumptions
-from .solvers import (
-    fit_exact_dmd,
-    fit_optimal_lowrank_dmd,
-    fit_projected_dmd,
-    fit_truncated_exact_dmd,
-    residual_norm,
-)
+from .solvers import factorize, residual_norm
 from .toybench import (
     BenchConfig,
     RNG_NAME,
@@ -123,39 +117,32 @@ def _load_matrices(args):
     return snaps, build_data_matrices(snaps)
 
 
-def _guard_rank_against_y(d, rank: int, tol: float) -> int:
-    """CLI-level hard guard: requesting more than the numerical rank of Y
-    is a numerical failure (exit 3), unlike the library's clamp-and-warn."""
-    rank_y = thin_svd(d.Y if d.n >= d.m else d.Y.T).numerical_rank(tol)
-    if rank > rank_y:
+def _fit_optimal_guarded(fac, rank: int):
+    """CLI-level hard guard: requesting more than the numerical rank of
+    Y V_x is a numerical failure (exit 3), unlike the library's
+    clamp-and-warn."""
+    if rank > fac.rank_y:
         raise RankGuardError(
-            f"requested rank {rank} exceeds the numerical rank of Y ({rank_y}); "
-            f"choose a rank <= {rank_y}"
+            f"requested rank {rank} exceeds the numerical rank of Y ({fac.rank_y}) "
+            f"on the row space of X; choose a rank <= {fac.rank_y}"
         )
-    return rank_y
-
-
-def _fit_optimal_guarded(d, rank: int, args):
-    _guard_rank_against_y(d, rank, args.svd_tol)
-    return fit_optimal_lowrank_dmd(d, rank, tol=args.svd_tol, strict=args.strict_rank)
+    return fac.optimal(rank)
 
 
 def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     snaps, d = _load_matrices(args)
-    report = validate_rank_assumptions(d, args.svd_tol)
+    requested = d.m if args.method == "exact" else _check_rank_flag(args.rank)
+    fac = factorize(d, args.svd_tol, args.strict_rank)
     if args.method == "exact":
-        op = fit_exact_dmd(d, tol=args.svd_tol, strict=args.strict_rank)
-        requested = d.m
+        op = fac.exact()
+    elif args.method == "optimal":
+        op, _ = _fit_optimal_guarded(fac, requested)
+    elif args.method == "truncated":
+        op = fac.truncated(requested)
     else:
-        requested = _check_rank_flag(args.rank)
-        if args.method == "optimal":
-            op, _ = _fit_optimal_guarded(d, requested, args)
-        elif args.method == "truncated":
-            op = fit_truncated_exact_dmd(d, requested, tol=args.svd_tol, strict=args.strict_rank)
-        else:
-            op = fit_projected_dmd(d, requested, tol=args.svd_tol, strict=args.strict_rank)
+        op = fac.projected(requested)
     res = residual_norm(op, d)
     norm_y = float(np.linalg.norm(d.Y))
     outputs = [out_dir / "left.csv", out_dir / "right.csv", out_dir / "summary.csv"]
@@ -172,8 +159,8 @@ def cmd_fit(args) -> int:
             ("norm_y", _fmt(norm_y)),
             ("n", d.n),
             ("m", d.m),
-            ("rank_x", report.rank_x),
-            ("rank_y", report.rank_y),
+            ("rank_x", fac.rank_x),
+            ("rank_y", fac.rank_y),
             ("svd_tol", _fmt(args.svd_tol)),
         ],
     )
@@ -190,7 +177,7 @@ def cmd_modes(args) -> int:
     theta = _load_theta(args.theta, snaps)
     if args.horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    op, factors = _fit_optimal_guarded(d, rank, args)
+    op, factors = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
     mode_set = compute_modes(factors, VARIANT_NAMES[args.variant], tol=args.svd_tol)
     schedule = amplitudes(mode_set, theta, args.horizon)
     report = verify_eigenpairs(mode_set, op)
@@ -244,7 +231,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError("horizon must be >= 1")
     snaps, d = _load_matrices(args)
     theta = _load_theta(args.theta, snaps)
-    op, factors = _fit_optimal_guarded(d, rank, args)
+    op, factors = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
     if args.path == "reduced":
         traj = simulate_reduced(factors, theta, args.horizon, stride=args.stride)
     else:

@@ -1,5 +1,5 @@
-"""Shared dense linear algebra: thin SVD, pseudo-inverse, dominant left
-singular bases via the small Gram matrix, and rank truncation.
+"""Shared dense linear algebra: one thin SVD for matrices of every shape,
+and the relative numerical rank behind every rank decision.
 
 All routines are deterministic: singular vectors follow a fixed sign
 convention (the largest-magnitude entry of each left singular vector is
@@ -11,33 +11,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankGuardError, ValidationError
+from .errors import ValidationError
 
 DEFAULT_TOL = 1e-12
 
-# Relative singular-value size below which the Gram-matrix route cannot be
-# trusted: squaring the spectrum pushes anything under ~sqrt(eps) into the
-# eigensolver's noise floor, which both corrupts the trailing basis
-# directions and inflates fully negligible singular values to ~1e-8.
-GRAM_NOISE_FLOOR = 1e-6
+# Smallest sigma_min / sigma_max for which the CholeskyQR2 result is kept.
+# Its first pass factors M^T M, whose spectrum is the square of M's, so
+# below this ratio the Cholesky factor carries too little precision for
+# the second pass to restore; LAPACK takes over instead.
+CHOLQR_MIN_RATIO = 1e-6
+
+# Smallest p / q for which CholeskyQR2 is tried: it replaces only the QR of
+# a tall matrix by BLAS-3 products and still ends in a q-by-q SVD, so it
+# beats LAPACK only once p is 4 to 6 times q (q = 40, 100; one BLAS thread).
+CHOLQR_MIN_ASPECT = 5
 
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD triple M = W diag(sigma) V^T of a p-by-q matrix, p >= q.
+    """Thin SVD triple M = W diag(sigma) V^T of a p-by-q matrix.
 
-    W is p-by-rho and V is q-by-rho with orthonormal columns; sigma is a
-    nonnegative, nonincreasing vector of length rho. rho equals q for a
-    full thin SVD and shrinks under truncation.
+    W is p-by-rho and V is q-by-rho with orthonormal columns, rho =
+    min(p, q); sigma is a nonnegative, nonincreasing vector of length rho.
     """
 
     W: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-
-    @property
-    def shape(self):
-        return (self.W.shape[0], self.V.shape[0])
 
     def reconstruct(self) -> np.ndarray:
         return (self.W * self.sigma) @ self.V.T
@@ -56,101 +56,66 @@ def numerical_rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(sigma > tol * smax))
 
 
-def _fix_signs(W: np.ndarray, V: np.ndarray | None = None) -> None:
-    # largest-|entry| of each W column made positive; np.argmax takes the
-    # first index on ties, which is the documented tie-break
-    for j in range(W.shape[1]):
-        i = int(np.argmax(np.abs(W[:, j])))
-        if W[i, j] < 0.0:
-            W[:, j] = -W[:, j]
-            if V is not None:
-                V[:, j] = -V[:, j]
+def _fix_signs(W: np.ndarray, V: np.ndarray) -> None:
+    # largest-|entry| of each W column made positive. Column maxima and
+    # minima decide it (a column-wise argmax over a tall W costs several
+    # times more); where they tie in magnitude the first index wins, which
+    # is the documented tie-break and what np.argmax returns.
+    top, bottom = W.max(axis=0), -W.min(axis=0)
+    flip = bottom > top
+    for j in np.flatnonzero(bottom == top):
+        flip[j] = W[np.argmax(np.abs(W[:, j])), j] < 0.0
+    sign = np.where(flip, -1.0, 1.0)
+    W *= sign
+    V *= sign
+
+
+def _cholesky_qr2(M: np.ndarray):
+    """(W, sigma, V) of a tall M by CholeskyQR2 (Fukaya et al. 2014), or
+    None when a Cholesky factorization fails or sigma_min falls below
+    CHOLQR_MIN_RATIO * sigma_max.
+
+    M = Q R1 and Q = Q2 R2 are two Cholesky-QR passes, the second restoring
+    the orthogonality the first loses; the SVD of the small R2 R1 = U S V^T
+    then gives M = (Q R2^-1 U) S V^T.
+    """
+    try:
+        R1 = np.linalg.cholesky(M.T @ M).T
+        # cond(R1) >= max|r_ii| / min|r_ii|: skip the n-by-q passes early
+        d = np.abs(np.diag(R1))
+        if d.min() < CHOLQR_MIN_RATIO * d.max():
+            return None
+        Q = M @ np.linalg.inv(R1)
+        R2 = np.linalg.cholesky(Q.T @ Q).T
+    except np.linalg.LinAlgError:
+        return None
+    U, sigma, Vt = np.linalg.svd(R2 @ R1)
+    if not sigma[-1] >= CHOLQR_MIN_RATIO * sigma[0]:
+        return None
+    return Q @ np.linalg.solve(R2, U), sigma, Vt.T
 
 
 def thin_svd(M: np.ndarray) -> SvdFactors:
-    """Thin SVD of a p-by-q real matrix with p >= q (transpose first otherwise)."""
+    """Thin SVD of a real p-by-q matrix of any shape.
+
+    A wide matrix is factored through its transpose. A tall one, with
+    p >= CHOLQR_MIN_ASPECT * q, takes the CholeskyQR2 route when its
+    spectrum allows (see CHOLQR_MIN_RATIO); every other input goes to
+    LAPACK. The route depends on the input alone.
+    """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim={M.ndim}")
-    p, q = M.shape
-    if p < q:
-        raise ValidationError(f"thin_svd expects p >= q, got {p}x{q}; transpose first")
     if not np.all(np.isfinite(M)):
         raise ValidationError("matrix contains non-finite entries")
-    W, sigma, Vt = np.linalg.svd(M, full_matrices=False)
-    V = Vt.T.copy()
+    wide = M.shape[0] < M.shape[1]
+    T = M.T if wide else M
+    fast = _cholesky_qr2(T) if T.shape[0] >= CHOLQR_MIN_ASPECT * T.shape[1] > 0 else None
+    if fast is None:
+        W, sigma, Vt = np.linalg.svd(T, full_matrices=False)
+        fast = W, sigma, Vt.T.copy()
+    W, sigma, V = fast
+    if wide:
+        W, V = V, W
     _fix_signs(W, V)
     return SvdFactors(W=W, sigma=sigma, V=V)
-
-
-def pseudo_inverse(f: SvdFactors, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse V diag(sigma^+) W^T with relative thresholding.
-
-    Singular values at or below tol * sigma_max are treated as zero, so
-    rank-deficient input yields the minimum-norm inverse of the
-    effective-rank part.
-    """
-    r = f.numerical_rank(tol)
-    if r == 0:
-        return np.zeros((f.V.shape[0], f.W.shape[0]))
-    return (f.V[:, :r] / f.sigma[:r]) @ f.W[:, :r].T
-
-
-def truncate_rank(f: SvdFactors, k: int) -> SvdFactors:
-    """Keep the k leading singular triplets (the Frobenius-optimal rank-k part)."""
-    if k < 0:
-        raise ValidationError("rank must be >= 0")
-    k = min(k, f.sigma.shape[0])
-    return SvdFactors(W=f.W[:, :k], sigma=f.sigma[:k], V=f.V[:, :k])
-
-
-def gram_singular_triplets(Y: np.ndarray):
-    """Singular values and right singular vectors of Y from the q-by-q Gram
-    matrix Y^T Y, avoiding any decomposition of size p-by-p.
-
-    Returns (sigma, V) with sigma nonincreasing, V orthonormal columns.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    if not np.all(np.isfinite(Y)):
-        raise ValidationError("matrix contains non-finite entries")
-    evals, evecs = np.linalg.eigh(Y.T @ Y)
-    order = np.arange(evals.shape[0] - 1, -1, -1)  # eigh sorts ascending
-    sigma = np.sqrt(np.maximum(evals[order], 0.0))
-    return sigma, evecs[:, order]
-
-
-def gram_left_basis(Y: np.ndarray, sigma: np.ndarray, V: np.ndarray, k: int) -> np.ndarray:
-    """Leading k left singular vectors from the Gram factors: Y V_k / sigma_k."""
-    P = (Y @ V[:, :k]) / sigma[:k]
-    _fix_signs(P)
-    return P
-
-
-def top_left_singular_basis(Y: np.ndarray, k: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the dominant k-dimensional left singular
-    subspace of Y (n-by-m, m <= n), computed through the m-by-m Gram
-    matrix: eigendecompose Y^T Y and map the leading eigenvectors back
-    through Y, scaling by the inverse singular values. Never forms an
-    n-by-n matrix; n may be much larger than m.
-
-    When the k-th singular value sits at or below the Gram noise floor
-    (sigma_k < 1e-6 * sigma_max) the squared spectrum can no longer
-    resolve it, so the basis is taken from a thin SVD of Y itself, which
-    keeps full working precision at the same O(n m^2) cost.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    n, m = Y.shape
-    if m > n:
-        raise ValidationError(f"expected m <= n, got {n}x{m}")
-    if k < 1:
-        raise ValidationError("rank must be >= 1")
-    sigma, V = gram_singular_triplets(Y)
-    if k <= numerical_rank(sigma, tol) and sigma[k - 1] >= GRAM_NOISE_FLOOR * sigma[0]:
-        return gram_left_basis(Y, sigma, V, k)
-    fy = thin_svd(Y)
-    r = fy.numerical_rank(tol)
-    if k > r:
-        raise RankGuardError(
-            f"requested basis size {k} exceeds the numerical rank {r} of the matrix"
-        )
-    return fy.W[:, :k].copy()

@@ -121,14 +121,17 @@ class RankReport:
 
 
 def validate_rank_assumptions(d: DataMatrices, tol: float = DEFAULT_TOL) -> RankReport:
-    """Report the numerical ranks the solvers assume; never mutates data.
+    """Report the numerical ranks of X and Y; never mutates data.
 
-    The solvers expect m <= n and full column rank of both matrices; this
-    diagnostic tells the caller which of those hold so they can decide
-    whether to proceed, use strict mode, or reduce the target rank.
+    The solvers accept any shape and rank. When X lacks full column rank
+    (always so when m > n) they fit through its rank-r part and warn, and
+    strict mode refuses; optimal fits are capped at the rank of Y V_x,
+    which is that of Y when X has full column rank. This diagnostic tells
+    the caller which case applies so they can decide whether to proceed,
+    use strict mode, or reduce the target rank.
     """
-    rank_x = thin_svd(d.X if d.n >= d.m else d.X.T).numerical_rank(tol)
-    rank_y = thin_svd(d.Y if d.n >= d.m else d.Y.T).numerical_rank(tol)
+    rank_x = thin_svd(d.X).numerical_rank(tol)
+    rank_y = thin_svd(d.Y).numerical_rank(tol)
     return RankReport(n=d.n, m=d.m, rank_x=rank_x, rank_y=rank_y, tol=tol)
 
 

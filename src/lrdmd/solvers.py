@@ -1,17 +1,22 @@
 """Rank-constrained linear-operator fitters for snapshot data.
 
 All fitters minimize (or approximate the minimizer of) the Frobenius
-residual ||Y - A X|| over operators A of rank at most k:
+residual ||Y - A X|| over operators A of rank at most k, and all of them
+are slices of one Factorization of the data, built by factorize():
 
-* fit_exact_dmd        -- unconstrained least squares A = Y X^+.
-* fit_truncated_exact_dmd -- rank-k truncation of the unconstrained
-  solution; optimal approximation of the operator, not of the residual.
-* fit_projected_dmd    -- solves the problem restricted to operators whose
-  action on X stays in the column span of X (the classic projected
-  approach); exact only when the data satisfies that span assumption.
-* fit_optimal_lowrank_dmd -- the closed-form global minimizer: the
-  orthogonal projection of the unconstrained solution onto the dominant
-  k-dimensional left singular subspace of Y.
+* exact()      -- unconstrained least squares A = Y X^+.
+* truncated(k) -- rank-k truncation of the unconstrained solution;
+  optimal approximation of the operator, not of the residual.
+* projected(k) -- solves the problem restricted to operators whose action
+  on X stays in the column span of X (the classic projected approach);
+  exact only when the data satisfies that span assumption.
+* optimal(k)   -- the closed-form global minimizer, reduced-rank
+  regression (Izenman 1975): the orthogonal projection of the
+  unconstrained solution onto the dominant k-dimensional left singular
+  subspace of Y V_x, for X of any shape and rank.
+
+fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
+fit_optimal_lowrank_dmd factorize and slice in one call.
 
 Operators are kept in factored (n x rho)(rho x n) form; nothing here
 materializes an n-by-n matrix unless materialize() is called explicitly.
@@ -19,6 +24,7 @@ materializes an n-by-n matrix unless materialize() is called explicitly.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,15 +34,7 @@ from .errors import (
     RankGuardError,
     ValidationError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    GRAM_NOISE_FLOOR,
-    SvdFactors,
-    gram_left_basis,
-    gram_singular_triplets,
-    numerical_rank,
-    thin_svd,
-)
+from .linalg import DEFAULT_TOL, SvdFactors, thin_svd
 from .snapshots import DataMatrices
 
 MATERIALIZE_GUARD = 10_000
@@ -76,38 +74,16 @@ class OptimalLowRankFactors:
     """Factor bundle from the optimal solver, reused by the spectral and
     reduced-order modules.
 
-    P (n, k): orthonormal basis of the dominant left singular subspace of Y.
-    x_svd: thin SVD of X, from which the thresholded pseudo-inverse acts.
+    P (n, k): orthonormal basis of the dominant left singular subspace of Y V_x.
     Q (n, k): (Y X^+)^T P, so the fitted operator is A = P Q^T.
     """
 
     P: np.ndarray
-    x_svd: SvdFactors
     Q: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.P.shape[1]
-
-
-def _effective_x_factors(d: DataMatrices, tol: float, strict: bool):
-    """Thin SVD of X reduced to its numerical rank, warning or raising on
-    deficiency; the solvers invert only the retained singular values."""
-    if d.m > d.n:
-        raise ValidationError(
-            f"solvers require m <= n (got n={d.n}, m={d.m}); subsample the snapshots"
-        )
-    fx = thin_svd(d.X)
-    r = fx.numerical_rank(tol)
-    if r < d.m:
-        msg = (
-            f"X is numerically rank-deficient (rank {r} < m={d.m}); "
-            "proceeding with a thresholded pseudo-inverse"
-        )
-        if strict:
-            raise RankGuardError(msg)
-        warnings.warn(msg, RankDeficiencyWarning, stacklevel=3)
-    return fx, r
 
 
 def _check_rank_arg(k: int) -> int:
@@ -118,102 +94,163 @@ def _check_rank_arg(k: int) -> int:
     return int(k)
 
 
-def fit_exact_dmd(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:
-    """Unconstrained least-squares fit A = Y X^+ in factored form.
+@dataclass(frozen=True)
+class Factorization:
+    """The factorizations of one snapshot pair (X, Y) that every fitter slices.
 
-    With full-column-rank X the residual ||Y - A X|| vanishes because
-    X^+ X is the identity on R^m.
+    X = W diag(s) V^T is the rank-r thin SVD of X, r its numerical rank at
+    tol, so X^+ = V diag(1/s) W^T and Y X^+ = (Y V) diag(1/s) W^T. The thin
+    SVD Y V = P diag(t) U^T (``yv``) and the r-by-r cores of the truncated
+    and projected fits are computed on first use and cached, so the exact
+    and projected fits pay for the SVD of X alone. Build it with factorize().
     """
-    fx, r = _effective_x_factors(d, tol, strict)
-    left = d.Y @ (fx.V[:, :r] / fx.sigma[:r])
-    right = fx.W[:, :r].T.copy()
-    return DmdOperator(left=left, right=right, method_tag="exact_full")
+
+    data: DataMatrices
+    tol: float
+    strict: bool
+    W: np.ndarray
+    s: np.ndarray
+    V: np.ndarray
+
+    @property
+    def rank_x(self) -> int:
+        return self.s.shape[0]
+
+    @cached_property
+    def yv(self) -> SvdFactors:
+        """Thin SVD of Y V; its left singular vectors span every optimal fit."""
+        return thin_svd(self.data.Y @ self.V)
+
+    @property
+    def rank_y(self) -> int:
+        """Numerical rank of Y V, which is that of Y when X has full column rank."""
+        return self.yv.numerical_rank(self.tol)
+
+    @cached_property
+    def _truncation_core(self) -> SvdFactors:
+        # Y X^+ = P (diag(t) U^T diag(1/s)) W^T with P and W orthonormal
+        return thin_svd((self.yv.sigma[:, None] * self.yv.V.T) / self.s)
+
+    @cached_property
+    def _projection_core(self) -> SvdFactors:
+        return thin_svd((self.W.T @ self.data.Y) @ self.V)
+
+    def exact(self) -> DmdOperator:
+        """Unconstrained least-squares fit A = Y X^+ = (Y V diag(1/s)) W^T.
+
+        With full-column-rank X the residual ||Y - A X|| vanishes because
+        X^+ X is the identity on R^m.
+        """
+        left = self.data.Y @ (self.V / self.s)
+        return DmdOperator(left=left, right=self.W.T.copy(), method_tag="exact_full")
+
+    def truncated(self, k: int) -> DmdOperator:
+        """Rank-k truncation of the unconstrained solution A = Y X^+.
+
+        With core = diag(t) U^T diag(1/s) the solution is P core W^T, and
+        because P and W have orthonormal columns the SVD of the r-by-r core
+        yields the SVD of the full operator. The n-by-n operator is never
+        formed.
+        """
+        k = _check_rank_arg(k)
+        c = self._truncation_core
+        keep = min(k, c.numerical_rank(self.tol))
+        left = self.yv.W @ (c.W[:, :keep] * c.sigma[:keep])
+        right = (self.W @ c.V[:, :keep]).T
+        return DmdOperator(left=left, right=right, method_tag="truncated_exact")
+
+    def projected(self, k: int) -> DmdOperator:
+        """Span-restricted rank-k fit in the left singular basis of X.
+
+        Projects Y into the X basis, B = W^T Y V, keeps the best rank-k part
+        of B, and lifts back, A = W Bk diag(1/s) W^T, assembled directly in
+        factored form. Matches the optimal solver exactly when every column
+        of Y lies in the column span of X, and plateaus at the span defect
+        otherwise.
+        """
+        k = _check_rank_arg(k)
+        b = self._projection_core
+        keep = min(k, b.numerical_rank(self.tol))
+        left = self.W @ (b.W[:, :keep] * b.sigma[:keep])
+        right = (b.V[:, :keep].T / self.s) @ self.W.T
+        return DmdOperator(left=left, right=right, method_tag="projected")
+
+    def optimal(self, k: int):
+        """Closed-form global minimizer of ||Y - A X|| over rank(A) <= k.
+
+        The minimizer is P_k P_k^T Y X^+ = P_k (diag(t_k) U_k^T diag(1/s) W^T),
+        with P_k the top k left singular vectors of Y V, whatever the shape
+        and rank of X. Requests beyond the numerical rank of Y V are
+        clamped (the projector already covers its whole numerical column
+        space, so larger k cannot change the operator); strict mode raises
+        instead.
+
+        Returns (operator, factors) where factors feed the spectral and
+        reduced-order modules.
+        """
+        k = _check_rank_arg(k)
+        rank_y = self.rank_y
+        if rank_y == 0:
+            raise RankGuardError("Y is numerically zero on the row space of X; nothing to fit")
+        if k > rank_y:
+            msg = f"requested rank {k} exceeds the numerical rank {rank_y} of Y V_x; clamped"
+            if self.strict:
+                raise RankGuardError(msg)
+            warnings.warn(msg, RankClampWarning, stacklevel=2)
+            k = rank_y
+        f = self.yv
+        P = f.W[:, :k].copy()
+        Qt = ((f.sigma[:k, None] * f.V[:, :k].T) / self.s) @ self.W.T
+        op = DmdOperator(left=P, right=Qt, method_tag="optimal")
+        return op, OptimalLowRankFactors(P=P, Q=Qt.T.copy())
+
+
+def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> Factorization:
+    """The Factorization of (X, Y) that the fitters slice.
+
+    X may have any shape. When its numerical rank r is below m (always so
+    when m > n) the fits act through the thresholded pseudo-inverse of its
+    rank-r part, after a RankDeficiencyWarning; strict mode raises
+    RankGuardError instead.
+    """
+    fx = thin_svd(d.X)
+    r = fx.numerical_rank(tol)
+    if r < d.m:
+        msg = (
+            f"X is numerically rank-deficient (rank {r} < m={d.m}); "
+            "proceeding with a thresholded pseudo-inverse"
+        )
+        if strict:
+            raise RankGuardError(msg)
+        warnings.warn(msg, RankDeficiencyWarning, stacklevel=2)
+    return Factorization(d, tol, strict, fx.W[:, :r], fx.sigma[:r], fx.V[:, :r])
+
+
+def fit_exact_dmd(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:
+    """Unconstrained least-squares fit A = Y X^+ (Factorization.exact)."""
+    return factorize(d, tol, strict).exact()
 
 
 def fit_truncated_exact_dmd(
     d: DataMatrices, k: int, tol: float = DEFAULT_TOL, strict: bool = False
 ) -> DmdOperator:
-    """Rank-k truncation of the unconstrained solution A = Y X^+.
-
-    Computed economically: with X = Wx Sx Vx^T, the solution is
-    (Y Vx Sx^-1) Wx^T, and an SVD of the thin n-by-m first factor yields
-    the SVD of the full operator because Wx has orthonormal columns. The
-    n-by-n operator is never formed.
-    """
-    k = _check_rank_arg(k)
-    fx, r = _effective_x_factors(d, tol, strict)
-    F = d.Y @ (fx.V[:, :r] / fx.sigma[:r])
-    ff = thin_svd(F)
-    keep = min(k, ff.numerical_rank(tol))
-    left = ff.W[:, :keep] * ff.sigma[:keep]
-    right = (fx.W[:, :r] @ ff.V[:, :keep]).T
-    return DmdOperator(left=left, right=right, method_tag="truncated_exact")
+    """Rank-k truncation of A = Y X^+ (Factorization.truncated)."""
+    return factorize(d, tol, strict).truncated(k)
 
 
 def fit_projected_dmd(
     d: DataMatrices, k: int, tol: float = DEFAULT_TOL, strict: bool = False
 ) -> DmdOperator:
-    """Span-restricted rank-k fit in the left singular basis of X.
-
-    Projects Y into the X basis, B = Wx^T Y Vx, keeps the best rank-k part
-    of B, and lifts back, A = Wx Bk Sx^-1 Wx^T, assembled directly in
-    factored form. Matches the optimal solver exactly when every column of
-    Y lies in the column span of X, and plateaus at the span defect
-    otherwise.
-    """
-    k = _check_rank_arg(k)
-    fx, r = _effective_x_factors(d, tol, strict)
-    B = fx.W[:, :r].T @ d.Y @ fx.V[:, :r]
-    fb = thin_svd(B)
-    keep = min(k, fb.numerical_rank(tol))
-    left = fx.W[:, :r] @ (fb.W[:, :keep] * fb.sigma[:keep])
-    right = (fb.V[:, :keep].T / fx.sigma[:r]) @ fx.W[:, :r].T
-    return DmdOperator(left=left, right=right, method_tag="projected")
+    """Span-restricted rank-k fit (Factorization.projected)."""
+    return factorize(d, tol, strict).projected(k)
 
 
 def fit_optimal_lowrank_dmd(
     d: DataMatrices, k: int, tol: float = DEFAULT_TOL, strict: bool = False
 ):
-    """Closed-form global minimizer of ||Y - A X|| over rank(A) <= k.
-
-    The minimizer is P P^T Y X^+ where P spans the dominant k-dimensional
-    left singular subspace of Y, obtained through the m-by-m Gram matrix
-    of Y rather than anything n-by-n. Requests beyond the numerical rank
-    of Y are clamped (the projector already covers the whole numerical
-    column space, so larger k cannot change the operator); strict mode
-    raises instead.
-
-    Returns (operator, factors) where factors feed the spectral and
-    reduced-order modules.
-    """
-    k = _check_rank_arg(k)
-    fx, r = _effective_x_factors(d, tol, strict)
-    sigma_y, Vy = gram_singular_triplets(d.Y)
-    if k <= numerical_rank(sigma_y, tol) and sigma_y[k - 1] >= GRAM_NOISE_FLOOR * sigma_y[0]:
-        # healthy regime: the Gram route resolves the k-th direction
-        P = gram_left_basis(d.Y, sigma_y, Vy, k)
-    else:
-        # near or past the numerical rank of Y: rank decisions and trailing
-        # basis directions need full precision, which squaring destroys
-        fy = thin_svd(d.Y)
-        rank_y = fy.numerical_rank(tol)
-        if rank_y == 0:
-            raise RankGuardError("Y is numerically zero; nothing to fit")
-        if k > rank_y:
-            msg = f"requested rank {k} exceeds the numerical rank {rank_y} of Y; clamped"
-            if strict:
-                raise RankGuardError(msg)
-            warnings.warn(msg, RankClampWarning, stacklevel=2)
-            k = rank_y
-        if sigma_y[k - 1] >= GRAM_NOISE_FLOOR * sigma_y[0]:
-            P = gram_left_basis(d.Y, sigma_y, Vy, k)
-        else:
-            P = fy.W[:, :k].copy()
-    # Q^T = P^T Y X^+ assembled right-to-left in O(n k m); A = P Q^T
-    Qt = ((P.T @ d.Y) @ (fx.V[:, :r] / fx.sigma[:r])) @ fx.W[:, :r].T
-    factors = OptimalLowRankFactors(P=P, x_svd=fx, Q=Qt.T.copy())
-    op = DmdOperator(left=P, right=Qt, method_tag="optimal")
-    return op, factors
+    """Closed-form global minimizer over rank(A) <= k (Factorization.optimal);
+    returns (operator, factors)."""
+    return factorize(d, tol, strict).optimal(k)
 
 
 def residual_norm(op: DmdOperator, d: DataMatrices) -> float:

@@ -27,15 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import DEFAULT_TOL, thin_svd
+from .errors import RankDeficiencyWarning, ValidationError
+from .linalg import DEFAULT_TOL
 from .snapshots import DataMatrices, SnapshotSet, build_data_matrices
-from .solvers import (
-    fit_optimal_lowrank_dmd,
-    fit_projected_dmd,
-    fit_truncated_exact_dmd,
-    residual_norm,
-)
+from .solvers import Factorization, factorize, residual_norm
 
 SETTINGS = ("i", "ii", "iii")
 METHODS = ("a", "b", "c")  # a: optimal closed form, b: truncated exact, c: projected
@@ -121,15 +116,20 @@ def companion_residual(d: DataMatrices, tol: float = DEFAULT_TOL) -> float:
     Zero means every successor column is a linear combination of the
     predecessor columns (the projected solver's modeling assumption);
     values near one mean the successors are mostly outside that span.
+    A rank-deficient X is part of the diagnosis, so it raises no warning.
     """
-    norm_y = float(np.linalg.norm(d.Y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        return _span_defect(factorize(d, tol))
+
+
+def _span_defect(fac: Factorization) -> float:
+    """companion_residual from the left singular vectors W of X: X X^+ = W W^T."""
+    Y = fac.data.Y
+    norm_y = float(np.linalg.norm(Y))
     if norm_y == 0.0:
         return 0.0
-    fx = thin_svd(d.X if d.n >= d.m else d.X.T)
-    r = fx.numerical_rank(tol)
-    basis = fx.W[:, :r] if d.n >= d.m else fx.V[:, :r]
-    defect = d.Y - basis @ (basis.T @ d.Y)
-    return float(np.linalg.norm(defect)) / norm_y
+    return float(np.linalg.norm(Y - fac.W @ (fac.W.T @ Y))) / norm_y
 
 
 @dataclass(frozen=True)
@@ -196,13 +196,15 @@ class BenchResult:
         return [r for r in self.rows if r.setting == setting and r.method == method]
 
 
-def _fit_for_method(method: str, d: DataMatrices, k: int):
+def _fit_for_method(method: str, fac: Factorization | None, k: int):
+    if fac is None:
+        raise ValidationError("the factorization of this setting failed")
     if method == "a":
-        op, _ = fit_optimal_lowrank_dmd(d, k)
+        op, _ = fac.optimal(k)
         return op
     if method == "b":
-        return fit_truncated_exact_dmd(d, k)
-    return fit_projected_dmd(d, k)
+        return fac.truncated(k)
+    return fac.projected(k)
 
 
 def data_seed_for(seed: int, setting: str) -> int:
@@ -220,10 +222,13 @@ def benchmark_data(cfg: BenchConfig, setting: str) -> DataMatrices:
 def run_benchmark(cfg: BenchConfig) -> BenchResult:
     """Sweep every requested (setting, method, k), one dataset per setting.
 
+    Each setting's data is factorized once and every row slices that
+    factorization, so wall_time_ms times the slice and the residual.
     Rows come out sorted by (setting, method, k). Fitter warnings (rank
-    clamps past the numerical rank of Y) are expected in the sweep and
-    suppressed; a fitter error is recorded as a NaN residual for that row
-    without aborting the sweep.
+    deficiency of X, rank clamps past the numerical rank of Y V_x) are
+    expected in the sweep and suppressed; an error, in a fit or in the
+    setting's factorization, is recorded as a NaN residual for the rows it
+    affects without aborting the sweep.
     """
     if cfg.seed is None:
         raise ValidationError("a seed is required for a reproducible benchmark run")
@@ -231,7 +236,13 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
     settings_info = {}
     for setting in sorted(cfg.settings, key=SETTINGS.index):
         d = benchmark_data(cfg, setting)
-        comp = companion_residual(d)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fac = factorize(d)
+            comp = _span_defect(fac)
+        except Exception:
+            fac, comp = None, float("nan")
         settings_info[setting] = SettingInfo(
             norm_y=float(np.linalg.norm(d.Y)),
             companion_residual=comp,
@@ -243,7 +254,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
-                        op = _fit_for_method(method, d, k)
+                        op = _fit_for_method(method, fac, k)
                     res = residual_norm(op, d)
                 except Exception:
                     res = float("nan")

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrdmd.errors import DegenerateModeWarning, RankGuardError, ValidationError
-from lrdmd.linalg import thin_svd
 from lrdmd.modes import amplitudes, compute_modes, verify_eigenpairs
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import (
@@ -96,7 +95,7 @@ class TestComputeModes:
     def test_rank_collapsed_q_rejected(self):
         P = np.eye(4)[:, :2]
         Q = np.column_stack([np.ones(4), np.ones(4)])  # rank 1
-        factors = OptimalLowRankFactors(P=P, x_svd=thin_svd(np.eye(4)), Q=Q)
+        factors = OptimalLowRankFactors(P=P, Q=Q)
         with pytest.raises(RankGuardError, match="rank"):
             compute_modes(factors)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,6 @@ from lrdmd.errors import (
     RankGuardError,
     ValidationError,
 )
-from lrdmd.linalg import top_left_singular_basis
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import (
     DmdOperator,
@@ -62,10 +63,16 @@ class TestExactDmd:
         with pytest.raises(RankGuardError):
             fit_exact_dmd(d, strict=True)
 
-    def test_rejects_wide_data(self, rng):
+    def test_accepts_wide_data(self, rng):
+        # more snapshot pairs than states: X^+ = X^T (X X^T)^-1 and the fit
+        # is the dense least-squares solution Y X^+
         d = DataMatrices(X=rng.standard_normal((3, 5)), Y=rng.standard_normal((3, 5)))
-        with pytest.raises(ValidationError):
-            fit_exact_dmd(d)
+        with pytest.warns(RankDeficiencyWarning):
+            op = fit_exact_dmd(d)
+        dense = d.Y @ np.linalg.pinv(d.X)
+        assert_allclose(materialize(op), dense, atol=1e-12 * np.linalg.norm(dense))
+        with pytest.raises(RankGuardError):
+            fit_exact_dmd(d, strict=True)
 
 
 class TestTruncatedExactDmd:
@@ -147,15 +154,26 @@ class TestOptimalLowRankDmd:
             op, _ = fit_optimal_lowrank_dmd(d, k)
             assert abs(residual_norm(op, d) - np.linalg.norm(sigma[k:])) < 1e-10
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", [*range(5), "rank-deficient-12x8", "wide-6x10"])
     def test_beats_alternating_least_squares(self, seed):
-        # oracle: alternating minimization over L R with random restarts
+        # oracle: alternating minimization over L R with random restarts;
+        # the optimum holds for rank(X) < m and for m > n too
         from lrdmd.altmin import als_lowrank_fit
 
-        rng = np.random.default_rng(seed)
-        d = DataMatrices(X=rng.standard_normal((6, 4)), Y=rng.standard_normal((6, 4)))
+        if seed == "rank-deficient-12x8":
+            rng = np.random.default_rng(2017)
+            X = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 8))
+            d, seed = DataMatrices(X=X, Y=rng.standard_normal((12, 8))), 11
+        elif seed == "wide-6x10":
+            rng = np.random.default_rng(2017)
+            d, seed = DataMatrices(X=rng.standard_normal((6, 10)), Y=rng.standard_normal((6, 10))), 12
+        else:
+            rng = np.random.default_rng(seed)
+            d = DataMatrices(X=rng.standard_normal((6, 4)), Y=rng.standard_normal((6, 4)))
         for k in (1, 2, 3):
-            op, _ = fit_optimal_lowrank_dmd(d, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficiencyWarning)
+                op, _ = fit_optimal_lowrank_dmd(d, k)
             closed_form = residual_norm(op, d)
             als_obj, _, _ = als_lowrank_fit(d.X, d.Y, k, restarts=10, iters=200, seed=seed)
             assert closed_form <= als_obj + 1e-8
@@ -173,7 +191,7 @@ class TestOptimalLowRankDmd:
         d = random_data(23)
         k = 3
         op, _ = fit_optimal_lowrank_dmd(d, k)
-        P = top_left_singular_basis(d.Y, k)
+        P = np.linalg.svd(d.Y, full_matrices=False)[0][:, :k]
         full = materialize(fit_exact_dmd(d))
         assert_allclose(materialize(op), P @ (P.T @ full), atol=1e-9)
 
@@ -222,6 +240,24 @@ class TestOptimalLowRankDmd:
         assert np.array_equal(materialize(clamped), materialize(plain))
         with pytest.raises(RankGuardError):
             fit_optimal_lowrank_dmd(d, 4, strict=True)
+
+    @pytest.mark.parametrize("setting", ["i", "ii", "iii"])
+    def test_eckart_young_certificate(self, toy_config, full_bench_result, setting):
+        # ||Y - A X||^2 = ||Y - Y V_r V_r^T||^2 + sum_{i>k} t_i^2, with V_r
+        # the rank-r right singular vectors of X and t the singular values
+        # of Y V_r, against the sweep's method-a residual at every k
+        from lrdmd.toybench import benchmark_data
+
+        d = benchmark_data(toy_config, setting)
+        _, sx, Vt = np.linalg.svd(d.X, full_matrices=False)
+        V = Vt[: int(np.count_nonzero(sx > 1e-12 * sx[0]))].T
+        defect = np.linalg.norm(d.Y - (d.Y @ V) @ V.T)
+        t = np.linalg.svd(d.Y @ V, compute_uv=False)
+        rows = full_bench_result.rows_for(setting, "a")
+        assert [row.k for row in rows] == list(toy_config.ranks())
+        for row in rows:
+            certificate = np.hypot(defect, np.linalg.norm(t[row.k :]))
+            assert abs(row.residual - certificate) <= 1e-12 * np.linalg.norm(d.Y)
 
     def test_bad_rank_arguments(self):
         d = random_data(26)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from lrdmd.errors import ValidationError
 from lrdmd.snapshots import DataMatrices, build_data_matrices
+from lrdmd.solvers import Factorization
 from lrdmd.toybench import (
     BenchConfig,
     RESULT_HEADER,
@@ -142,22 +143,41 @@ class TestRunBenchmark:
         assert first_drop[("ii", "c")] is None and first_drop[("iii", "c")] is None
 
     def test_fitter_failure_recorded_as_nan_row(self, monkeypatch):
-        import lrdmd.toybench as tb
+        orig = Factorization.truncated
 
-        orig = tb.fit_truncated_exact_dmd
-
-        def sabotaged(d, k, *args, **kwargs):
+        def sabotaged(fac, k):
             if k == 2:
                 raise RuntimeError("boom")
-            return orig(d, k, *args, **kwargs)
+            return orig(fac, k)
 
-        monkeypatch.setattr(tb, "fit_truncated_exact_dmd", sabotaged)
+        monkeypatch.setattr(Factorization, "truncated", sabotaged)
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2, 3), settings=("ii",), seed=4,
                           measure_time=False)
         result = run_benchmark(cfg)
         assert len(result.rows) == 3 * 3
         failed = [r for r in result.rows if np.isnan(r.residual)]
         assert [(r.method, r.k) for r in failed] == [("b", 2)]
+
+    def test_factorization_failure_recorded_as_nan_rows(self, monkeypatch):
+        import lrdmd.toybench as tb
+
+        orig, calls = tb.factorize, []
+
+        def sabotaged(d, *args, **kwargs):
+            calls.append(d)
+            if len(calls) == 2:  # the second setting, ii
+                raise RuntimeError("boom")
+            return orig(d, *args, **kwargs)
+
+        monkeypatch.setattr(tb, "factorize", sabotaged)
+        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("i", "ii"), seed=4,
+                          measure_time=False)
+        result = run_benchmark(cfg)
+        assert len(result.rows) == 2 * 3 * 2
+        failed = {r.setting for r in result.rows if np.isnan(r.residual)}
+        assert failed == {"ii"}
+        assert np.isnan(result.settings["ii"].companion_residual)
+        assert all(np.isfinite(r.residual) for r in result.rows_for("i", "a"))
 
     def test_deterministic_rows(self):
         cfg = BenchConfig(n=10, r=4, m=6, seed=3, measure_time=False)
