@@ -14,23 +14,31 @@ import dataclasses
 import json
 import sys
 import traceback
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import NumericalGuardError, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL
+from .errors import NumericalGuardError, RankDeficiencyWarning, RankGuardError, ValidationError
+from .linalg import DEFAULT_TOL, thin_svd
 from .modes import amplitudes, compute_modes, verify_eigenpairs
 from .rom import reconstruct_from_modes, save_trajectory, simulate_reduced
-from .snapshots import build_data_matrices, load_snapshots, save_snapshots, validate_rank_assumptions
+from .snapshots import (
+    RankReport,
+    build_data_matrices,
+    load_snapshots,
+    read_numeric_rows,
+    save_snapshots,
+    write_csv_rows,
+)
 from .solvers import factorize, residual_norm
 from .toybench import (
     BenchConfig,
     RNG_NAME,
     _parse_int_list,
-    companion_residual,
+    _span_defect,
     data_seed_for,
     generate_snapshots,
     generate_toy_operator,
@@ -46,10 +54,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
+def _write_matrix_csv(path: Path, M: np.ndarray, header: str = "", lead=None) -> None:
     with path.open("w", newline="") as fh:
-        for row in np.atleast_2d(M):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(header)
+        write_csv_rows(fh, M, lead)
 
 
 def _write_keyvalue_csv(path: Path, pairs) -> None:
@@ -82,21 +90,16 @@ def _load_theta(spec: str, snaps) -> np.ndarray:
     path = Path(spec)
     if not path.is_file():
         raise ValidationError(f"theta file not found: {path}")
-    rows = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if rows == [] and cells[0].startswith("x"):
-            continue  # optional x0,x1,... header
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            raise ValidationError(f"non-numeric value in theta file {path}") from None
-    if len(rows) != 1:
-        raise ValidationError(f"theta file must contain exactly one row, got {len(rows)}")
-    theta = np.asarray(rows[0], dtype=np.float64)
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    if lines and lines[0].lstrip().startswith("x"):
+        lines = lines[1:]  # optional x0,x1,... header
+    try:
+        rows = read_numeric_rows(lines)
+    except ValueError:
+        raise ValidationError(f"non-numeric value in theta file {path}") from None
+    if rows.shape[0] != 1:
+        raise ValidationError(f"theta file must contain exactly one row, got {rows.shape[0]}")
+    theta = rows[0]
     if theta.shape[0] != snaps.n:
         raise ValidationError(
             f"theta dimension {theta.shape[0]} does not match state dimension {snaps.n}"
@@ -182,30 +185,25 @@ def cmd_modes(args) -> int:
     schedule = amplitudes(mode_set, theta, args.horizon)
     report = verify_eigenpairs(mode_set, op)
     k = mode_set.eigenvalues.shape[0]
-    n = mode_set.modes.shape[0]
+    # every complex quantity gets its _re,_im column pair, also when a
+    # variant's values are real
+    eigenvalues, modes, amps = (
+        np.asarray(a, dtype=np.complex128)
+        for a in (mode_set.eigenvalues, mode_set.modes, schedule.values)
+    )
     eig_path = out_dir / "eigenvalues.csv"
-    with eig_path.open("w", newline="") as fh:
-        fh.write("lambda_re,lambda_im\n")
-        for lam in mode_set.eigenvalues:
-            fh.write(f"{_fmt(lam.real)},{_fmt(lam.imag)}\n")
+    _write_matrix_csv(eig_path, eigenvalues[:, None], "lambda_re,lambda_im\n")
     modes_path = out_dir / "modes.csv"
-    with modes_path.open("w", newline="") as fh:
-        fh.write(",".join(f"mode{i}_re,mode{i}_im" for i in range(k)) + "\n")
-        for row in range(n):
-            cells = []
-            for i in range(k):
-                cells.append(_fmt(mode_set.modes[row, i].real))
-                cells.append(_fmt(mode_set.modes[row, i].imag))
-            fh.write(",".join(cells) + "\n")
+    _write_matrix_csv(
+        modes_path, modes, ",".join(f"mode{i}_re,mode{i}_im" for i in range(k)) + "\n"
+    )
     amp_path = out_dir / "amplitudes.csv"
-    with amp_path.open("w", newline="") as fh:
-        fh.write("t," + ",".join(f"amp{i}_re,amp{i}_im" for i in range(k)) + "\n")
-        for t in range(schedule.values.shape[0]):
-            cells = [str(t + 1)]
-            for i in range(k):
-                cells.append(_fmt(schedule.values[t, i].real))
-                cells.append(_fmt(schedule.values[t, i].imag))
-            fh.write(",".join(cells) + "\n")
+    _write_matrix_csv(
+        amp_path,
+        amps,
+        "t," + ",".join(f"amp{i}_re,amp{i}_im" for i in range(k)) + "\n",
+        map(str, range(1, amps.shape[0] + 1)),
+    )
     resid_path = out_dir / "eigenpair_residuals.csv"
     with resid_path.open("w", newline="") as fh:
         fh.write("mode,lambda_re,lambda_im,residual,tolerance,passed\n")
@@ -311,10 +309,16 @@ def cmd_generate(args) -> int:
 
 def cmd_validate(args) -> int:
     snaps, d = _load_matrices(args)
-    report = validate_rank_assumptions(d, args.svd_tol)
+    # one factorization of X gives rank(X) and the span defect; a
+    # rank-deficient X is part of the diagnosis, so it raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        fac = factorize(d, args.svd_tol)
+    rank_y = thin_svd(d.Y).numerical_rank(args.svd_tol)
+    report = RankReport(n=d.n, m=d.m, rank_x=fac.rank_x, rank_y=rank_y, tol=args.svd_tol)
     for line in report.lines():
         print(line)
-    print(f"companion residual       : {companion_residual(d, args.svd_tol):.6e}")
+    print(f"companion residual       : {_span_defect(fac):.6e}")
     return 0
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import kernels
 from .errors import OverflowGuardError, ReconstructionWarning, ValidationError
 from .modes import AmplitudeSchedule, DmdModes
+from .snapshots import write_csv_rows
 from .solvers import DmdOperator, OptimalLowRankFactors
 
 OVERFLOW_LIMIT = 1e150
@@ -138,9 +139,7 @@ def reconstruct_from_modes(modes: DmdModes, amps: AmplitudeSchedule) -> RomTraje
 
 def save_trajectory(traj: RomTrajectory, path) -> None:
     """Write a trajectory CSV: header t,x0,...,x{n-1}, one row per kept step."""
-    path = Path(path)
     n = traj.states.shape[1]
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         fh.write("t," + ",".join(f"x{j}" for j in range(n)) + "\n")
-        for t, row in zip(traj.times, traj.states):
-            fh.write(str(int(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        write_csv_rows(fh, traj.states, (str(int(t)) for t in traj.times))

@@ -4,9 +4,14 @@ predecessor/successor data matrices consumed by the solvers.
 Snapshot CSV format: header ``traj_id,t,x0,x1,...,x{n-1}``, one row per
 (trajectory, time) pair. Trajectory ids are 1..N and time indices 1..T;
 rows may appear in any order but must tile the complete N-by-T grid.
+The body is parsed by numpy's C parser (read_numeric_rows) and checked
+array-at-a-time. Every numeric CSV the package writes goes through
+write_csv_rows, which writes each float as its shortest round-trip repr.
 """
 
 import csv
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,69 +151,149 @@ def _parse_header(header):
     return len(header) - 2
 
 
+def read_numeric_rows(source, converters=None) -> np.ndarray:
+    """Parse comma-separated numeric rows with numpy's C parser.
+
+    ``source`` is an open text file or a list of lines. Empty lines are
+    skipped; whitespace around a cell is allowed. Returns a 2-D float array
+    (0 rows for no input). A cell that is not a number, or a row whose
+    width differs from the first row's, raises numpy's ValueError, which
+    names the row counted from 0 (bad cell) or from 1 (width change),
+    empty lines not counted.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, delimiter=",", ndmin=2, comments=None, converters=converters)
+
+
+# loadtxt's messages for a bad cell, a width change and a first row too
+# narrow for the key converters; read by _row_error.
+_BAD_CELL = re.compile(r"(could not convert string .*) at row (\d+), column (\d+)")
+_WIDTH_CHANGE = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
+_NARROW_FIRST_ROW = re.compile(r"invalid for the number of fields (\d+)")
+
+
+def _line_of_row(path: Path, row: int) -> int:
+    """File line number of data row ``row`` (0-based, empty lines skipped,
+    as loadtxt skips them); the line it would have without empty lines if
+    the file has fewer data rows."""
+    with path.open(newline="") as fh:
+        fh.readline()
+        seen = -1
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip("\r\n"):
+                seen += 1
+                if seen == row:
+                    return lineno
+    return row + 2
+
+
+def _row_error(path: Path, n: int, exc: ValueError) -> SnapshotFormatError:
+    """Translate a loadtxt ValueError into the error naming its file line."""
+    msg = str(exc)
+    if m := _BAD_CELL.search(msg):
+        lineno = _line_of_row(path, int(m[2]))
+        return SnapshotFormatError(
+            f"{path}:{lineno}: non-numeric cell in column {m[3]} ({m[1]})"
+        )
+    if m := _WIDTH_CHANGE.search(msg):
+        first, width, row = int(m[1]), int(m[2]), int(m[3]) - 1
+        if first != n + 2:
+            width, row = first, 0
+    elif m := _NARROW_FIRST_ROW.search(msg):
+        width, row = int(m[1]), 0
+    else:
+        return SnapshotFormatError(f"{path}: non-numeric cell ({msg})")
+    return _width_error(path, n, width, row)
+
+
+def _width_error(path: Path, n: int, width: int, row: int) -> SnapshotFormatError:
+    lineno = _line_of_row(path, row)
+    return SnapshotFormatError(f"{path}:{lineno}: expected {n + 2} columns, got {width}")
+
+
 def load_snapshots(path) -> SnapshotSet:
     """Read a snapshot CSV into a SnapshotSet.
 
     Raises SnapshotFormatError on ragged trajectories, duplicate or missing
-    (traj_id, t) keys, inconsistent row widths, or non-numeric cells.
+    (traj_id, t) keys, inconsistent row widths, or non-numeric cells. Key
+    cells must be integers ("1.0" is non-numeric).
     """
     path = Path(path)
     if not path.is_file():
         raise SnapshotFormatError(f"snapshot file not found: {path}")
-    cells = {}
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        first = fh.readline()
+        if not first:
+            raise SnapshotFormatError(f"empty snapshot file: {path}")
+        n = _parse_header([h.strip() for h in next(csv.reader([first]), [])])
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SnapshotFormatError(f"empty snapshot file: {path}") from None
-        n = _parse_header([h.strip() for h in header])
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n + 2:
-                raise SnapshotFormatError(
-                    f"{path}:{lineno}: expected {n + 2} columns, got {len(row)}"
-                )
-            try:
-                traj = int(row[0])
-                t = int(row[1])
-                vec = np.array([float(c) for c in row[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise SnapshotFormatError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
-            if (traj, t) in cells:
-                raise SnapshotFormatError(f"{path}:{lineno}: duplicate entry for traj {traj}, t {t}")
-            cells[(traj, t)] = vec
-    if not cells:
+            data = read_numeric_rows(fh, converters={0: int, 1: int})
+        except ValueError as exc:
+            raise _row_error(path, n, exc) from None
+    if data.shape[0] == 0:
         raise SnapshotFormatError(f"no data rows in {path}")
-    traj_ids = sorted({key[0] for key in cells})
-    N = len(traj_ids)
-    if traj_ids != list(range(1, N + 1)):
-        raise SnapshotFormatError(f"trajectory ids must be 1..N, got {traj_ids}")
-    lengths = {i: sorted(t for (j, t) in cells if j == i) for i in traj_ids}
-    T = len(lengths[1])
-    for i in traj_ids:
-        if len(lengths[i]) != T:
+    if data.shape[1] != n + 2:
+        raise _width_error(path, n, data.shape[1], 0)
+    traj, t = data[:, 0], data[:, 1]
+    order = np.lexsort((t, traj))
+    keys = data[order, :2]
+    repeats = order[1:][np.all(keys[1:] == keys[:-1], axis=1)]
+    if repeats.size:
+        row = int(repeats.min())
+        raise SnapshotFormatError(
+            f"{path}:{_line_of_row(path, row)}: duplicate entry for "
+            f"traj {int(traj[row])}, t {int(t[row])}"
+        )
+    traj_ids = np.unique(traj)
+    N = traj_ids.size
+    if traj_ids[0] != 1 or traj_ids[-1] != N:
+        raise SnapshotFormatError(
+            f"trajectory ids must be 1..N, got {list(map(int, traj_ids.tolist()))}"
+        )
+    i = traj.astype(np.intp) - 1
+    lengths = np.bincount(i, minlength=N)
+    T = int(lengths[0])
+    off_grid = np.bincount(i, weights=(t < 1) | (t > T), minlength=N)
+    bad = (lengths != T) | (off_grid > 0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if lengths[j] != T:
             raise SnapshotFormatError(
-                f"ragged trajectories: trajectory {i} has {len(lengths[i])} snapshots, "
+                f"ragged trajectories: trajectory {j + 1} has {lengths[j]} snapshots, "
                 f"trajectory 1 has {T}"
             )
-        if lengths[i] != list(range(1, T + 1)):
-            raise SnapshotFormatError(
-                f"trajectory {i}: time indices must be 1..T, got {lengths[i]}"
-            )
+        times = list(map(int, np.sort(t[i == j]).tolist()))
+        raise SnapshotFormatError(f"trajectory {j + 1}: time indices must be 1..T, got {times}")
     states = np.empty((N, T, n), dtype=np.float64)
-    for (traj, t), vec in cells.items():
-        states[traj - 1, t - 1] = vec
+    states[i, t.astype(np.intp) - 1] = data[:, 2:]
     return SnapshotSet(states=states)
+
+
+def write_csv_rows(fh, M: np.ndarray, lead=None) -> None:
+    """Write the rows of a 2-D array to ``fh`` as CSV lines.
+
+    Each cell is repr() of a Python float, the shortest string that reads
+    back bit-exactly; a complex entry is written as two cells, re then im.
+    ``lead``, when given, yields one prefix per row (such as "traj_id,t"),
+    written as the leading cell(s). Rows are streamed, not joined in memory.
+    """
+    M = np.atleast_2d(M)
+    if np.iscomplexobj(M):
+        M = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
+    else:
+        M = M.astype(np.float64, copy=False)
+    cells = (",".join(map(repr, row.tolist())) for row in M)
+    if lead is None:
+        fh.writelines(f"{c}\n" for c in cells)
+    else:
+        fh.writelines(f"{p},{c}\n" for p, c in zip(lead, cells))
 
 
 def save_snapshots(s: SnapshotSet, path) -> None:
     """Write a SnapshotSet as CSV; load_snapshots round-trips it bit-exactly."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    N, T = s.num_trajectories, s.num_snapshots
+    with Path(path).open("w", newline="") as fh:
         fh.write("traj_id,t," + ",".join(f"x{j}" for j in range(s.n)) + "\n")
-        for i in range(s.num_trajectories):
-            for t in range(s.num_snapshots):
-                row = ",".join(repr(float(v)) for v in s.states[i, t])
-                fh.write(f"{i + 1},{t + 1},{row}\n")
+        keys = (f"{i + 1},{t + 1}" for i in range(N) for t in range(T))
+        write_csv_rows(fh, s.states.reshape(N * T, s.n), keys)

@@ -1,13 +1,24 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lrdmd.cli
+import lrdmd.solvers
 from lrdmd.cli import main
-from lrdmd.snapshots import SnapshotSet, load_snapshots, save_snapshots
+from lrdmd.modes import amplitudes, compute_modes
+from lrdmd.rom import simulate_reduced
+from lrdmd.snapshots import (
+    SnapshotSet,
+    build_data_matrices,
+    load_snapshots,
+    save_snapshots,
+    validate_rank_assumptions,
+)
 from lrdmd.solvers import fit_optimal_lowrank_dmd, materialize
-from lrdmd.toybench import benchmark_data
+from lrdmd.toybench import benchmark_data, companion_residual
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +87,37 @@ class TestValidate:
 
     def test_missing_input(self, tmp_path):
         assert main(["validate", "--input", str(tmp_path / "none.csv")]) == 2
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_factors_x_once(self, tmp_path, capsys, monkeypatch, rank_deficient):
+        # X is 20 x 12: one trajectory of 13 states, or two identical
+        # trajectories of 7 (rank(X) = 6 < m)
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((1, 13, 20))
+        if rank_deficient:
+            states = np.repeat(rng.standard_normal((1, 7, 20)), 2, axis=0)
+        path = tmp_path / "v.csv"
+        save_snapshots(SnapshotSet(states=states), path)
+        d = build_data_matrices(load_snapshots(path))
+        assert (d.n, d.m) == (20, 12)
+        expected = validate_rank_assumptions(d).lines()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected.append(f"companion residual       : {companion_residual(d):.6e}")
+        calls = []
+        for module in (lrdmd.cli, lrdmd.solvers):
+            original = module.thin_svd
+
+            def counted(M, _original=original):
+                calls.append(M.shape)
+                return _original(M)
+
+            monkeypatch.setattr(module, "thin_svd", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--input", str(path)]) == 0
+        assert sorted(calls) == [(20, 12), (20, 12)]  # X once, Y once
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestFit:
@@ -218,6 +260,37 @@ class TestModes:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x0,x1,x2,x3,x4,x5\n{row}\n", "\n {row} \n\n", "x0,x1,x2,x3,x4,x5\r\n{row}\r\n"],
+    )
+    def test_theta_file_layouts(self, small_csv, tmp_path, text):
+        # theta becomes the first state of the written trajectory, bit for bit
+        theta = np.array([0.1, -0.0, 5e-324, 1e-17, -2.5, 1e300])
+        theta_path = tmp_path / "theta.csv"
+        theta_path.write_text(text.format(row=",".join(map(repr, theta.tolist()))), newline="")
+        out = tmp_path / "sim_theta"
+        code = main(
+            ["simulate", "--input", str(small_csv), "--rank", "3", "--horizon", "1",
+             "--theta", str(theta_path), "--out", str(out)]
+        )
+        assert code == 0
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(rows[0, 1:], theta)
+        assert np.array_equal(np.signbit(rows[0, 1:]), np.signbit(theta))
+
+    @pytest.mark.parametrize(
+        "text", ["", "x0,x1\n", "1,2,3,4,5,6\n1,2,3,4,5,6\n", "1,2,3,4,5,abc\n", "1,2,3,,5,6\n"]
+    )
+    def test_bad_theta_file(self, small_csv, tmp_path, text, capsys):
+        theta_path = tmp_path / "theta.csv"
+        theta_path.write_text(text)
+        code = main(
+            ["modes", "--input", str(small_csv), "--rank", "2", "--theta", str(theta_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "theta file" in capsys.readouterr().err
+
     def test_bad_theta_dimension(self, small_csv, tmp_path):
         theta_path = tmp_path / "theta.csv"
         theta_path.write_text("1.0,2.0\n")
@@ -310,6 +383,56 @@ class TestSimulate:
         for t in range(1, 10):
             scale = max(np.linalg.norm(red[t, 1:]), 1e-300)
             assert np.linalg.norm(red[t, 1:] - mod[t, 1:]) <= 1e-8 * scale
+
+
+class TestWrittenFiles:
+    """Output CSVs read back through np.loadtxt to the library's arrays, bit
+    for bit: cells are shortest round-trip reprs, complex values re,im pairs."""
+
+    RANK = 3
+
+    @pytest.fixture(scope="class")
+    def library(self, small_csv):
+        snaps = load_snapshots(small_csv)
+        op, factors = fit_optimal_lowrank_dmd(build_data_matrices(snaps), self.RANK)
+        return snaps, op, factors
+
+    def run(self, command, small_csv, out, *extra):
+        argv = [command, "--input", str(small_csv), "--rank", str(self.RANK), *extra]
+        assert main([*argv, "--out", str(out)]) == 0
+
+    def test_fit_factors(self, small_csv, tmp_path, library):
+        _, op, _ = library
+        self.run("fit", small_csv, tmp_path, "--method", "optimal")
+        assert np.array_equal(np.loadtxt(tmp_path / "left.csv", delimiter=","), op.left)
+        assert np.array_equal(np.loadtxt(tmp_path / "right.csv", delimiter=","), op.right)
+
+    def test_modes(self, small_csv, tmp_path, library):
+        snaps, _, factors = library
+        self.run("modes", small_csv, tmp_path, "--horizon", "4")
+        mode_set = compute_modes(factors, "exact_reconstruction")
+        schedule = amplitudes(mode_set, snaps.initial_condition(0), 4)
+        k = mode_set.eigenvalues.shape[0]
+
+        def read(name):
+            return np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, ndmin=2)
+
+        header = (tmp_path / "modes.csv").read_text().splitlines()[0]
+        assert header == ",".join(f"mode{i}_re,mode{i}_im" for i in range(k))
+        # re,im cell pairs are the memory layout of complex128
+        assert np.array_equal(read("modes.csv").view(np.complex128), mode_set.modes)
+        assert np.array_equal(read("eigenvalues.csv").view(np.complex128)[:, 0], mode_set.eigenvalues)
+        amps = read("amplitudes.csv")
+        assert np.array_equal(amps[:, 0], np.arange(1, 5))
+        assert np.array_equal(np.ascontiguousarray(amps[:, 1:]).view(np.complex128), schedule.values)
+
+    def test_trajectory(self, small_csv, tmp_path, library):
+        snaps, _, factors = library
+        self.run("simulate", small_csv, tmp_path, "--horizon", "9", "--stride", "4")
+        traj = simulate_reduced(factors, snaps.initial_condition(0), 9, stride=4)
+        rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(rows[:, 0], traj.times)
+        assert np.array_equal(rows[:, 1:], traj.states)
 
 
 class TestBench:

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from lrdmd.snapshots import (
     load_snapshots,
     save_snapshots,
     validate_rank_assumptions,
+    write_csv_rows,
 )
 
 
@@ -80,11 +83,153 @@ class TestLoadSnapshots:
         states[0, 0, 0] = 0.1
         states[1, 2, 3] = 1e-17
         states[2, 3, 4] = -1.2345678901234567e300
+        states[0, 1, 2] = -0.0
+        states[1, 0, 1] = 5e-324
         s = SnapshotSet(states=states)
         path = tmp_path / "round.csv"
         save_snapshots(s, path)
         loaded = load_snapshots(path)
         assert np.array_equal(loaded.states, s.states)
+        assert np.array_equal(np.signbit(loaded.states), np.signbit(s.states))
+
+
+class TestLoaderBehaviour:
+    """What the loader accepts and how it reports errors, file line included."""
+
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"traj_id,t,x0,x1\r\n1,1,1,0\r\n1,2,0,1\r\n")
+        assert_allclose(load_snapshots(p).states[0], [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_blank_lines_between_rows(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv", "traj_id,t,x0\n1,1,1\n\n1,2,2\n\n\n2,1,3\n2,2,4\n\n")
+        assert_allclose(load_snapshots(p).states[:, :, 0], [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_shuffled_rows_fill_the_same_grid(self, tmp_path, rng):
+        s = SnapshotSet(states=rng.standard_normal((3, 5, 4)))
+        path = tmp_path / "s.csv"
+        save_snapshots(s, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        path.write_text(header + "\n".join(shuffled))
+        assert np.array_equal(load_snapshots(path).states, s.states)
+
+    def test_whitespace_around_cells(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv", "traj_id, t ,x0\n 1 , 1 , 1.5 \n1,2,\t-2e-3\n")
+        assert_allclose(load_snapshots(p).states[0, :, 0], [1.5, -2e-3])
+
+    @pytest.mark.parametrize("key", ["1.0", "1.5", "abc", ""])
+    def test_trajectory_id_must_be_an_integer(self, tmp_path, key):
+        p = write_csv(tmp_path / "s.csv", f"traj_id,t,x0\n{key},1,1\n1,2,2\n")
+        with pytest.raises(SnapshotFormatError, match="non-numeric"):
+            load_snapshots(p)
+
+    def test_time_index_must_be_an_integer(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv", "traj_id,t,x0\n1,1,1\n1,2.0,2\n")
+        with pytest.raises(SnapshotFormatError, match=r"s\.csv:3: non-numeric"):
+            load_snapshots(p)
+
+    def test_float_cells_are_parsed_strictly(self, tmp_path):
+        # Python's float() accepts digit separators; the numpy parse does not
+        p = write_csv(tmp_path / "s.csv", "traj_id,t,x0\n1,1,1_0\n1,2,2\n")
+        with pytest.raises(SnapshotFormatError, match=r"s\.csv:2: non-numeric"):
+            load_snapshots(p)
+
+    def test_header_only_file(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv", "traj_id,t,x0\n")
+        with pytest.raises(SnapshotFormatError, match="no data rows"):
+            load_snapshots(p)
+
+    def test_empty_file(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv", "")
+        with pytest.raises(SnapshotFormatError, match="empty snapshot file"):
+            load_snapshots(p)
+
+    @pytest.mark.parametrize(
+        "body,lineno,message",
+        [
+            # a later row too wide or too narrow, after blank lines
+            ("1,1,1,2\n\n1,2,3\n", 4, "expected 4 columns, got 3"),
+            ("1,1,1,2\n1,2,3,4,5\n", 3, "expected 4 columns, got 5"),
+            # the first row is the wrong one, whatever follows
+            ("\n1,1,1\n1,2,3,4\n", 3, "expected 4 columns, got 3"),
+            ("1,1,1\n1,2,3\n", 2, "expected 4 columns, got 3"),
+            ("5\n1,1,2,3\n", 2, "expected 4 columns, got 1"),
+            ("1,1,1,2\n1,2,3,4\n   \n", 4, "expected 4 columns, got 1"),
+        ],
+    )
+    def test_width_error_names_line(self, tmp_path, body, lineno, message):
+        p = write_csv(tmp_path / "s.csv", "traj_id,t,x0,x1\n" + body)
+        with pytest.raises(SnapshotFormatError, match=rf"s\.csv:{lineno}: {message}$"):
+            load_snapshots(p)
+
+    @pytest.mark.parametrize(
+        "body,lineno",
+        [
+            ("1,1,1\n1,2,abc\n", 3),
+            ("1,1,1\n\n\n1,2,1e\n", 5),
+            ("1,1,1\r\n\r\n1,2,x\r\n", 4),
+            ("1,1,\n1,2,1\n", 2),
+        ],
+    )
+    def test_non_numeric_error_names_line(self, tmp_path, body, lineno):
+        p = write_csv(tmp_path / "s.csv", "traj_id,t,x0\n" + body)
+        with pytest.raises(SnapshotFormatError, match=rf"s\.csv:{lineno}: non-numeric"):
+            load_snapshots(p)
+
+    def test_duplicate_error_names_first_repeat(self, tmp_path):
+        # rows 2,1 and 1,2 both repeat; the earlier repeat in the file is named
+        p = write_csv(
+            tmp_path / "s.csv",
+            "traj_id,t,x0\n1,2,1\n2,1,2\n\n2,1,3\n1,2,4\n1,1,5\n2,2,6\n",
+        )
+        with pytest.raises(
+            SnapshotFormatError, match=r"s\.csv:5: duplicate entry for traj 2, t 1$"
+        ):
+            load_snapshots(p)
+
+    def test_grid_errors(self, tmp_path):
+        cases = {
+            "traj_id,t,x0\n1,1,1\n1,2,2\n3,1,3\n3,2,4\n": r"ids must be 1\.\.N, got \[1, 3\]$",
+            "traj_id,t,x0\n1,1,1\n1,2,2\n2,1,3\n": "trajectory 2 has 1 snapshots, trajectory 1 has 2$",
+            "traj_id,t,x0\n1,0,1\n1,1,2\n2,1,3\n2,2,4\n": r"trajectory 1: .* 1\.\.T, got \[0, 1\]$",
+            "traj_id,t,x0\n1,1,1\n1,2,2\n2,3,3\n2,1,4\n": r"trajectory 2: .* 1\.\.T, got \[1, 3\]$",
+        }
+        for text, message in cases.items():
+            with pytest.raises(SnapshotFormatError, match=message):
+                load_snapshots(write_csv(tmp_path / "s.csv", text))
+
+
+class TestWriteCsvRows:
+    def write(self, M, lead=None):
+        fh = io.StringIO()
+        write_csv_rows(fh, M, lead)
+        return fh.getvalue()
+
+    def test_cells_are_shortest_round_trip_reprs(self):
+        values = [0.1, 1e-17, -0.0, 5e-324, -1.2345678901234567e300]
+        expected = "0.1,1e-17,-0.0,5e-324,-1.2345678901234567e+300\n"
+        assert expected == ",".join(repr(float(v)) for v in values) + "\n"
+        assert self.write(np.array([values])) == expected
+        assert self.write(np.array(values)) == expected  # a vector is one row
+
+    def test_complex_entries_are_re_im_pairs_in_column_order(self):
+        M = np.array([[1 + 2j, complex(-0.5, -0.0)], [0.1j, 3.0 + 1e-300j]])
+        assert self.write(M) == "1.0,2.0,-0.5,-0.0\n0.0,0.1,3.0,1e-300\n"
+        assert self.write(np.asfortranarray(M)) == self.write(M)
+
+    def test_leading_column(self):
+        M = np.array([[1.5, 2.0], [-3.0, 0.25]])
+        assert self.write(M, ["1,1", "1,2"]) == "1,1,1.5,2.0\n1,2,-3.0,0.25\n"
+        assert self.write(M, map(str, (1, 21))) == "1,1.5,2.0\n21,-3.0,0.25\n"
+
+    def test_snapshot_file_bytes(self, tmp_path):
+        states = np.array([[[0.1, -0.0], [5e-324, 2.0]], [[1e-17, 3.0], [-1.0, 1e300]]])
+        path = tmp_path / "s.csv"
+        save_snapshots(SnapshotSet(states=states), path)
+        assert path.read_text() == (
+            "traj_id,t,x0,x1\n1,1,0.1,-0.0\n1,2,5e-324,2.0\n2,1,1e-17,3.0\n2,2,-1.0,1e+300\n"
+        )
 
 
 class TestSnapshotSet:
