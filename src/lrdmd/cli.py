@@ -151,6 +151,9 @@ def cmd_fit(args) -> int:
     outputs = [out_dir / "left.csv", out_dir / "right.csv", out_dir / "summary.csv"]
     _write_matrix_csv(outputs[0], op.left)
     _write_matrix_csv(outputs[1], op.right)
+    certified = []
+    if args.method == "optimal":
+        certified = [("certified_residual", _fmt(fac.certified_residual(requested)))]
     _write_keyvalue_csv(
         outputs[2],
         [
@@ -158,6 +161,7 @@ def cmd_fit(args) -> int:
             ("requested_rank", requested),
             ("declared_rank", op.declared_rank),
             ("residual", _fmt(res)),
+            *certified,
             ("residual_relative", _fmt(res / norm_y if norm_y else 0.0)),
             ("norm_y", _fmt(norm_y)),
             ("n", d.n),

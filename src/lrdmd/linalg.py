@@ -1,6 +1,12 @@
 """Shared dense linear algebra: one thin SVD for matrices of every shape,
 and the relative numerical rank behind every rank decision.
 
+A tall matrix is factored by Cholesky QR, which needs only BLAS-3 products
+over its long side and one small SVD: CholeskyQR2 when it is well enough
+conditioned, shifted CholeskyQR3 beyond that, up to condition numbers of
+about 1e13. LAPACK factors the rest: near-square matrices and tall ones
+that are rank deficient to working precision.
+
 All routines are deterministic: singular vectors follow a fixed sign
 convention (the largest-magnitude entry of each left singular vector is
 made positive, first index winning ties) so repeated runs produce
@@ -15,11 +21,22 @@ from .errors import ValidationError
 
 DEFAULT_TOL = 1e-12
 
-# Smallest sigma_min / sigma_max for which the CholeskyQR2 result is kept.
-# Its first pass factors M^T M, whose spectrum is the square of M's, so
-# below this ratio the Cholesky factor carries too little precision for
-# the second pass to restore; LAPACK takes over instead.
+# Smallest sigma_min / sigma_max for which the unshifted CholeskyQR2 result
+# is kept. Its first pass factors M^T M, whose spectrum is the square of
+# M's, so below this ratio the Cholesky factor carries too little precision
+# for the second pass to restore; the shifted pass takes over instead.
 CHOLQR_MIN_RATIO = 1e-6
+
+# Smallest spread of the Cholesky diagonal of Q0 = M R0^-1, after the
+# shifted pass, on which CholeskyQR2 is run: about the square root of the
+# unit roundoff, the inverse of the largest condition number CholeskyQR2
+# takes. cond(Q0) ~ sqrt(s) / sigma_min(M), so M falls below it only when
+# sigma_min / sigma_max < 1e-8 sqrt(s) / ||M||_2, about 3e-13 at 8000 x 100:
+# when it is rank deficient to working precision. LAPACK takes those.
+SHIFTED_MIN_RATIO = 1e-8
+
+# unit roundoff of float64, in the shift of shifted CholeskyQR
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 # Smallest p / q for which CholeskyQR2 is tried: it replaces only the QR of
 # a tall matrix by BLAS-3 products and still ends in a q-by-q SVD, so it
@@ -70,28 +87,60 @@ def _fix_signs(W: np.ndarray, V: np.ndarray) -> None:
     V *= sign
 
 
-def _cholesky_qr2(M: np.ndarray):
-    """(W, sigma, V) of a tall M by CholeskyQR2 (Fukaya et al. 2014), or
-    None when a Cholesky factorization fails or sigma_min falls below
-    CHOLQR_MIN_RATIO * sigma_max.
+def _cholesky_qr2(M: np.ndarray, G: np.ndarray, min_ratio: float):
+    """(Q, R2, R1) with M = Q R1 and Q = Q2 R2, Q2 orthonormal, by two
+    Cholesky-QR passes (Fukaya et al. 2014), the first from the Gram
+    G = M^T M; None when a Cholesky factorization fails or the diagonal of
+    R1 spans less than min_ratio.
 
-    M = Q R1 and Q = Q2 R2 are two Cholesky-QR passes, the second restoring
-    the orthogonality the first loses; the SVD of the small R2 R1 = U S V^T
-    then gives M = (Q R2^-1 U) S V^T.
+    cond(R1) >= max|r_ii| / min|r_ii|, so that test skips the p-by-q passes
+    of inputs that are certain to be rejected.
     """
     try:
-        R1 = np.linalg.cholesky(M.T @ M).T
-        # cond(R1) >= max|r_ii| / min|r_ii|: skip the n-by-q passes early
+        R1 = np.linalg.cholesky(G).T
         d = np.abs(np.diag(R1))
-        if d.min() < CHOLQR_MIN_RATIO * d.max():
+        if d.min() < min_ratio * d.max():
             return None
         Q = M @ np.linalg.inv(R1)
         R2 = np.linalg.cholesky(Q.T @ Q).T
     except np.linalg.LinAlgError:
         return None
-    U, sigma, Vt = np.linalg.svd(R2 @ R1)
-    if not sigma[-1] >= CHOLQR_MIN_RATIO * sigma[0]:
+    return Q, R2, R1
+
+
+def _cholesky_svd(M: np.ndarray):
+    """(W, sigma, V) of a tall p-by-q M by Cholesky QR, or None when M is
+    rank deficient to working precision.
+
+    CholeskyQR2 is tried first and kept when sigma_min >= CHOLQR_MIN_RATIO *
+    sigma_max. Otherwise its Gram G = M^T M serves one shifted Cholesky pass
+    (shifted CholeskyQR3, Fukaya et al. 2020): M = Q0 R0 with R0 = chol(G +
+    s I), s = 11 (pq + q(q+1)) u ||M||_2^2, which keeps the Cholesky factor
+    from breaking down, and CholeskyQR2 then factors Q0 unless
+    SHIFTED_MIN_RATIO refuses it. From M = Q2 R with R = R2 R1 [R0], the SVD of
+    the small R = U S V^T gives M = (Q R2^-1 U) S V^T.
+    """
+    G = M.T @ M
+    found = _cholesky_qr2(M, G, CHOLQR_MIN_RATIO)
+    if found is not None:
+        Q, R2, R = found
+        U, sigma, Vt = np.linalg.svd(R2 @ R)
+        if sigma[-1] >= CHOLQR_MIN_RATIO * sigma[0]:
+            return Q @ np.linalg.solve(R2, U), sigma, Vt.T
+    p, q = M.shape
+    # ||M||_2^2 is the top eigenvalue of G; trace(G) overestimates it up to
+    # q-fold, and the larger shift leaves Q0 too ill conditioned
+    shift = 11.0 * (p * q + q * (q + 1)) * UNIT_ROUNDOFF * np.linalg.eigvalsh(G)[-1]
+    try:
+        R0 = np.linalg.cholesky(G + shift * np.eye(q)).T
+    except np.linalg.LinAlgError:
         return None
+    Q0 = M @ np.linalg.inv(R0)
+    found = _cholesky_qr2(Q0, Q0.T @ Q0, SHIFTED_MIN_RATIO)
+    if found is None:
+        return None
+    Q, R2, R1 = found
+    U, sigma, Vt = np.linalg.svd(R2 @ R1 @ R0)
     return Q @ np.linalg.solve(R2, U), sigma, Vt.T
 
 
@@ -99,9 +148,11 @@ def thin_svd(M: np.ndarray) -> SvdFactors:
     """Thin SVD of a real p-by-q matrix of any shape.
 
     A wide matrix is factored through its transpose. A tall one, with
-    p >= CHOLQR_MIN_ASPECT * q, takes the CholeskyQR2 route when its
-    spectrum allows (see CHOLQR_MIN_RATIO); every other input goes to
-    LAPACK. The route depends on the input alone.
+    p >= CHOLQR_MIN_ASPECT * q, takes the Cholesky route: CholeskyQR2 when
+    sigma_min >= CHOLQR_MIN_RATIO * sigma_max, else shifted CholeskyQR3 from
+    the same Gram matrix, and LAPACK only when that too is refused (see
+    SHIFTED_MIN_RATIO). Every other input goes to LAPACK. The route depends
+    on the input alone.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -110,7 +161,7 @@ def thin_svd(M: np.ndarray) -> SvdFactors:
         raise ValidationError("matrix contains non-finite entries")
     wide = M.shape[0] < M.shape[1]
     T = M.T if wide else M
-    fast = _cholesky_qr2(T) if T.shape[0] >= CHOLQR_MIN_ASPECT * T.shape[1] > 0 else None
+    fast = _cholesky_svd(T) if T.shape[0] >= CHOLQR_MIN_ASPECT * T.shape[1] > 0 else None
     if fast is None:
         W, sigma, Vt = np.linalg.svd(T, full_matrices=False)
         fast = W, sigma, Vt.T.copy()

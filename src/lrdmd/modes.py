@@ -77,18 +77,21 @@ def _spectral_sort(eigenvalues: np.ndarray) -> np.ndarray:
 
 def _normalize_columns(modes: np.ndarray) -> np.ndarray:
     """Unit l2 columns with the largest-magnitude entry made real positive."""
-    out = modes.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm == 0.0:
-            raise ValidationError("mode column collapsed to zero")
-        col = col / nrm
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        col = col * (np.conj(pivot) / abs(pivot))
-        out[:, j] = col
+    norms = np.linalg.norm(modes, axis=0)
+    if np.any(norms == 0.0):
+        raise ValidationError("mode column collapsed to zero")
+    out = modes / norms
+    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    out *= np.conj(pivots) / np.abs(pivots)
     return out
+
+
+def _real_times_complex(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """A @ Z for a real A and a complex Z, as one real product on the
+    interleaved (re, im) columns of Z instead of a complex one on an
+    upcast A."""
+    Z = np.ascontiguousarray(Z, dtype=np.complex128)
+    return (A @ Z.view(np.float64)).view(np.complex128)
 
 
 def compute_modes(
@@ -117,7 +120,7 @@ def compute_modes(
     eigenvalues = eigenvalues[order]
     W = W[:, order]
     if variant == "as_stated":
-        modes = fq.W.astype(np.complex128) @ W
+        modes = _real_times_complex(fq.W, W)
     else:
         scale = max(float(np.abs(eigenvalues).max(initial=0.0)), float(np.linalg.norm(core)))
         nonzero = np.abs(eigenvalues) > tol * scale
@@ -131,7 +134,7 @@ def compute_modes(
             )
             eigenvalues = eigenvalues[nonzero]
             W = W[:, nonzero]
-        modes = (f.P @ ((fq.V * fq.sigma).astype(np.complex128) @ W)) / eigenvalues
+        modes = _real_times_complex(f.P, (fq.V * fq.sigma) @ W) / eigenvalues
     return DmdModes(
         eigenvalues=eigenvalues,
         modes=_normalize_columns(modes),
@@ -148,7 +151,7 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
     """
     if op.n != modes.modes.shape[0]:
         raise ValidationError("operator and modes have mismatched dimensions")
-    applied = op.left @ (op.right @ modes.modes)
+    applied = _real_times_complex(op.left, _real_times_complex(op.right, modes.modes))
     residuals = np.linalg.norm(applied - modes.modes * modes.eigenvalues, axis=0)
     a_norm = op.frobenius_norm()
     return EigenpairReport(residuals=residuals, tolerance=1e-8 * a_norm, operator_norm=a_norm)

@@ -175,19 +175,27 @@ class Factorization:
         right = (b.V[:, :keep].T / self.s) @ self.W.T
         return DmdOperator(left=left, right=right, method_tag="projected")
 
-    def optimal(self, k: int):
-        """Closed-form global minimizer of ||Y - A X|| over rank(A) <= k.
+    @cached_property
+    def span_defect(self) -> float:
+        """||Y - X X^+ Y||_F = ||Y - W W^T Y||_F: the part of Y outside the
+        column span of X, where the projected fits plateau."""
+        Y = self.data.Y
+        return float(np.linalg.norm(Y - self.W @ (self.W.T @ Y)))
 
-        The minimizer is P_k P_k^T Y X^+ = P_k (diag(t_k) U_k^T diag(1/s) W^T),
-        with P_k the top k left singular vectors of Y V, whatever the shape
-        and rank of X. Requests beyond the numerical rank of Y V are
-        clamped (the projector already covers its whole numerical column
-        space, so larger k cannot change the operator); strict mode raises
-        instead.
+    @cached_property
+    def row_space_defect(self) -> float:
+        """||Y - Y X^+ X||_F = ||Y - Y V V^T||_F: the part of Y that no
+        operator reaches, since A X = A X X^+ X. Zero when X has full column
+        rank, where V V^T is the identity."""
+        if self.rank_x == self.data.m:
+            return 0.0
+        Y = self.data.Y
+        return float(np.linalg.norm(Y - (Y @ self.V) @ self.V.T))
 
-        Returns (operator, factors) where factors feed the spectral and
-        reduced-order modules.
-        """
+    def _optimal_rank(self, k: int) -> int:
+        """k, clamped to the numerical rank of Y V with a warning (strict:
+        RankGuardError); the projector already covers that whole numerical
+        column space, so larger k cannot change the operator."""
         k = _check_rank_arg(k)
         rank_y = self.rank_y
         if rank_y == 0:
@@ -196,8 +204,33 @@ class Factorization:
             msg = f"requested rank {k} exceeds the numerical rank {rank_y} of Y V_x; clamped"
             if self.strict:
                 raise RankGuardError(msg)
-            warnings.warn(msg, RankClampWarning, stacklevel=2)
+            warnings.warn(msg, RankClampWarning, stacklevel=3)
             k = rank_y
+        return k
+
+    def certified_residual(self, k: int) -> float:
+        """||Y - A X||_F of optimal(k), from the factors alone.
+
+        Y - A X = (I - P_k P_k^T) Y V V^T + Y (I - V V^T), two parts with
+        orthogonal row spaces, so (Eckart-Young) the residual is
+        hypot(row_space_defect, ||t_{k+1..}||) with t the singular values of
+        Y V. k is clamped as in optimal(k).
+        """
+        k = self._optimal_rank(k)
+        return float(np.hypot(self.row_space_defect, np.linalg.norm(self.yv.sigma[k:])))
+
+    def optimal(self, k: int):
+        """Closed-form global minimizer of ||Y - A X|| over rank(A) <= k.
+
+        The minimizer is P_k P_k^T Y X^+ = P_k (diag(t_k) U_k^T diag(1/s) W^T),
+        with P_k the top k left singular vectors of Y V, whatever the shape
+        and rank of X. Requests beyond the numerical rank of Y V are
+        clamped (see _optimal_rank); strict mode raises instead.
+
+        Returns (operator, factors) where factors feed the spectral and
+        reduced-order modules.
+        """
+        k = self._optimal_rank(k)
         f = self.yv
         P = f.W[:, :k].copy()
         Qt = ((f.sigma[:k, None] * f.V[:, :k].T) / self.s) @ self.W.T

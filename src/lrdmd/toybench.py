@@ -124,12 +124,9 @@ def companion_residual(d: DataMatrices, tol: float = DEFAULT_TOL) -> float:
 
 
 def _span_defect(fac: Factorization) -> float:
-    """companion_residual from the left singular vectors W of X: X X^+ = W W^T."""
-    Y = fac.data.Y
-    norm_y = float(np.linalg.norm(Y))
-    if norm_y == 0.0:
-        return 0.0
-    return float(np.linalg.norm(Y - fac.W @ (fac.W.T @ Y))) / norm_y
+    """companion_residual of a factorization: its span defect over ||Y||."""
+    norm_y = float(np.linalg.norm(fac.data.Y))
+    return fac.span_defect / norm_y if norm_y else 0.0
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,8 @@ class TestFit:
         d = build_data_matrices(snaps)
         res = float(np.linalg.norm(d.Y - left @ (right @ d.X)))
         assert abs(res - float(summary["residual"])) < 1e-12 * max(res, 1.0)
+        # the Eckart-Young certificate agrees with the evaluated residual
+        assert abs(res - float(summary["certified_residual"])) < 1e-12 * np.linalg.norm(d.Y)
         assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("method", ["truncated", "projected", "exact"])
@@ -149,7 +151,8 @@ class TestFit:
         if method != "exact":
             args += ["--rank", "5"]
         assert main(args) == 0
-        assert (out / "summary.csv").exists()
+        keys = [line.split(",")[0] for line in (out / "summary.csv").read_text().splitlines()]
+        assert "residual" in keys and "certified_residual" not in keys
 
     def test_zero_rank_is_usage_error(self, toy_csv, tmp_path, capsys):
         code = main(

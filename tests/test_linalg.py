@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrdmd.errors import RankClampWarning, RankDeficiencyWarning, RankGuardError, ValidationError
-from lrdmd.linalg import _cholesky_qr2, _fix_signs, thin_svd
+from lrdmd.linalg import CHOLQR_MIN_RATIO, _cholesky_qr2, _cholesky_svd, _fix_signs, thin_svd
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import fit_exact_dmd, fit_optimal_lowrank_dmd, fit_truncated_exact_dmd, materialize
 
@@ -36,8 +36,14 @@ def svd_case(name):
         U, _ = np.linalg.qr(rng.standard_normal((60, 10)))
         V, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         return (U * np.logspace(0, -10, 10)) @ V.T
+    if name.startswith("tall-kappa-"):
+        U, _ = np.linalg.qr(rng.standard_normal((400, 20)))
+        V, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        return (U * np.logspace(0, -np.log10(float(name[11:])), 20)) @ V.T
     if name == "rank-deficient":
         return rng.standard_normal((30, 3)) @ rng.standard_normal((3, 8))
+    if name == "tall-rank-deficient":
+        return rng.standard_normal((400, 10)) @ rng.standard_normal((10, 20))
     if name == "zero":
         return np.zeros((6, 3))
     return rng.standard_normal((5, 40))
@@ -109,7 +115,7 @@ class TestThinSvd:
     def test_accepts_wide(self):
         # factored through the transpose, which takes the CholeskyQR2 route
         M = svd_case("wide")
-        assert _cholesky_qr2(M.T) is not None
+        assert _cholesky_svd(M.T) is not None
         assert_matches_lapack(M, 5)
         f = thin_svd(M)
         # the sign convention still applies to the left singular vectors
@@ -125,15 +131,23 @@ class TestThinSvd:
 
     @pytest.mark.parametrize(
         "case, rank, fast",
-        [("tall", 12, True), ("kappa-1e10", 4, False), ("rank-deficient", 3, False),
+        [("tall", 12, True), ("kappa-1e10", 4, True), ("tall-kappa-1e4", 20, True),
+         ("tall-kappa-1e8", 12, True), ("tall-kappa-1e11", 8, True),
+         ("rank-deficient", 3, False), ("tall-rank-deficient", 10, False),
          ("zero", 0, False)],
     )
     def test_matches_lapack(self, case, rank, fast):
         # rank: leading singular pairs whose subspaces are well separated;
-        # fast: whether the input keeps the CholeskyQR2 result
+        # fast: whether the input takes the Cholesky route, not LAPACK
         M = svd_case(case)
-        assert (_cholesky_qr2(M) is not None) == fast
+        assert (_cholesky_svd(M) is not None) == fast
         assert_matches_lapack(M, rank)
+
+    @pytest.mark.parametrize("case", ["kappa-1e10", "tall-kappa-1e8", "tall-kappa-1e11"])
+    def test_ill_conditioned_input_takes_shifted_pass(self, case):
+        # unshifted CholeskyQR2 refuses these, so the route above is the shifted one
+        M = svd_case(case)
+        assert _cholesky_qr2(M, M.T @ M, CHOLQR_MIN_RATIO) is None
 
 
 class TestPseudoInverse:

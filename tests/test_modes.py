@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrdmd.errors import DegenerateModeWarning, RankGuardError, ValidationError
-from lrdmd.modes import amplitudes, compute_modes, verify_eigenpairs
+from lrdmd.linalg import thin_svd
+from lrdmd.modes import _normalize_columns, amplitudes, compute_modes, verify_eigenpairs
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import (
     OptimalLowRankFactors,
@@ -22,6 +23,31 @@ def fit_toy(data, k):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return fit_optimal_lowrank_dmd(data, k)
+
+
+def tall_fit(k=12):
+    rng = np.random.default_rng(41)
+    d = DataMatrices(X=rng.standard_normal((400, 30)), Y=rng.standard_normal((400, 30)))
+    return fit_optimal_lowrank_dmd(d, k)
+
+
+def upcast_modes(factors, variant):
+    """compute_modes with every real factor upcast to complex before its
+    product, and one column at a time normalized."""
+    fq = thin_svd(factors.Q)
+    core = fq.W.T @ factors.P @ (fq.V * fq.sigma)
+    lam, W = np.linalg.eig(core)
+    order = spectral_key(lam)
+    lam, W = lam[order], W[:, order]
+    if variant == "as_stated":
+        modes = fq.W.astype(np.complex128) @ W
+    else:
+        modes = (factors.P @ ((fq.V * fq.sigma).astype(np.complex128) @ W)) / lam
+    for j in range(modes.shape[1]):
+        col = modes[:, j] / np.linalg.norm(modes[:, j])
+        pivot = col[np.argmax(np.abs(col))]
+        modes[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return lam, modes
 
 
 class TestComputeModes:
@@ -99,6 +125,21 @@ class TestComputeModes:
         with pytest.raises(RankGuardError, match="rank"):
             compute_modes(factors)
 
+    @pytest.mark.parametrize("variant", ["exact_reconstruction", "as_stated"])
+    def test_real_products_match_complex_upcast(self, variant):
+        _, factors = tall_fit()
+        lam, want = upcast_modes(factors, variant)
+        got = compute_modes(factors, variant)
+        assert np.array_equal(got.eigenvalues, lam)
+        assert got.modes.shape == (400, 12) and np.iscomplexobj(got.modes)
+        assert np.linalg.norm(got.modes - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_zero_column_rejected(self):
+        modes = np.ones((5, 3), dtype=np.complex128)
+        modes[:, 1] = 0.0
+        with pytest.raises(ValidationError, match="collapsed to zero"):
+            _normalize_columns(modes)
+
     def test_unknown_variant(self):
         d = DataMatrices(X=np.eye(2), Y=np.eye(2))
         _, factors = fit_optimal_lowrank_dmd(d, 1)
@@ -119,6 +160,15 @@ class TestVerifyEigenpairs:
         op, factors = fit_toy(setting_ii_data, k)
         report = verify_eigenpairs(compute_modes(factors, "exact_reconstruction"), op)
         assert report.max_residual <= 1e-8 * op.frobenius_norm()
+
+    @pytest.mark.parametrize("variant", ["exact_reconstruction", "as_stated"])
+    def test_real_products_match_complex_upcast(self, variant):
+        op, factors = tall_fit()
+        modes = compute_modes(factors, variant)
+        applied = op.left.astype(np.complex128) @ (op.right.astype(np.complex128) @ modes.modes)
+        want = np.linalg.norm(applied - modes.modes * modes.eigenvalues, axis=0)
+        report = verify_eigenpairs(modes, op)
+        assert_allclose(report.residuals, want, rtol=1e-12, atol=1e-12 * report.operator_norm)
 
     def test_as_stated_variant_reported_without_expectation(self, setting_ii_data):
         op, factors = fit_toy(setting_ii_data, 5)

@@ -13,6 +13,7 @@ from lrdmd.errors import (
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import (
     DmdOperator,
+    factorize,
     fit_exact_dmd,
     fit_optimal_lowrank_dmd,
     fit_projected_dmd,
@@ -255,9 +256,36 @@ class TestOptimalLowRankDmd:
         t = np.linalg.svd(d.Y @ V, compute_uv=False)
         rows = full_bench_result.rows_for(setting, "a")
         assert [row.k for row in rows] == list(toy_config.ranks())
-        for row in rows:
+        with warnings.catch_warnings():
+            # rank-deficient X (setting i) and clamps beyond rank(Y V_r)
+            warnings.simplefilter("ignore")
+            fac = factorize(d)
+            certified = [fac.certified_residual(row.k) for row in rows]
+        for row, from_factors in zip(rows, certified):
             certificate = np.hypot(defect, np.linalg.norm(t[row.k :]))
             assert abs(row.residual - certificate) <= 1e-12 * np.linalg.norm(d.Y)
+            assert abs(from_factors - certificate) <= 1e-12 * np.linalg.norm(d.Y)
+
+    def test_certified_residual_with_rank_deficient_x(self, rng):
+        # rank(X) = 4 < m: part of Y lies outside the row space of X and
+        # bounds every fit from below
+        X = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 8))
+        d = DataMatrices(X=X, Y=rng.standard_normal((12, 8)))
+        with pytest.warns(RankDeficiencyWarning):
+            fac = factorize(d)
+        Vx = np.linalg.svd(X)[2][:4].T
+        assert abs(fac.row_space_defect - np.linalg.norm(d.Y - d.Y @ Vx @ Vx.T)) < 1e-12
+        assert fac.row_space_defect > 0.1 * np.linalg.norm(d.Y)
+        assert abs(fac.span_defect - np.linalg.norm(d.Y - X @ np.linalg.pinv(X) @ d.Y)) < 1e-12
+        for k in range(1, 5):
+            op, _ = fac.optimal(k)
+            assert abs(fac.certified_residual(k) - residual_norm(op, d)) < 1e-12 * np.linalg.norm(d.Y)
+        # the clamp of optimal(k): k above rank(Y V_x) = 4 warns, or under strict raises
+        with pytest.warns(RankClampWarning):
+            assert fac.certified_residual(6) == fac.certified_residual(4)
+        full = DataMatrices(X=rng.standard_normal((8, 5)), Y=d.Y[:8, :2] @ rng.standard_normal((2, 5)))
+        with pytest.raises(RankGuardError):
+            factorize(full, strict=True).certified_residual(3)
 
     def test_bad_rank_arguments(self):
         d = random_data(26)
