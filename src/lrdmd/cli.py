@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalGuardError, RankDeficiencyWarning, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL, thin_svd
+from .linalg import DEFAULT_TOL
 from .modes import amplitudes, compute_modes, verify_eigenpairs
 from .rom import reconstruct_from_modes, save_trajectory, simulate_reduced
 from .snapshots import (
@@ -313,13 +313,15 @@ def cmd_generate(args) -> int:
 
 def cmd_validate(args) -> int:
     snaps, d = _load_matrices(args)
-    # one factorization of X gives rank(X) and the span defect; a
-    # rank-deficient X is part of the diagnosis, so it raises no warning
+    # one factorization gives rank(X), rank(Y) from R_y and the span
+    # defect; a rank-deficient X is part of the diagnosis, so it raises no
+    # warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         fac = factorize(d, args.svd_tol)
-    rank_y = thin_svd(d.Y).numerical_rank(args.svd_tol)
-    report = RankReport(n=d.n, m=d.m, rank_x=fac.rank_x, rank_y=rank_y, tol=args.svd_tol)
+    report = RankReport(
+        n=d.n, m=d.m, rank_x=fac.rank_x, rank_y=fac.rank_of_y, tol=args.svd_tol
+    )
     for line in report.lines():
         print(line)
     print(f"companion residual       : {_span_defect(fac):.6e}")

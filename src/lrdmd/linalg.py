@@ -1,11 +1,19 @@
-"""Shared dense linear algebra: one thin SVD for matrices of every shape,
-and the relative numerical rank behind every rank decision.
+"""Shared dense linear algebra: one tall factorization M = Q R with its
+orthonormal basis Q in implicit form, one thin SVD for matrices of every
+shape built on it, and the relative numerical rank behind every rank
+decision.
 
-A tall matrix is factored by Cholesky QR, which needs only BLAS-3 products
-over its long side and one small SVD: CholeskyQR2 when it is well enough
+qr_factor factors a tall matrix by Cholesky QR, which needs only BLAS-3
+products over its long side: CholeskyQR2 when it is well enough
 conditioned, shifted CholeskyQR3 beyond that, up to condition numbers of
-about 1e13. LAPACK factors the rest: near-square matrices and tall ones
-that are rank deficient to working precision.
+about 1e13 (Fukaya et al. 2014, 2020). Householder QR (LAPACK) factors the
+rest: near-square matrices and tall ones that are rank deficient to working
+precision. The basis is kept as Q = Q1 T, Q1 the p-row matrix of the last
+Cholesky pass and T a small triangular factor that is never multiplied
+out; QrFactors.lift applies it to a small matrix at one p-row product.
+
+thin_svd takes the same Cholesky routes and ends in the SVD of the small
+R, lifted through the basis; what they refuse goes to LAPACK's SVD.
 
 All routines are deterministic: singular vectors follow a fixed sign
 convention (the largest-magnitude entry of each left singular vector is
@@ -73,18 +81,63 @@ def numerical_rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(sigma > tol * smax))
 
 
-def _fix_signs(W: np.ndarray, V: np.ndarray) -> None:
-    # largest-|entry| of each W column made positive. Column maxima and
-    # minima decide it (a column-wise argmax over a tall W costs several
-    # times more); where they tie in magnitude the first index wins, which
-    # is the documented tie-break and what np.argmax returns.
+def column_signs(W: np.ndarray) -> np.ndarray:
+    """+1 or -1 for each column of W: the sign that makes the column's
+    largest-magnitude entry positive, the first index winning ties."""
+    # Column maxima and minima decide it (a column-wise argmax over a tall W
+    # costs several times more); where they tie in magnitude the first index
+    # wins, which is the documented tie-break and what np.argmax returns.
     top, bottom = W.max(axis=0), -W.min(axis=0)
-    flip = bottom > top
+    sign = np.where(bottom > top, -1.0, 1.0)
     for j in np.flatnonzero(bottom == top):
-        flip[j] = W[np.argmax(np.abs(W[:, j])), j] < 0.0
-    sign = np.where(flip, -1.0, 1.0)
+        sign[j] = -1.0 if W[np.argmax(np.abs(W[:, j])), j] < 0.0 else 1.0
+    return sign
+
+
+def _fix_signs(W: np.ndarray, V: np.ndarray) -> None:
+    sign = column_signs(W)
     W *= sign
     V *= sign
+
+
+def _as_matrix(M) -> np.ndarray:
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2:
+        raise ValidationError(f"expected a matrix, got ndim={M.ndim}")
+    if not np.all(np.isfinite(M)):
+        raise ValidationError("matrix contains non-finite entries")
+    return M
+
+
+@dataclass(frozen=True)
+class QrFactors:
+    """M = Q R for a p-by-q matrix M, the orthonormal p-by-rho basis Q kept
+    in implicit form Q = Q1 T (rho = min(p, q); T None means the identity).
+
+    R is rho-by-q. Q1 is p-by-rho and T rho-by-rho; Q itself is never
+    formed, so every use of the basis is one p-row product with a small
+    matrix: lift, lift_rows and project.
+    """
+
+    Q1: np.ndarray
+    T: np.ndarray | None
+    R: np.ndarray
+
+    def _small(self, B: np.ndarray) -> np.ndarray:
+        return B if self.T is None else self.T @ B
+
+    def lift(self, B: np.ndarray) -> np.ndarray:
+        """Q B, p-by-k, from a rho-by-k B."""
+        return self.Q1 @ self._small(B)
+
+    def lift_rows(self, C: np.ndarray) -> np.ndarray:
+        """C Q^T, k-by-p, from a k-by-rho C."""
+        return self._small(C.T).T @ self.Q1.T
+
+    def project(self, M: np.ndarray) -> np.ndarray:
+        """Q^T M, rho-by-k, from a p-by-k M."""
+        coords = self.Q1.T @ M
+        return coords if self.T is None else self.T.T @ coords
 
 
 def _cholesky_qr2(M: np.ndarray, G: np.ndarray, min_ratio: float):
@@ -108,25 +161,26 @@ def _cholesky_qr2(M: np.ndarray, G: np.ndarray, min_ratio: float):
     return Q, R2, R1
 
 
-def _cholesky_svd(M: np.ndarray):
-    """(W, sigma, V) of a tall p-by-q M by Cholesky QR, or None when M is
-    rank deficient to working precision.
+def _cholesky_qr(M: np.ndarray) -> QrFactors | None:
+    """M = Q R of a tall p-by-q M by Cholesky QR, or None when M is rank
+    deficient to working precision.
 
-    CholeskyQR2 is tried first and kept when sigma_min >= CHOLQR_MIN_RATIO *
-    sigma_max. Otherwise its Gram G = M^T M serves one shifted Cholesky pass
-    (shifted CholeskyQR3, Fukaya et al. 2020): M = Q0 R0 with R0 = chol(G +
-    s I), s = 11 (pq + q(q+1)) u ||M||_2^2, which keeps the Cholesky factor
-    from breaking down, and CholeskyQR2 then factors Q0 unless
-    SHIFTED_MIN_RATIO refuses it. From M = Q2 R with R = R2 R1 [R0], the SVD of
-    the small R = U S V^T gives M = (Q R2^-1 U) S V^T.
+    CholeskyQR2 is tried first and kept when sigma_min(R) >= CHOLQR_MIN_RATIO
+    * sigma_max(R). Otherwise its Gram G = M^T M serves one shifted Cholesky
+    pass (shifted CholeskyQR3, Fukaya et al. 2020): M = Q0 R0 with R0 =
+    chol(G + s I), s = 11 (pq + q(q+1)) u ||M||_2^2, which keeps the Cholesky
+    factor from breaking down, and CholeskyQR2 then factors Q0 unless
+    SHIFTED_MIN_RATIO refuses it. Either way M = Q R with Q = Q1 R2^-1 and
+    R = R2 R1 [R0].
     """
     G = M.T @ M
     found = _cholesky_qr2(M, G, CHOLQR_MIN_RATIO)
     if found is not None:
-        Q, R2, R = found
-        U, sigma, Vt = np.linalg.svd(R2 @ R)
+        Q1, R2, R1 = found
+        R = R2 @ R1
+        sigma = np.linalg.svd(R, compute_uv=False)
         if sigma[-1] >= CHOLQR_MIN_RATIO * sigma[0]:
-            return Q @ np.linalg.solve(R2, U), sigma, Vt.T
+            return QrFactors(Q1=Q1, T=np.linalg.inv(R2), R=R)
     p, q = M.shape
     # ||M||_2^2 is the top eigenvalue of G; trace(G) overestimates it up to
     # q-fold, and the larger shift leaves Q0 too ill conditioned
@@ -139,33 +193,52 @@ def _cholesky_svd(M: np.ndarray):
     found = _cholesky_qr2(Q0, Q0.T @ Q0, SHIFTED_MIN_RATIO)
     if found is None:
         return None
-    Q, R2, R1 = found
-    U, sigma, Vt = np.linalg.svd(R2 @ R1 @ R0)
-    return Q @ np.linalg.solve(R2, U), sigma, Vt.T
+    Q1, R2, R1 = found
+    return QrFactors(Q1=Q1, T=np.linalg.inv(R2), R=R2 @ R1 @ R0)
+
+
+def _cholesky_route(M: np.ndarray) -> QrFactors | None:
+    # the Cholesky routes, for matrices at least CHOLQR_MIN_ASPECT times taller than wide
+    return _cholesky_qr(M) if M.shape[0] >= CHOLQR_MIN_ASPECT * M.shape[1] > 0 else None
+
+
+def qr_factor(M: np.ndarray) -> QrFactors:
+    """M = Q R of a real p-by-q matrix of any shape, Q in implicit form.
+
+    A tall one, with p >= CHOLQR_MIN_ASPECT * q, takes the Cholesky routes
+    of thin_svd: CholeskyQR2, else shifted CholeskyQR3 from the same Gram
+    matrix. Every other input, and a tall one that those refuse (see
+    SHIFTED_MIN_RATIO), goes to Householder QR. The route depends on the
+    input alone.
+    """
+    M = _as_matrix(M)
+    found = _cholesky_route(M)
+    if found is None:
+        Q, R = np.linalg.qr(M)
+        found = QrFactors(Q1=Q, T=None, R=R)
+    return found
 
 
 def thin_svd(M: np.ndarray) -> SvdFactors:
     """Thin SVD of a real p-by-q matrix of any shape.
 
     A wide matrix is factored through its transpose. A tall one, with
-    p >= CHOLQR_MIN_ASPECT * q, takes the Cholesky route: CholeskyQR2 when
-    sigma_min >= CHOLQR_MIN_RATIO * sigma_max, else shifted CholeskyQR3 from
-    the same Gram matrix, and LAPACK only when that too is refused (see
-    SHIFTED_MIN_RATIO). Every other input goes to LAPACK. The route depends
-    on the input alone.
+    p >= CHOLQR_MIN_ASPECT * q, is factored M = Q R on the Cholesky routes
+    of qr_factor, and the SVD R = U diag(sigma) V^T of the small R gives
+    W = Q U. Every other input, and a tall one that those refuse (see
+    SHIFTED_MIN_RATIO), goes to LAPACK's SVD. The route depends on the input
+    alone.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
-        raise ValidationError("matrix contains non-finite entries")
+    M = _as_matrix(M)
     wide = M.shape[0] < M.shape[1]
     T = M.T if wide else M
-    fast = _cholesky_svd(T) if T.shape[0] >= CHOLQR_MIN_ASPECT * T.shape[1] > 0 else None
-    if fast is None:
+    found = _cholesky_route(T)
+    if found is None:
         W, sigma, Vt = np.linalg.svd(T, full_matrices=False)
-        fast = W, sigma, Vt.T.copy()
-    W, sigma, V = fast
+    else:
+        U, sigma, Vt = np.linalg.svd(found.R)
+        W = found.lift(U)
+    V = Vt.T.copy()
     if wide:
         W, V = V, W
     _fix_signs(W, V)

@@ -1,14 +1,17 @@
 """Spectral decomposition of the fitted low-rank operator: eigenvalues,
 modes, and their time-varying amplitudes.
 
-The operator A = P Q^T is never materialized. An SVD of Q reduces the
-n-dimensional eigenproblem to the k-by-k matrix Wq^T P Vq Sq, whose
-eigenpairs are mapped back to state space. Two mappings ship:
+The operator A = P Q^T is never materialized: its nonzero eigenvalues are
+those of a k-by-k matrix, whose eigenvectors are mapped back to state
+space. Two mappings ship:
 
-* ``exact_reconstruction`` (default): phi = (P Vq Sq w) / lambda, the
-  commutation-trick eigenvector of A itself. These satisfy
-  A phi = lambda phi up to roundoff, which verify_eigenpairs checks.
-* ``as_stated``: phi = Wq w. Reported as-is; these columns are not in
+* ``exact_reconstruction`` (default): the eigenpairs (lambda, w) of Q^T P
+  give phi = P w, since A (P w) = P (Q^T P w) = lambda P w. These satisfy
+  A phi = lambda phi up to roundoff, which verify_eigenpairs checks. No
+  n-row factorization is needed: Q's rank, which the rank guard checks,
+  comes with the optimal fit.
+* ``as_stated``: with the thin SVD Q = Wq Sq Vq^T, the eigenvectors w of
+  Wq^T P Vq Sq give phi = Wq w. Reported as-is; these columns are not in
   general eigenvectors of A, and verify_eigenpairs quantifies by how much.
 """
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeWarning, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL, thin_svd
+from .linalg import DEFAULT_TOL, numerical_rank, thin_svd
 from .solvers import DmdOperator, OptimalLowRankFactors
 
 VARIANTS = ("exact_reconstruction", "as_stated")
@@ -75,9 +78,16 @@ def _spectral_sort(eigenvalues: np.ndarray) -> np.ndarray:
     return np.lexsort((-eigenvalues.imag, -eigenvalues.real, -np.abs(eigenvalues)))
 
 
+def _column_norms(Z: np.ndarray) -> np.ndarray:
+    """l2 norms of the columns of a complex n-by-k Z, summed over its
+    interleaved (re, im) columns without an n-by-k temporary."""
+    R = np.ascontiguousarray(Z, dtype=np.complex128).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->j", R, R).reshape(-1, 2).sum(axis=1))
+
+
 def _normalize_columns(modes: np.ndarray) -> np.ndarray:
     """Unit l2 columns with the largest-magnitude entry made real positive."""
-    norms = np.linalg.norm(modes, axis=0)
+    norms = _column_norms(modes)
     if np.any(norms == 0.0):
         raise ValidationError("mode column collapsed to zero")
     out = modes / norms
@@ -101,20 +111,24 @@ def compute_modes(
 ) -> DmdModes:
     """Eigenvalues and modes of the fitted operator A = P Q^T.
 
-    Solves the k-by-k eigenproblem for Wq^T P Vq Sq (with Q = Wq Sq Vq^T)
-    and maps eigenvectors to state space according to `variant`. Under
-    ``exact_reconstruction``, modes paired with zero eigenvalues cannot be
-    recovered and are dropped with a warning.
+    ``exact_reconstruction`` solves the k-by-k eigenproblem for Q^T P and
+    maps w to P w; modes paired with zero eigenvalues are dropped with a
+    warning. ``as_stated`` solves it for
+    Wq^T P Vq Sq (with Q = Wq Sq Vq^T) and maps w to Wq w. Either way Q
+    must have numerical rank k; its singular values come from f.q_core
+    when the fit supplied it, else from a thin SVD of Q.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown mode variant {variant!r}; expected one of {VARIANTS}")
     k = f.rank
-    fq = thin_svd(f.Q)
-    if fq.numerical_rank(tol) < k:
+    fq = thin_svd(f.Q) if variant == "as_stated" or f.q_core is None else None
+    sigma_q = np.linalg.svd(f.q_core, compute_uv=False) if fq is None else fq.sigma
+    rank_q = numerical_rank(sigma_q, tol)
+    if rank_q < k:
         raise RankGuardError(
-            f"operator factor Q lost rank ({fq.numerical_rank(tol)} < {k}); reduce the target rank"
+            f"operator factor Q lost rank ({rank_q} < {k}); reduce the target rank"
         )
-    core = fq.W.T @ f.P @ (fq.V * fq.sigma)
+    core = fq.W.T @ f.P @ (fq.V * fq.sigma) if variant == "as_stated" else f.Q.T @ f.P
     eigenvalues, W = np.linalg.eig(core)
     order = _spectral_sort(eigenvalues)
     eigenvalues = eigenvalues[order]
@@ -127,14 +141,14 @@ def compute_modes(
         if not np.all(nonzero):
             dropped = int(np.count_nonzero(~nonzero))
             warnings.warn(
-                f"dropped {dropped} mode(s) with zero eigenvalue; they have no "
-                "eigenvector under the exact_reconstruction mapping",
+                f"dropped {dropped} mode(s) with zero eigenvalue; the "
+                "exact_reconstruction variant reports nonzero eigenvalues only",
                 DegenerateModeWarning,
                 stacklevel=2,
             )
             eigenvalues = eigenvalues[nonzero]
             W = W[:, nonzero]
-        modes = _real_times_complex(f.P, (fq.V * fq.sigma) @ W) / eigenvalues
+        modes = _real_times_complex(f.P, W)
     return DmdModes(
         eigenvalues=eigenvalues,
         modes=_normalize_columns(modes),
@@ -152,7 +166,8 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
     if op.n != modes.modes.shape[0]:
         raise ValidationError("operator and modes have mismatched dimensions")
     applied = _real_times_complex(op.left, _real_times_complex(op.right, modes.modes))
-    residuals = np.linalg.norm(applied - modes.modes * modes.eigenvalues, axis=0)
+    applied -= modes.modes * modes.eigenvalues
+    residuals = _column_norms(applied)
     a_norm = op.frobenius_norm()
     return EigenpairReport(residuals=residuals, tolerance=1e-8 * a_norm, operator_norm=a_norm)
 

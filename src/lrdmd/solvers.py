@@ -15,6 +15,15 @@ are slices of one Factorization of the data, built by factorize():
   unconstrained solution onto the dominant k-dimensional left singular
   subspace of Y V_x, for X of any shape and rank.
 
+The data are compressed once, as in DMD_RRR (Drmac, Mezic and Mohr 2018):
+one tall factorization (linalg.qr_factor) gives X = Q R_x and Y = Q_y R_y
+with orthonormal Q and Q_y, and every core of every fit is then computed
+from the small R factors. For trajectory data Y repeats all but the last
+column of each trajectory of X, so one factorization of the distinct
+snapshot columns Z = [X, the rest of Y] serves both (Q_y = Q); otherwise X
+and Y are factored apart, Y on first use. The n-sized work left is forming
+the factors a fit returns.
+
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
 fit_optimal_lowrank_dmd factorize and slice in one call.
 
@@ -34,10 +43,35 @@ from .errors import (
     RankGuardError,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, SvdFactors, thin_svd
+from .linalg import (
+    DEFAULT_TOL,
+    QrFactors,
+    SvdFactors,
+    column_signs,
+    numerical_rank,
+    qr_factor,
+    thin_svd,
+)
 from .snapshots import DataMatrices
 
 MATERIALIZE_GUARD = 10_000
+
+# Largest share of the columns of Y that may be new, copies of no column of
+# X, for factorize() to factor Z = [X, the u new columns] in place of X and
+# Y apart. Cholesky QR of an n-by-c matrix costs 4 n c^2 flops (two Grams of
+# n c^2 and one product of 2 n c^2), so
+#   Z, c = m + u columns:             4 n (m + u)^2
+#   X, and Y when a fit needs it:     4 n m^2 + 4 n m^2 = 8 n m^2.
+# Z is cheaper while (m + u)^2 < 2 m^2, up to u = 0.41 m. At u = m/4 it costs
+# 6.25 n m^2, 22 % below X and Y apart; the fits that need X alone (exact,
+# projected) then pay 56 % over 4 n m^2, less the 2 n m^2 product Q_x^T Y that
+# the projected fit needs when Y is not in the basis. For trajectory data u
+# is the number of trajectories.
+SHARED_MAX_NEW = 0.25
+
+# Rows compared at a time when confirming repeated columns: the two blocks
+# of a few hundred rows stay in cache.
+_COMPARE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -76,10 +110,15 @@ class OptimalLowRankFactors:
 
     P (n, k): orthonormal basis of the dominant left singular subspace of Y V_x.
     Q (n, k): (Y X^+)^T P, so the fitted operator is A = P Q^T.
+    q_core (k, r): a small matrix with the singular values of Q, which the
+    optimal fit supplies (Q = W q_core^T up to column signs, W orthonormal)
+    so that they cost a k-by-r SVD; None for a bundle built by hand, whose
+    Q compute_modes then factors itself.
     """
 
     P: np.ndarray
     Q: np.ndarray
+    q_core: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -98,28 +137,45 @@ def _check_rank_arg(k: int) -> int:
 class Factorization:
     """The factorizations of one snapshot pair (X, Y) that every fitter slices.
 
-    X = W diag(s) V^T is the rank-r thin SVD of X, r its numerical rank at
-    tol, so X^+ = V diag(1/s) W^T and Y X^+ = (Y V) diag(1/s) W^T. The thin
-    SVD Y V = P diag(t) U^T (``yv``) and the r-by-r cores of the truncated
+    ``basis`` is X = Q R_x (linalg.QrFactors), or, when ``y_columns`` is
+    set, Z = Q R_z for Z = [X, the columns of Y that repeat no column of
+    X]: then R_x = R_z[:, :m] and Y = Q R_y with R_y = R_z[:, y_columns].
+    Otherwise Y is factored apart, Y = Q_y R_y, on first use. The rank-r
+    thin SVD R_x = U diag(s) V^T (r the numerical rank of X at tol) gives
+    X = W diag(s) V^T with W = Q U, which is never formed, so X^+ =
+    V diag(1/s) W^T. The thin SVD R_y V = P^ diag(t) U_y^T (``yv``) gives
+    Y V = (Q_y P^) diag(t) U_y^T. It and the r-by-r cores of the truncated
     and projected fits are computed on first use and cached, so the exact
-    and projected fits pay for the SVD of X alone. Build it with factorize().
+    and projected fits never need Y factored. Build it with factorize().
     """
 
     data: DataMatrices
     tol: float
     strict: bool
-    W: np.ndarray
+    basis: QrFactors
+    U: np.ndarray
     s: np.ndarray
     V: np.ndarray
+    y_columns: np.ndarray | None
 
     @property
     def rank_x(self) -> int:
         return self.s.shape[0]
 
     @cached_property
+    def _y(self) -> tuple:
+        """(Q_y, R_y) with Y = Q_y R_y: the shared basis, or Y's own."""
+        if self.y_columns is not None:
+            return self.basis, self.basis.R[:, self.y_columns]
+        f = qr_factor(self.data.Y)
+        return f, f.R
+
+    @cached_property
     def yv(self) -> SvdFactors:
-        """Thin SVD of Y V; its left singular vectors span every optimal fit."""
-        return thin_svd(self.data.Y @ self.V)
+        """Thin SVD of R_y V. Y V = Q_y R_y V, so it has the singular values
+        of Y V, and Q_y times its left singular vectors spans every optimal
+        fit."""
+        return thin_svd(self._y[1] @ self.V)
 
     @property
     def rank_y(self) -> int:
@@ -127,13 +183,42 @@ class Factorization:
         return self.yv.numerical_rank(self.tol)
 
     @cached_property
-    def _truncation_core(self) -> SvdFactors:
-        # Y X^+ = P (diag(t) U^T diag(1/s)) W^T with P and W orthonormal
-        return thin_svd((self.yv.sigma[:, None] * self.yv.V.T) / self.s)
+    def rank_of_y(self) -> int:
+        """Numerical rank of Y itself, from the singular values of R_y."""
+        return numerical_rank(np.linalg.svd(self._y[1], compute_uv=False), self.tol)
 
     @cached_property
-    def _projection_core(self) -> SvdFactors:
-        return thin_svd((self.W.T @ self.data.Y) @ self.V)
+    def _y_coords(self) -> np.ndarray:
+        """Q^T Y: R_y itself when Y is in the basis, else one n-row product."""
+        if self.y_columns is not None:
+            return self._y[1]
+        return self.basis.project(self.data.Y)
+
+    # Each fit is (Q_y or Q) L_k times R_k Q^T; the cached coefficient
+    # matrices below are small and hold every k at once.
+
+    @cached_property
+    def _optimal_coefs(self) -> tuple:
+        """(P^, core, core U^T) with core = diag(t) U_y^T diag(1/s), so that
+        Y X^+ = (Q_y P^) core W^T and W^T = U^T Q^T."""
+        f = self.yv
+        core = (f.sigma[:, None] * f.V.T) / self.s
+        return f.W, core, core @ self.U.T
+
+    @cached_property
+    def _truncation_coefs(self) -> tuple:
+        """(L, R, rank) from the SVD core = Uc Sc Vc^T: L = P^ Uc Sc and
+        R = Vc^T U^T, Q_y and W orthonormal, so the SVD of the small core
+        is that of Y X^+."""
+        c = thin_svd(self._optimal_coefs[1])
+        return self.yv.W @ (c.W * c.sigma), c.V.T @ self.U.T, c.numerical_rank(self.tol)
+
+    @cached_property
+    def _projection_coefs(self) -> tuple:
+        """(L, R, rank) from the SVD B = Ub Sb Vb^T of B = W^T Y V =
+        U^T (Q^T Y) V: L = U Ub Sb and R = Vb^T diag(1/s) U^T."""
+        b = thin_svd((self.U.T @ self._y_coords) @ self.V)
+        return self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T, b.numerical_rank(self.tol)
 
     def exact(self) -> DmdOperator:
         """Unconstrained least-squares fit A = Y X^+ = (Y V diag(1/s)) W^T.
@@ -142,22 +227,21 @@ class Factorization:
         X^+ X is the identity on R^m.
         """
         left = self.data.Y @ (self.V / self.s)
-        return DmdOperator(left=left, right=self.W.T.copy(), method_tag="exact_full")
+        return DmdOperator(left=left, right=self.basis.lift_rows(self.U.T), method_tag="exact_full")
 
     def truncated(self, k: int) -> DmdOperator:
         """Rank-k truncation of the unconstrained solution A = Y X^+.
 
-        With core = diag(t) U^T diag(1/s) the solution is P core W^T, and
-        because P and W have orthonormal columns the SVD of the r-by-r core
-        yields the SVD of the full operator. The n-by-n operator is never
-        formed.
+        With core = diag(t) U_y^T diag(1/s) the solution is (Q_y P^) core
+        W^T, and because Q_y P^ and W have orthonormal columns the SVD of the
+        r-by-r core yields the SVD of the full operator. The n-by-n operator
+        is never formed.
         """
         k = _check_rank_arg(k)
-        c = self._truncation_core
-        keep = min(k, c.numerical_rank(self.tol))
-        left = self.yv.W @ (c.W[:, :keep] * c.sigma[:keep])
-        right = (self.W @ c.V[:, :keep]).T
-        return DmdOperator(left=left, right=right, method_tag="truncated_exact")
+        L, R, rank = self._truncation_coefs
+        keep = min(k, rank)
+        left = self._y[0].lift(L[:, :keep])
+        return DmdOperator(left=left, right=self.basis.lift_rows(R[:keep]), method_tag="truncated_exact")
 
     def projected(self, k: int) -> DmdOperator:
         """Span-restricted rank-k fit in the left singular basis of X.
@@ -169,28 +253,35 @@ class Factorization:
         otherwise.
         """
         k = _check_rank_arg(k)
-        b = self._projection_core
-        keep = min(k, b.numerical_rank(self.tol))
-        left = self.W @ (b.W[:, :keep] * b.sigma[:keep])
-        right = (b.V[:, :keep].T / self.s) @ self.W.T
-        return DmdOperator(left=left, right=right, method_tag="projected")
+        L, R, rank = self._projection_coefs
+        keep = min(k, rank)
+        left = self.basis.lift(L[:, :keep])
+        return DmdOperator(left=left, right=self.basis.lift_rows(R[:keep]), method_tag="projected")
 
     @cached_property
     def span_defect(self) -> float:
         """||Y - X X^+ Y||_F = ||Y - W W^T Y||_F: the part of Y outside the
-        column span of X, where the projected fits plateau."""
-        Y = self.data.Y
-        return float(np.linalg.norm(Y - self.W @ (self.W.T @ Y)))
+        column span of X, where the projected fits plateau.
+
+        With B = Q^T Y, Y - W W^T Y = (Y - Q B) + Q (B - U U^T B), two
+        orthogonal parts. The first vanishes when Y is in the basis; it is
+        the one n-row term otherwise.
+        """
+        B = self._y_coords
+        inside = np.linalg.norm(B - self.U @ (self.U.T @ B))
+        if self.y_columns is not None:
+            return float(inside)
+        return float(np.hypot(np.linalg.norm(self.data.Y - self.basis.lift(B)), inside))
 
     @cached_property
     def row_space_defect(self) -> float:
-        """||Y - Y X^+ X||_F = ||Y - Y V V^T||_F: the part of Y that no
-        operator reaches, since A X = A X X^+ X. Zero when X has full column
-        rank, where V V^T is the identity."""
+        """||Y - Y X^+ X||_F = ||Y - Y V V^T||_F = ||R_y - R_y V V^T||_F: the
+        part of Y that no operator reaches, since A X = A X X^+ X. Zero when
+        X has full column rank, where V V^T is the identity."""
         if self.rank_x == self.data.m:
             return 0.0
-        Y = self.data.Y
-        return float(np.linalg.norm(Y - (Y @ self.V) @ self.V.T))
+        Ry = self._y[1]
+        return float(np.linalg.norm(Ry - (Ry @ self.V) @ self.V.T))
 
     def _optimal_rank(self, k: int) -> int:
         """k, clamped to the numerical rank of Y V with a warning (strict:
@@ -223,30 +314,80 @@ class Factorization:
         """Closed-form global minimizer of ||Y - A X|| over rank(A) <= k.
 
         The minimizer is P_k P_k^T Y X^+ = P_k (diag(t_k) U_k^T diag(1/s) W^T),
-        with P_k the top k left singular vectors of Y V, whatever the shape
-        and rank of X. Requests beyond the numerical rank of Y V are
-        clamped (see _optimal_rank); strict mode raises instead.
+        with P_k = Q_y P^_k the top k left singular vectors of Y V, whatever
+        the shape and rank of X; the columns of P_k follow thin_svd's sign
+        convention. Requests beyond the numerical rank of Y V are clamped
+        (see _optimal_rank); strict mode raises instead.
 
         Returns (operator, factors) where factors feed the spectral and
         reduced-order modules.
         """
         k = self._optimal_rank(k)
-        f = self.yv
-        P = f.W[:, :k].copy()
-        Qt = ((f.sigma[:k, None] * f.V[:, :k].T) / self.s) @ self.W.T
+        Pc, core, rows = self._optimal_coefs
+        P = self._y[0].lift(Pc[:, :k])
+        sign = column_signs(P)
+        P *= sign
+        Qt = self.basis.lift_rows(sign[:, None] * rows[:k])
         op = DmdOperator(left=P, right=Qt, method_tag="optimal")
-        return op, OptimalLowRankFactors(P=P, Q=Qt.T.copy())
+        return op, OptimalLowRankFactors(P=P, Q=Qt.T.copy(), q_core=core[:k])
+
+
+def _repeated_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """src[j] = the index of a column of X equal to column j of Y, or -1.
+
+    The candidates for column j are the columns of X whose first entry
+    equals Y[0, j]; each is then confirmed in full. Equal entries are one
+    number (0.0 and -0.0 included), so X[:, src[j]] stands for Y[:, j]
+    exactly.
+    """
+    n, m = X.shape
+    src = np.full(m, -1, dtype=np.intp)
+    if n == 0:
+        return src
+    order = np.argsort(X[0], kind="stable")
+    keys = X[0, order]
+    lo = np.searchsorted(keys, Y[0], side="left")
+    hi = np.searchsorted(keys, Y[0], side="right")
+    # the first candidate of every column at once, block by block of rows
+    cols = np.flatnonzero(lo < hi)
+    first = order[lo[cols]]
+    same = np.ones(cols.size, dtype=bool)
+    for r in range(0, n, _COMPARE_ROWS):
+        rows = slice(r, r + _COMPARE_ROWS)
+        same &= np.all(X[rows, first] == Y[rows][:, cols], axis=0)
+    src[cols[same]] = first[same]
+    # the other candidates where the first one failed: several columns of X
+    # share that first entry
+    for j in cols[~same]:
+        for i in order[lo[j] + 1 : hi[j]]:
+            if np.array_equal(X[:, i], Y[:, j]):
+                src[j] = i
+                break
+    return src
 
 
 def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> Factorization:
     """The Factorization of (X, Y) that the fitters slice.
+
+    When at most SHARED_MAX_NEW * m columns of Y repeat no column of X, as
+    for trajectory data, one tall factorization of Z = [X, those columns]
+    serves X and Y. Otherwise X is factored here and Y on first use.
 
     X may have any shape. When its numerical rank r is below m (always so
     when m > n) the fits act through the thresholded pseudo-inverse of its
     rank-r part, after a RankDeficiencyWarning; strict mode raises
     RankGuardError instead.
     """
-    fx = thin_svd(d.X)
+    src = _repeated_columns(d.X, d.Y)
+    new = np.flatnonzero(src < 0)
+    if new.size <= SHARED_MAX_NEW * d.m:
+        basis = qr_factor(np.concatenate([d.X, d.Y[:, new]], axis=1) if new.size else d.X)
+        src[new] = d.m + np.arange(new.size)
+        y_columns = src
+    else:
+        basis = qr_factor(d.X)
+        y_columns = None
+    fx = thin_svd(basis.R[:, : d.m])
     r = fx.numerical_rank(tol)
     if r < d.m:
         msg = (
@@ -256,7 +397,9 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
         if strict:
             raise RankGuardError(msg)
         warnings.warn(msg, RankDeficiencyWarning, stacklevel=2)
-    return Factorization(d, tol, strict, fx.W[:, :r], fx.sigma[:r], fx.V[:, :r])
+    return Factorization(
+        d, tol, strict, basis, fx.W[:, :r], fx.sigma[:r], fx.V[:, :r], y_columns
+    )
 
 
 def fit_exact_dmd(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:

@@ -104,19 +104,22 @@ class TestValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected.append(f"companion residual       : {companion_residual(d):.6e}")
-        calls = []
-        for module in (lrdmd.cli, lrdmd.solvers):
-            original = module.thin_svd
+        calls = {"qr_factor": [], "thin_svd": []}
+        for name in calls:
+            original = getattr(lrdmd.solvers, name)
 
-            def counted(M, _original=original):
-                calls.append(M.shape)
+            def counted(M, _original=original, _calls=calls[name]):
+                _calls.append(M.shape)
                 return _original(M)
 
-            monkeypatch.setattr(module, "thin_svd", counted)
+            monkeypatch.setattr(lrdmd.solvers, name, counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["validate", "--input", str(path)]) == 0
-        assert sorted(calls) == [(20, 12), (20, 12)]  # X once, Y once
+        # one tall factorization of the distinct snapshot columns, X and the
+        # last state of each trajectory; every SVD after it is of a small R
+        assert calls["qr_factor"] == [(20, 14 if rank_deficient else 13)]
+        assert calls["thin_svd"] and all(shape[0] < 20 for shape in calls["thin_svd"])
         assert capsys.readouterr().out.splitlines() == expected
 
 

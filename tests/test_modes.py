@@ -31,23 +31,54 @@ def tall_fit(k=12):
     return fit_optimal_lowrank_dmd(d, k)
 
 
+def normalized(modes):
+    """Unit columns with the largest-magnitude entry real positive, one
+    column at a time."""
+    modes = modes.copy()
+    for j in range(modes.shape[1]):
+        col = modes[:, j] / np.linalg.norm(modes[:, j])
+        pivot = col[np.argmax(np.abs(col))]
+        modes[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return modes
+
+
 def upcast_modes(factors, variant):
     """compute_modes with every real factor upcast to complex before its
     product, and one column at a time normalized."""
-    fq = thin_svd(factors.Q)
-    core = fq.W.T @ factors.P @ (fq.V * fq.sigma)
+    if variant == "as_stated":
+        fq = thin_svd(factors.Q)
+        core = fq.W.T @ factors.P @ (fq.V * fq.sigma)
+    else:
+        core = factors.Q.T @ factors.P
     lam, W = np.linalg.eig(core)
     order = spectral_key(lam)
     lam, W = lam[order], W[:, order]
     if variant == "as_stated":
         modes = fq.W.astype(np.complex128) @ W
     else:
-        modes = (factors.P @ ((fq.V * fq.sigma).astype(np.complex128) @ W)) / lam
-    for j in range(modes.shape[1]):
-        col = modes[:, j] / np.linalg.norm(modes[:, j])
-        pivot = col[np.argmax(np.abs(col))]
-        modes[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return lam, modes
+        modes = factors.P.astype(np.complex128) @ W
+    return lam, normalized(modes)
+
+
+def svd_of_q_modes(factors):
+    """The exact_reconstruction modes through the thin SVD Q = Wq Sq Vq^T:
+    the eigenpairs (lambda, w) of Wq^T P Vq Sq, mapped to P Vq Sq w / lambda."""
+    fq = thin_svd(factors.Q)
+    lam, W = np.linalg.eig(fq.W.T @ factors.P @ (fq.V * fq.sigma))
+    order = spectral_key(lam)
+    lam, W = lam[order], W[:, order]
+    return lam, normalized((factors.P @ ((fq.V * fq.sigma) @ W)) / lam)
+
+
+def ill_conditioned_fit(k=90):
+    """The optimal fit to independent pairs through a symmetric operator
+    whose spectrum falls from 0.99 to 0.99e-10, at 8000 x 100."""
+    n, m = 8000, 100
+    rng = np.random.default_rng([1, 2])
+    U, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    spectrum = 0.99 * 10.0 ** (-10.0 * np.arange(m) / (m - 1))
+    X = rng.standard_normal((n, m))
+    return fit_optimal_lowrank_dmd(DataMatrices(X=X, Y=U @ (spectrum[:, None] * (U.T @ X))), k)
 
 
 class TestComputeModes:
@@ -108,8 +139,8 @@ class TestComputeModes:
             assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
     def test_zero_eigenvalue_dropped_under_exact_variant(self):
-        # a nilpotent fitted operator has only a zero eigenvalue, which has
-        # no eigenvector through the reconstruction mapping
+        # a nilpotent fitted operator has only a zero eigenvalue, which the
+        # exact_reconstruction variant does not report
         d = DataMatrices(X=np.eye(2), Y=np.array([[0.0, 1.0], [0.0, 0.0]]))
         _, factors = fit_optimal_lowrank_dmd(d, 1)
         with pytest.warns(DegenerateModeWarning):
@@ -133,6 +164,35 @@ class TestComputeModes:
         assert np.array_equal(got.eigenvalues, lam)
         assert got.modes.shape == (400, 12) and np.iscomplexobj(got.modes)
         assert np.linalg.norm(got.modes - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("fit", [tall_fit, ill_conditioned_fit], ids=["400x30", "ill-8000x100"])
+    def test_exact_matches_svd_of_q_formulas(self, fit):
+        _, factors = fit()
+        lam, want = svd_of_q_modes(factors)
+        got = compute_modes(factors, "exact_reconstruction")
+        assert np.linalg.norm(got.eigenvalues - lam) <= 1e-12 * np.linalg.norm(lam)
+        assert np.linalg.norm(got.modes - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_exact_variant_factors_nothing(self, monkeypatch):
+        # the fit hands over a small core with the singular values of Q, so
+        # neither the modes nor the zero-eigenvalue drop need a thin SVD
+        import lrdmd.modes
+
+        calls = []
+
+        def counted(M):
+            calls.append(M.shape)
+            return thin_svd(M)
+
+        monkeypatch.setattr(lrdmd.modes, "thin_svd", counted)
+        _, factors = tall_fit()
+        compute_modes(factors, "exact_reconstruction")
+        d = DataMatrices(X=np.eye(2), Y=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.warns(DegenerateModeWarning):
+            compute_modes(fit_optimal_lowrank_dmd(d, 1)[1], "exact_reconstruction")
+        assert calls == []
+        compute_modes(factors, "as_stated")
+        assert calls == [(400, 12)]
 
     def test_zero_column_rejected(self):
         modes = np.ones((5, 3), dtype=np.complex128)

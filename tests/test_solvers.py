@@ -333,3 +333,207 @@ class TestResidualAndMaterialize:
         op = DmdOperator(left=np.zeros((5, 1)), right=np.zeros((1, 5)), method_tag="optimal")
         with pytest.raises(ValidationError):
             residual_norm(op, d)
+
+
+def rrr_reference(X, Y, tol=1e-12):
+    """numpy-only references for every fitter, from dense SVDs of X and of
+    Y V_r (reduced-rank regression): a function k -> {fit: A_k X} and the
+    optimum residual at every k."""
+    W, s, Vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.count_nonzero(s > tol * s[0]))
+    W, s, V = W[:, :r], s[:r], Vt[:r].T
+    YV = Y @ V
+    P, t, _ = np.linalg.svd(YV, full_matrices=False)
+    rank_yv = int(np.count_nonzero(t > tol * t[0]))
+    M = (YV / s) @ W.T  # Y X^+
+    Um, sm, Vmt = np.linalg.svd(M)
+    rank_m = int(np.count_nonzero(sm > tol * sm[0]))
+    B = W.T @ YV
+    Ub, sb, Vbt = np.linalg.svd(B)
+    rank_b = int(np.count_nonzero(sb > tol * sb[0]))
+    defect = np.linalg.norm(Y - YV @ V.T)
+
+    def fitted(k):
+        ko, kt, kp = min(k, rank_yv), min(k, rank_m), min(k, rank_b)
+        return {
+            "exact": YV @ V.T,
+            "optimal": P[:, :ko] @ (P[:, :ko].T @ YV) @ V.T,
+            "truncated": (Um[:, :kt] * sm[:kt]) @ (Vmt[:kt] @ X),
+            "projected": W @ ((Ub[:, :kp] * sb[:kp]) @ Vbt[:kp]) @ V.T,
+        }
+
+    def residual(k):
+        return float(np.hypot(defect, np.linalg.norm(t[min(k, rank_yv):])))
+
+    facts = {
+        "rank_x": r,
+        "rank_y": int(np.count_nonzero(np.linalg.svd(Y, compute_uv=False) > tol * np.linalg.norm(Y, 2))),
+        "span_defect": float(np.linalg.norm(Y - W @ (W.T @ Y))),
+        "row_space_defect": float(defect),
+    }
+    return fitted, residual, facts
+
+
+def trajectories(seed, count, steps, n=60, shuffle=False):
+    """Pairs of `count` noisy trajectories of a stable linear system in
+    R^n, trajectory-major unless shuffled."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n)) / (1.5 * np.sqrt(n))
+    states = np.empty((count, steps, n))
+    states[:, 0] = rng.standard_normal((count, n))
+    for t in range(1, steps):
+        states[:, t] = states[:, t - 1] @ G.T + 0.1 * rng.standard_normal((count, n))
+    X = states[:, :-1].reshape(-1, n).T.copy()
+    Y = states[:, 1:].reshape(-1, n).T.copy()
+    if shuffle:
+        order = rng.permutation(X.shape[1])
+        X, Y = X[:, order], Y[:, order]
+    return DataMatrices(X=X, Y=Y)
+
+
+def with_new_columns(u, seed=3, n=60, m=20):
+    """m pairs whose Y repeats m - u columns of X and has u new ones."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, m))
+    Y = np.column_stack([X[:, rng.permutation(m)[: m - u]], rng.standard_normal((n, u))])
+    return DataMatrices(X=X, Y=Y[:, rng.permutation(m)])
+
+
+def periodic_states():
+    # a trajectory that revisits its states: X has repeated columns and
+    # every column of Y repeats one of them
+    rng = np.random.default_rng(4)
+    cycle = rng.standard_normal((30, 3))
+    states = cycle[:, [0, 1, 2, 0, 1, 2, 0, 1]]
+    return DataMatrices(X=states[:, :-1], Y=states[:, 1:])
+
+
+def constant_first_row():
+    # a constant first state entry makes every column of X a candidate for
+    # every column of Y, and all but one of them false
+    d = trajectories(5, 4, 6)
+    X, Y = d.X.copy(), d.Y.copy()
+    X[0], Y[0] = 1.0, 1.0
+    return DataMatrices(X=X, Y=Y)
+
+
+def equal_first_rows_only():
+    # first rows agree column by column, nothing else does
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((40, 8))
+    Y = rng.standard_normal((40, 8))
+    Y[0] = X[0, ::-1]
+    return DataMatrices(X=X, Y=Y)
+
+
+COMPRESSION_CASES = {
+    # name: (data, the new columns u of Y when one tall factorization of
+    # Z = [X, those columns] serves X and Y, else None)
+    "one-trajectory": (lambda: trajectories(1, 1, 21), 1),
+    "four-trajectories": (lambda: trajectories(2, 4, 6), 4),
+    "shuffled": (lambda: trajectories(2, 4, 6, shuffle=True), 4),
+    "u-at-gate": (lambda: with_new_columns(5), 5),
+    "u-above-gate": (lambda: with_new_columns(6), None),
+    "independent-pairs": (lambda: random_data(7, n=40, m=12), None),
+    "rank-deficient-12x8": (lambda: DataMatrices(
+        X=np.random.default_rng(2017).standard_normal((12, 4))
+        @ np.random.default_rng(2018).standard_normal((4, 8)),
+        Y=np.random.default_rng(2019).standard_normal((12, 8))), None),
+    "wide-6x10": (lambda: random_data(8, n=6, m=10), None),
+    "repeated-state": (periodic_states, 0),
+    "constant-first-row": (constant_first_row, 4),
+    "false-candidates": (equal_first_rows_only, None),
+}
+
+
+@pytest.fixture
+def count_tall_factorizations(monkeypatch):
+    import lrdmd.solvers
+
+    calls = []
+    original = lrdmd.solvers.qr_factor
+
+    def counted(M):
+        calls.append(M.shape)
+        return original(M)
+
+    monkeypatch.setattr(lrdmd.solvers, "qr_factor", counted)
+    return calls
+
+
+class TestCompressedFactorization:
+    @pytest.mark.parametrize("case", COMPRESSION_CASES)
+    def test_every_fit_matches_reference(self, case, count_tall_factorizations):
+        make, new_columns = COMPRESSION_CASES[case]
+        d = make()
+        fitted, residual, facts = rrr_reference(d.X, d.Y)
+        tol = 1e-11 * np.linalg.norm(d.Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            fac = factorize(d)
+        assert fac.rank_x == facts["rank_x"]
+        assert fac.rank_of_y == facts["rank_y"]
+        assert abs(fac.span_defect - facts["span_defect"]) <= tol
+        assert abs(fac.row_space_defect - facts["row_space_defect"]) <= tol
+        assert_allclose(fac.exact().apply(d.X), fitted(1)["exact"], atol=tol)
+        for k in range(1, min(d.n, d.m) + 1):
+            want = fitted(k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankClampWarning)
+                op, _ = fac.optimal(k)
+                certified = fac.certified_residual(k)
+            assert_allclose(op.apply(d.X), want["optimal"], atol=tol)
+            assert abs(certified - residual(k)) <= tol
+            assert abs(residual_norm(op, d) - residual(k)) <= tol
+            assert_allclose(fac.truncated(k).apply(d.X), want["truncated"], atol=tol)
+            assert_allclose(fac.projected(k).apply(d.X), want["projected"], atol=tol)
+        # the route: Z once, or X and then Y once a fit needed it
+        if new_columns is None:
+            assert count_tall_factorizations == [d.X.shape, d.Y.shape]
+        else:
+            assert count_tall_factorizations == [(d.n, d.m + new_columns)]
+
+    def test_trajectory_data_factored_once(self, count_tall_factorizations):
+        d = trajectories(9, 4, 26, n=400)
+        fac = factorize(d)
+        assert count_tall_factorizations == [(400, 104)]
+        fac.exact(), fac.truncated(5), fac.projected(5), fac.optimal(5)
+        fac.certified_residual(5), fac.span_defect, fac.rank_of_y
+        assert count_tall_factorizations == [(400, 104)]
+
+    def test_pairs_factor_y_on_first_use(self, count_tall_factorizations):
+        d = random_data(10, n=400, m=30)
+        fac = factorize(d)
+        fac.exact(), fac.projected(5), fac.span_defect
+        assert count_tall_factorizations == [(400, 30)]
+        fac.optimal(5), fac.truncated(5), fac.certified_residual(5)
+        assert count_tall_factorizations == [(400, 30), (400, 30)]
+
+    @pytest.mark.parametrize("u, shared", [(5, True), (6, False)])
+    def test_gate_on_new_columns(self, u, shared, count_tall_factorizations):
+        # at most m/4 of the m = 20 columns of Y may be new
+        fac = factorize(with_new_columns(u))
+        assert (fac.y_columns is not None) == shared
+        assert count_tall_factorizations == [(60, 20 + u if shared else 20)]
+
+    def test_repeated_columns_confirmed_in_full(self):
+        from lrdmd.solvers import _repeated_columns
+
+        d = constant_first_row()
+        src = _repeated_columns(d.X, d.Y)
+        found = src >= 0
+        assert np.count_nonzero(~found) == 4  # the last state of each trajectory
+        assert np.array_equal(d.X[:, src[found]], d.Y[:, found])
+        d = equal_first_rows_only()
+        assert np.all(_repeated_columns(d.X, d.Y) == -1)
+
+    @pytest.mark.parametrize("case", ["four-trajectories", "independent-pairs"])
+    def test_bit_identical_repeats_and_sign_convention(self, case):
+        d = COMPRESSION_CASES[case][0]()
+        first, again = fit_optimal_lowrank_dmd(d, 6), fit_optimal_lowrank_dmd(d, 6)
+        for a, b in ((first[0].left, again[0].left), (first[0].right, again[0].right),
+                     (first[1].Q, again[1].Q)):
+            assert np.array_equal(a, b)
+        P = first[1].P
+        assert np.all(P[np.argmax(np.abs(P), axis=0), np.arange(P.shape[1])] > 0)
+        assert np.linalg.norm(P.T @ P - np.eye(6)) < 1e-13
