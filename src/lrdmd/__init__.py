@@ -45,7 +45,6 @@ from .snapshots import (
     build_data_matrices,
     load_snapshots,
     save_snapshots,
-    validate_rank_assumptions,
 )
 from .solvers import (
     DmdOperator,
@@ -124,7 +123,6 @@ __all__ = [
     "simulate_full",
     "simulate_reduced",
     "thin_svd",
-    "validate_rank_assumptions",
     "verify_eigenpairs",
     "write_result_csv",
 ]

@@ -319,10 +319,7 @@ def cmd_validate(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         fac = factorize(d, args.svd_tol)
-    report = RankReport(
-        n=d.n, m=d.m, rank_x=fac.rank_x, rank_y=fac.rank_of_y, tol=args.svd_tol
-    )
-    for line in report.lines():
+    for line in RankReport.from_factorization(fac).lines():
         print(line)
     print(f"companion residual       : {_span_defect(fac):.6e}")
     return 0

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SnapshotFormatError, ValidationError
-from .linalg import DEFAULT_TOL, thin_svd
 
 
 @dataclass(frozen=True)
@@ -97,13 +96,28 @@ def build_data_matrices(s: SnapshotSet) -> DataMatrices:
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical-rank diagnostics for a pair of data matrices."""
+    """Numerical-rank diagnostics for a pair of data matrices.
+
+    The solvers accept any shape and rank. When X lacks full column rank
+    (always so when m > n) they fit through its rank-r part and warn, and
+    strict mode refuses; optimal fits are capped at the rank of Y V_x,
+    which is that of Y when X has full column rank. The report tells the
+    caller which case applies, so they can decide whether to proceed, use
+    strict mode, or reduce the target rank.
+    """
 
     n: int
     m: int
     rank_x: int
     rank_y: int
     tol: float
+
+    @classmethod
+    def from_factorization(cls, fac) -> "RankReport":
+        """The ranks of X and Y from a solvers.Factorization, at its tol:
+        from the SVD of R_x and the singular values of R_y."""
+        d = fac.data
+        return cls(n=d.n, m=d.m, rank_x=fac.rank_x, rank_y=fac.rank_of_y, tol=fac.tol)
 
     @property
     def m_within_n(self) -> bool:
@@ -123,21 +137,6 @@ class RankReport:
             f"m <= n                   : {self.m_within_n}",
             f"rank(X) = rank(Y) = m    : {self.full_rank}",
         ]
-
-
-def validate_rank_assumptions(d: DataMatrices, tol: float = DEFAULT_TOL) -> RankReport:
-    """Report the numerical ranks of X and Y; never mutates data.
-
-    The solvers accept any shape and rank. When X lacks full column rank
-    (always so when m > n) they fit through its rank-r part and warn, and
-    strict mode refuses; optimal fits are capped at the rank of Y V_x,
-    which is that of Y when X has full column rank. This diagnostic tells
-    the caller which case applies so they can decide whether to proceed,
-    use strict mode, or reduce the target rank.
-    """
-    rank_x = thin_svd(d.X).numerical_rank(tol)
-    rank_y = thin_svd(d.Y).numerical_rank(tol)
-    return RankReport(n=d.n, m=d.m, rank_x=rank_x, rank_y=rank_y, tol=tol)
 
 
 def _parse_header(header):

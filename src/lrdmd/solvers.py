@@ -22,7 +22,8 @@ from the small R factors. For trajectory data Y repeats all but the last
 column of each trajectory of X, so one factorization of the distinct
 snapshot columns Z = [X, the rest of Y] serves both (Q_y = Q); otherwise X
 and Y are factored apart, Y on first use. The n-sized work left is forming
-the factors a fit returns.
+the factors a fit returns; Factorization.residual evaluates ||Y - A X|| of a
+fit without forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
 fit_optimal_lowrank_dmd factorize and slice in one call.
@@ -177,7 +178,7 @@ class Factorization:
         fit."""
         return thin_svd(self._y[1] @ self.V)
 
-    @property
+    @cached_property
     def rank_y(self) -> int:
         """Numerical rank of Y V, which is that of Y when X has full column rank."""
         return self.yv.numerical_rank(self.tol)
@@ -268,10 +269,15 @@ class Factorization:
         the one n-row term otherwise.
         """
         B = self._y_coords
-        inside = np.linalg.norm(B - self.U @ (self.U.T @ B))
+        return float(np.hypot(self._outside, np.linalg.norm(B - self.U @ (self.U.T @ B))))
+
+    @cached_property
+    def _outside(self) -> float:
+        """||Y - Q Q^T Y||_F: the part of Y outside X's basis, 0 when Y is in
+        it and otherwise the one n-row term."""
         if self.y_columns is not None:
-            return float(inside)
-        return float(np.hypot(np.linalg.norm(self.data.Y - self.basis.lift(B)), inside))
+            return 0.0
+        return float(np.linalg.norm(self.data.Y - self.basis.lift(self._y_coords)))
 
     @cached_property
     def row_space_defect(self) -> float:
@@ -309,6 +315,40 @@ class Factorization:
         """
         k = self._optimal_rank(k)
         return float(np.hypot(self.row_space_defect, np.linalg.norm(self.yv.sigma[k:])))
+
+    @cached_property
+    def _rows_on_x(self) -> dict:
+        """Fit name -> R R_x, the r-by-m row coefficients of that fit times
+        R_x = Q^T X, filled by residual() on first use."""
+        return {}
+
+    def residual(self, fit: str, k: int) -> float:
+        """||Y - A X||_F of the rank-k fit ``fit`` ("optimal", "truncated" or
+        "projected"), evaluated at size c with no factor formed.
+
+        Each fit is A = Q' L_k R_k Q^T, so A X = Q' L_k (R R_x)_k. The optimal
+        and truncated fits have Q' = Q_y, and the residual is ||R_y - L_k
+        (R R_x)_k|| (the optimal column signs cancel in L R). The projected
+        fit has Q' = Q, and with B = Q^T Y the residual is hypot(||Y - Q B||,
+        ||B - L_k (R R_x)_k||). k is clamped as by the fit itself: optimal(k)
+        clamps or raises in _optimal_rank, the others keep min(k, rank).
+        """
+        if fit == "optimal":
+            k = self._optimal_rank(k)
+            L, _, R = self._optimal_coefs
+        elif fit in ("truncated", "projected"):
+            k = _check_rank_arg(k)
+            L, R, rank = self._truncation_coefs if fit == "truncated" else self._projection_coefs
+            k = min(k, rank)
+        else:
+            raise ValidationError(f"unknown fit {fit!r}; expected optimal, truncated or projected")
+        on_x = self._rows_on_x.get(fit)
+        if on_x is None:
+            on_x = self._rows_on_x[fit] = R @ self.basis.R[:, : self.data.m]
+        fitted = L[:, :k] @ on_x[:k]
+        if fit == "projected":
+            return float(np.hypot(self._outside, np.linalg.norm(self._y_coords - fitted)))
+        return float(np.linalg.norm(self._y[1] - fitted))
 
     def optimal(self, k: int):
         """Closed-form global minimizer of ||Y - A X|| over rank(A) <= k.

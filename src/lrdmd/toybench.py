@@ -15,14 +15,16 @@ PSD). Settings:
   (elementwise cube), a non-linear system.
 
 Residuals ||Y - A X||_F are recorded per (setting, method, k) into a
-plot-ready CSV. Randomness comes from numpy's default generator (PCG64,
-ziggurat normals), recorded in run metadata; identical config and seed
-reproduce identical rows.
+plot-ready CSV. Each setting is factorized once, and every row is
+evaluated from that factorization's coefficient matrices
+(Factorization.residual) without forming the operator. Randomness comes
+from numpy's default generator (PCG64, ziggurat normals), recorded in run
+metadata; identical config and seed reproduce identical rows.
 """
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +32,11 @@ import numpy as np
 from .errors import RankDeficiencyWarning, ValidationError
 from .linalg import DEFAULT_TOL
 from .snapshots import DataMatrices, SnapshotSet, build_data_matrices
-from .solvers import Factorization, factorize, residual_norm
+from .solvers import Factorization, factorize
 
 SETTINGS = ("i", "ii", "iii")
 METHODS = ("a", "b", "c")  # a: optimal closed form, b: truncated exact, c: projected
+FITS = {"a": "optimal", "b": "truncated", "c": "projected"}
 RNG_NAME = "numpy default_rng (PCG64)"
 RESULT_HEADER = "setting,method,k,residual,companion_residual,wall_time_ms"
 
@@ -193,79 +196,72 @@ class BenchResult:
         return [r for r in self.rows if r.setting == setting and r.method == method]
 
 
-def _fit_for_method(method: str, fac: Factorization | None, k: int):
-    if fac is None:
-        raise ValidationError("the factorization of this setting failed")
-    if method == "a":
-        op, _ = fac.optimal(k)
-        return op
-    if method == "b":
-        return fac.truncated(k)
-    return fac.projected(k)
-
-
 def data_seed_for(seed: int, setting: str) -> int:
     """Deterministic per-setting data seed (model uses `seed` itself)."""
     return seed + 1 + SETTINGS.index(setting)
 
 
-def benchmark_data(cfg: BenchConfig, setting: str) -> DataMatrices:
-    """The exact dataset the sweep uses for one setting of a config."""
-    model = generate_toy_operator(cfg.n, cfg.r, cfg.seed)
+def _setting_data(model: ToyModel, cfg: BenchConfig, setting: str) -> DataMatrices:
     snaps = generate_snapshots(model, setting, cfg.m, data_seed_for(cfg.seed, setting))
     return build_data_matrices(snaps)
+
+
+def benchmark_data(cfg: BenchConfig, setting: str) -> DataMatrices:
+    """The exact dataset the sweep uses for one setting of a config."""
+    return _setting_data(generate_toy_operator(cfg.n, cfg.r, cfg.seed), cfg, setting)
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchResult:
     """Sweep every requested (setting, method, k), one dataset per setting.
 
-    Each setting's data is factorized once and every row slices that
-    factorization, so wall_time_ms times the slice and the residual.
-    Rows come out sorted by (setting, method, k). Fitter warnings (rank
-    deficiency of X, rank clamps past the numerical rank of Y V_x) are
-    expected in the sweep and suppressed; an error, in a fit or in the
-    setting's factorization, is recorded as a NaN residual for the rows it
-    affects without aborting the sweep.
+    The toy model is built once. Each setting's data is factorized once and
+    every row is that factorization's residual(fit, k), computed from its
+    small coefficient matrices, so wall_time_ms times that evaluation and
+    no operator is formed. Rows come out sorted by (setting, method, k).
+    Fitter warnings (rank deficiency of X, rank clamps past the numerical
+    rank of Y V_x) are expected in the sweep and suppressed; an error, in a
+    row or in the setting's factorization, is recorded as a NaN residual
+    for the rows it affects without aborting the sweep.
     """
     if cfg.seed is None:
         raise ValidationError("a seed is required for a reproducible benchmark run")
+    model = generate_toy_operator(cfg.n, cfg.r, cfg.seed)
     rows = []
     settings_info = {}
-    for setting in sorted(cfg.settings, key=SETTINGS.index):
-        d = benchmark_data(cfg, setting)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for setting in sorted(cfg.settings, key=SETTINGS.index):
+            d = _setting_data(model, cfg, setting)
+            try:
                 fac = factorize(d)
-            comp = _span_defect(fac)
-        except Exception:
-            fac, comp = None, float("nan")
-        settings_info[setting] = SettingInfo(
-            norm_y=float(np.linalg.norm(d.Y)),
-            companion_residual=comp,
-            data_seed=data_seed_for(cfg.seed, setting),
-        )
-        for method in sorted(cfg.methods, key=METHODS.index):
-            for k in sorted(cfg.ranks()):
-                start = time.perf_counter()
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        op = _fit_for_method(method, fac, k)
-                    res = residual_norm(op, d)
-                except Exception:
+                comp = _span_defect(fac)
+            except Exception:
+                fac, comp = None, float("nan")
+            settings_info[setting] = SettingInfo(
+                norm_y=float(np.linalg.norm(d.Y)),
+                companion_residual=comp,
+                data_seed=data_seed_for(cfg.seed, setting),
+            )
+            for method in sorted(cfg.methods, key=METHODS.index):
+                for k in sorted(cfg.ranks()):
+                    start = time.perf_counter()
                     res = float("nan")
-                elapsed_ms = (time.perf_counter() - start) * 1e3 if cfg.measure_time else 0.0
-                rows.append(
-                    BenchRow(
-                        setting=setting,
-                        method=method,
-                        k=k,
-                        residual=res,
-                        companion_residual=comp,
-                        wall_time_ms=elapsed_ms,
+                    if fac is not None:
+                        try:
+                            res = fac.residual(FITS[method], k)
+                        except Exception:
+                            pass
+                    elapsed_ms = (time.perf_counter() - start) * 1e3 if cfg.measure_time else 0.0
+                    rows.append(
+                        BenchRow(
+                            setting=setting,
+                            method=method,
+                            k=k,
+                            residual=res,
+                            companion_residual=comp,
+                            wall_time_ms=elapsed_ms,
+                        )
                     )
-                )
     return BenchResult(rows=tuple(rows), settings=settings_info)
 
 
@@ -281,17 +277,23 @@ def write_result_csv(result: BenchResult, path) -> None:
 
 
 def _parse_int_list(text: str):
-    """Comma-separated ints, with a lo..hi range shorthand."""
+    """Comma-separated ints, with a lo..hi range shorthand (lo <= hi)."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+        try:
+            lo, dots, hi = part.partition("..")
+            lo, hi = int(lo), int(hi) if dots else None
+        except ValueError:
+            raise ValidationError(f"{part!r} is not an integer or a lo..hi range") from None
+        if hi is None:
+            out.append(lo)
+        elif lo > hi:
+            raise ValidationError(f"range {part!r} is reversed; write {hi}..{lo}")
         else:
-            out.append(int(part))
+            out.extend(range(lo, hi + 1))
     return tuple(out)
 
 
@@ -313,6 +315,8 @@ def load_config(path) -> BenchConfig:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in {f.name for f in fields(BenchConfig)}:
+            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             if key in ("n", "r", "m", "seed"):
                 values[key] = int(val)
@@ -322,12 +326,8 @@ def load_config(path) -> BenchConfig:
                 values[key] = _parse_int_list(val)
             elif key == "output":
                 values[key] = val
-            elif key == "measure_time":
+            else:  # measure_time
                 values[key] = val.lower() in ("1", "true", "yes")
-            else:
-                raise ValidationError(f"unknown config key {key!r}")
-        except ValidationError:
-            raise
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return BenchConfig(**values)

@@ -11,11 +11,11 @@ from lrdmd.cli import main
 from lrdmd.modes import amplitudes, compute_modes
 from lrdmd.rom import simulate_reduced
 from lrdmd.snapshots import (
+    RankReport,
     SnapshotSet,
     build_data_matrices,
     load_snapshots,
     save_snapshots,
-    validate_rank_assumptions,
 )
 from lrdmd.solvers import fit_optimal_lowrank_dmd, materialize
 from lrdmd.toybench import benchmark_data, companion_residual
@@ -100,7 +100,13 @@ class TestValidate:
         save_snapshots(SnapshotSet(states=states), path)
         d = build_data_matrices(load_snapshots(path))
         assert (d.n, d.m) == (20, 12)
-        expected = validate_rank_assumptions(d).lines()
+        # independent reference: numpy's singular-value counts
+        rank_x, rank_y = (
+            int(np.count_nonzero(s > 1e-12 * s[0]))
+            for s in (np.linalg.svd(M, compute_uv=False) for M in (d.X, d.Y))
+        )
+        assert (rank_x, rank_y) == ((6, 6) if rank_deficient else (12, 12))
+        expected = RankReport(n=20, m=12, rank_x=rank_x, rank_y=rank_y, tol=1e-12).lines()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected.append(f"companion residual       : {companion_residual(d):.6e}")
@@ -503,6 +509,22 @@ class TestBench:
     def test_seed_required(self, tmp_path):
         code = main(["bench", "--n", "8", "--r", "3", "--m", "5", "--out", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("k_values", ["1,x", "40..1"])
+    def test_bad_k_values_are_usage_errors(self, tmp_path, capsys, k_values):
+        out = tmp_path / "r.csv"
+        args = ["--seed", "7", "bench", "--k-values", k_values, "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k_values", ["1,x", "9..2"])
+    def test_bad_k_values_in_config_are_usage_errors(self, tmp_path, capsys, k_values):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"seed = 7\nk_values = {k_values}\noutput = {tmp_path / 'r.csv'}\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: bad value for k_values")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

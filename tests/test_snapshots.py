@@ -1,19 +1,22 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lrdmd.errors import SnapshotFormatError, ValidationError
+from lrdmd.errors import RankDeficiencyWarning, SnapshotFormatError, ValidationError
+from lrdmd.linalg import DEFAULT_TOL
 from lrdmd.snapshots import (
     DataMatrices,
+    RankReport,
     SnapshotSet,
     build_data_matrices,
     load_snapshots,
     save_snapshots,
-    validate_rank_assumptions,
     write_csv_rows,
 )
+from lrdmd.solvers import factorize
 
 
 def write_csv(path, text):
@@ -285,47 +288,64 @@ class TestBuildDataMatrices:
             assert np.array_equal(d.X[:, block][:, 1:], d.Y[:, block][:, :-1])
 
 
+def validate_report(d, tol=DEFAULT_TOL):
+    """The report `lrdmd validate` prints, from one factorization of (X, Y);
+    a rank-deficient X is part of the diagnosis."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        return RankReport.from_factorization(factorize(d, tol))
+
+
+def numpy_rank(M, tol=DEFAULT_TOL):
+    """Independent reference: numpy's singular values above tol * s_max."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
 class TestValidateRankAssumptions:
     def test_duplicated_column_drops_rank(self, rng):
         base = rng.standard_normal((6, 2))
         X = np.column_stack([base, base[:, 0]])
         d = DataMatrices(X=X, Y=rng.standard_normal((6, 3)))
-        report = validate_rank_assumptions(d)
-        assert report.rank_x == 2 < d.m
+        report = validate_report(d)
+        assert report.rank_x == numpy_rank(X) == 2 < d.m
+        assert report.rank_y == numpy_rank(d.Y) == 3
         assert not report.full_rank
 
     def test_orthonormal_columns_full_rank(self):
         X = np.eye(5)[:, :3]
         d = DataMatrices(X=X, Y=np.eye(5)[:, 1:4])
-        report = validate_rank_assumptions(d)
+        report = validate_report(d)
         assert report.rank_x == 3 == report.rank_y == d.m
         assert report.full_rank and report.m_within_n
 
     def test_setting_ii_ranks(self, setting_ii_data):
         # oracle: singular-value counts from numpy's SVD directly
-        sx = np.linalg.svd(setting_ii_data.X, compute_uv=False)
-        sy = np.linalg.svd(setting_ii_data.Y, compute_uv=False)
-        assert int(np.sum(sx > 1e-12 * sx[0])) == 40
-        assert int(np.sum(sy > 1e-12 * sy[0])) == 30
-        report = validate_rank_assumptions(setting_ii_data)
+        assert numpy_rank(setting_ii_data.X) == 40
+        assert numpy_rank(setting_ii_data.Y) == 30
+        report = validate_report(setting_ii_data)
         assert (report.rank_x, report.rank_y) == (40, 30)
         assert report.m_within_n and not report.full_rank
 
     def test_report_lines(self, rng):
         d = DataMatrices(X=rng.standard_normal((4, 2)), Y=rng.standard_normal((4, 2)))
-        lines = validate_rank_assumptions(d).lines()
-        assert any("rank of X" in line for line in lines)
+        lines = validate_report(d).lines()
+        assert "numerical rank of X      : 2" in lines
+        assert "numerical rank of Y      : 2" in lines
+        assert f"tolerance (rel. to s_max): {DEFAULT_TOL:g}" in lines
 
     def test_wide_data_is_diagnosed_not_rejected(self, rng):
         # more snapshot pairs than dimensions: the diagnostic still runs
         # and flags the violated assumption for the solvers
         d = DataMatrices(X=rng.standard_normal((3, 6)), Y=rng.standard_normal((3, 6)))
-        report = validate_rank_assumptions(d)
+        report = validate_report(d)
         assert not report.m_within_n
-        assert report.rank_x == 3 < d.m
+        assert report.rank_x == numpy_rank(d.X) == 3 < d.m
+        assert report.rank_y == numpy_rank(d.Y) == 3
 
     def test_custom_tolerance(self, rng):
         X = rng.standard_normal((6, 2)) @ np.diag([1.0, 1e-5])
         d = DataMatrices(X=X, Y=rng.standard_normal((6, 2)))
-        assert validate_rank_assumptions(d).rank_x == 2
-        assert validate_rank_assumptions(d, tol=1e-3).rank_x == 1
+        assert validate_report(d).rank_x == 2
+        report = validate_report(d, tol=1e-3)
+        assert report.rank_x == numpy_rank(X, 1e-3) == 1 and report.tol == 1e-3

@@ -537,3 +537,52 @@ class TestCompressedFactorization:
         P = first[1].P
         assert np.all(P[np.argmax(np.abs(P), axis=0), np.arange(P.shape[1])] > 0)
         assert np.linalg.norm(P.T @ P - np.eye(6)) < 1e-13
+
+
+class TestResidualFromCoefficients:
+    @pytest.mark.parametrize("case", COMPRESSION_CASES)
+    def test_matches_lifted_fit_at_every_rank(self, case):
+        d = COMPRESSION_CASES[case][0]()
+        tol = 1e-12 * np.linalg.norm(d.Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            fac = factorize(d)
+            lifted = factorize(d)
+        for k in range(1, min(d.n, d.m) + 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankClampWarning)
+                fits = {
+                    "optimal": lifted.optimal(k)[0],
+                    "truncated": lifted.truncated(k),
+                    "projected": lifted.projected(k),
+                }
+                for fit, op in fits.items():
+                    assert abs(fac.residual(fit, k) - residual_norm(op, d)) <= tol, (fit, k)
+
+    def test_projected_takes_the_part_outside_the_basis(self):
+        # independent pairs: Y has its own basis and a part outside X's,
+        # where the projected residual plateaus at the span defect
+        d = random_data(7, n=40, m=12)
+        fac = factorize(d)
+        assert fac.y_columns is None and fac._outside > 0.1 * np.linalg.norm(d.Y)
+        assert abs(fac.residual("projected", 12) - fac.span_defect) <= 1e-12 * np.linalg.norm(d.Y)
+        shared = factorize(trajectories(2, 4, 6))
+        assert shared.y_columns is not None and shared._outside == 0.0
+
+    def test_optimal_clamp_and_unknown_fit(self, rng):
+        X = rng.standard_normal((8, 5))
+        d = DataMatrices(X=X, Y=rng.standard_normal((8, 2)) @ rng.standard_normal((2, 5)))
+        fac = factorize(d)
+        with pytest.warns(RankClampWarning):
+            assert fac.residual("optimal", 4) == fac.residual("optimal", 2)
+        with pytest.raises(RankGuardError):
+            factorize(d, strict=True).residual("optimal", 4)
+        # truncated and projected keep min(k, rank), as their slices do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fac.residual("truncated", 5) == fac.residual("truncated", 4)
+        for fit in ("exact", "a", ""):
+            with pytest.raises(ValidationError, match="unknown fit"):
+                fac.residual(fit, 2)
+        with pytest.raises(ValidationError):
+            fac.residual("projected", 0)

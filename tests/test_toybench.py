@@ -143,14 +143,14 @@ class TestRunBenchmark:
         assert first_drop[("ii", "c")] is None and first_drop[("iii", "c")] is None
 
     def test_fitter_failure_recorded_as_nan_row(self, monkeypatch):
-        orig = Factorization.truncated
+        orig = Factorization.residual
 
-        def sabotaged(fac, k):
-            if k == 2:
+        def sabotaged(fac, fit, k):
+            if fit == "truncated" and k == 2:
                 raise RuntimeError("boom")
-            return orig(fac, k)
+            return orig(fac, fit, k)
 
-        monkeypatch.setattr(Factorization, "truncated", sabotaged)
+        monkeypatch.setattr(Factorization, "residual", sabotaged)
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2, 3), settings=("ii",), seed=4,
                           measure_time=False)
         result = run_benchmark(cfg)
@@ -178,6 +178,33 @@ class TestRunBenchmark:
         assert failed == {"ii"}
         assert np.isnan(result.settings["ii"].companion_residual)
         assert all(np.isfinite(r.residual) for r in result.rows_for("i", "a"))
+
+    def test_rows_lift_no_operator(self, monkeypatch):
+        # every row comes from the setting's coefficient matrices: no
+        # residual_norm, and no product with the n-row basis beyond the one
+        # ||Y - Q Q^T Y|| of each independent-pairs setting (ii and iii)
+        import lrdmd.solvers
+        import lrdmd.toybench as tb
+        from lrdmd.linalg import QrFactors
+
+        calls = []
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in ("lift", "lift_rows"):
+            monkeypatch.setattr(QrFactors, name, counting(name, getattr(QrFactors, name)))
+        counted_norm = counting("residual_norm", lrdmd.solvers.residual_norm)
+        monkeypatch.setattr(lrdmd.solvers, "residual_norm", counted_norm)
+        monkeypatch.setattr(tb, "residual_norm", counted_norm, raising=False)
+        result = run_benchmark(BenchConfig(seed=7, measure_time=False))
+        assert len(result.rows) == 360
+        assert all(np.isfinite(r.residual) for r in result.rows)
+        assert calls == ["lift", "lift"]
 
     def test_deterministic_rows(self):
         cfg = BenchConfig(n=10, r=4, m=6, seed=3, measure_time=False)
@@ -245,6 +272,22 @@ class TestBenchConfig:
         assert cfg.settings == ("i", "ii") and cfg.methods == ("a", "c")
         assert cfg.k_values == (1, 2, 3, 5)
         assert cfg.measure_time is False
+
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ("1,x", "'x' is not an integer"),
+            ("1..y", "'1..y' is not"),
+            ("3..", "'3..' is not"),
+            ("40..1", r"range '40\.\.1' is reversed"),
+            ("9..2,5", r"range '9\.\.2' is reversed"),
+        ],
+    )
+    def test_bad_k_values_name_the_part(self, tmp_path, text, bad):
+        path = tmp_path / "k.cfg"
+        path.write_text(f"seed = 1\nk_values = {text}\n")
+        with pytest.raises(ValidationError, match=f"k.cfg:2: bad value for k_values: {bad}"):
+            load_config(path)
 
     def test_load_config_errors(self, tmp_path):
         missing = tmp_path / "nope.cfg"
