@@ -326,26 +326,29 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lrdmd",
-        description="Low-rank dynamic mode decomposition: fit, spectral analysis, "
-        "reduced-order simulation, and benchmarking.",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed for stochastic commands")
-    parser.add_argument(
+    # global options go before or after the subcommand, the one after winning;
+    # SUPPRESS keeps a subcommand from resetting them (main sets the defaults)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="RNG seed for stochastic commands")
+    common.add_argument(
         "--strict-rank",
         action="store_true",
         help="treat numerically rank-deficient X as an error instead of a warning",
     )
-    parser.add_argument(
+    common.add_argument(
         "--svd-tol",
         type=float,
-        default=DEFAULT_TOL,
-        help="relative singular-value threshold (default %(default)g)",
+        help=f"relative singular-value threshold (default {DEFAULT_TOL:g})",
+    )
+    parser = argparse.ArgumentParser(
+        prog="lrdmd",
+        description="Low-rank dynamic mode decomposition: fit, spectral analysis, "
+        "reduced-order simulation, and benchmarking.",
+        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="fit an operator to snapshot data")
+    p = sub.add_parser("fit", parents=[common], help="fit an operator to snapshot data")
     p.add_argument("--input", required=True, help="snapshot CSV")
     p.add_argument(
         "--method",
@@ -359,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="fit_out", help="output directory")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("modes", help="spectral modes, eigenvalues, and amplitudes")
+    p = sub.add_parser(
+        "modes", parents=[common], help="spectral modes, eigenvalues, and amplitudes"
+    )
     p.add_argument("--input", required=True)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="exact")
@@ -368,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="modes_out")
     p.set_defaults(func=cmd_modes)
 
-    p = sub.add_parser("simulate", help="run the reduced-order surrogate")
+    p = sub.add_parser("simulate", parents=[common], help="run the reduced-order surrogate")
     p.add_argument("--input", required=True)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--horizon", type=int, required=True)
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="simulate_out")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bench", help="sweep solvers over the synthetic settings")
+    p = sub.add_parser("bench", parents=[common], help="sweep solvers over the synthetic settings")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("generate", help="emit a synthetic snapshot CSV")
+    p = sub.add_parser("generate", parents=[common], help="emit a synthetic snapshot CSV")
     p.add_argument("--setting", required=True, choices=("i", "ii", "iii"))
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--r", type=int, default=30)
@@ -402,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("validate", help="rank diagnostics for a snapshot CSV")
+    p = sub.add_parser("validate", parents=[common], help="rank diagnostics for a snapshot CSV")
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_validate)
 
@@ -411,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    defaults = argparse.Namespace(seed=None, strict_rank=False, svd_tol=DEFAULT_TOL)
+    args = parser.parse_args(argv, defaults)
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -1,7 +1,8 @@
 """Shared dense linear algebra: one tall factorization M = Q R with its
-orthonormal basis Q in implicit form, one thin SVD for matrices of every
-shape built on it, and the relative numerical rank behind every rank
-decision.
+orthonormal basis Q in implicit form, the thin SVD of small matrices, and
+the relative numerical rank behind every rank decision. Tall matrices go
+to qr_factor, small ones to LAPACK's SVD (thin_svd): the SVD of a tall M
+is that of its small R, lifted through the basis.
 
 qr_factor factors a tall matrix by Cholesky QR, which needs only BLAS-3
 products over its long side: CholeskyQR2 when it is well enough
@@ -11,9 +12,6 @@ rest: near-square matrices and tall ones that are rank deficient to working
 precision. The basis is kept as Q = Q1 T, Q1 the p-row matrix of the last
 Cholesky pass and T a small triangular factor that is never multiplied
 out; QrFactors.lift applies it to a small matrix at one p-row product.
-
-thin_svd takes the same Cholesky routes and ends in the SVD of the small
-R, lifted through the basis; what they refuse goes to LAPACK's SVD.
 
 All routines are deterministic: singular vectors follow a fixed sign
 convention (the largest-magnitude entry of each left singular vector is
@@ -46,9 +44,10 @@ SHIFTED_MIN_RATIO = 1e-8
 # unit roundoff of float64, in the shift of shifted CholeskyQR
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
-# Smallest p / q for which CholeskyQR2 is tried: it replaces only the QR of
-# a tall matrix by BLAS-3 products and still ends in a q-by-q SVD, so it
-# beats LAPACK only once p is 4 to 6 times q (q = 40, 100; one BLAS thread).
+# Smallest p / q for which qr_factor tries the Cholesky routes before
+# Householder QR. Best of 25 on one BLAS thread, ms, Cholesky vs Householder:
+# at q = 100, p/q = 4: 1.80 vs 1.51, 5: 1.91 vs 2.45, 8: 2.44 vs 4.21; at
+# q = 40 Householder stays ahead up to p/q = 8 (0.28 vs 0.23).
 CHOLQR_MIN_ASPECT = 5
 
 
@@ -197,22 +196,18 @@ def _cholesky_qr(M: np.ndarray) -> QrFactors | None:
     return QrFactors(Q1=Q1, T=np.linalg.inv(R2), R=R2 @ R1 @ R0)
 
 
-def _cholesky_route(M: np.ndarray) -> QrFactors | None:
-    # the Cholesky routes, for matrices at least CHOLQR_MIN_ASPECT times taller than wide
-    return _cholesky_qr(M) if M.shape[0] >= CHOLQR_MIN_ASPECT * M.shape[1] > 0 else None
-
-
 def qr_factor(M: np.ndarray) -> QrFactors:
-    """M = Q R of a real p-by-q matrix of any shape, Q in implicit form.
+    """M = Q R of a real p-by-q matrix of any shape, Q in implicit form;
+    every tall matrix is factored here, small ones go to thin_svd.
 
-    A tall one, with p >= CHOLQR_MIN_ASPECT * q, takes the Cholesky routes
-    of thin_svd: CholeskyQR2, else shifted CholeskyQR3 from the same Gram
-    matrix. Every other input, and a tall one that those refuse (see
-    SHIFTED_MIN_RATIO), goes to Householder QR. The route depends on the
-    input alone.
+    A tall one, with p >= CHOLQR_MIN_ASPECT * q, takes the Cholesky routes:
+    CholeskyQR2, else shifted CholeskyQR3 from the same Gram matrix. Every
+    other input, and a tall one that those refuse (see SHIFTED_MIN_RATIO),
+    goes to Householder QR. The route depends on the input alone.
     """
     M = _as_matrix(M)
-    found = _cholesky_route(M)
+    p, q = M.shape
+    found = _cholesky_qr(M) if p >= CHOLQR_MIN_ASPECT * q > 0 else None
     if found is None:
         Q, R = np.linalg.qr(M)
         found = QrFactors(Q1=Q, T=None, R=R)
@@ -220,26 +215,11 @@ def qr_factor(M: np.ndarray) -> QrFactors:
 
 
 def thin_svd(M: np.ndarray) -> SvdFactors:
-    """Thin SVD of a real p-by-q matrix of any shape.
-
-    A wide matrix is factored through its transpose. A tall one, with
-    p >= CHOLQR_MIN_ASPECT * q, is factored M = Q R on the Cholesky routes
-    of qr_factor, and the SVD R = U diag(sigma) V^T of the small R gives
-    W = Q U. Every other input, and a tall one that those refuse (see
-    SHIFTED_MIN_RATIO), goes to LAPACK's SVD. The route depends on the input
-    alone.
+    """Thin SVD of a small real p-by-q matrix of any shape by LAPACK, with
+    the module's sign convention. Small means a core or an R factor: a tall
+    matrix goes to qr_factor, and the SVD of its R, lifted, is its own.
     """
-    M = _as_matrix(M)
-    wide = M.shape[0] < M.shape[1]
-    T = M.T if wide else M
-    found = _cholesky_route(T)
-    if found is None:
-        W, sigma, Vt = np.linalg.svd(T, full_matrices=False)
-    else:
-        U, sigma, Vt = np.linalg.svd(found.R)
-        W = found.lift(U)
+    W, sigma, Vt = np.linalg.svd(_as_matrix(M), full_matrices=False)
     V = Vt.T.copy()
-    if wide:
-        W, V = V, W
     _fix_signs(W, V)
     return SvdFactors(W=W, sigma=sigma, V=V)

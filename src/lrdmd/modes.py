@@ -13,6 +13,7 @@ space. Two mappings ship:
 * ``as_stated``: with the thin SVD Q = Wq Sq Vq^T, the eigenvectors w of
   Wq^T P Vq Sq give phi = Wq w. Reported as-is; these columns are not in
   general eigenvectors of A, and verify_eigenpairs quantifies by how much.
+  With Q = Qb R, Wq = Qb Ur comes from the small SVD R = Ur Sq Vq^T.
 """
 
 import warnings
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeWarning, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL, numerical_rank, thin_svd
+from .linalg import DEFAULT_TOL, numerical_rank, qr_factor, thin_svd
 from .solvers import DmdOperator, OptimalLowRankFactors
 
 VARIANTS = ("exact_reconstruction", "as_stated")
@@ -116,25 +117,27 @@ def compute_modes(
     warning. ``as_stated`` solves it for
     Wq^T P Vq Sq (with Q = Wq Sq Vq^T) and maps w to Wq w. Either way Q
     must have numerical rank k; its singular values come from f.q_core
-    when the fit supplied it, else from a thin SVD of Q.
+    when the fit supplied it, else from the R of Q = Qb R.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown mode variant {variant!r}; expected one of {VARIANTS}")
     k = f.rank
-    fq = thin_svd(f.Q) if variant == "as_stated" or f.q_core is None else None
+    b = qr_factor(f.Q) if variant == "as_stated" or f.q_core is None else None
+    fq = None if b is None else thin_svd(b.R)
     sigma_q = np.linalg.svd(f.q_core, compute_uv=False) if fq is None else fq.sigma
     rank_q = numerical_rank(sigma_q, tol)
     if rank_q < k:
         raise RankGuardError(
             f"operator factor Q lost rank ({rank_q} < {k}); reduce the target rank"
         )
-    core = fq.W.T @ f.P @ (fq.V * fq.sigma) if variant == "as_stated" else f.Q.T @ f.P
+    Wq = b.lift(fq.W) if variant == "as_stated" else None
+    core = f.Q.T @ f.P if Wq is None else Wq.T @ f.P @ (fq.V * fq.sigma)
     eigenvalues, W = np.linalg.eig(core)
     order = _spectral_sort(eigenvalues)
     eigenvalues = eigenvalues[order]
     W = W[:, order]
     if variant == "as_stated":
-        modes = _real_times_complex(fq.W, W)
+        modes = _real_times_complex(Wq, W)
     else:
         scale = max(float(np.abs(eigenvalues).max(initial=0.0)), float(np.linalg.norm(core)))
         nonzero = np.abs(eigenvalues) > tol * scale

@@ -114,7 +114,8 @@ class OptimalLowRankFactors:
     q_core (k, r): a small matrix with the singular values of Q, which the
     optimal fit supplies (Q = W q_core^T up to column signs, W orthonormal)
     so that they cost a k-by-r SVD; None for a bundle built by hand, whose
-    Q compute_modes then factors itself.
+    Q compute_modes then factors itself. P and Q are the operator's left
+    factor and the transpose of its right one, not copies.
     """
 
     P: np.ndarray
@@ -369,7 +370,7 @@ class Factorization:
         P *= sign
         Qt = self.basis.lift_rows(sign[:, None] * rows[:k])
         op = DmdOperator(left=P, right=Qt, method_tag="optimal")
-        return op, OptimalLowRankFactors(P=P, Q=Qt.T.copy(), q_core=core[:k])
+        return op, OptimalLowRankFactors(P=P, Q=Qt.T, q_core=core[:k])
 
 
 def _repeated_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

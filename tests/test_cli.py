@@ -216,6 +216,22 @@ class TestFit:
             ["--strict-rank", "fit", "--input", str(csv_path), "--method", "exact", "--out", str(tmp_path / "strict")]
         )
         assert strict == 3
+        # the flag may also follow the subcommand
+        args = ["fit", "--input", str(csv_path), "--method", "exact", "--strict-rank"]
+        assert main([*args, "--out", str(tmp_path / "strict_after")]) == 3
+
+    def test_global_options_after_subcommand(self, toy_csv, tmp_path):
+        def svd_tol(name, before, after):
+            out = tmp_path / name
+            args = ["fit", "--input", str(toy_csv), "--method", "exact", "--out", str(out)]
+            assert main([*before, *args, *after]) == 0
+            lines = (out / "summary.csv").read_text().splitlines()[1:]
+            return float(dict(line.split(",", 1) for line in lines)["svd_tol"])
+
+        assert svd_tol("default", [], []) == 1e-12
+        assert svd_tol("after", [], ["--svd-tol", "1e-10"]) == 1e-10
+        # given in both places, the value after the subcommand wins
+        assert svd_tol("both", ["--svd-tol", "0.5"], ["--svd-tol", "1e-10"]) == 1e-10
 
     def test_svd_tol_flag_changes_rank_decisions(self, toy_csv, capsys):
         # a huge threshold collapses the reported numerical ranks
@@ -496,6 +512,23 @@ class TestBench:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_global_options_after_subcommand(self, tmp_path):
+        # --seed goes before or after the subcommand; given in both places,
+        # the value after it wins
+        runs = {
+            "before": ["--seed", "7", "bench"],
+            "after": ["bench", "--seed", "7"],
+            "both": ["--seed", "3", "bench", "--seed", "7"],
+            "other": ["bench", "--seed", "3"],
+        }
+        written = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main([*argv, "--no-timing", "--out", str(out)]) == 0
+            written[name] = out.read_bytes()
+        assert written["after"] == written["before"] == written["both"]
+        assert written["other"] != written["before"]
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "bench.cfg"

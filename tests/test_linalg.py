@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrdmd.errors import RankClampWarning, RankDeficiencyWarning, RankGuardError, ValidationError
-from lrdmd.linalg import CHOLQR_MIN_RATIO, _cholesky_qr, _cholesky_qr2, _fix_signs, thin_svd
+from lrdmd.linalg import CHOLQR_MIN_RATIO, _cholesky_qr2, _fix_signs, qr_factor, thin_svd
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import fit_exact_dmd, fit_optimal_lowrank_dmd, fit_truncated_exact_dmd, materialize
 
@@ -65,6 +65,21 @@ def assert_matches_lapack(M, rank):
         assert np.linalg.norm(got @ got.T - want @ want.T) < 1e-9
 
 
+def assert_qr_matches_lapack(M, fast):
+    """qr_factor(M) = Q R takes a Cholesky route exactly when `fast`
+    (Householder QR leaves T None); Q R gives back M, Q^T Q is the
+    identity, and R has the singular values of M by LAPACK."""
+    f = qr_factor(M)
+    assert (f.T is not None) == fast
+    s = np.linalg.svd(M, compute_uv=False)
+    scale = max(s[0], 1.0) if s.size else 1.0
+    rho = min(M.shape)
+    assert f.R.shape == (rho, M.shape[1])
+    assert np.linalg.norm(f.lift(f.R) - M) <= 1e-13 * scale
+    assert np.linalg.norm(f.project(f.lift(np.eye(rho))) - np.eye(rho)) < 1e-12
+    assert_allclose(np.linalg.svd(f.R, compute_uv=False), s, rtol=0, atol=1e-13 * scale)
+
+
 class TestThinSvd:
     def test_diagonal(self):
         f = thin_svd(np.diag([3.0, 2.0]))
@@ -113,10 +128,9 @@ class TestThinSvd:
         assert np.array_equal(f1.V, f2.V)
 
     def test_accepts_wide(self):
-        # factored through the transpose, which takes the CholeskyQR2 route
         M = svd_case("wide")
-        assert _cholesky_qr(M.T) is not None
         assert_matches_lapack(M, 5)
+        assert_qr_matches_lapack(M, False)
         f = thin_svd(M)
         # the sign convention still applies to the left singular vectors
         for j in range(5):
@@ -138,14 +152,15 @@ class TestThinSvd:
     )
     def test_matches_lapack(self, case, rank, fast):
         # rank: leading singular pairs whose subspaces are well separated;
-        # fast: whether the input takes the Cholesky route, not LAPACK
+        # fast: whether qr_factor takes a Cholesky route, not Householder QR
         M = svd_case(case)
-        assert (_cholesky_qr(M) is not None) == fast
         assert_matches_lapack(M, rank)
+        assert_qr_matches_lapack(M, fast)
 
     @pytest.mark.parametrize("case", ["kappa-1e10", "tall-kappa-1e8", "tall-kappa-1e11"])
     def test_ill_conditioned_input_takes_shifted_pass(self, case):
-        # unshifted CholeskyQR2 refuses these, so the route above is the shifted one
+        # unshifted CholeskyQR2 refuses these, so qr_factor's route above is
+        # the shifted one
         M = svd_case(case)
         assert _cholesky_qr2(M, M.T @ M, CHOLQR_MIN_RATIO) is None
 

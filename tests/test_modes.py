@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrdmd.errors import DegenerateModeWarning, RankGuardError, ValidationError
-from lrdmd.linalg import thin_svd
+from lrdmd.linalg import qr_factor, thin_svd
 from lrdmd.modes import _normalize_columns, amplitudes, compute_modes, verify_eigenpairs
+from lrdmd.rom import simulate_reduced
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import (
     OptimalLowRankFactors,
@@ -44,17 +46,20 @@ def normalized(modes):
 
 def upcast_modes(factors, variant):
     """compute_modes with every real factor upcast to complex before its
-    product, and one column at a time normalized."""
+    product, and one column at a time normalized. as_stated takes the thin
+    SVD of Q as Wq = Qb Ur from Q = Qb R and R = Ur Sq Vq^T."""
     if variant == "as_stated":
-        fq = thin_svd(factors.Q)
-        core = fq.W.T @ factors.P @ (fq.V * fq.sigma)
+        b = qr_factor(factors.Q)
+        fq = thin_svd(b.R)
+        Wq = b.lift(fq.W)
+        core = Wq.T @ factors.P @ (fq.V * fq.sigma)
     else:
         core = factors.Q.T @ factors.P
     lam, W = np.linalg.eig(core)
     order = spectral_key(lam)
     lam, W = lam[order], W[:, order]
     if variant == "as_stated":
-        modes = fq.W.astype(np.complex128) @ W
+        modes = Wq.astype(np.complex128) @ W
     else:
         modes = factors.P.astype(np.complex128) @ W
     return lam, normalized(modes)
@@ -175,24 +180,53 @@ class TestComputeModes:
 
     def test_exact_variant_factors_nothing(self, monkeypatch):
         # the fit hands over a small core with the singular values of Q, so
-        # neither the modes nor the zero-eigenvalue drop need a thin SVD
+        # neither the modes nor the zero-eigenvalue drop factor Q; as_stated
+        # factors it once and takes the thin SVD of its small R only
         import lrdmd.modes
 
-        calls = []
+        factored, svd_inputs = [], []
 
-        def counted(M):
-            calls.append(M.shape)
+        def counted_qr(M):
+            factored.append(M.shape)
+            return qr_factor(M)
+
+        def counted_svd(M):
+            svd_inputs.append(M.shape)
             return thin_svd(M)
 
-        monkeypatch.setattr(lrdmd.modes, "thin_svd", counted)
+        monkeypatch.setattr(lrdmd.modes, "qr_factor", counted_qr)
+        monkeypatch.setattr(lrdmd.modes, "thin_svd", counted_svd)
         _, factors = tall_fit()
         compute_modes(factors, "exact_reconstruction")
         d = DataMatrices(X=np.eye(2), Y=np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.warns(DegenerateModeWarning):
             compute_modes(fit_optimal_lowrank_dmd(d, 1)[1], "exact_reconstruction")
-        assert calls == []
+        assert factored == []
         compute_modes(factors, "as_stated")
-        assert calls == [(400, 12)]
+        assert factored == [(400, 12)]
+        assert svd_inputs and all(shape[0] <= 12 for shape in svd_inputs)
+
+    def test_no_thin_svd_sees_n_rows(self, monkeypatch):
+        # tall matrices go to qr_factor: an optimal fit, both mode variants
+        # and the reduced simulation hand thin_svd small matrices only
+        import lrdmd.linalg
+
+        original, shapes = lrdmd.linalg.thin_svd, []
+
+        def recorded(M):
+            shapes.append(np.shape(M))
+            return original(M)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("lrdmd") and getattr(
+                module, "thin_svd", None
+            ) is original:
+                monkeypatch.setattr(module, "thin_svd", recorded)
+        _, factors = tall_fit()
+        for variant in ("exact_reconstruction", "as_stated"):
+            compute_modes(factors, variant)
+        simulate_reduced(factors, np.ones(400), 20)
+        assert shapes and max(shape[0] for shape in shapes) <= 30
 
     def test_zero_column_rejected(self):
         modes = np.ones((5, 3), dtype=np.complex128)
