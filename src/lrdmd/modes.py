@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateModeWarning, RankGuardError, ValidationError
 from .linalg import DEFAULT_TOL, numerical_rank, qr_factor, thin_svd
-from .solvers import DmdOperator, OptimalLowRankFactors
+from .solvers import _ROW_BLOCK, DmdOperator, OptimalLowRankFactors
 
 VARIANTS = ("exact_reconstruction", "as_stated")
 
@@ -79,22 +79,34 @@ def _spectral_sort(eigenvalues: np.ndarray) -> np.ndarray:
     return np.lexsort((-eigenvalues.imag, -eigenvalues.real, -np.abs(eigenvalues)))
 
 
-def _column_norms(Z: np.ndarray) -> np.ndarray:
-    """l2 norms of the columns of a complex n-by-k Z, summed over its
-    interleaved (re, im) columns without an n-by-k temporary."""
+def _column_squares(Z: np.ndarray) -> np.ndarray:
+    """Squared l2 norms of the columns of a complex p-by-k Z, summed over
+    its interleaved (re, im) columns without a p-by-k temporary."""
     R = np.ascontiguousarray(Z, dtype=np.complex128).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->j", R, R).reshape(-1, 2).sum(axis=1))
+    return np.einsum("ij,ij->j", R, R).reshape(-1, 2).sum(axis=1)
 
 
 def _normalize_columns(modes: np.ndarray) -> np.ndarray:
-    """Unit l2 columns with the largest-magnitude entry made real positive."""
-    norms = _column_norms(modes)
+    """Unit l2 columns with the largest-magnitude entry made real positive
+    (the first index winning ties), in place; returns modes."""
+    norms = np.sqrt(_column_squares(modes))
     if np.any(norms == 0.0):
         raise ValidationError("mode column collapsed to zero")
-    out = modes / norms
-    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
-    out *= np.conj(pivots) / np.abs(pivots)
-    return out
+    modes /= norms
+    k = modes.shape[1]
+    cols = np.arange(k)
+    top = np.full(k, -1.0)
+    pivots = np.empty(k, dtype=modes.dtype)
+    for r in range(0, modes.shape[0], _ROW_BLOCK):
+        block = modes[r : r + _ROW_BLOCK]
+        mag = np.abs(block)
+        i = np.argmax(mag, axis=0)
+        peak = mag[i, cols]
+        better = peak > top  # strictly: an earlier block wins ties
+        top[better] = peak[better]
+        pivots[better] = block[i, cols][better]
+    modes *= np.conj(pivots) / np.abs(pivots)
+    return modes
 
 
 def _real_times_complex(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -161,16 +173,23 @@ def compute_modes(
 
 
 def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
-    """Residuals ||A phi_i - lambda_i phi_i||_2 evaluated through the factors.
+    """Residuals ||A phi_i - lambda_i phi_i||_2 evaluated through the factors:
+    L (R Phi) - Phi diag(lambda), with R Phi rho-by-k, block by block of rows.
 
     The report's tolerance is 1e-8 * ||A||_F, the scale at which the
     exact_reconstruction variant is expected to be exact.
     """
-    if op.n != modes.modes.shape[0]:
+    n = modes.modes.shape[0]
+    if op.n != n:
         raise ValidationError("operator and modes have mismatched dimensions")
-    applied = _real_times_complex(op.left, _real_times_complex(op.right, modes.modes))
-    applied -= modes.modes * modes.eigenvalues
-    residuals = _column_norms(applied)
+    reduced = _real_times_complex(op.right, modes.modes)
+    squares = np.zeros(modes.eigenvalues.shape[0])
+    for r in range(0, n, _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        block = _real_times_complex(op.left[rows], reduced)
+        block -= modes.modes[rows] * modes.eigenvalues
+        squares += _column_squares(block)
+    residuals = np.sqrt(squares)
     a_norm = op.frobenius_norm()
     return EigenpairReport(residuals=residuals, tolerance=1e-8 * a_norm, operator_norm=a_norm)
 
@@ -190,7 +209,7 @@ def amplitudes(modes: DmdModes, theta: np.ndarray, horizon: int) -> AmplitudeSch
         )
     k = modes.eigenvalues.shape[0]
     values = np.empty((horizon, k), dtype=np.complex128)
-    values[0] = np.conj(modes.modes).T @ theta
+    values[0] = np.conj(theta @ modes.modes)
     for t in range(1, horizon):
         values[t] = values[t - 1] * modes.eigenvalues
     return AmplitudeSchedule(values=values, theta=theta)

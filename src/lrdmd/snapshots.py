@@ -60,16 +60,26 @@ class SnapshotSet:
 
 @dataclass(frozen=True)
 class DataMatrices:
-    """Aligned n-by-m snapshot matrices: column j of Y succeeds column j of X."""
+    """Aligned n-by-m snapshot matrices: column j of Y succeeds column j of X.
+
+    X and Y are the object's own C-ordered float64 copies of the inputs,
+    made read-only, and must be finite. Since the data cannot change,
+    solvers.factorize may return the factorization it last built for the
+    same object again.
+    """
 
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        Y = np.asarray(self.Y, dtype=np.float64)
+        X = np.array(self.X, dtype=np.float64, order="C")
+        Y = np.array(self.Y, dtype=np.float64, order="C")
         if X.ndim != 2 or Y.ndim != 2 or X.shape != Y.shape:
             raise ValidationError("X and Y must be matrices of identical shape")
+        for name, M in (("X", X), ("Y", Y)):
+            if not np.all(np.isfinite(M)):
+                raise ValidationError(f"{name} contains non-finite values")
+            M.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -88,9 +98,10 @@ def build_data_matrices(s: SnapshotSet) -> DataMatrices:
     X gathers states 1..T-1 of every trajectory and Y states 2..T, so
     m = (T-1)*N columns, ordered trajectory-major.
     """
-    # (N, T-1, n) -> (m, n) -> transpose to columns
-    X = s.states[:, :-1, :].reshape(-1, s.n).T.copy()
-    Y = s.states[:, 1:, :].reshape(-1, s.n).T.copy()
+    # (N, T-1, n) -> (m, n) -> transpose to columns; DataMatrices makes the
+    # C-ordered copies
+    X = s.states[:, :-1, :].reshape(-1, s.n).T
+    Y = s.states[:, 1:, :].reshape(-1, s.n).T
     return DataMatrices(X=X, Y=Y)
 
 
@@ -116,8 +127,8 @@ class RankReport:
     def from_factorization(cls, fac) -> "RankReport":
         """The ranks of X and Y from a solvers.Factorization, at its tol:
         from the SVD of R_x and the singular values of R_y."""
-        d = fac.data
-        return cls(n=d.n, m=d.m, rank_x=fac.rank_x, rank_y=fac.rank_of_y, tol=fac.tol)
+        n, m = fac.X.shape
+        return cls(n=n, m=m, rank_x=fac.rank_x, rank_y=fac.rank_of_y, tol=fac.tol)
 
     @property
     def m_within_n(self) -> bool:

@@ -26,13 +26,18 @@ the factors a fit returns; Factorization.residual evaluates ||Y - A X|| of a
 fit without forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
-fit_optimal_lowrank_dmd factorize and slice in one call.
+fit_optimal_lowrank_dmd factorize and slice in one call. factorize keeps the
+Factorization it built last and returns it again when called with the same
+DataMatrices, tol and strict, so fits of one dataset share its tall
+factorization and its cached cores. A DataMatrices is read-only, and so is
+every array a Factorization holds.
 
 Operators are kept in factored (n x rho)(rho x n) form; nothing here
 materializes an n-by-n matrix unless materialize() is called explicitly.
 """
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,9 +75,38 @@ MATERIALIZE_GUARD = 10_000
 # is the number of trajectories.
 SHARED_MAX_NEW = 0.25
 
-# Rows compared at a time when confirming repeated columns: the two blocks
-# of a few hundred rows stay in cache.
-_COMPARE_ROWS = 256
+# Rows taken at a time by the loops over the n rows of the data (confirming
+# repeated columns, residual_norm, and the eigenpair check and column pivots
+# of modes): blocks of a few hundred rows stay in cache, and no n-row
+# temporary is formed.
+_ROW_BLOCK = 256
+
+# The Factorization that factorize() built last, as (weak reference to its
+# DataMatrices, (tol, strict), Factorization), or None. One slot keeps at
+# most one set of n-row bases alive; it empties when that DataMatrices is
+# freed. It is read once per call and replaced whole, so threads racing on
+# it can only lose it, never get another dataset's factorization.
+_last = None
+
+
+def _forget(ref) -> None:
+    """Empty the slot once the DataMatrices it was built for is freed."""
+    global _last
+    last = _last
+    if last is not None and last[0] is ref:
+        _last = None
+
+
+def _read_only(x):
+    """x, an array or a tuple, with every array in it made read-only: a
+    Factorization outlives the call that built it, so nothing it holds or
+    hands out from its caches may be written into."""
+    if isinstance(x, tuple):
+        for item in x:
+            _read_only(item)
+    elif isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)
@@ -139,6 +173,9 @@ def _check_rank_arg(k: int) -> int:
 class Factorization:
     """The factorizations of one snapshot pair (X, Y) that every fitter slices.
 
+    X and Y are the arrays of the DataMatrices it was built from, not that
+    object, so dropping the DataMatrices frees factorize()'s slot.
+
     ``basis`` is X = Q R_x (linalg.QrFactors), or, when ``y_columns`` is
     set, Z = Q R_z for Z = [X, the columns of Y that repeat no column of
     X]: then R_x = R_z[:, :m] and Y = Q R_y with R_y = R_z[:, y_columns].
@@ -151,7 +188,8 @@ class Factorization:
     and projected fits never need Y factored. Build it with factorize().
     """
 
-    data: DataMatrices
+    X: np.ndarray
+    Y: np.ndarray
     tol: float
     strict: bool
     basis: QrFactors
@@ -168,8 +206,9 @@ class Factorization:
     def _y(self) -> tuple:
         """(Q_y, R_y) with Y = Q_y R_y: the shared basis, or Y's own."""
         if self.y_columns is not None:
-            return self.basis, self.basis.R[:, self.y_columns]
-        f = qr_factor(self.data.Y)
+            return _read_only((self.basis, self.basis.R[:, self.y_columns]))
+        f = qr_factor(self.Y)
+        _read_only((f.Q1, f.T, f.R))
         return f, f.R
 
     @cached_property
@@ -177,7 +216,9 @@ class Factorization:
         """Thin SVD of R_y V. Y V = Q_y R_y V, so it has the singular values
         of Y V, and Q_y times its left singular vectors spans every optimal
         fit."""
-        return thin_svd(self._y[1] @ self.V)
+        f = thin_svd(self._y[1] @ self.V)
+        _read_only((f.W, f.sigma, f.V))
+        return f
 
     @cached_property
     def rank_y(self) -> int:
@@ -194,7 +235,7 @@ class Factorization:
         """Q^T Y: R_y itself when Y is in the basis, else one n-row product."""
         if self.y_columns is not None:
             return self._y[1]
-        return self.basis.project(self.data.Y)
+        return _read_only(self.basis.project(self.Y))
 
     # Each fit is (Q_y or Q) L_k times R_k Q^T; the cached coefficient
     # matrices below are small and hold every k at once.
@@ -205,7 +246,7 @@ class Factorization:
         Y X^+ = (Q_y P^) core W^T and W^T = U^T Q^T."""
         f = self.yv
         core = (f.sigma[:, None] * f.V.T) / self.s
-        return f.W, core, core @ self.U.T
+        return _read_only((f.W, core, core @ self.U.T))
 
     @cached_property
     def _truncation_coefs(self) -> tuple:
@@ -213,14 +254,16 @@ class Factorization:
         R = Vc^T U^T, Q_y and W orthonormal, so the SVD of the small core
         is that of Y X^+."""
         c = thin_svd(self._optimal_coefs[1])
-        return self.yv.W @ (c.W * c.sigma), c.V.T @ self.U.T, c.numerical_rank(self.tol)
+        L, R = self.yv.W @ (c.W * c.sigma), c.V.T @ self.U.T
+        return _read_only((L, R, c.numerical_rank(self.tol)))
 
     @cached_property
     def _projection_coefs(self) -> tuple:
         """(L, R, rank) from the SVD B = Ub Sb Vb^T of B = W^T Y V =
         U^T (Q^T Y) V: L = U Ub Sb and R = Vb^T diag(1/s) U^T."""
         b = thin_svd((self.U.T @ self._y_coords) @ self.V)
-        return self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T, b.numerical_rank(self.tol)
+        L, R = self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T
+        return _read_only((L, R, b.numerical_rank(self.tol)))
 
     def exact(self) -> DmdOperator:
         """Unconstrained least-squares fit A = Y X^+ = (Y V diag(1/s)) W^T.
@@ -228,7 +271,7 @@ class Factorization:
         With full-column-rank X the residual ||Y - A X|| vanishes because
         X^+ X is the identity on R^m.
         """
-        left = self.data.Y @ (self.V / self.s)
+        left = self.Y @ (self.V / self.s)
         return DmdOperator(left=left, right=self.basis.lift_rows(self.U.T), method_tag="exact_full")
 
     def truncated(self, k: int) -> DmdOperator:
@@ -278,14 +321,14 @@ class Factorization:
         it and otherwise the one n-row term."""
         if self.y_columns is not None:
             return 0.0
-        return float(np.linalg.norm(self.data.Y - self.basis.lift(self._y_coords)))
+        return float(np.linalg.norm(self.Y - self.basis.lift(self._y_coords)))
 
     @cached_property
     def row_space_defect(self) -> float:
         """||Y - Y X^+ X||_F = ||Y - Y V V^T||_F = ||R_y - R_y V V^T||_F: the
         part of Y that no operator reaches, since A X = A X X^+ X. Zero when
         X has full column rank, where V V^T is the identity."""
-        if self.rank_x == self.data.m:
+        if self.rank_x == self.X.shape[1]:
             return 0.0
         Ry = self._y[1]
         return float(np.linalg.norm(Ry - (Ry @ self.V) @ self.V.T))
@@ -345,7 +388,7 @@ class Factorization:
             raise ValidationError(f"unknown fit {fit!r}; expected optimal, truncated or projected")
         on_x = self._rows_on_x.get(fit)
         if on_x is None:
-            on_x = self._rows_on_x[fit] = R @ self.basis.R[:, : self.data.m]
+            on_x = self._rows_on_x[fit] = _read_only(R @ self.basis.R[:, : self.X.shape[1]])
         fitted = L[:, :k] @ on_x[:k]
         if fit == "projected":
             return float(np.hypot(self._outside, np.linalg.norm(self._y_coords - fitted)))
@@ -393,8 +436,8 @@ def _repeated_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     cols = np.flatnonzero(lo < hi)
     first = order[lo[cols]]
     same = np.ones(cols.size, dtype=bool)
-    for r in range(0, n, _COMPARE_ROWS):
-        rows = slice(r, r + _COMPARE_ROWS)
+    for r in range(0, n, _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
         same &= np.all(X[rows, first] == Y[rows][:, cols], axis=0)
     src[cols[same]] = first[same]
     # the other candidates where the first one failed: several columns of X
@@ -414,11 +457,40 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     for trajectory data, one tall factorization of Z = [X, those columns]
     serves X and Y. Otherwise X is factored here and Y on first use.
 
+    The last Factorization built is kept, and a call with the same
+    DataMatrices object (read-only, so its data cannot have changed), tol
+    and strict returns it again, with every core it has cached. Another
+    object with equal contents is factored anew.
+
     X may have any shape. When its numerical rank r is below m (always so
     when m > n) the fits act through the thresholded pseudo-inverse of its
     rank-r part, after a RankDeficiencyWarning; strict mode raises
-    RankGuardError instead.
+    RankGuardError instead. Either happens on every call, the returned
+    Factorization's first or not.
     """
+    global _last
+    key = (tol, strict)
+    last = _last
+    if last is not None and last[0]() is d and last[1] == key:
+        fac = last[2]
+    else:
+        # drop the old factorization, this frame's reference too, before the
+        # new one is built: one set of n-row bases alive at a time, not two
+        _last = last = None
+        fac = _factorize(d, tol, strict)
+        _last = (weakref.ref(d, _forget), key, fac)
+    if fac.rank_x < d.m:
+        msg = (
+            f"X is numerically rank-deficient (rank {fac.rank_x} < m={d.m}); "
+            "proceeding with a thresholded pseudo-inverse"
+        )
+        if strict:
+            raise RankGuardError(msg)
+        warnings.warn(msg, RankDeficiencyWarning, stacklevel=2)
+    return fac
+
+
+def _factorize(d: DataMatrices, tol: float, strict: bool) -> Factorization:
     src = _repeated_columns(d.X, d.Y)
     new = np.flatnonzero(src < 0)
     if new.size <= SHARED_MAX_NEW * d.m:
@@ -430,17 +502,9 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
         y_columns = None
     fx = thin_svd(basis.R[:, : d.m])
     r = fx.numerical_rank(tol)
-    if r < d.m:
-        msg = (
-            f"X is numerically rank-deficient (rank {r} < m={d.m}); "
-            "proceeding with a thresholded pseudo-inverse"
-        )
-        if strict:
-            raise RankGuardError(msg)
-        warnings.warn(msg, RankDeficiencyWarning, stacklevel=2)
-    return Factorization(
-        d, tol, strict, basis, fx.W[:, :r], fx.sigma[:r], fx.V[:, :r], y_columns
-    )
+    _read_only((basis.Q1, basis.T, basis.R, y_columns))
+    U, s, V = _read_only((fx.W[:, :r], fx.sigma[:r], fx.V[:, :r]))
+    return Factorization(d.X, d.Y, tol, strict, basis, U, s, V, y_columns)
 
 
 def fit_exact_dmd(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:
@@ -471,13 +535,19 @@ def fit_optimal_lowrank_dmd(
 
 
 def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
-    """Frobenius norm of Y - A X, evaluated through the factors."""
+    """Frobenius norm of Y - A X, evaluated through the factors, its squares
+    summed block by block of rows: A X = L (R X) with R X rho-by-m."""
     if op.n != d.n:
         raise ValidationError(
             f"operator dimension {op.n} does not match data dimension {d.n}"
         )
-    R = d.Y - op.left @ (op.right @ d.X)
-    return float(np.linalg.norm(R))
+    RX = op.right @ d.X
+    total = 0.0
+    for r in range(0, d.n, _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        block = (d.Y[rows] - op.left[rows] @ RX).ravel()
+        total += float(block @ block)
+    return float(np.sqrt(total))
 
 
 def materialize(op: DmdOperator) -> np.ndarray:

@@ -128,7 +128,7 @@ def companion_residual(d: DataMatrices, tol: float = DEFAULT_TOL) -> float:
 
 def _span_defect(fac: Factorization) -> float:
     """companion_residual of a factorization: its span defect over ||Y||."""
-    norm_y = float(np.linalg.norm(fac.data.Y))
+    norm_y = float(np.linalg.norm(fac.Y))
     return fac.span_defect / norm_y if norm_y else 0.0
 
 
@@ -220,8 +220,8 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
     no operator is formed. Rows come out sorted by (setting, method, k).
     Fitter warnings (rank deficiency of X, rank clamps past the numerical
     rank of Y V_x) are expected in the sweep and suppressed; an error, in a
-    row or in the setting's factorization, is recorded as a NaN residual
-    for the rows it affects without aborting the sweep.
+    row or in the setting's data or factorization, is recorded as a NaN
+    residual for the rows it affects without aborting the sweep.
     """
     if cfg.seed is None:
         raise ValidationError("a seed is required for a reproducible benchmark run")
@@ -231,14 +231,15 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for setting in sorted(cfg.settings, key=SETTINGS.index):
-            d = _setting_data(model, cfg, setting)
+            d, fac, comp = None, None, float("nan")
             try:
+                d = _setting_data(model, cfg, setting)
                 fac = factorize(d)
                 comp = _span_defect(fac)
             except Exception:
-                fac, comp = None, float("nan")
+                fac = None
             settings_info[setting] = SettingInfo(
-                norm_y=float(np.linalg.norm(d.Y)),
+                norm_y=float("nan") if d is None else float(np.linalg.norm(d.Y)),
                 companion_residual=comp,
                 data_seed=data_seed_for(cfg.seed, setting),
             )

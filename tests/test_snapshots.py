@@ -16,7 +16,7 @@ from lrdmd.snapshots import (
     save_snapshots,
     write_csv_rows,
 )
-from lrdmd.solvers import factorize
+from lrdmd.solvers import factorize, fit_exact_dmd
 
 
 def write_csv(path, text):
@@ -250,6 +250,36 @@ class TestSnapshotSet:
         s = SnapshotSet(states=rng.standard_normal((2, 3, 4)))
         assert_allclose(s.initial_condition(), s.states[0, 0])
         assert_allclose(s.initial_condition(1), s.states[1, 0])
+
+
+class TestDataMatrices:
+    @pytest.mark.parametrize("name, value", [("X", np.nan), ("Y", np.nan), ("Y", -np.inf)])
+    def test_rejects_non_finite(self, name, value, rng):
+        M = {"X": rng.standard_normal((6, 3)), "Y": rng.standard_normal((6, 3))}
+        M[name][4, 1] = value
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite values"):
+            DataMatrices(**M)
+
+    def test_fitters_never_see_non_finite_data(self, rng):
+        # a NaN in Y used to give an exact fit full of NaN, with no error
+        X, Y = rng.standard_normal((200, 20)), rng.standard_normal((200, 20))
+        Y[17, 3] = np.nan
+        with pytest.raises(ValidationError, match="Y"):
+            fit_exact_dmd(DataMatrices(X=X, Y=Y))
+
+    def test_own_read_only_c_ordered_copies(self, rng):
+        X, Y = np.asfortranarray(rng.standard_normal((5, 3))), rng.standard_normal((5, 3))
+        X0, Y0 = X.copy(), Y.copy()
+        d = DataMatrices(X=X, Y=Y)
+        for M in (d.X, d.Y):
+            assert M.flags.c_contiguous and M.flags.owndata and not M.flags.writeable
+        X[0, 0], Y[0, 0] = 7.0, 7.0
+        assert np.array_equal(d.X, X0) and np.array_equal(d.Y, Y0)
+
+    def test_built_from_snapshots(self, rng):
+        d = build_data_matrices(SnapshotSet(states=rng.standard_normal((3, 4, 5))))
+        for M in (d.X, d.Y):
+            assert M.flags.c_contiguous and not M.flags.writeable
 
 
 class TestBuildDataMatrices:

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -547,7 +549,8 @@ class TestResidualFromCoefficients:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
             fac = factorize(d)
-            lifted = factorize(d)
+            # its own factorization: factorize(d) would return fac again
+            lifted = factorize(DataMatrices(X=d.X, Y=d.Y))
         for k in range(1, min(d.n, d.m) + 2):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankClampWarning)
@@ -586,3 +589,121 @@ class TestResidualFromCoefficients:
                 fac.residual(fit, 2)
         with pytest.raises(ValidationError):
             fac.residual("projected", 0)
+
+
+FITS = ("optimal", "exact", "truncated", "projected")
+
+
+def fit_one(fit, d, k=5):
+    """The arrays that one fitter returns."""
+    if fit == "optimal":
+        op, factors = fit_optimal_lowrank_dmd(d, k)
+        return [op.left, op.right, factors.P, factors.Q, factors.q_core]
+    if fit == "exact":
+        op = fit_exact_dmd(d)
+    else:
+        op = (fit_truncated_exact_dmd if fit == "truncated" else fit_projected_dmd)(d, k)
+    return [op.left, op.right]
+
+
+def fit_all(d, k=5):
+    """Fit name -> fit_one(fit, d, k), the four fitters in turn."""
+    return {fit: fit_one(fit, d, k) for fit in FITS}
+
+
+class TestFactorizationReuse:
+    def test_trajectory_data_factored_once_across_fits(self, count_tall_factorizations):
+        d = trajectories(9, 4, 26, n=400)
+        fit_all(d)
+        fac = factorize(d)
+        assert factorize(d) is fac
+        assert count_tall_factorizations == [(400, 104)]
+
+    def test_independent_pairs_factor_x_then_y_once(self, count_tall_factorizations):
+        d = random_data(10, n=400, m=30)
+        fit_exact_dmd(d), fit_projected_dmd(d, 5)
+        assert count_tall_factorizations == [(400, 30)]
+        fit_all(d), fit_all(d, 7)
+        assert count_tall_factorizations == [(400, 30), (400, 30)]
+
+    def test_new_key_or_new_object_factors_anew(self, count_tall_factorizations):
+        d = trajectories(9, 4, 26, n=400)
+        fac = factorize(d)
+        others = [factorize(d, tol=1e-10), factorize(d, strict=True),
+                  factorize(DataMatrices(X=d.X, Y=d.Y))]
+        assert all(other is not fac for other in others)
+        assert len(count_tall_factorizations) == 4
+        # one slot: the last of those displaced d's first factorization
+        assert factorize(d) is not fac
+        assert len(count_tall_factorizations) == 5
+
+    @pytest.mark.parametrize("case", ["four-trajectories", "independent-pairs"])
+    def test_warm_results_bit_identical_to_cold(self, case):
+        make = COMPRESSION_CASES[case][0]
+        d = make()
+        fit_all(d)
+        warm = fit_all(d)  # every fit from the kept factorization and its cores
+        for fit in FITS:
+            # a fresh DataMatrices is factored by the fit's own call
+            cold = fit_one(fit, make())
+            assert all(np.array_equal(a, b) for a, b in zip(warm[fit], cold)), fit
+
+    def test_warning_and_strict_refusal_on_every_call(self, count_tall_factorizations):
+        rng = np.random.default_rng(2017)
+        d = DataMatrices(X=rng.standard_normal((12, 4)) @ rng.standard_normal((4, 8)),
+                         Y=rng.standard_normal((12, 8)))
+        for call in (lambda: factorize(d), lambda: fit_exact_dmd(d),
+                     lambda: fit_optimal_lowrank_dmd(d, 2), lambda: factorize(d)):
+            with pytest.warns(RankDeficiencyWarning, match="rank 4 < m=8"):
+                call()
+        for _ in range(3):
+            with pytest.raises(RankGuardError, match="rank 4 < m=8"):
+                fit_projected_dmd(d, 2, strict=True)
+        # X, then Y for the optimal fit, then X again under strict's own key
+        assert count_tall_factorizations == [(12, 8)] * 3
+
+    def test_dropping_the_data_empties_the_slot(self):
+        import lrdmd.solvers
+
+        gc.disable()
+        try:
+            d = random_data(11, n=400, m=30)
+            fit_all(d)
+            data, fac = weakref.ref(d), weakref.ref(factorize(d))
+            assert lrdmd.solvers._last is not None and fac() is not None
+            del d
+            assert data() is None
+            assert lrdmd.solvers._last is None
+            assert fac() is None  # and with it the n-row bases of X and Y
+        finally:
+            gc.enable()
+
+    def test_data_read_only_and_detached_from_its_source(self, rng):
+        X = rng.standard_normal((40, 6))
+        d = DataMatrices(X=X, Y=rng.standard_normal((40, 6)))
+        with pytest.raises(ValueError, match="read-only"):
+            d.X[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            d.Y += 1.0
+        before = factorize(d).exact().left
+        X[:] = 0.0
+        assert not np.any(d.X == 0.0)
+        assert np.array_equal(factorize(d).exact().left, before)
+
+    def test_shared_arrays_read_only(self):
+        d = random_data(12, n=60, m=8)
+        _, factors = fit_optimal_lowrank_dmd(d, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            factors.q_core[0, 0] = 0.0
+        fac = factorize(d)
+        fac.truncated(3), fac.projected(3), fac.residual("optimal", 3)
+        shared = [fac.U, fac.s, fac.V, fac.basis.Q1, fac.basis.R, fac._y[0].Q1, fac._y[1],
+                  fac.yv.W, fac.yv.sigma, fac.yv.V, fac._y_coords, *fac._optimal_coefs,
+                  *fac._truncation_coefs[:2], *fac._projection_coefs[:2],
+                  *fac._rows_on_x.values()]
+        with pytest.raises(ValueError, match="read-only"):
+            fac.V[0, 0] = 0.0
+        assert not any(a.flags.writeable for a in shared)
+        # what the fits return is the caller's own
+        op, factors = fac.optimal(3)
+        assert op.left.flags.writeable and op.right.flags.writeable

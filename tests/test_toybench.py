@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrdmd.errors import ValidationError
-from lrdmd.snapshots import DataMatrices, build_data_matrices
+from lrdmd.snapshots import DataMatrices, SnapshotSet, build_data_matrices
 from lrdmd.solvers import Factorization
 from lrdmd.toybench import (
     BenchConfig,
@@ -177,6 +177,31 @@ class TestRunBenchmark:
         failed = {r.setting for r in result.rows if np.isnan(r.residual)}
         assert failed == {"ii"}
         assert np.isnan(result.settings["ii"].companion_residual)
+        assert all(np.isfinite(r.residual) for r in result.rows_for("i", "a"))
+
+    def test_setting_data_failure_recorded_as_nan_rows(self, monkeypatch):
+        # a setting whose data are refused (here a NaN in its snapshots)
+        # gives NaN rows; the other settings are swept as usual
+        import lrdmd.toybench as tb
+
+        orig = tb.generate_snapshots
+
+        def sabotaged(model, setting, m, seed):
+            snaps = orig(model, setting, m, seed)
+            if setting == "ii":
+                states = snaps.states.copy()
+                states[0, 1, 0] = np.nan
+                return SnapshotSet(states=states)
+            return snaps
+
+        monkeypatch.setattr(tb, "generate_snapshots", sabotaged)
+        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("i", "ii"), seed=4,
+                          measure_time=False)
+        result = run_benchmark(cfg)
+        assert len(result.rows) == 2 * 3 * 2
+        assert {r.setting for r in result.rows if np.isnan(r.residual)} == {"ii"}
+        assert np.isnan(result.settings["ii"].companion_residual)
+        assert np.isnan(result.settings["ii"].norm_y)
         assert all(np.isfinite(r.residual) for r in result.rows_for("i", "a"))
 
     def test_rows_lift_no_operator(self, monkeypatch):
