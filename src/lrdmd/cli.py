@@ -226,11 +226,13 @@ def cmd_modes(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rank = _check_rank_flag(args.rank)
     if args.horizon < 1:
         raise ValidationError("horizon must be >= 1")
+    if args.stride < 1:
+        raise ValidationError("stride must be >= 1")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     snaps, d = _load_matrices(args)
     theta = _load_theta(args.theta, snaps)
     op, factors = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)

@@ -8,7 +8,8 @@ The sweep runs every restart at once: the factors are stacked as
 (restarts, n, k) and (restarts, k, n), so each iteration is a handful of
 batched numpy calls and the Python loop has `iters` steps, not
 `restarts * iters`. The recursions are sequential by nature and loop over
-time steps, with each step's guard norm taken as one dot product.
+time steps in rank space, with each step's guard norm taken from the
+rank-sized state: no step touches an n-row array.
 """
 
 import numpy as np
@@ -67,25 +68,36 @@ def propagate_factored(left, right, x0, horizon, stride, limit):
     """Iterate x <- left (right x) from x0, keeping every stride-th state.
 
     States are indexed t = 1..horizon with x0 at t = 1; rows of the output
-    hold the states at t = 1, 1+stride, 1+2*stride, ... The squared norm of
-    each new state is checked against limit**2; on overflow the step index
-    that tripped the guard is returned (0 means the whole horizon was safe).
+    hold the states at t = 1, 1+stride, 1+2*stride, ... The recursion runs
+    in rank space: x_t = left z_t with z_2 = right x0 and z_{t+1} = (right
+    left) z_t, so a step costs O(rho^2), and the kept states are lifted in
+    one product at the end. The squared norm of each new state, z^T (left^T
+    left) z, is checked against limit**2; on overflow the step index that
+    tripped the guard is returned (0 means the whole horizon was safe).
     """
     n = x0.shape[0]
     n_keep = 1 + (horizon - 1) // stride
     out = np.empty((n_keep, n))
     out[0] = x0
-    x = x0.copy()
-    row = 1
+    if horizon == 1:
+        return out, 0
+    M = right @ left
+    G = left.T @ left
+    Z = np.empty((n_keep - 1, M.shape[0]))
+    z = right @ x0
+    row, overflow = 0, 0
     for t in range(2, horizon + 1):
-        x = left @ (right @ x)
-        s = float(x @ x)
+        if t > 2:
+            z = M @ z
+        s = float(z @ (G @ z))
         if not np.isfinite(s) or s > limit * limit:
-            return out[:row], t
+            overflow = t
+            break
         if (t - 1) % stride == 0:
-            out[row] = x
+            Z[row] = z
             row += 1
-    return out[:row], 0
+    out[1 : row + 1] = Z[:row] @ left.T
+    return out[: row + 1], overflow
 
 
 def propagate_reduced(M, z_first, horizon, stride, limit):

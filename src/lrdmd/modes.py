@@ -194,22 +194,31 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
     return EigenpairReport(residuals=residuals, tolerance=1e-8 * a_norm, operator_norm=a_norm)
 
 
+def _check_theta(theta, n):
+    """theta as a finite float64 vector of dimension n, else ValidationError."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (n,):
+        raise ValidationError(f"theta must be a vector of dimension {n}")
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError("theta contains non-finite values")
+    return theta
+
+
 def amplitudes(modes: DmdModes, theta: np.ndarray, horizon: int) -> AmplitudeSchedule:
     """Amplitude schedule nu[t, i] = lambda_i^(t-1) * (phi_i^* theta).
 
-    Built by the geometric recurrence nu[t+1] = lambda * nu[t] (a running
-    product), not by raising eigenvalues to powers.
+    Built by the geometric recurrence nu[t+1] = lambda * nu[t], as one
+    running product down the time axis (np.cumprod), not by raising
+    eigenvalues to powers. For real eigenvalues it is bit-identical to
+    multiplying step by step; for complex ones numpy's accumulating product
+    may round differently, by about 1e-14 relative over 1000 steps.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (modes.modes.shape[0],):
-        raise ValidationError(
-            f"theta must be a vector of dimension {modes.modes.shape[0]}"
-        )
+    theta = _check_theta(theta, modes.modes.shape[0])
     k = modes.eigenvalues.shape[0]
     values = np.empty((horizon, k), dtype=np.complex128)
     values[0] = np.conj(theta @ modes.modes)
-    for t in range(1, horizon):
-        values[t] = values[t - 1] * modes.eigenvalues
+    values[1:] = modes.eigenvalues
+    np.cumprod(values, axis=0, out=values)
     return AmplitudeSchedule(values=values, theta=theta)

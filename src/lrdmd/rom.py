@@ -5,8 +5,9 @@ Three routes to a surrogate trajectory x~_t with x~_1 = theta:
 * simulate_reduced: the k-dimensional recursion z_t = (P^T A P) z_{t-1}
   driven by z_2 = Q^T theta, lifted back as x~_t = P z_t. The k-by-k
   transition matrix is formed once; each step costs O(k^2).
-* simulate_full: repeated application of the factored operator, O(n rho)
-  per step.
+* simulate_full: repeated application of the factored operator A = L R,
+  run in rank space as z_{t+1} = (R L) z_t from z_2 = R theta, O(rho^2) per
+  step; the kept states are lifted as L z_t in one product.
 * reconstruct_from_modes: the modal expansion x~_t = sum_i nu[t,i] phi_i.
 
 Diverging trajectories are permitted but guarded: any state whose norm
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .errors import OverflowGuardError, ReconstructionWarning, ValidationError
-from .modes import AmplitudeSchedule, DmdModes
+from .modes import AmplitudeSchedule, DmdModes, _check_theta
 from .snapshots import write_csv_rows
 from .solvers import DmdOperator, OptimalLowRankFactors
 
@@ -40,15 +41,6 @@ class RomTrajectory:
     states: np.ndarray
     times: np.ndarray
     reduced_states: np.ndarray | None = None
-
-
-def _check_theta(theta, n):
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (n,):
-        raise ValidationError(f"theta must be a vector of dimension {n}")
-    if not np.all(np.isfinite(theta)):
-        raise ValidationError("theta contains non-finite values")
-    return theta
 
 
 def _check_horizon(horizon, stride):

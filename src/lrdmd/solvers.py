@@ -30,7 +30,10 @@ fit_optimal_lowrank_dmd factorize and slice in one call. factorize keeps the
 Factorization it built last and returns it again when called with the same
 DataMatrices, tol and strict, so fits of one dataset share its tall
 factorization and its cached cores. A DataMatrices is read-only, and so is
-every array a Factorization holds.
+every array a Factorization holds or a fit returns.
+
+A fitted operator keeps a link to the Factorization it came from, so
+residual_norm on the data it was fitted to is evaluated at size c as well.
 
 Operators are kept in factored (n x rho)(rho x n) form; nothing here
 materializes an n-by-n matrix unless materialize() is called explicitly.
@@ -38,7 +41,7 @@ materializes an n-by-n matrix unless materialize() is called explicitly.
 
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -76,9 +79,9 @@ MATERIALIZE_GUARD = 10_000
 SHARED_MAX_NEW = 0.25
 
 # Rows taken at a time by the loops over the n rows of the data (confirming
-# repeated columns, residual_norm, and the eigenpair check and column pivots
-# of modes): blocks of a few hundred rows stay in cache, and no n-row
-# temporary is formed.
+# repeated columns, residual_norm and the part of Y outside X's basis, and
+# the eigenpair check and column pivots of modes): blocks of a few hundred
+# rows stay in cache, and no n-row temporary is formed.
 _ROW_BLOCK = 256
 
 # The Factorization that factorize() built last, as (weak reference to its
@@ -109,17 +112,38 @@ def _read_only(x):
     return x
 
 
+def _distance(Y: np.ndarray, L: np.ndarray, C: np.ndarray) -> float:
+    """||Y - L C||_F for n-row Y and L and a small C, its squares summed
+    block by block of rows."""
+    total = 0.0
+    for r in range(0, Y.shape[0], _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        block = (Y[rows] - L[rows] @ C).ravel()
+        total += float(block @ block)
+    return float(np.sqrt(total))
+
+
 @dataclass(frozen=True)
 class DmdOperator:
     """A fitted linear operator A = left @ right of rank <= declared_rank.
 
     left is n-by-rho and right rho-by-n, so applying the operator costs
     O(n * rho) instead of O(n^2).
+
+    An operator that a fit returns has ``source`` = (the Factorization it
+    was sliced from, the fit's name, the rank it kept after any clamp), and
+    residual_norm evaluates it from that Factorization at size c. Its left
+    and right are read-only, like every array of the Factorization, so they
+    cannot drift from what the link describes. The link is no constructor
+    argument: an operator built by hand, or by dataclasses.replace from a
+    fitted one, has none. It keeps the Factorization, and with it the n-row
+    bases of X and Y, alive as long as the operator.
     """
 
     left: np.ndarray
     right: np.ndarray
     method_tag: str
+    source: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -265,6 +289,13 @@ class Factorization:
         L, R = self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T
         return _read_only((L, R, b.numerical_rank(self.tol)))
 
+    def _fitted(self, left, right, method_tag: str, fit: str, k: int) -> DmdOperator:
+        """The operator left @ right of fit at rank k, read-only and linked
+        to this Factorization (DmdOperator.source)."""
+        op = DmdOperator(left=_read_only(left), right=_read_only(right), method_tag=method_tag)
+        object.__setattr__(op, "source", (self, fit, k))
+        return op
+
     def exact(self) -> DmdOperator:
         """Unconstrained least-squares fit A = Y X^+ = (Y V diag(1/s)) W^T.
 
@@ -272,7 +303,7 @@ class Factorization:
         X^+ X is the identity on R^m.
         """
         left = self.Y @ (self.V / self.s)
-        return DmdOperator(left=left, right=self.basis.lift_rows(self.U.T), method_tag="exact_full")
+        return self._fitted(left, self.basis.lift_rows(self.U.T), "exact_full", "exact", self.rank_x)
 
     def truncated(self, k: int) -> DmdOperator:
         """Rank-k truncation of the unconstrained solution A = Y X^+.
@@ -286,7 +317,7 @@ class Factorization:
         L, R, rank = self._truncation_coefs
         keep = min(k, rank)
         left = self._y[0].lift(L[:, :keep])
-        return DmdOperator(left=left, right=self.basis.lift_rows(R[:keep]), method_tag="truncated_exact")
+        return self._fitted(left, self.basis.lift_rows(R[:keep]), "truncated_exact", "truncated", keep)
 
     def projected(self, k: int) -> DmdOperator:
         """Span-restricted rank-k fit in the left singular basis of X.
@@ -301,7 +332,7 @@ class Factorization:
         L, R, rank = self._projection_coefs
         keep = min(k, rank)
         left = self.basis.lift(L[:, :keep])
-        return DmdOperator(left=left, right=self.basis.lift_rows(R[:keep]), method_tag="projected")
+        return self._fitted(left, self.basis.lift_rows(R[:keep]), "projected", "projected", keep)
 
     @cached_property
     def span_defect(self) -> float:
@@ -318,10 +349,12 @@ class Factorization:
     @cached_property
     def _outside(self) -> float:
         """||Y - Q Q^T Y||_F: the part of Y outside X's basis, 0 when Y is in
-        it and otherwise the one n-row term."""
+        it and otherwise the one n-row term, summed by blocks of rows."""
         if self.y_columns is not None:
             return 0.0
-        return float(np.linalg.norm(self.Y - self.basis.lift(self._y_coords)))
+        b = self.basis
+        coords = self._y_coords if b.T is None else b.T @ self._y_coords
+        return _distance(self.Y, b.Q1, coords)
 
     @cached_property
     def row_space_defect(self) -> float:
@@ -330,8 +363,7 @@ class Factorization:
         X has full column rank, where V V^T is the identity."""
         if self.rank_x == self.X.shape[1]:
             return 0.0
-        Ry = self._y[1]
-        return float(np.linalg.norm(Ry - (Ry @ self.V) @ self.V.T))
+        return self._residual("exact", self.rank_x)
 
     def _optimal_rank(self, k: int) -> int:
         """k, clamped to the numerical rank of Y V with a warning (strict:
@@ -370,22 +402,36 @@ class Factorization:
         """||Y - A X||_F of the rank-k fit ``fit`` ("optimal", "truncated" or
         "projected"), evaluated at size c with no factor formed.
 
-        Each fit is A = Q' L_k R_k Q^T, so A X = Q' L_k (R R_x)_k. The optimal
-        and truncated fits have Q' = Q_y, and the residual is ||R_y - L_k
-        (R R_x)_k|| (the optimal column signs cancel in L R). The projected
-        fit has Q' = Q, and with B = Q^T Y the residual is hypot(||Y - Q B||,
-        ||B - L_k (R R_x)_k||). k is clamped as by the fit itself: optimal(k)
-        clamps or raises in _optimal_rank, the others keep min(k, rank).
+        k is clamped as by the fit itself: optimal(k) clamps or raises in
+        _optimal_rank, the others keep min(k, rank). See _residual.
         """
         if fit == "optimal":
             k = self._optimal_rank(k)
-            L, _, R = self._optimal_coefs
         elif fit in ("truncated", "projected"):
             k = _check_rank_arg(k)
-            L, R, rank = self._truncation_coefs if fit == "truncated" else self._projection_coefs
+            _, _, rank = self._truncation_coefs if fit == "truncated" else self._projection_coefs
             k = min(k, rank)
         else:
             raise ValidationError(f"unknown fit {fit!r}; expected optimal, truncated or projected")
+        return self._residual(fit, k)
+
+    def _residual(self, fit: str, k: int) -> float:
+        """||Y - A X||_F of ``fit`` at the rank k it kept, at size c.
+
+        The exact fit has A X = Y V V^T, so its residual is ||R_y - R_y V
+        V^T|| (Y is factored for it on first use). Every other fit is A = Q' L_k R_k Q^T, so A X = Q' L_k (R
+        R_x)_k. The optimal and truncated fits have Q' = Q_y, and the
+        residual is ||R_y - L_k (R R_x)_k|| (the optimal column signs cancel
+        in L R). The projected fit has Q' = Q, and with B = Q^T Y the
+        residual is hypot(||Y - Q B||, ||B - L_k (R R_x)_k||).
+        """
+        if fit == "exact":
+            Ry = self._y[1]
+            return float(np.linalg.norm(Ry - (Ry @ self.V) @ self.V.T))
+        if fit == "optimal":
+            L, _, R = self._optimal_coefs
+        else:
+            L, R, _ = self._truncation_coefs if fit == "truncated" else self._projection_coefs
         on_x = self._rows_on_x.get(fit)
         if on_x is None:
             on_x = self._rows_on_x[fit] = _read_only(R @ self.basis.R[:, : self.X.shape[1]])
@@ -412,7 +458,7 @@ class Factorization:
         sign = column_signs(P)
         P *= sign
         Qt = self.basis.lift_rows(sign[:, None] * rows[:k])
-        op = DmdOperator(left=P, right=Qt, method_tag="optimal")
+        op = self._fitted(P, Qt, "optimal", "optimal", k)
         return op, OptimalLowRankFactors(P=P, Q=Qt.T, q_core=core[:k])
 
 
@@ -535,19 +581,23 @@ def fit_optimal_lowrank_dmd(
 
 
 def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
-    """Frobenius norm of Y - A X, evaluated through the factors, its squares
-    summed block by block of rows: A X = L (R X) with R X rho-by-m."""
+    """Frobenius norm of Y - A X.
+
+    An operator that a fit returned, evaluated on the data it was fitted to
+    (its Factorization holds the very X and Y arrays of d), is evaluated at
+    size c from the fit's coefficients (Factorization._residual). Any other
+    operator or dataset is evaluated through the factors, its squares summed
+    block by block of rows: A X = L (R X) with R X rho-by-m.
+    """
     if op.n != d.n:
         raise ValidationError(
             f"operator dimension {op.n} does not match data dimension {d.n}"
         )
-    RX = op.right @ d.X
-    total = 0.0
-    for r in range(0, d.n, _ROW_BLOCK):
-        rows = slice(r, r + _ROW_BLOCK)
-        block = (d.Y[rows] - op.left[rows] @ RX).ravel()
-        total += float(block @ block)
-    return float(np.sqrt(total))
+    if op.source is not None:
+        fac, fit, k = op.source
+        if fac.X is d.X and fac.Y is d.Y:
+            return fac._residual(fit, k)
+    return _distance(d.Y, op.left, op.right @ d.X)
 
 
 def materialize(op: DmdOperator) -> np.ndarray:

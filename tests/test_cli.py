@@ -385,6 +385,18 @@ class TestSimulate:
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == [1, 5, 9]
 
+    @pytest.mark.parametrize("path", ["reduced", "modal"])
+    @pytest.mark.parametrize("stride", ["0", "-2"])
+    def test_bad_stride_on_either_path(self, small_csv, tmp_path, capsys, path, stride):
+        out = tmp_path / "sim_bad_stride"
+        code = main(
+            ["simulate", "--input", str(small_csv), "--rank", "3", "--horizon", "5",
+             "--path", path, "--stride", stride, "--out", str(out)]
+        )
+        assert code == 2
+        assert "error: stride must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_modal_matches_reduced_on_symmetric_data(self, small_csv, tmp_path):
         out_r = tmp_path / "red"
         out_m = tmp_path / "mod"

@@ -93,6 +93,25 @@ class TestPropagation:
         assert traj.shape == (150, 2)
         assert_allclose(traj[-1], np.full(2, 1e149), rtol=1e-12)
 
+    @pytest.mark.parametrize("n, rho", [(2, 2), (40, 3), (40, 40)])
+    def test_overflow_step_matches_state_norm_guard(self, rng, n, rho):
+        # the guard on z^T (L^T L) z trips where the n-row state's own
+        # squared norm first exceeds limit^2
+        left = rng.standard_normal((n, rho))
+        right = rng.standard_normal((rho, n))
+        right *= 10.0 / np.abs(np.linalg.eigvals(right @ left)).max()
+        x0 = rng.standard_normal(n)
+        x, want = x0.copy(), 0
+        for t in range(2, 1001):
+            x = left @ (right @ x)
+            if not np.isfinite(x @ x) or x @ x > 1e300:
+                want = t
+                break
+        traj, flag = kernels.propagate_factored(left, right, x0, 1000, 1, 1e150)
+        assert flag == want > 0
+        assert traj.shape == (want - 1, n)
+        assert np.all(np.isfinite(traj))
+
     def test_nan_state_trips_guard(self):
         x0 = np.array([np.nan, 1.0])
         traj, flag = kernels.propagate_factored(np.eye(2), np.eye(2), x0, 10, 1, 1e150)

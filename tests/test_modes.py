@@ -7,7 +7,13 @@ from numpy.testing import assert_allclose
 
 from lrdmd.errors import DegenerateModeWarning, RankGuardError, ValidationError
 from lrdmd.linalg import qr_factor, thin_svd
-from lrdmd.modes import _normalize_columns, amplitudes, compute_modes, verify_eigenpairs
+from lrdmd.modes import (
+    DmdModes,
+    _normalize_columns,
+    amplitudes,
+    compute_modes,
+    verify_eigenpairs,
+)
 from lrdmd.rom import simulate_reduced
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import (
@@ -306,8 +312,41 @@ class TestAmplitudes:
         for t in range(7):
             assert_allclose(sched.values[t], base * self.modes.eigenvalues**t, rtol=1e-12)
 
+    @staticmethod
+    def stepwise(modes, theta, horizon):
+        """nu[t] = lambda * nu[t-1], one multiplication per step."""
+        values = np.empty((horizon, modes.eigenvalues.shape[0]), dtype=np.complex128)
+        values[0] = np.conj(theta @ modes.modes)
+        for t in range(1, horizon):
+            values[t] = values[t - 1] * modes.eigenvalues
+        return values
+
+    def test_real_spectrum_bit_identical_to_stepwise_product(self):
+        # |lambda| is at most 5.8 here, so 200 steps stay finite
+        assert np.isrealobj(self.modes.eigenvalues)
+        sched = amplitudes(self.modes, self.theta, 200)
+        assert np.all(np.isfinite(sched.values))
+        assert np.array_equal(sched.values, self.stepwise(self.modes, self.theta, 200))
+
+    def test_complex_spectrum_matches_stepwise_product(self):
+        rng = np.random.default_rng(8)
+        lam = 0.999 * np.exp(1j * rng.uniform(0.1, 3.0, 4))
+        modes = DmdModes(eigenvalues=np.concatenate([lam, lam.conj()]),
+                         modes=rng.standard_normal((10, 8)) + 1j * rng.standard_normal((10, 8)),
+                         variant="exact_reconstruction", source_rank=8)
+        theta = rng.standard_normal(10)
+        got = amplitudes(modes, theta, 1000).values
+        want = self.stepwise(modes, theta, 1000)
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
             amplitudes(self.modes, self.theta, 0)
         with pytest.raises(ValidationError):
             amplitudes(self.modes, np.ones(3), 5)
+        for bad in (np.nan, np.inf, -np.inf):
+            theta = self.theta.copy()
+            theta[2] = bad
+            with pytest.raises(ValidationError, match="theta contains non-finite values"):
+                amplitudes(self.modes, theta, 5)

@@ -81,7 +81,44 @@ class TestSimulateReduced:
         assert_allclose(strided.states, dense.states[[0, 3, 6]], atol=0)
 
 
+@pytest.fixture(scope="module")
+def ill_fit():
+    """The optimal k = 90 fit of 8000 x 100 independent pairs through a
+    symmetric operator whose spectrum falls geometrically from 0.99 to
+    0.99e-10, and an initial state."""
+    rng = np.random.default_rng(17)
+    n, m = 8000, 100
+    U, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    spectrum = 0.99 * 10.0 ** (-10.0 * np.arange(m) / (m - 1))
+    X = rng.standard_normal((n, m))
+    d = DataMatrices(X=X, Y=U @ (spectrum[:, None] * (U.T @ X)))
+    op, _ = fit_optimal_lowrank_dmd(d, 90)
+    return op, d.X[:, 0].copy()
+
+
+def full_recursion(op, theta, horizon, stride):
+    """States x_1 = theta, x_{t+1} = L (R x_t) in plain numpy, kept at
+    t = 1, 1+stride, ..."""
+    x = theta.copy()
+    kept = [x]
+    for t in range(2, horizon + 1):
+        x = op.left @ (op.right @ x)
+        if (t - 1) % stride == 0:
+            kept.append(x)
+    return np.array(kept)
+
+
 class TestSimulateFull:
+    @pytest.mark.parametrize("horizon, stride", [(50, 1), (50, 5), (50, 7), (1, 1), (1, 4)])
+    def test_matches_numpy_loop_on_tall_ill_fit(self, ill_fit, horizon, stride):
+        op, theta = ill_fit
+        traj = simulate_full(op, theta, horizon, stride)
+        want = full_recursion(op, theta, horizon, stride)
+        assert traj.states.shape == want.shape
+        assert traj.times.tolist() == list(range(1, horizon + 1, stride))
+        for got, x in zip(traj.states, want):
+            assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+
     def test_projector_fixes_vector_in_subspace(self):
         basis = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 2)))[0]
         op = DmdOperator(left=basis, right=basis.T, method_tag="optimal")
@@ -108,8 +145,9 @@ class TestSimulateFull:
             assert np.linalg.norm(full.states[t] - reduced.states[t]) <= 1e-9 * scale
 
     def test_overflow_guard(self):
+        # |x_t|^2 = 2 * 10^(2(t-1)) first exceeds 1e300 at t = 151
         op = DmdOperator(left=10.0 * np.eye(2), right=np.eye(2), method_tag="optimal")
-        with pytest.raises(OverflowGuardError, match="exceeded"):
+        with pytest.raises(OverflowGuardError, match="exceeded 1e\\+150 at step 151$"):
             simulate_full(op, np.ones(2), 400)
 
     def test_linearity_exact_for_power_of_two(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import warnings
 import weakref
@@ -28,6 +29,13 @@ from lrdmd.solvers import (
 def random_data(seed, n=8, m=5):
     rng = np.random.default_rng(seed)
     return DataMatrices(X=rng.standard_normal((n, m)), Y=rng.standard_normal((n, m)))
+
+
+def lifted_residual(op, d):
+    """||Y - A X|| of the operator's own factors, by residual_norm's row
+    blocks: a fresh DataMatrices holds copies of X and Y, which no fit's
+    Factorization holds, so the factors are evaluated, not the fit."""
+    return residual_norm(op, DataMatrices(X=d.X, Y=d.Y))
 
 
 class TestExactDmd:
@@ -155,7 +163,7 @@ class TestOptimalLowRankDmd:
         sigma = np.linalg.svd(Ys, compute_uv=False)
         for k in (1, 2, 4):
             op, _ = fit_optimal_lowrank_dmd(d, k)
-            assert abs(residual_norm(op, d) - np.linalg.norm(sigma[k:])) < 1e-10
+            assert abs(lifted_residual(op, d) - np.linalg.norm(sigma[k:])) < 1e-10
 
     @pytest.mark.parametrize("seed", [*range(5), "rank-deficient-12x8", "wide-6x10"])
     def test_beats_alternating_least_squares(self, seed):
@@ -177,7 +185,7 @@ class TestOptimalLowRankDmd:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankDeficiencyWarning)
                 op, _ = fit_optimal_lowrank_dmd(d, k)
-            closed_form = residual_norm(op, d)
+            closed_form = lifted_residual(op, d)
             als_obj, _, _ = als_lowrank_fit(d.X, d.Y, k, restarts=10, iters=200, seed=seed)
             assert closed_form <= als_obj + 1e-8
 
@@ -223,7 +231,7 @@ class TestOptimalLowRankDmd:
         expected = {1: np.sqrt(9.0 + 1.0 + 1.0), 2: np.sqrt(2.0), 3: 1.0}
         for k, target in expected.items():
             op, _ = fit_optimal_lowrank_dmd(d, k)
-            assert abs(residual_norm(op, d) - target) < 1e-12
+            assert abs(lifted_residual(op, d) - target) < 1e-12
 
     def test_residual_monotone_in_rank(self):
         d = random_data(25, n=10, m=7)
@@ -281,7 +289,7 @@ class TestOptimalLowRankDmd:
         assert abs(fac.span_defect - np.linalg.norm(d.Y - X @ np.linalg.pinv(X) @ d.Y)) < 1e-12
         for k in range(1, 5):
             op, _ = fac.optimal(k)
-            assert abs(fac.certified_residual(k) - residual_norm(op, d)) < 1e-12 * np.linalg.norm(d.Y)
+            assert abs(fac.certified_residual(k) - lifted_residual(op, d)) < 1e-12 * np.linalg.norm(d.Y)
         # the clamp of optimal(k): k above rank(Y V_x) = 4 warns, or under strict raises
         with pytest.warns(RankClampWarning):
             assert fac.certified_residual(6) == fac.certified_residual(4)
@@ -704,6 +712,87 @@ class TestFactorizationReuse:
         with pytest.raises(ValueError, match="read-only"):
             fac.V[0, 0] = 0.0
         assert not any(a.flags.writeable for a in shared)
-        # what the fits return is the caller's own
+        # what the fits return is read-only too: an operator's link to its
+        # Factorization holds only while its factors are the fit's
         op, factors = fac.optimal(3)
-        assert op.left.flags.writeable and op.right.flags.writeable
+        for a in (op.left, op.right, factors.P, factors.Q):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+        for op in (fac.exact(), fac.truncated(3), fac.projected(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                op.left[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                op.right *= 2.0
+
+
+def fit_operators(d, k):
+    """Fit name -> the operator that fit_* returns for d at rank k."""
+    return {
+        "exact": fit_exact_dmd(d),
+        "optimal": fit_optimal_lowrank_dmd(d, k)[0],
+        "truncated": fit_truncated_exact_dmd(d, k),
+        "projected": fit_projected_dmd(d, k),
+    }
+
+
+class TestResidualFromFactorization:
+    @pytest.mark.parametrize("case", COMPRESSION_CASES)
+    def test_every_fit_matches_row_blocks(self, case):
+        d = COMPRESSION_CASES[case][0]()
+        tol = 1e-12 * np.linalg.norm(d.Y)
+        # ranks past min(n, m) clamp the optimal fit (rank-deficient-12x8
+        # and repeated-state clamp earlier)
+        for k in range(1, min(d.n, d.m) + 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficiencyWarning)
+                warnings.simplefilter("ignore", RankClampWarning)
+                ops = fit_operators(d, k)
+                fac = factorize(d)
+            for fit, op in ops.items():
+                linked, name, kept = op.source
+                assert linked is fac and name == fit and kept == op.declared_rank
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    fast = residual_norm(op, d)
+                assert fast == fac._residual(fit, kept)
+                assert abs(fast - lifted_residual(op, d)) <= tol, (fit, k)
+
+    def test_exact_fit_evaluated_not_assumed_zero(self):
+        # full column rank: the exact residual is roundoff, not a literal 0
+        d = trajectories(1, 1, 21)
+        op = fit_exact_dmd(d)
+        assert op.source[2] == d.m
+        assert 0.0 < residual_norm(op, d) < 1e-12 * np.linalg.norm(d.Y)
+
+    def test_replaced_operator_gets_its_own_residual(self):
+        d = random_data(13, n=60, m=12)
+        op = fit_truncated_exact_dmd(d, 4)
+        doubled = dataclasses.replace(op, right=2 * op.right)
+        assert doubled.source is None and op.source is not None
+        true = np.linalg.norm(d.Y - doubled.left @ (doubled.right @ d.X))
+        assert abs(residual_norm(doubled, d) - true) <= 1e-12 * true
+        assert abs(residual_norm(doubled, d) - residual_norm(op, d)) > 0.1 * true
+        # an operator built by hand has no link either
+        assert DmdOperator(left=op.left, right=op.right, method_tag="x").source is None
+
+    def test_other_data_takes_the_row_block_path(self, monkeypatch):
+        import lrdmd.solvers
+
+        calls = []
+        original = lrdmd.solvers._distance
+
+        def counted(Y, L, C):
+            calls.append(Y.shape)
+            return original(Y, L, C)
+
+        monkeypatch.setattr(lrdmd.solvers, "_distance", counted)
+        d = trajectories(3, 4, 11)  # Y in the basis: no n-row term at all
+        op, _ = fit_optimal_lowrank_dmd(d, 5)
+        fast = residual_norm(op, d)
+        assert calls == []
+        copy = DataMatrices(X=d.X, Y=d.Y)
+        assert abs(residual_norm(op, copy) - fast) <= 1e-12 * np.linalg.norm(d.Y)
+        other = trajectories(4, 4, 11)
+        want = np.linalg.norm(other.Y - op.left @ (op.right @ other.X))
+        assert abs(residual_norm(op, other) - want) <= 1e-12 * want
+        assert calls == [d.Y.shape, other.Y.shape]

@@ -207,7 +207,8 @@ class TestRunBenchmark:
     def test_rows_lift_no_operator(self, monkeypatch):
         # every row comes from the setting's coefficient matrices: no
         # residual_norm, and no product with the n-row basis beyond the one
-        # ||Y - Q Q^T Y|| of each independent-pairs setting (ii and iii)
+        # ||Y - Q Q^T Y|| of each independent-pairs setting (ii and iii),
+        # which solvers._distance sums by blocks of rows
         import lrdmd.solvers
         import lrdmd.toybench as tb
         from lrdmd.linalg import QrFactors
@@ -226,10 +227,12 @@ class TestRunBenchmark:
         counted_norm = counting("residual_norm", lrdmd.solvers.residual_norm)
         monkeypatch.setattr(lrdmd.solvers, "residual_norm", counted_norm)
         monkeypatch.setattr(tb, "residual_norm", counted_norm, raising=False)
+        monkeypatch.setattr(lrdmd.solvers, "_distance",
+                            counting("_distance", lrdmd.solvers._distance))
         result = run_benchmark(BenchConfig(seed=7, measure_time=False))
         assert len(result.rows) == 360
         assert all(np.isfinite(r.residual) for r in result.rows)
-        assert calls == ["lift", "lift"]
+        assert calls == ["_distance", "_distance"]
 
     def test_deterministic_rows(self):
         cfg = BenchConfig(n=10, r=4, m=6, seed=3, measure_time=False)
