@@ -130,14 +130,16 @@ class DmdOperator:
     left is n-by-rho and right rho-by-n, so applying the operator costs
     O(n * rho) instead of O(n^2).
 
-    An operator that a fit returns has ``source`` = (the Factorization it
-    was sliced from, the fit's name, the rank it kept after any clamp), and
-    residual_norm evaluates it from that Factorization at size c. Its left
-    and right are read-only, like every array of the Factorization, so they
-    cannot drift from what the link describes. The link is no constructor
-    argument: an operator built by hand, or by dataclasses.replace from a
-    fitted one, has none. It keeps the Factorization, and with it the n-row
-    bases of X and Y, alive as long as the operator.
+    An operator that a fit returns has ``source`` = (a weak reference to
+    the Factorization it was sliced from, the fit's name, the rank it kept
+    after any clamp), and residual_norm evaluates it from that
+    Factorization at size c while it is alive. Its left and right are
+    read-only, like every array of the Factorization, so they cannot drift
+    from what the link describes. The link is no constructor argument: an
+    operator built by hand, or by dataclasses.replace from a fitted one,
+    has none. Being weak, it keeps no n-row basis alive: once factorize()'s
+    slot lets the Factorization go, the operator's residual is evaluated
+    through its factors.
     """
 
     left: np.ndarray
@@ -290,11 +292,17 @@ class Factorization:
         return _read_only((L, R, b.numerical_rank(self.tol)))
 
     def _fitted(self, left, right, method_tag: str, fit: str, k: int) -> DmdOperator:
-        """The operator left @ right of fit at rank k, read-only and linked
-        to this Factorization (DmdOperator.source)."""
+        """The operator left @ right of fit at rank k, read-only and weakly
+        linked to this Factorization (DmdOperator.source)."""
         op = DmdOperator(left=_read_only(left), right=_read_only(right), method_tag=method_tag)
-        object.__setattr__(op, "source", (self, fit, k))
+        object.__setattr__(op, "source", (weakref.ref(self), fit, k))
         return op
+
+    def _at_size_c(self, fit: str) -> bool:
+        """Whether _residual(fit, k) needs no n-row pass: true for every fit
+        but the exact one on independent pairs before Y is factored, which
+        would factor Y just for it."""
+        return fit != "exact" or self.y_columns is not None or "_y" in self.__dict__
 
     def exact(self) -> DmdOperator:
         """Unconstrained least-squares fit A = Y X^+ = (Y V diag(1/s)) W^T.
@@ -353,8 +361,7 @@ class Factorization:
         if self.y_columns is not None:
             return 0.0
         b = self.basis
-        coords = self._y_coords if b.T is None else b.T @ self._y_coords
-        return _distance(self.Y, b.Q1, coords)
+        return _distance(self.Y, b.Q1, b._small(self._y_coords))
 
     @cached_property
     def row_space_defect(self) -> float:
@@ -584,18 +591,21 @@ def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
     """Frobenius norm of Y - A X.
 
     An operator that a fit returned, evaluated on the data it was fitted to
-    (its Factorization holds the very X and Y arrays of d), is evaluated at
-    size c from the fit's coefficients (Factorization._residual). Any other
-    operator or dataset is evaluated through the factors, its squares summed
-    block by block of rows: A X = L (R X) with R X rho-by-m.
+    (its Factorization holds the very X and Y arrays of d) while that
+    Factorization is alive, is evaluated at size c from the fit's
+    coefficients (Factorization._residual); the exact fit on independent
+    pairs only once Y is factored. Any other operator or dataset is
+    evaluated through the factors, its squares summed block by block of
+    rows: A X = L (R X) with R X rho-by-m.
     """
     if op.n != d.n:
         raise ValidationError(
             f"operator dimension {op.n} does not match data dimension {d.n}"
         )
     if op.source is not None:
-        fac, fit, k = op.source
-        if fac.X is d.X and fac.Y is d.Y:
+        ref, fit, k = op.source
+        fac = ref()
+        if fac is not None and fac.X is d.X and fac.Y is d.Y and fac._at_size_c(fit):
             return fac._residual(fit, k)
     return _distance(d.Y, op.left, op.right @ d.X)
 

@@ -63,7 +63,7 @@ class TestExactDmd:
     def test_zero_residual_on_full_column_rank(self, rng):
         d = random_data(3)
         op = fit_exact_dmd(d)
-        assert residual_norm(op, d) < 1e-8 * np.linalg.norm(d.Y)
+        assert lifted_residual(op, d) < 1e-8 * np.linalg.norm(d.Y)
 
     def test_rank_deficient_warns(self, rng):
         base = rng.standard_normal((6, 2))
@@ -138,15 +138,15 @@ class TestProjectedDmd:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for k in (1, 5, 12, 25, 40):
-                rc = residual_norm(fit_projected_dmd(setting_i_data, k), setting_i_data)
+                rc = lifted_residual(fit_projected_dmd(setting_i_data, k), setting_i_data)
                 op, _ = fit_optimal_lowrank_dmd(setting_i_data, k)
-                ra = residual_norm(op, setting_i_data)
+                ra = lifted_residual(op, setting_i_data)
                 assert abs(ra - rc) <= max(1e-8 * ra, 1e-9 * ny)
 
     def test_setting_iii_strictly_worse_than_optimal(self, setting_iii_data):
-        rc = residual_norm(fit_projected_dmd(setting_iii_data, 20), setting_iii_data)
+        rc = lifted_residual(fit_projected_dmd(setting_iii_data, 20), setting_iii_data)
         op, _ = fit_optimal_lowrank_dmd(setting_iii_data, 20)
-        assert rc > residual_norm(op, setting_iii_data)
+        assert rc > lifted_residual(op, setting_iii_data)
 
 
 class TestOptimalLowRankDmd:
@@ -219,9 +219,9 @@ class TestOptimalLowRankDmd:
         ny = np.linalg.norm(d.Y)
         for k in range(1, 6):
             op, _ = fit_optimal_lowrank_dmd(d, k)
-            ra = residual_norm(op, d)
-            assert ra <= residual_norm(fit_truncated_exact_dmd(d, k), d) + 1e-9 * ny
-            assert ra <= residual_norm(fit_projected_dmd(d, k), d) + 1e-9 * ny
+            ra = lifted_residual(op, d)
+            assert ra <= lifted_residual(fit_truncated_exact_dmd(d, k), d) + 1e-9 * ny
+            assert ra <= lifted_residual(fit_projected_dmd(d, k), d) + 1e-9 * ny
 
     def test_repeated_singular_values_objective_only(self):
         # the minimizer is not unique when the spectrum has ties, so only
@@ -238,7 +238,7 @@ class TestOptimalLowRankDmd:
         residuals = []
         for k in range(1, 8):
             op, _ = fit_optimal_lowrank_dmd(d, k)
-            residuals.append(residual_norm(op, d))
+            residuals.append(lifted_residual(op, d))
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
     def test_clamp_beyond_rank_of_y(self, rng):
@@ -316,7 +316,7 @@ class TestResidualAndMaterialize:
         d = random_data(32)
         op = fit_truncated_exact_dmd(d, 2)
         dense = np.linalg.norm(d.Y - materialize(op) @ d.X)
-        assert abs(residual_norm(op, d) - dense) < 1e-10
+        assert abs(lifted_residual(op, d) - dense) < 1e-10
 
     def test_rank_one_materialize(self):
         op = DmdOperator(
@@ -494,7 +494,7 @@ class TestCompressedFactorization:
                 certified = fac.certified_residual(k)
             assert_allclose(op.apply(d.X), want["optimal"], atol=tol)
             assert abs(certified - residual(k)) <= tol
-            assert abs(residual_norm(op, d) - residual(k)) <= tol
+            assert abs(lifted_residual(op, d) - residual(k)) <= tol
             assert_allclose(fac.truncated(k).apply(d.X), want["truncated"], atol=tol)
             assert_allclose(fac.projected(k).apply(d.X), want["projected"], atol=tol)
         # the route: Z once, or X and then Y once a fit needed it
@@ -735,6 +735,22 @@ def fit_operators(d, k):
     }
 
 
+@pytest.fixture
+def count_row_passes(monkeypatch):
+    """The shapes of Y in every row-block pass ||Y - L C|| (solvers._distance)."""
+    import lrdmd.solvers
+
+    calls = []
+    original = lrdmd.solvers._distance
+
+    def counted(Y, L, C):
+        calls.append(Y.shape)
+        return original(Y, L, C)
+
+    monkeypatch.setattr(lrdmd.solvers, "_distance", counted)
+    return calls
+
+
 class TestResidualFromFactorization:
     @pytest.mark.parametrize("case", COMPRESSION_CASES)
     def test_every_fit_matches_row_blocks(self, case):
@@ -750,7 +766,7 @@ class TestResidualFromFactorization:
                 fac = factorize(d)
             for fit, op in ops.items():
                 linked, name, kept = op.source
-                assert linked is fac and name == fit and kept == op.declared_rank
+                assert linked() is fac and name == fit and kept == op.declared_rank
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     fast = residual_norm(op, d)
@@ -775,17 +791,8 @@ class TestResidualFromFactorization:
         # an operator built by hand has no link either
         assert DmdOperator(left=op.left, right=op.right, method_tag="x").source is None
 
-    def test_other_data_takes_the_row_block_path(self, monkeypatch):
-        import lrdmd.solvers
-
-        calls = []
-        original = lrdmd.solvers._distance
-
-        def counted(Y, L, C):
-            calls.append(Y.shape)
-            return original(Y, L, C)
-
-        monkeypatch.setattr(lrdmd.solvers, "_distance", counted)
+    def test_other_data_takes_the_row_block_path(self, count_row_passes):
+        calls = count_row_passes
         d = trajectories(3, 4, 11)  # Y in the basis: no n-row term at all
         op, _ = fit_optimal_lowrank_dmd(d, 5)
         fast = residual_norm(op, d)
@@ -796,3 +803,37 @@ class TestResidualFromFactorization:
         want = np.linalg.norm(other.Y - op.left @ (op.right @ other.X))
         assert abs(residual_norm(op, other) - want) <= 1e-12 * want
         assert calls == [d.Y.shape, other.Y.shape]
+
+    def test_link_is_weak(self, count_row_passes):
+        calls = count_row_passes
+        gc.disable()
+        try:
+            d = trajectories(5, 4, 11)
+            ops = fit_operators(d, 4)
+            fac = weakref.ref(factorize(d))
+            fast = {fit: residual_norm(op, d) for fit, op in ops.items()}
+            assert calls == []
+            # another dataset takes factorize's slot; the operators keep
+            # no reference to d's Factorization or its n-row bases
+            factorize(trajectories(6, 4, 11))
+            assert fac() is None
+            assert all(op.source[0]() is None for op in ops.values())
+            for fit, op in ops.items():
+                assert abs(residual_norm(op, d) - fast[fit]) <= 1e-12 * np.linalg.norm(d.Y), fit
+            assert len(calls) == len(ops)
+        finally:
+            gc.enable()
+
+    def test_exact_fit_factors_no_y_for_its_residual(self, count_tall_factorizations, count_row_passes):
+        calls = count_row_passes
+        d = random_data(16, n=400, m=30)  # independent pairs: Y has its own basis
+        op = fit_exact_dmd(d)
+        by_rows = residual_norm(op, d)
+        assert count_tall_factorizations == [d.X.shape]
+        assert calls == [d.Y.shape]
+        # once a fit has factored Y, the exact residual is taken at size c
+        fit_optimal_lowrank_dmd(d, 5)
+        assert count_tall_factorizations == [d.X.shape, d.Y.shape]
+        at_size_c = residual_norm(op, d)
+        assert calls == [d.Y.shape]
+        assert abs(at_size_c - by_rows) <= 1e-12 * np.linalg.norm(d.Y)
