@@ -7,12 +7,19 @@ trajectory recursions. Everything else in the package is BLAS/LAPACK-bound.
 The sweep runs every restart at once: the factors are stacked as
 (restarts, n, k) and (restarts, k, n), so each iteration is a handful of
 batched numpy calls and the Python loop has `iters` steps, not
-`restarts * iters`. The recursions are sequential by nature and loop over
-time steps in rank space, with each step's guard norm taken from the
-rank-sized state: no step touches an n-row array.
+`restarts * iters`. The two trajectory recursions share one loop over
+time steps in rank space (_recurse): each step is one matrix-vector
+product into a buffer, and the overflow guard is checked once per block of
+steps by one vectorized norm of the rank-sized states, so no step touches
+an n-row array or runs interpreted guard work.
 """
 
 import numpy as np
+
+# Steps of a recursion between two checks of its overflow guard: one
+# vectorized norm per block replaces a guard per step, and a block of
+# states stays in cache.
+_BLOCK = 256
 
 
 def _ridge(G, k):
@@ -64,6 +71,47 @@ def als_sweep(X, Y, YXp, inits, iters):
     return best[r], best_L[r], best_R[r]
 
 
+def _recurse(M, z, horizon, stride, limit, G=None):
+    """(kept, overflow) of the recursion z_t = M z_{t-1} from z_2 = z.
+
+    kept holds z_t at t = 1+stride, 1+2*stride, ... up to horizon. The
+    guard is the squared norm z^T z, or z^T G z when G is given, checked
+    against limit**2 once per block of _BLOCK steps, by one vectorized
+    norm; overflow is the first step that trips it (0: none did), and no
+    state from that step on is kept. Each step is one np.matmul into the
+    block's buffer, so the states are those of z = M @ z step by step, and
+    the recursion holds the kept states and one block, whatever the
+    horizon. Steps past a trip in its block are computed and discarded,
+    their floating-point warnings with them.
+    """
+    kept = np.empty(((horizon - 1) // stride, z.shape[0]))
+    if horizon == 1:
+        return kept, 0
+    buf = np.empty((min(_BLOCK, horizon - 1), z.shape[0]))
+    rows = list(buf)
+    buf[0] = z
+    prev, skip, row = rows[0], 1, 0
+    bound = limit * limit
+    for start in range(2, horizon + 1, _BLOCK):
+        count = min(_BLOCK, horizon + 1 - start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for state in rows[skip:count]:
+                np.matmul(M, prev, out=state)
+                prev = state
+            skip = 0
+            block = buf[:count]
+            s = np.einsum("ij,ij->i", block if G is None else block @ G, block)
+        tripped = np.flatnonzero(~(s <= bound))
+        end = start + (int(tripped[0]) if tripped.size else count)
+        first = start + (-(start - 1) % stride)
+        times = np.arange(first, end, stride)
+        kept[row : row + times.size] = buf[times - start]
+        row += times.size
+        if tripped.size:
+            return kept[:row], end
+    return kept, 0
+
+
 def propagate_factored(left, right, x0, horizon, stride, limit):
     """Iterate x <- left (right x) from x0, keeping every stride-th state.
 
@@ -72,53 +120,24 @@ def propagate_factored(left, right, x0, horizon, stride, limit):
     in rank space: x_t = left z_t with z_2 = right x0 and z_{t+1} = (right
     left) z_t, so a step costs O(rho^2), and the kept states are lifted in
     one product at the end. The squared norm of each new state, z^T (left^T
-    left) z, is checked against limit**2; on overflow the step index that
-    tripped the guard is returned (0 means the whole horizon was safe).
+    left) z, is checked against limit**2 (see _recurse); on overflow the
+    step index that tripped the guard is returned (0 means the whole
+    horizon was safe), with the states before it.
     """
-    n = x0.shape[0]
-    n_keep = 1 + (horizon - 1) // stride
-    out = np.empty((n_keep, n))
-    out[0] = x0
     if horizon == 1:
-        return out, 0
-    M = right @ left
-    G = left.T @ left
-    Z = np.empty((n_keep - 1, M.shape[0]))
-    z = right @ x0
-    row, overflow = 0, 0
-    for t in range(2, horizon + 1):
-        if t > 2:
-            z = M @ z
-        s = float(z @ (G @ z))
-        if not np.isfinite(s) or s > limit * limit:
-            overflow = t
-            break
-        if (t - 1) % stride == 0:
-            Z[row] = z
-            row += 1
-    out[1 : row + 1] = Z[:row] @ left.T
-    return out[: row + 1], overflow
+        return x0[None, :].copy(), 0
+    Z, overflow = _recurse(right @ left, right @ x0, horizon, stride, limit, G=left.T @ left)
+    out = np.empty((1 + Z.shape[0], x0.shape[0]))
+    out[0] = x0
+    out[1:] = Z @ left.T
+    return out, overflow
 
 
 def propagate_reduced(M, z_first, horizon, stride, limit):
     """Iterate the low-dimensional recursion z_t = M z_{t-1} from z_2.
 
     z_first is the state at t = 2; output rows hold z at the kept times
-    t = 1+stride, 1+2*stride, ... up to horizon. Overflow is reported the
-    same way as in propagate_factored.
+    t = 1+stride, 1+2*stride, ... up to horizon. The guard is on ||z_t||
+    and overflow is reported the same way as in propagate_factored.
     """
-    k = z_first.shape[0]
-    n_keep = (horizon - 1) // stride
-    out = np.empty((n_keep, k))
-    z = z_first.copy()
-    row = 0
-    for t in range(2, horizon + 1):
-        if t > 2:
-            z = M @ z
-        s = float(z @ z)
-        if not np.isfinite(s) or s > limit * limit:
-            return out[:row], t
-        if (t - 1) % stride == 0:
-            out[row] = z
-            row += 1
-    return out[:row], 0
+    return _recurse(M, z_first, horizon, stride, limit)

@@ -115,7 +115,7 @@ class QrFactors:
 
     R is rho-by-q. Q1 is p-by-rho and T rho-by-rho; Q itself is never
     formed, so every use of the basis is one p-row product with a small
-    matrix: lift, lift_rows and project.
+    matrix (lift, lift_rows and project) or with another basis (inner).
     """
 
     Q1: np.ndarray
@@ -137,6 +137,12 @@ class QrFactors:
         """Q^T M, rho-by-k, from a p-by-k M."""
         coords = self.Q1.T @ M
         return coords if self.T is None else self.T.T @ coords
+
+    def inner(self, other: "QrFactors") -> np.ndarray:
+        """Q^T Q', rho-by-rho', with the basis Q' of another p-row
+        factorization, at one p-row product."""
+        G = self.project(other.Q1)
+        return G if other.T is None else G @ other.T
 
 
 def _cholesky_qr2(M: np.ndarray, G: np.ndarray, min_ratio: float):

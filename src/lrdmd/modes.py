@@ -9,7 +9,8 @@ space. Two mappings ship:
   give phi = P w, since A (P w) = P (Q^T P w) = lambda P w. These satisfy
   A phi = lambda phi up to roundoff, which verify_eigenpairs checks. No
   n-row factorization is needed: Q's rank, which the rank guard checks,
-  comes with the optimal fit.
+  and Q^T P itself, formed at size c, come with the optimal fit; the one
+  n-row product left is the map w -> P w.
 * ``as_stated``: with the thin SVD Q = Wq Sq Vq^T, the eigenvectors w of
   Wq^T P Vq Sq give phi = Wq w. Reported as-is; these columns are not in
   general eigenvectors of A, and verify_eigenpairs quantifies by how much.
@@ -124,7 +125,8 @@ def compute_modes(
 ) -> DmdModes:
     """Eigenvalues and modes of the fitted operator A = P Q^T.
 
-    ``exact_reconstruction`` solves the k-by-k eigenproblem for Q^T P and
+    ``exact_reconstruction`` solves the k-by-k eigenproblem for Q^T P,
+    f.transition when the fit supplied it, else formed over the n rows, and
     maps w to P w; modes paired with zero eigenvalues are dropped with a
     warning. ``as_stated`` solves it for
     Wq^T P Vq Sq (with Q = Wq Sq Vq^T) and maps w to Wq w. Either way Q
@@ -143,7 +145,10 @@ def compute_modes(
             f"operator factor Q lost rank ({rank_q} < {k}); reduce the target rank"
         )
     Wq = b.lift(fq.W) if variant == "as_stated" else None
-    core = f.Q.T @ f.P if Wq is None else Wq.T @ f.P @ (fq.V * fq.sigma)
+    if Wq is not None:
+        core = Wq.T @ f.P @ (fq.V * fq.sigma)
+    else:
+        core = f.Q.T @ f.P if f.transition is None else f.transition
     eigenvalues, W = np.linalg.eig(core)
     order = _spectral_sort(eigenvalues)
     eigenvalues = eigenvalues[order]
@@ -176,8 +181,11 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
     """Residuals ||A phi_i - lambda_i phi_i||_2 evaluated through the factors:
     L (R Phi) - Phi diag(lambda), with R Phi rho-by-k, block by block of rows.
 
-    The report's tolerance is 1e-8 * ||A||_F, the scale at which the
-    exact_reconstruction variant is expected to be exact.
+    The residuals take no shortcut through the fit: they use the n-row
+    factors, so they check the modes independently of the k-by-k core they
+    came from. The report's tolerance is 1e-8 * ||A||_F, the scale at which
+    the exact_reconstruction variant is expected to be exact; ||A||_F is
+    DmdOperator.frobenius_norm, at size c for an optimal fit.
     """
     n = modes.modes.shape[0]
     if op.n != n:

@@ -4,10 +4,15 @@ Three routes to a surrogate trajectory x~_t with x~_1 = theta:
 
 * simulate_reduced: the k-dimensional recursion z_t = (P^T A P) z_{t-1}
   driven by z_2 = Q^T theta, lifted back as x~_t = P z_t. The k-by-k
-  transition matrix is formed once; each step costs O(k^2).
+  transition matrix Q^T P comes with the optimal fit, formed at size c
+  (OptimalLowRankFactors.transition); only a bundle built by hand forms it
+  here, over the n rows. Each step costs O(k^2).
 * simulate_full: repeated application of the factored operator A = L R,
   run in rank space as z_{t+1} = (R L) z_t from z_2 = R theta, O(rho^2) per
-  step; the kept states are lifted as L z_t in one product.
+  step; the kept states are lifted as L z_t in one product. An optimal
+  operator carries R L (DmdOperator.transition) and an orthonormal L, so
+  it takes the reduced recursion with the guard on ||z_t|| = ||x_t||; any
+  other operator forms R L and L^T L here (kernels.propagate_factored).
 * reconstruct_from_modes: the modal expansion x~_t = sum_i nu[t,i] phi_i.
 
 Diverging trajectories are permitted but guarded: any state whose norm
@@ -50,43 +55,59 @@ def _check_horizon(horizon, stride):
         raise ValidationError("stride must be >= 1")
 
 
+def _reduced_recursion(P, transition, z2, theta, horizon, stride, label):
+    """(states, zs): z_t = transition z_{t-1} from z_2, kept every stride-th
+    step as zs and lifted as P z_t below theta; ||z_t|| is guarded, which is
+    ||x_t|| for an orthonormal P."""
+    zs, overflow_step = kernels.propagate_reduced(
+        np.ascontiguousarray(transition), z2, horizon, stride, OVERFLOW_LIMIT
+    )
+    if overflow_step:
+        raise OverflowGuardError(
+            f"{label} norm exceeded {OVERFLOW_LIMIT:g} at step {overflow_step}"
+        )
+    states = np.empty((1 + zs.shape[0], P.shape[0]))
+    states[0] = theta
+    states[1:] = zs @ P.T
+    return states, zs
+
+
 def simulate_reduced(
     f: OptimalLowRankFactors, theta: np.ndarray, horizon: int, stride: int = 1
 ) -> RomTrajectory:
     """Run the k-dimensional recursion and lift the kept states.
 
     z_2 = Q^T theta, z_t = (Q^T P) z_{t-1}, x~_t = P z_t; the transition
-    matrix Q^T P is exactly P^T (Y X^+) P from the fitted factors.
+    matrix Q^T P is exactly P^T (Y X^+) P from the fitted factors. It is
+    f.transition, formed once by the optimal fit, or Q^T P formed here for
+    a bundle built by hand.
     """
     theta = _check_theta(theta, f.P.shape[0])
     _check_horizon(horizon, stride)
     times = np.arange(1, horizon + 1, stride, dtype=np.int64)
-    if horizon == 1:
-        return RomTrajectory(
-            states=theta[None, :].copy(), times=times, reduced_states=np.zeros((0, f.rank))
-        )
-    transition = f.Q.T @ f.P
-    z2 = f.Q.T @ theta
-    zs, overflow_step = kernels.propagate_reduced(
-        np.ascontiguousarray(transition), z2, horizon, stride, OVERFLOW_LIMIT
+    transition = f.Q.T @ f.P if f.transition is None else f.transition
+    states, zs = _reduced_recursion(
+        f.P, transition, f.Q.T @ theta, theta, horizon, stride, "reduced trajectory"
     )
-    if overflow_step:
-        raise OverflowGuardError(
-            f"reduced trajectory norm exceeded {OVERFLOW_LIMIT:g} at step {overflow_step}"
-        )
-    states = np.empty((1 + zs.shape[0], f.P.shape[0]))
-    states[0] = theta
-    states[1:] = zs @ f.P.T
     return RomTrajectory(states=states, times=times, reduced_states=zs)
 
 
 def simulate_full(
     op: DmdOperator, theta: np.ndarray, horizon: int, stride: int = 1
 ) -> RomTrajectory:
-    """Apply the factored operator horizon-1 times starting from theta."""
+    """Apply the factored operator horizon-1 times starting from theta.
+
+    An optimal operator steps with its transition R L; any other forms R L
+    and L^T L over the n rows (kernels.propagate_factored).
+    """
     theta = _check_theta(theta, op.n)
     _check_horizon(horizon, stride)
     times = np.arange(1, horizon + 1, stride, dtype=np.int64)
+    if op.transition is not None:
+        states, _ = _reduced_recursion(
+            op.left, op.transition, op.right @ theta, theta, horizon, stride, "trajectory"
+        )
+        return RomTrajectory(states=states, times=times)
     states, overflow_step = kernels.propagate_factored(
         np.ascontiguousarray(op.left),
         np.ascontiguousarray(op.right),

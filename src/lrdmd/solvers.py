@@ -34,6 +34,10 @@ every array a Factorization holds or a fit returns.
 
 A fitted operator keeps a link to the Factorization it came from, so
 residual_norm on the data it was fitted to is evaluated at size c as well.
+An optimal fit A = P Q^T also carries its rank-space core, formed at size
+c: the k-by-k transition Q^T P, which holds the spectrum and the dynamics
+of A, and ||A||_F. The modes, both reduced-order paths and the eigenpair
+tolerance take them from the fit instead of forming them over the n rows.
 
 Operators are kept in factored (n x rho)(rho x n) form; nothing here
 materializes an n-by-n matrix unless materialize() is called explicitly.
@@ -140,12 +144,20 @@ class DmdOperator:
     has none. Being weak, it keeps no n-row basis alive: once factorize()'s
     slot lets the Factorization go, the operator's residual is evaluated
     through its factors.
+
+    An optimal fit also sets ``transition``, the rho-by-rho matrix R L,
+    formed at size c, and ``_frobenius``, ||A||_F. Its left factor has
+    orthonormal columns, so simulate_full steps with R L and guards on the
+    rank-space state alone. Neither is a constructor argument; an operator
+    without them forms R L from its factors.
     """
 
     left: np.ndarray
     right: np.ndarray
     method_tag: str
     source: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    transition: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _frobenius: float | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -160,7 +172,10 @@ class DmdOperator:
         return self.left @ (self.right @ x)
 
     def frobenius_norm(self) -> float:
-        """||A||_F from the factors: sqrt(tr((L^T L)(R R^T)))."""
+        """||A||_F: the one an optimal fit computed at size c, else from the
+        factors as sqrt(tr((L^T L)(R R^T)))."""
+        if self._frobenius is not None:
+            return self._frobenius
         return float(np.sqrt(abs(np.sum((self.left.T @ self.left) * (self.right @ self.right.T)))))
 
 
@@ -174,13 +189,19 @@ class OptimalLowRankFactors:
     q_core (k, r): a small matrix with the singular values of Q, which the
     optimal fit supplies (Q = W q_core^T up to column signs, W orthonormal)
     so that they cost a k-by-r SVD; None for a bundle built by hand, whose
-    Q compute_modes then factors itself. P and Q are the operator's left
-    factor and the transpose of its right one, not copies.
+    Q compute_modes then factors itself.
+    transition (k, k): Q^T P, the matrix that carries the spectrum and the
+    reduced dynamics of A, which the optimal fit forms at size c; None for
+    a bundle built by hand, for which compute_modes and simulate_reduced
+    form Q^T P over the n rows.
+    P and Q are the operator's left factor and the transpose of its right
+    one, and transition is the operator's own, not copies.
     """
 
     P: np.ndarray
     Q: np.ndarray
     q_core: np.ndarray | None = None
+    transition: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -275,6 +296,15 @@ class Factorization:
         return _read_only((f.W, core, core @ self.U.T))
 
     @cached_property
+    def _y_basis_on_x(self) -> np.ndarray:
+        """Q^T (Q_y P^): the left singular vectors of Y V in X's basis, P^
+        itself when Y is in that basis, else through the cross-Gram
+        Q^T Q_y, one n-row product for every optimal fit of this data."""
+        if self.y_columns is not None:
+            return self.yv.W
+        return _read_only(self.basis.inner(self._y[0]) @ self.yv.W)
+
+    @cached_property
     def _truncation_coefs(self) -> tuple:
         """(L, R, rank) from the SVD core = Uc Sc Vc^T: L = P^ Uc Sc and
         R = Vc^T U^T, Q_y and W orthonormal, so the SVD of the small core
@@ -291,11 +321,14 @@ class Factorization:
         L, R = self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T
         return _read_only((L, R, b.numerical_rank(self.tol)))
 
-    def _fitted(self, left, right, method_tag: str, fit: str, k: int) -> DmdOperator:
+    def _fitted(self, left, right, method_tag: str, fit: str, k: int, core=(None, None)):
         """The operator left @ right of fit at rank k, read-only and weakly
-        linked to this Factorization (DmdOperator.source)."""
+        linked to this Factorization (DmdOperator.source); core is the
+        optimal fit's (transition, ||A||_F)."""
         op = DmdOperator(left=_read_only(left), right=_read_only(right), method_tag=method_tag)
         object.__setattr__(op, "source", (weakref.ref(self), fit, k))
+        object.__setattr__(op, "transition", core[0])
+        object.__setattr__(op, "_frobenius", core[1])
         return op
 
     def _at_size_c(self, fit: str) -> bool:
@@ -456,6 +489,10 @@ class Factorization:
         convention. Requests beyond the numerical rank of Y V are clamped
         (see _optimal_rank); strict mode raises instead.
 
+        The operator is P_k Q_k^T with Q_k^T = rows_k W^T, rows = core U^T,
+        so its transition Q_k^T P_k = rows_k (Q^T Q_y P^_k) and its norm
+        ||A||_F = ||rows_k||_F (P_k and Q orthonormal) are formed at size c.
+
         Returns (operator, factors) where factors feed the spectral and
         reduced-order modules.
         """
@@ -464,9 +501,13 @@ class Factorization:
         P = self._y[0].lift(Pc[:, :k])
         sign = column_signs(P)
         P *= sign
-        Qt = self.basis.lift_rows(sign[:, None] * rows[:k])
-        op = self._fitted(P, Qt, "optimal", "optimal", k)
-        return op, OptimalLowRankFactors(P=P, Q=Qt.T, q_core=core[:k])
+        rows_k = sign[:, None] * rows[:k]
+        Qt = self.basis.lift_rows(rows_k)
+        transition = _read_only((rows_k @ self._y_basis_on_x[:, :k]) * sign)
+        op = self._fitted(
+            P, Qt, "optimal", "optimal", k, (transition, float(np.linalg.norm(rows_k)))
+        )
+        return op, OptimalLowRankFactors(P=P, Q=Qt.T, q_core=core[:k], transition=transition)
 
 
 def _repeated_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

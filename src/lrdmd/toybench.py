@@ -298,11 +298,24 @@ def _parse_int_list(text: str):
     return tuple(out)
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    """true/yes/1 or false/no/0, in any case; anything else is refused, so a
+    misspelt value cannot pass as False."""
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValidationError(f"{text!r} is not one of true, false, yes, no, 1, 0") from None
+
+
 def load_config(path) -> BenchConfig:
     """Parse a flat key=value config file into a BenchConfig.
 
     Keys match the BenchConfig fields; lists are comma-separated and k
-    ranges may use ``1..40``. Lines starting with '#' are comments.
+    ranges may use ``1..40``; measure_time takes true/false, yes/no or 1/0 in
+    any case. Lines starting with '#' are comments.
     """
     path = Path(path)
     if not path.is_file():
@@ -328,7 +341,7 @@ def load_config(path) -> BenchConfig:
             elif key == "output":
                 values[key] = val
             else:  # measure_time
-                values[key] = val.lower() in ("1", "true", "yes")
+                values[key] = _parse_bool(val)
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return BenchConfig(**values)

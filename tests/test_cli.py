@@ -180,14 +180,23 @@ class TestFit:
         assert "numerical rank of Y (30)" in err
 
     def test_repeat_runs_are_bitwise_identical(self, toy_csv, tmp_path):
-        blobs = []
-        for name in ("f1", "f2"):
-            out = tmp_path / name
-            assert main(
-                ["fit", "--input", str(toy_csv), "--method", "optimal", "--rank", "8", "--out", str(out)]
-            ) == 0
-            blobs.append((out / "left.csv").read_bytes() + (out / "right.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+        # every CSV that fit, modes and simulate (both paths) write; the
+        # manifests carry a timestamp and are left out
+        commands = {
+            "fit": ["fit", "--method", "optimal", "--rank", "8"],
+            "modes": ["modes", "--rank", "8", "--horizon", "12"],
+            "reduced": ["simulate", "--rank", "8", "--horizon", "60", "--stride", "7"],
+            "modal": ["simulate", "--rank", "8", "--horizon", "30", "--path", "modal"],
+        }
+        for name, argv in commands.items():
+            blobs = []
+            for run in ("1", "2"):
+                out = tmp_path / f"{name}{run}"
+                assert main([*argv, "--input", str(toy_csv), "--out", str(out)]) == 0
+                csvs = sorted(out.glob("*.csv"))
+                assert csvs
+                blobs.append({p.name: p.read_bytes() for p in csvs})
+            assert blobs[0] == blobs[1], name
 
     def test_missing_input_file(self, tmp_path):
         code = main(

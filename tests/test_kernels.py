@@ -2,6 +2,8 @@
 reference loop, and the trajectory recursions against explicit loops and
 their overflow guard."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -60,6 +62,92 @@ class TestAlsSweepMatchesSequential:
         assert np.isfinite(obj)
         assert_allclose(obj, np.linalg.norm(Y), rtol=1e-12)
         assert np.all(np.isfinite(L)) and np.all(np.isfinite(R))
+
+
+def stepwise_reduced(M, z_first, horizon, stride, limit):
+    """Reference: z <- M @ z one step at a time, the guard on each step."""
+    out, z = [], z_first.copy()
+    for t in range(2, horizon + 1):
+        if t > 2:
+            z = M @ z
+        s = float(z @ z)
+        if not np.isfinite(s) or s > limit * limit:
+            return np.array(out).reshape(-1, z.shape[0]), t
+        if (t - 1) % stride == 0:
+            out.append(z)
+    return np.array(out).reshape(-1, z.shape[0]), 0
+
+
+def stepwise_factored(left, right, x0, horizon, stride, limit):
+    """Reference: the rank-space recursion of propagate_factored, guarded on
+    z^T (L^T L) z one step at a time."""
+    M, G = right @ left, left.T @ left
+    kept, z, overflow = [], right @ x0, 0
+    for t in range(2, horizon + 1):
+        if t > 2:
+            z = M @ z
+        s = float(z @ (G @ z))
+        if not np.isfinite(s) or s > limit * limit:
+            overflow = t
+            break
+        if (t - 1) % stride == 0:
+            kept.append(z)
+    lifted = np.array(kept).reshape(-1, M.shape[0]) @ left.T
+    return np.vstack([x0[None, :], lifted]), overflow
+
+
+class TestBlockedRecursion:
+    """The recursions step one np.matmul at a time and check their guard once
+    per block of steps; the states and the step that trips the guard must be
+    those of a loop that checks every step."""
+
+    @pytest.mark.parametrize("radius", [0.97, 1.0, 1.6], ids=["decaying", "neutral", "divergent"])
+    @pytest.mark.parametrize("stride", [1, 50, 7])
+    def test_reduced_bitwise_equal_to_stepwise_loop(self, rng, radius, stride):
+        M = rng.standard_normal((20, 20))
+        M *= radius / np.abs(np.linalg.eigvals(M)).max()
+        z2 = rng.standard_normal(20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, flag = kernels.propagate_reduced(M, z2, 1000, stride, 1e150)
+        want, want_flag = stepwise_reduced(M, z2, 1000, stride, 1e150)
+        assert flag == want_flag
+        assert (flag > 0) == (radius > 1.0)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("radius", [0.97, 1.6], ids=["decaying", "divergent"])
+    @pytest.mark.parametrize("stride", [1, 50])
+    def test_factored_bitwise_equal_to_stepwise_loop(self, rng, radius, stride):
+        left = rng.standard_normal((60, 8))
+        right = rng.standard_normal((8, 60))
+        right *= radius / np.abs(np.linalg.eigvals(right @ left)).max()
+        x0 = rng.standard_normal(60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, flag = kernels.propagate_factored(left, right, x0, 1000, stride, 1e150)
+        want, want_flag = stepwise_factored(left, right, x0, 1000, stride, 1e150)
+        assert flag == want_flag
+        assert (flag > 0) == (radius > 1.0)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("horizon", [256, 257, 258, 513])
+    def test_block_edges(self, rng, horizon):
+        M = 0.5 * np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        z2 = rng.standard_normal(4)
+        got, flag = kernels.propagate_reduced(M, z2, horizon, 1, 1e150)
+        want, _ = stepwise_reduced(M, z2, horizon, 1, 1e150)
+        assert flag == 0 and got.shape == (horizon - 1, 4)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("trip", [257, 258])
+    def test_trip_on_a_block_edge(self, trip):
+        # ||z_t||^2 = 4^(t-2), exact, first exceeds limit^2 = 2^(2 trip - 5)
+        # at t = trip: the last step of the first block (t = 2..257) or the
+        # first of the second; nothing from it on is kept
+        limit = 2.0 ** (trip - 2.5)
+        got, flag = kernels.propagate_reduced(2.0 * np.eye(1), np.ones(1), 2000, 1, limit)
+        assert flag == trip and got.shape == (trip - 2, 1)
+        assert np.array_equal(got[:, 0], 2.0 ** np.arange(trip - 2))
 
 
 class TestPropagation:

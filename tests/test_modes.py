@@ -53,14 +53,16 @@ def normalized(modes):
 def upcast_modes(factors, variant):
     """compute_modes with every real factor upcast to complex before its
     product, and one column at a time normalized. as_stated takes the thin
-    SVD of Q as Wq = Qb Ur from Q = Qb R and R = Ur Sq Vq^T."""
+    SVD of Q as Wq = Qb Ur from Q = Qb R and R = Ur Sq Vq^T; the exact
+    variant takes the fit's core Q^T P (factors.transition), whose agreement
+    with the n-row product is TestTransition's check."""
     if variant == "as_stated":
         b = qr_factor(factors.Q)
         fq = thin_svd(b.R)
         Wq = b.lift(fq.W)
         core = Wq.T @ factors.P @ (fq.V * fq.sigma)
     else:
-        core = factors.Q.T @ factors.P
+        core = factors.transition
     lam, W = np.linalg.eig(core)
     order = spectral_key(lam)
     lam, W = lam[order], W[:, order]
@@ -175,6 +177,20 @@ class TestComputeModes:
         assert np.array_equal(got.eigenvalues, lam)
         assert got.modes.shape == (400, 12) and np.iscomplexobj(got.modes)
         assert np.linalg.norm(got.modes - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_hand_built_bundle_forms_its_core(self):
+        # a bundle without the fit's transition takes eig(Q^T P) of the n-row
+        # product, and lands within roundoff of the fitted bundle's modes
+        _, factors = tall_fit()
+        bundle = OptimalLowRankFactors(P=factors.P, Q=factors.Q)
+        lam = np.linalg.eig(factors.Q.T @ factors.P)[0]
+        got = compute_modes(bundle)
+        assert np.array_equal(got.eigenvalues, lam[spectral_key(lam)])
+        fitted = compute_modes(factors)
+        assert np.linalg.norm(got.eigenvalues - fitted.eigenvalues) <= (
+            1e-12 * np.linalg.norm(fitted.eigenvalues)
+        )
+        assert np.linalg.norm(got.modes - fitted.modes) <= 1e-12 * np.linalg.norm(fitted.modes)
 
     @pytest.mark.parametrize("fit", [tall_fit, ill_conditioned_fit], ids=["400x30", "ill-8000x100"])
     def test_exact_matches_svd_of_q_formulas(self, fit):

@@ -1,19 +1,27 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lrdmd import kernels
 from lrdmd.errors import OverflowGuardError, ReconstructionWarning, ValidationError
 from lrdmd.modes import amplitudes, compute_modes
 from lrdmd.rom import (
+    OVERFLOW_LIMIT,
     reconstruct_from_modes,
     save_trajectory,
     simulate_full,
     simulate_reduced,
 )
 from lrdmd.snapshots import DataMatrices
-from lrdmd.solvers import DmdOperator, fit_optimal_lowrank_dmd, materialize
+from lrdmd.solvers import (
+    DmdOperator,
+    OptimalLowRankFactors,
+    fit_optimal_lowrank_dmd,
+    materialize,
+)
 
 
 def symmetric_fixture(seed=5, n=8, k=3):
@@ -92,8 +100,8 @@ def ill_fit():
     spectrum = 0.99 * 10.0 ** (-10.0 * np.arange(m) / (m - 1))
     X = rng.standard_normal((n, m))
     d = DataMatrices(X=X, Y=U @ (spectrum[:, None] * (U.T @ X)))
-    op, _ = fit_optimal_lowrank_dmd(d, 90)
-    return op, d.X[:, 0].copy()
+    op, factors = fit_optimal_lowrank_dmd(d, 90)
+    return op, d.X[:, 0].copy(), factors
 
 
 def full_recursion(op, theta, horizon, stride):
@@ -111,13 +119,44 @@ def full_recursion(op, theta, horizon, stride):
 class TestSimulateFull:
     @pytest.mark.parametrize("horizon, stride", [(50, 1), (50, 5), (50, 7), (1, 1), (1, 4)])
     def test_matches_numpy_loop_on_tall_ill_fit(self, ill_fit, horizon, stride):
-        op, theta = ill_fit
+        op, theta, _ = ill_fit
         traj = simulate_full(op, theta, horizon, stride)
         want = full_recursion(op, theta, horizon, stride)
         assert traj.states.shape == want.shape
         assert traj.times.tolist() == list(range(1, horizon + 1, stride))
         for got, x in zip(traj.states, want):
             assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("horizon, stride", [(1000, 50), (300, 1)])
+    def test_full_and_reduced_paths_agree_on_tall_ill_fit(self, ill_fit, horizon, stride):
+        op, theta, factors = ill_fit
+        full = simulate_full(op, theta, horizon, stride).states
+        reduced = simulate_reduced(factors, theta, horizon, stride).states
+        assert full.shape == reduced.shape == (len(range(1, horizon + 1, stride)), op.n)
+        scale = np.abs(reduced).max(axis=1, keepdims=True)
+        assert np.all(np.abs(full - reduced) <= 1e-12 * scale)
+
+    def test_operators_without_a_core_step_through_their_factors(self, ill_fit):
+        # a replaced operator and a hand-built bundle carry no transition, so
+        # they form R L (with the L^T L guard) and Q^T P over the n rows
+        op, theta, factors = ill_fit
+        copy = dataclasses.replace(op)
+        L, R = np.ascontiguousarray(op.left), np.ascontiguousarray(op.right)
+        want, flag = kernels.propagate_factored(L, R, theta, 200, 9, OVERFLOW_LIMIT)
+        assert flag == 0
+        assert np.array_equal(simulate_full(copy, theta, 200, 9).states, want)
+        bundle = OptimalLowRankFactors(P=factors.P, Q=factors.Q)
+        zs, flag = kernels.propagate_reduced(
+            np.ascontiguousarray(factors.Q.T @ factors.P), factors.Q.T @ theta, 200, 9,
+            OVERFLOW_LIMIT,
+        )
+        got = simulate_reduced(bundle, theta, 200, 9)
+        assert flag == 0
+        assert np.array_equal(got.reduced_states, zs)
+        assert np.array_equal(got.states[1:], zs @ factors.P.T)
+        fitted = simulate_reduced(factors, theta, 200, 9).states
+        scale = np.abs(fitted).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got.states - fitted) <= 1e-12 * scale)
 
     def test_projector_fixes_vector_in_subspace(self):
         basis = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 2)))[0]

@@ -549,6 +549,70 @@ class TestCompressedFactorization:
         assert np.linalg.norm(P.T @ P - np.eye(6)) < 1e-13
 
 
+def ill_pairs(n=2000, m=60, seed=23):
+    """Independent pairs through a symmetric operator whose spectrum falls
+    geometrically from 0.99 to 0.99e-10: X and Y are factored apart, Y by
+    the shifted pass."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    spectrum = 0.99 * 10.0 ** (-10.0 * np.arange(m) / (m - 1))
+    X = rng.standard_normal((n, m))
+    return DataMatrices(X=X, Y=U @ (spectrum[:, None] * (U.T @ X)))
+
+
+def optimal_fits(d):
+    """(k, operator, factors) of the optimal fit at every k up to min(n, m),
+    clamped ones included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        warnings.simplefilter("ignore", RankClampWarning)
+        fac = factorize(d)
+        return [(k, *fac.optimal(k)) for k in range(1, min(d.n, d.m) + 1)]
+
+
+RANK_SPACE_CASES = {**{name: make for name, (make, _) in COMPRESSION_CASES.items()},
+                    "ill-independent-pairs": ill_pairs}
+
+
+class TestRankSpaceCore:
+    """The optimal fit forms its transition Q^T P and ||A||_F at size c; they
+    must match the n-row products they replace."""
+
+    @pytest.mark.parametrize("case", RANK_SPACE_CASES)
+    def test_transition_matches_n_row_product(self, case):
+        for _, op, factors in optimal_fits(RANK_SPACE_CASES[case]()):
+            P, Q = factors.P, factors.Q
+            want = Q.T @ P
+            assert factors.transition is op.transition
+            assert factors.transition.shape == want.shape
+            assert np.linalg.norm(factors.transition - want) <= (
+                1e-13 * np.linalg.norm(Q) * np.linalg.norm(P)
+            )
+
+    @pytest.mark.parametrize("case", RANK_SPACE_CASES)
+    def test_frobenius_norm_matches_product(self, case):
+        for _, op, _ in optimal_fits(RANK_SPACE_CASES[case]()):
+            want = np.linalg.norm(op.left @ op.right)
+            assert abs(op.frobenius_norm() - want) <= 1e-13 * want
+
+    def test_clamped_fit_carries_its_clamped_core(self):
+        # rank(Y V) = 4 on the rank-deficient 12x8 input: every k >= 4 is
+        # the k = 4 fit, its core included
+        fits = optimal_fits(RANK_SPACE_CASES["rank-deficient-12x8"]())
+        assert [f.rank for _, _, f in fits] == [1, 2, 3, 4, 4, 4, 4, 4]
+        assert all(np.array_equal(f.transition, fits[3][2].transition) for _, _, f in fits[4:])
+
+    def test_replaced_operator_takes_the_factors(self):
+        op, _ = fit_optimal_lowrank_dmd(RANK_SPACE_CASES["ill-independent-pairs"](), 20)
+        copy = dataclasses.replace(op)
+        assert copy.transition is None
+        L, R = copy.left, copy.right
+        assert copy.frobenius_norm() == float(
+            np.sqrt(abs(np.sum((L.T @ L) * (R @ R.T))))
+        )
+        assert abs(copy.frobenius_norm() - op.frobenius_norm()) <= 1e-13 * op.frobenius_norm()
+
+
 class TestResidualFromCoefficients:
     @pytest.mark.parametrize("case", COMPRESSION_CASES)
     def test_matches_lifted_fit_at_every_rank(self, case):

@@ -317,6 +317,22 @@ class TestBenchConfig:
         with pytest.raises(ValidationError, match=f"k.cfg:2: bad value for k_values: {bad}"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
+    )
+    def test_measure_time_booleans(self, tmp_path, text, want):
+        path = tmp_path / "b.cfg"
+        path.write_text(f"measure_time = {text}\n")
+        assert load_config(path).measure_time is want
+
+    @pytest.mark.parametrize("text", ["ture", "flase", "on", "2", ""])
+    def test_misspelt_boolean_names_the_line(self, tmp_path, text):
+        path = tmp_path / "b.cfg"
+        path.write_text(f"seed = 1\nmeasure_time = {text}\n")
+        with pytest.raises(ValidationError, match=r"b\.cfg:2: bad value for measure_time: .* is not one of"):
+            load_config(path)
+
     def test_load_config_errors(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         with pytest.raises(ValidationError, match="not found"):
