@@ -132,11 +132,18 @@ def _fit_optimal_guarded(fac, rank: int):
     return fac.optimal(rank)
 
 
-def cmd_fit(args) -> int:
+def _out_dir(args) -> Path:
+    """The --out directory, made when the outputs are ready to be written,
+    so that a run that fails leaves none behind."""
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def cmd_fit(args) -> int:
+    rank = None if args.method == "exact" else _check_rank_flag(args.rank)
     snaps, d = _load_matrices(args)
-    requested = d.m if args.method == "exact" else _check_rank_flag(args.rank)
+    requested = d.m if rank is None else rank
     fac = factorize(d, args.svd_tol, args.strict_rank)
     if args.method == "exact":
         op = fac.exact()
@@ -147,7 +154,8 @@ def cmd_fit(args) -> int:
     else:
         op = fac.projected(requested)
     res = residual_norm(op, d)
-    norm_y = float(np.linalg.norm(d.Y))
+    norm_y = d.norm_y
+    out_dir = _out_dir(args)
     outputs = [out_dir / "left.csv", out_dir / "right.csv", out_dir / "summary.csv"]
     _write_matrix_csv(outputs[0], op.left)
     _write_matrix_csv(outputs[1], op.right)
@@ -177,13 +185,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_modes(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rank = _check_rank_flag(args.rank)
-    snaps, d = _load_matrices(args)
-    theta = _load_theta(args.theta, snaps)
     if args.horizon < 1:
         raise ValidationError("horizon must be >= 1")
+    snaps, d = _load_matrices(args)
+    theta = _load_theta(args.theta, snaps)
     op, factors = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
     mode_set = compute_modes(factors, VARIANT_NAMES[args.variant], tol=args.svd_tol)
     schedule = amplitudes(mode_set, theta, args.horizon)
@@ -195,6 +201,7 @@ def cmd_modes(args) -> int:
         np.asarray(a, dtype=np.complex128)
         for a in (mode_set.eigenvalues, mode_set.modes, schedule.values)
     )
+    out_dir = _out_dir(args)
     eig_path = out_dir / "eigenvalues.csv"
     _write_matrix_csv(eig_path, eigenvalues[:, None], "lambda_re,lambda_im\n")
     modes_path = out_dir / "modes.csv"
@@ -231,8 +238,6 @@ def cmd_simulate(args) -> int:
         raise ValidationError("horizon must be >= 1")
     if args.stride < 1:
         raise ValidationError("stride must be >= 1")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     snaps, d = _load_matrices(args)
     theta = _load_theta(args.theta, snaps)
     op, factors = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
@@ -245,6 +250,7 @@ def cmd_simulate(args) -> int:
         if args.stride > 1:
             keep = slice(None, None, args.stride)
             traj = dataclasses.replace(traj, states=traj.states[keep], times=traj.times[keep])
+    out_dir = _out_dir(args)
     traj_path = out_dir / "trajectory.csv"
     save_trajectory(traj, traj_path)
     _write_manifest(out_dir / "manifest.json", "simulate", args, [args.input], [traj_path])
@@ -323,7 +329,7 @@ def cmd_validate(args) -> int:
         fac = factorize(d, args.svd_tol)
     for line in RankReport.from_factorization(fac).lines():
         print(line)
-    print(f"companion residual       : {_span_defect(fac):.6e}")
+    print(f"companion residual       : {_span_defect(fac, d.norm_y):.6e}")
     return 0
 
 

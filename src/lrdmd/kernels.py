@@ -78,11 +78,12 @@ def _recurse(M, z, horizon, stride, limit, G=None):
     guard is the squared norm z^T z, or z^T G z when G is given, checked
     against limit**2 once per block of _BLOCK steps, by one vectorized
     norm; overflow is the first step that trips it (0: none did), and no
-    state from that step on is kept. Each step is one np.matmul into the
-    block's buffer, so the states are those of z = M @ z step by step, and
-    the recursion holds the kept states and one block, whatever the
-    horizon. Steps past a trip in its block are computed and discarded,
-    their floating-point warnings with them.
+    state from that step on is kept. Each step is one np.dot into the
+    block's buffer (a BLAS gemv, with less call overhead than np.matmul),
+    so the states are those of z = M @ z step by step, and the recursion
+    holds the kept states and one block, whatever the horizon. Steps past
+    a trip in its block are computed and discarded, their floating-point
+    warnings with them.
     """
     kept = np.empty(((horizon - 1) // stride, z.shape[0]))
     if horizon == 1:
@@ -96,7 +97,7 @@ def _recurse(M, z, horizon, stride, limit, G=None):
         count = min(_BLOCK, horizon + 1 - start)
         with np.errstate(over="ignore", invalid="ignore"):
             for state in rows[skip:count]:
-                np.matmul(M, prev, out=state)
+                np.dot(M, prev, out=state)
                 prev = state
             skip = 0
             block = buf[:count]

@@ -99,11 +99,11 @@ def _fix_signs(W: np.ndarray, V: np.ndarray) -> None:
     V *= sign
 
 
-def _as_matrix(M) -> np.ndarray:
+def _as_matrix(M, checked: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
+    if not checked and not np.all(np.isfinite(M)):
         raise ValidationError("matrix contains non-finite entries")
     return M
 
@@ -202,16 +202,18 @@ def _cholesky_qr(M: np.ndarray) -> QrFactors | None:
     return QrFactors(Q1=Q1, T=np.linalg.inv(R2), R=R2 @ R1 @ R0)
 
 
-def qr_factor(M: np.ndarray) -> QrFactors:
+def qr_factor(M: np.ndarray, checked: bool = False) -> QrFactors:
     """M = Q R of a real p-by-q matrix of any shape, Q in implicit form;
     every tall matrix is factored here, small ones go to thin_svd.
 
     A tall one, with p >= CHOLQR_MIN_ASPECT * q, takes the Cholesky routes:
     CholeskyQR2, else shifted CholeskyQR3 from the same Gram matrix. Every
     other input, and a tall one that those refuse (see SHIFTED_MIN_RATIO),
-    goes to Householder QR. The route depends on the input alone.
+    goes to Householder QR. The route depends on the input alone. M may
+    have any memory layout; checked=True skips the pass that refuses
+    non-finite entries, for data a DataMatrices has validated.
     """
-    M = _as_matrix(M)
+    M = _as_matrix(M, checked)
     p, q = M.shape
     found = _cholesky_qr(M) if p >= CHOLQR_MIN_ASPECT * q > 0 else None
     if found is None:

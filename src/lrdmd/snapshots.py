@@ -58,51 +58,131 @@ class SnapshotSet:
         return self.states[traj, 0].copy()
 
 
-@dataclass(frozen=True)
 class DataMatrices:
     """Aligned n-by-m snapshot matrices: column j of Y succeeds column j of X.
 
-    X and Y are the object's own C-ordered float64 copies of the inputs,
-    made read-only, and must be finite. Since the data cannot change,
-    solvers.factorize may return the factorization it last built for the
-    same object again.
+    ``DataMatrices(X=..., Y=...)`` stores its own C-ordered float64 copies
+    of X and Y, read-only, and refuses non-finite entries. One that
+    build_data_matrices makes from a SnapshotSet holds the read-only
+    (N, T, n) snapshot array itself, as ``states``, and no X or Y: d.X and
+    d.Y are C-ordered read-only copies built from it when a caller first
+    reads them, and the solvers never do (see pairs, norm_y and
+    solvers.factorize). ``states`` is None for explicit X and Y.
+
+    The data cannot change, so solvers.factorize may return the
+    factorization it last built for the same object again.
     """
 
-    X: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        X = np.array(self.X, dtype=np.float64, order="C")
-        Y = np.array(self.Y, dtype=np.float64, order="C")
+    def __init__(self, X, Y):
+        X = np.array(X, dtype=np.float64, order="C")
+        Y = np.array(Y, dtype=np.float64, order="C")
         if X.ndim != 2 or Y.ndim != 2 or X.shape != Y.shape:
             raise ValidationError("X and Y must be matrices of identical shape")
         for name, M in (("X", X), ("Y", Y)):
             if not np.all(np.isfinite(M)):
                 raise ValidationError(f"{name} contains non-finite values")
             M.flags.writeable = False
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        self._init(None, X, Y)
+
+    @classmethod
+    def _of_states(cls, states: np.ndarray) -> "DataMatrices":
+        """The pairs of a finite, read-only, C-ordered (N, T, n) array, held
+        as it is."""
+        d = cls.__new__(cls)
+        d._init(states, None, None)
+        return d
+
+    def _init(self, states, X, Y) -> None:
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_X", X)
+        object.__setattr__(self, "_Y", Y)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DataMatrices is read-only")
+
+    @property
+    def X(self) -> np.ndarray:
+        if self._X is None:
+            object.__setattr__(self, "_X", _paired_columns(self.states, 0))
+        return self._X
+
+    @property
+    def Y(self) -> np.ndarray:
+        if self._Y is None:
+            object.__setattr__(self, "_Y", _paired_columns(self.states, 1))
+        return self._Y
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self._X.shape[0] if self.states is None else self.states.shape[2]
 
     @property
     def m(self) -> int:
-        return self.X.shape[1]
+        if self.states is None:
+            return self._X.shape[1]
+        N, T, _ = self.states.shape
+        return N * (T - 1)
+
+    def pairs(self) -> tuple:
+        """(X, Y) as n-by-m matrices without the copies d.X and d.Y: views of
+        the snapshot array where its layout allows (one trajectory, or two
+        snapshots each), else one F-ordered copy each; explicit X and Y as
+        they are held."""
+        if self.states is None:
+            return self._X, self._Y
+        n = self.n
+        return self.states[:, :-1].reshape(-1, n).T, self.states[:, 1:].reshape(-1, n).T
+
+    @property
+    def norm_y(self) -> float:
+        """||Y||_F; from the snapshot array, summed state by state, when
+        there is one."""
+        if self.states is None:
+            return float(np.linalg.norm(self._Y))
+        later = self.states[:, 1:]
+        return float(np.sqrt(np.einsum("ijk,ijk->ij", later, later).sum()))
+
+
+def _paired_columns(states: np.ndarray, lag: int) -> np.ndarray:
+    """States lag+1 .. lag+T-1 of every trajectory, trajectory-major, as the
+    columns of a C-ordered read-only n-by-N(T-1) matrix: X for lag 0, Y for
+    lag 1. One copy, no temporary."""
+    N, T, n = states.shape
+    M = np.empty((n, N * (T - 1)))
+    M.reshape(n, N, T - 1)[...] = states[:, lag : lag + T - 1].transpose(2, 0, 1)
+    M.flags.writeable = False
+    return M
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether nothing can write into a's data: a is read-only, and so is
+    every array and buffer it views."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    try:
+        return a is None or memoryview(a).readonly
+    except TypeError:
+        return False
 
 
 def build_data_matrices(s: SnapshotSet) -> DataMatrices:
     """Pair each snapshot with its time successor, trajectory by trajectory.
 
     X gathers states 1..T-1 of every trajectory and Y states 2..T, so
-    m = (T-1)*N columns, ordered trajectory-major.
+    m = (T-1)*N columns, ordered trajectory-major. The DataMatrices holds
+    one read-only (N, T, n) array: s.states itself when it is C-ordered
+    and nothing can write into it (load_snapshots hands over such an
+    array), else one checked copy of it.
     """
-    # (N, T-1, n) -> (m, n) -> transpose to columns; DataMatrices makes the
-    # C-ordered copies
-    X = s.states[:, :-1, :].reshape(-1, s.n).T
-    Y = s.states[:, 1:, :].reshape(-1, s.n).T
-    return DataMatrices(X=X, Y=Y)
+    states = s.states
+    if not (_frozen(states) and states.flags.c_contiguous):
+        states = np.array(states, dtype=np.float64, order="C")
+        if not np.all(np.isfinite(states)):
+            raise ValidationError("snapshots contain non-finite values")
+        states.flags.writeable = False
+    return DataMatrices._of_states(states)
 
 
 @dataclass(frozen=True)
@@ -127,8 +207,7 @@ class RankReport:
     def from_factorization(cls, fac) -> "RankReport":
         """The ranks of X and Y from a solvers.Factorization, at its tol:
         from the SVD of R_x and the singular values of R_y."""
-        n, m = fac.X.shape
-        return cls(n=n, m=m, rank_x=fac.rank_x, rank_y=fac.rank_of_y, tol=fac.tol)
+        return cls(n=fac.n, m=fac.m, rank_x=fac.rank_x, rank_y=fac.rank_of_y, tol=fac.tol)
 
     @property
     def m_within_n(self) -> bool:
@@ -277,6 +356,9 @@ def load_snapshots(path) -> SnapshotSet:
         raise SnapshotFormatError(f"trajectory {j + 1}: time indices must be 1..T, got {times}")
     states = np.empty((N, T, n), dtype=np.float64)
     states[i, t.astype(np.intp) - 1] = data[:, 2:]
+    # nothing else holds this array: read-only, build_data_matrices takes
+    # it as it is
+    states.flags.writeable = False
     return SnapshotSet(states=states)
 
 

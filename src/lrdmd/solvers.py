@@ -20,9 +20,11 @@ one tall factorization (linalg.qr_factor) gives X = Q R_x and Y = Q_y R_y
 with orthonormal Q and Q_y, and every core of every fit is then computed
 from the small R factors. For trajectory data Y repeats all but the last
 column of each trajectory of X, so one factorization of the distinct
-snapshot columns Z = [X, the rest of Y] serves both (Q_y = Q); otherwise X
-and Y are factored apart, Y on first use. The n-sized work left is forming
-the factors a fit returns; Factorization.residual evaluates ||Y - A X|| of a
+snapshot columns serves both (Q_y = Q); otherwise X and Y are factored
+apart, Y on first use. Data built from snapshots (build_data_matrices) is
+factored where it lies, in its one read-only snapshot array, with no copy
+of X, Y or the distinct columns. The n-sized work left is forming the
+factors a fit returns; Factorization.residual evaluates ||Y - A X|| of a
 fit without forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
@@ -79,7 +81,8 @@ MATERIALIZE_GUARD = 10_000
 # 6.25 n m^2, 22 % below X and Y apart; the fits that need X alone (exact,
 # projected) then pay 56 % over 4 n m^2, less the 2 n m^2 product Q_x^T Y that
 # the projected fit needs when Y is not in the basis. For trajectory data u
-# is the number of trajectories.
+# is the number of trajectories N, and m = N (T - 1), so the gate holds for
+# T >= 5 snapshots per trajectory.
 SHARED_MAX_NEW = 0.25
 
 # Rows taken at a time by the loops over the n rows of the data (confirming
@@ -220,13 +223,18 @@ def _check_rank_arg(k: int) -> int:
 class Factorization:
     """The factorizations of one snapshot pair (X, Y) that every fitter slices.
 
-    X and Y are the arrays of the DataMatrices it was built from, not that
-    object, so dropping the DataMatrices frees factorize()'s slot.
+    It holds no X: ``data`` is the array of the DataMatrices it was built
+    from (its snapshots, or its X) by which residual_norm recognizes that
+    data, not the object, so dropping the DataMatrices frees factorize()'s
+    slot. ``Y`` is Y where it lies when Y is factored apart, and None when
+    Y is in the basis.
 
-    ``basis`` is X = Q R_x (linalg.QrFactors), or, when ``y_columns`` is
-    set, Z = Q R_z for Z = [X, the columns of Y that repeat no column of
-    X]: then R_x = R_z[:, :m] and Y = Q R_y with R_y = R_z[:, y_columns].
-    Otherwise Y is factored apart, Y = Q_y R_y, on first use. The rank-r
+    ``basis`` is Z = Q R_z (linalg.QrFactors) for the columns Z that
+    factorize() chose, with R_x = R_z[:, x_columns]: X itself, or, when
+    ``y_columns`` is set, the distinct columns of X and Y (the snapshot
+    array, or [X, the columns of Y that repeat no column of X]), and then
+    Y = Q R_y with R_y = R_z[:, y_columns]. Otherwise Y is factored apart,
+    Y = Q_y R_y, on first use. The rank-r
     thin SVD R_x = U diag(s) V^T (r the numerical rank of X at tol) gives
     X = W diag(s) V^T with W = Q U, which is never formed, so X^+ =
     V diag(1/s) W^T. The thin SVD R_y V = P^ diag(t) U_y^T (``yv``) gives
@@ -235,15 +243,24 @@ class Factorization:
     and projected fits never need Y factored. Build it with factorize().
     """
 
-    X: np.ndarray
-    Y: np.ndarray
+    data: np.ndarray
+    Y: np.ndarray | None
     tol: float
     strict: bool
     basis: QrFactors
     U: np.ndarray
     s: np.ndarray
     V: np.ndarray
+    x_columns: slice | np.ndarray
     y_columns: np.ndarray | None
+
+    @property
+    def n(self) -> int:
+        return self.basis.Q1.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.V.shape[0]
 
     @property
     def rank_x(self) -> int:
@@ -254,7 +271,7 @@ class Factorization:
         """(Q_y, R_y) with Y = Q_y R_y: the shared basis, or Y's own."""
         if self.y_columns is not None:
             return _read_only((self.basis, self.basis.R[:, self.y_columns]))
-        f = qr_factor(self.Y)
+        f = qr_factor(self.Y, checked=True)
         _read_only((f.Q1, f.T, f.R))
         return f, f.R
 
@@ -341,9 +358,13 @@ class Factorization:
         """Unconstrained least-squares fit A = Y X^+ = (Y V diag(1/s)) W^T.
 
         With full-column-rank X the residual ||Y - A X|| vanishes because
-        X^+ X is the identity on R^m.
+        X^+ X is the identity on R^m. When Y is in the basis, Y V = Q (R_y
+        V), so the left factor is lifted from the factors, with Y unread.
         """
-        left = self.Y @ (self.V / self.s)
+        if self.y_columns is None:
+            left = self.Y @ (self.V / self.s)
+        else:
+            left = self.basis.lift(self._y[1] @ (self.V / self.s))
         return self._fitted(left, self.basis.lift_rows(self.U.T), "exact_full", "exact", self.rank_x)
 
     def truncated(self, k: int) -> DmdOperator:
@@ -401,7 +422,7 @@ class Factorization:
         """||Y - Y X^+ X||_F = ||Y - Y V V^T||_F = ||R_y - R_y V V^T||_F: the
         part of Y that no operator reaches, since A X = A X X^+ X. Zero when
         X has full column rank, where V V^T is the identity."""
-        if self.rank_x == self.X.shape[1]:
+        if self.rank_x == self.m:
             return 0.0
         return self._residual("exact", self.rank_x)
 
@@ -474,7 +495,7 @@ class Factorization:
             L, R, _ = self._truncation_coefs if fit == "truncated" else self._projection_coefs
         on_x = self._rows_on_x.get(fit)
         if on_x is None:
-            on_x = self._rows_on_x[fit] = _read_only(R @ self.basis.R[:, : self.X.shape[1]])
+            on_x = self._rows_on_x[fit] = _read_only(R @ self.basis.R[:, self.x_columns])
         fitted = L[:, :k] @ on_x[:k]
         if fit == "projected":
             return float(np.hypot(self._outside, np.linalg.norm(self._y_coords - fitted)))
@@ -548,8 +569,14 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     """The Factorization of (X, Y) that the fitters slice.
 
     When at most SHARED_MAX_NEW * m columns of Y repeat no column of X, as
-    for trajectory data, one tall factorization of Z = [X, those columns]
-    serves X and Y. Otherwise X is factored here and Y on first use.
+    for trajectory data, one tall factorization of the distinct columns
+    serves X and Y. Otherwise X is factored here and Y on first use. For
+    data built from snapshots the new columns are the last state of each
+    trajectory, and the snapshot array is factored where it lies: the
+    F-ordered n-by-NT matrix of all its states, or X and Y as views of it
+    where its layout allows (see DataMatrices.pairs). Explicit X and Y are
+    searched for repeated columns, and the distinct ones copied side by
+    side.
 
     The last Factorization built is kept, and a call with the same
     DataMatrices object (read-only, so its data cannot have changed), tol
@@ -571,7 +598,7 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
         # drop the old factorization, this frame's reference too, before the
         # new one is built: one set of n-row bases alive at a time, not two
         _last = last = None
-        fac = _factorize(d, tol, strict)
+        fac = _factorize(_data_of(d), *_columns(d), tol, strict)
         _last = (weakref.ref(d, _forget), key, fac)
     if fac.rank_x < d.m:
         msg = (
@@ -584,21 +611,42 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     return fac
 
 
-def _factorize(d: DataMatrices, tol: float, strict: bool) -> Factorization:
-    src = _repeated_columns(d.X, d.Y)
-    new = np.flatnonzero(src < 0)
-    if new.size <= SHARED_MAX_NEW * d.m:
-        basis = qr_factor(np.concatenate([d.X, d.Y[:, new]], axis=1) if new.size else d.X)
-        src[new] = d.m + np.arange(new.size)
-        y_columns = src
+def _data_of(d: DataMatrices) -> np.ndarray:
+    """The array that holds d's data: its snapshots, or its X."""
+    return d.X if d.states is None else d.states
+
+
+def _columns(d: DataMatrices) -> tuple:
+    """(Z, x_columns, y_columns, Y): the columns to factor, where X and Y
+    lie among them (y_columns None: Y is not among them, and Y is the
+    matrix to factor on first use)."""
+    if d.states is not None:
+        new = d.states.shape[0]
     else:
-        basis = qr_factor(d.X)
-        y_columns = None
-    fx = thin_svd(basis.R[:, : d.m])
+        src = _repeated_columns(d.X, d.Y)
+        new = int(np.count_nonzero(src < 0))
+    if new > SHARED_MAX_NEW * d.m:
+        X, Y = d.pairs()
+        return X, slice(None), None, Y
+    if d.states is not None:
+        N, T, n = d.states.shape
+        x_columns = (T * np.arange(N)[:, None] + np.arange(T - 1)).ravel()
+        return d.states.reshape(N * T, n).T, x_columns, x_columns + 1, None
+    added = np.flatnonzero(src < 0)
+    src[added] = d.m + np.arange(added.size)
+    Z = np.concatenate([d.X, d.Y[:, added]], axis=1) if added.size else d.X
+    return Z, slice(0, d.m), src, None
+
+
+def _factorize(data, Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Factorization:
+    """The Factorization of the columns Z, X = Z[:, x_columns] among them;
+    see _columns."""
+    basis = qr_factor(Z, checked=True)
+    fx = thin_svd(basis.R[:, x_columns])
     r = fx.numerical_rank(tol)
-    _read_only((basis.Q1, basis.T, basis.R, y_columns))
+    _read_only((basis.Q1, basis.T, basis.R, x_columns, y_columns))
     U, s, V = _read_only((fx.W[:, :r], fx.sigma[:r], fx.V[:, :r]))
-    return Factorization(d.X, d.Y, tol, strict, basis, U, s, V, y_columns)
+    return Factorization(data, Y, tol, strict, basis, U, s, V, x_columns, y_columns)
 
 
 def fit_exact_dmd(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:
@@ -632,12 +680,13 @@ def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
     """Frobenius norm of Y - A X.
 
     An operator that a fit returned, evaluated on the data it was fitted to
-    (its Factorization holds the very X and Y arrays of d) while that
+    (its Factorization holds the very array of d's data) while that
     Factorization is alive, is evaluated at size c from the fit's
     coefficients (Factorization._residual); the exact fit on independent
     pairs only once Y is factored. Any other operator or dataset is
     evaluated through the factors, its squares summed block by block of
-    rows: A X = L (R X) with R X rho-by-m.
+    rows: A X = L (R X) with R X rho-by-m, X and Y read as DataMatrices.pairs
+    gives them.
     """
     if op.n != d.n:
         raise ValidationError(
@@ -646,9 +695,10 @@ def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
     if op.source is not None:
         ref, fit, k = op.source
         fac = ref()
-        if fac is not None and fac.X is d.X and fac.Y is d.Y and fac._at_size_c(fit):
+        if fac is not None and fac.data is _data_of(d) and fac._at_size_c(fit):
             return fac._residual(fit, k)
-    return _distance(d.Y, op.left, op.right @ d.X)
+    X, Y = d.pairs()
+    return _distance(Y, op.left, op.right @ X)
 
 
 def materialize(op: DmdOperator) -> np.ndarray:

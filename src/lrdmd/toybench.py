@@ -123,12 +123,12 @@ def companion_residual(d: DataMatrices, tol: float = DEFAULT_TOL) -> float:
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        return _span_defect(factorize(d, tol))
+        return _span_defect(factorize(d, tol), d.norm_y)
 
 
-def _span_defect(fac: Factorization) -> float:
-    """companion_residual of a factorization: its span defect over ||Y||."""
-    norm_y = float(np.linalg.norm(fac.Y))
+def _span_defect(fac: Factorization, norm_y: float) -> float:
+    """companion_residual of a factorization of data with ||Y||_F = norm_y:
+    its span defect over norm_y."""
     return fac.span_defect / norm_y if norm_y else 0.0
 
 
@@ -231,15 +231,16 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for setting in sorted(cfg.settings, key=SETTINGS.index):
-            d, fac, comp = None, None, float("nan")
+            norm_y, fac, comp = float("nan"), None, float("nan")
             try:
                 d = _setting_data(model, cfg, setting)
+                norm_y = d.norm_y
                 fac = factorize(d)
-                comp = _span_defect(fac)
+                comp = _span_defect(fac, norm_y)
             except Exception:
                 fac = None
             settings_info[setting] = SettingInfo(
-                norm_y=float("nan") if d is None else float(np.linalg.norm(d.Y)),
+                norm_y=norm_y,
                 companion_residual=comp,
                 data_seed=data_seed_for(cfg.seed, setting),
             )

@@ -114,9 +114,9 @@ class TestValidate:
         for name in calls:
             original = getattr(lrdmd.solvers, name)
 
-            def counted(M, _original=original, _calls=calls[name]):
+            def counted(M, _original=original, _calls=calls[name], **kwargs):
                 _calls.append(M.shape)
-                return _original(M)
+                return _original(M, **kwargs)
 
             monkeypatch.setattr(lrdmd.solvers, name, counted)
         with warnings.catch_warnings():
@@ -432,6 +432,44 @@ class TestSimulate:
         for t in range(1, 10):
             scale = max(np.linalg.norm(red[t, 1:]), 1e-300)
             assert np.linalg.norm(red[t, 1:] - mod[t, 1:]) <= 1e-8 * scale
+
+
+class TestFailedRunsLeaveNoOutput:
+    """A run that exits with an error creates no --out directory."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--method", "optimal", "--rank", "0"],
+            ["fit", "--method", "exact", "--input", "missing.csv"],
+            ["modes", "--rank", "0"],
+            ["modes", "--rank", "3", "--horizon", "0"],
+            ["modes", "--rank", "3", "--theta", "missing.csv"],
+            ["simulate", "--rank", "0", "--horizon", "5"],
+            ["simulate", "--rank", "3", "--horizon", "5", "--theta", "missing.csv"],
+        ],
+    )
+    def test_usage_error(self, toy_csv, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        inp = [] if "--input" in argv else ["--input", str(toy_csv)]
+        assert main([*argv, *inp, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--method", "optimal"],
+            ["modes"],
+            ["simulate", "--horizon", "5"],
+            ["simulate", "--horizon", "5", "--path", "modal"],
+        ],
+    )
+    def test_rank_guard(self, toy_csv, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--rank", "45", "--input", str(toy_csv), "--out", str(out)]) == 3
+        assert "numerical rank of Y (30)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWrittenFiles:

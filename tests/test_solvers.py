@@ -463,9 +463,9 @@ def count_tall_factorizations(monkeypatch):
     calls = []
     original = lrdmd.solvers.qr_factor
 
-    def counted(M):
+    def counted(M, **kwargs):
         calls.append(M.shape)
-        return original(M)
+        return original(M, **kwargs)
 
     monkeypatch.setattr(lrdmd.solvers, "qr_factor", counted)
     return calls
