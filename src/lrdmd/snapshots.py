@@ -69,8 +69,10 @@ class DataMatrices:
     reads them, and the solvers never do (see pairs, norm_y and
     solvers.factorize). ``states`` is None for explicit X and Y.
 
-    The data cannot change, so solvers.factorize may return the
-    factorization it last built for the same object again.
+    The data cannot change, so the object keeps the one Factorization that
+    solvers.factorize last built for it (see there), and exactly as long
+    as itself: a fitted DataMatrices keeps its n-row bases alive, about its
+    own size again (twice that when X and Y are factored apart).
     """
 
     def __init__(self, X, Y):
@@ -96,6 +98,7 @@ class DataMatrices:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_X", X)
         object.__setattr__(self, "_Y", Y)
+        object.__setattr__(self, "_factorization", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DataMatrices is read-only")

@@ -28,11 +28,11 @@ factors a fit returns; Factorization.residual evaluates ||Y - A X|| of a
 fit without forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
-fit_optimal_lowrank_dmd factorize and slice in one call. factorize keeps the
-Factorization it built last and returns it again when called with the same
-DataMatrices, tol and strict, so fits of one dataset share its tall
-factorization and its cached cores. A DataMatrices is read-only, and so is
-every array a Factorization holds or a fit returns.
+fit_optimal_lowrank_dmd factorize and slice in one call. Each DataMatrices
+keeps its Factorization, which factorize returns again for the same tol and
+strict, so fits of one dataset share its tall factorization and its cached
+cores, whatever other datasets are fitted in between. A DataMatrices is
+read-only, and so is every array a Factorization holds or a fit returns.
 
 A fitted operator keeps a link to the Factorization it came from, so
 residual_norm on the data it was fitted to is evaluated at size c as well.
@@ -91,22 +91,6 @@ SHARED_MAX_NEW = 0.25
 # rows stay in cache, and no n-row temporary is formed.
 _ROW_BLOCK = 256
 
-# The Factorization that factorize() built last, as (weak reference to its
-# DataMatrices, (tol, strict), Factorization), or None. One slot keeps at
-# most one set of n-row bases alive; it empties when that DataMatrices is
-# freed. It is read once per call and replaced whole, so threads racing on
-# it can only lose it, never get another dataset's factorization.
-_last = None
-
-
-def _forget(ref) -> None:
-    """Empty the slot once the DataMatrices it was built for is freed."""
-    global _last
-    last = _last
-    if last is not None and last[0] is ref:
-        _last = None
-
-
 def _read_only(x):
     """x, an array or a tuple, with every array in it made read-only: a
     Factorization outlives the call that built it, so nothing it holds or
@@ -117,6 +101,15 @@ def _read_only(x):
     elif isinstance(x, np.ndarray):
         x.flags.writeable = False
     return x
+
+
+def _signed(left: np.ndarray, rows: np.ndarray) -> tuple:
+    """(left, rows, sign): a fit's n-row left factor with thin_svd's column
+    signs, set after lifting so that they do not depend on the columns
+    factored, and its right factor's row coefficients flipped to match."""
+    sign = column_signs(left)
+    left *= sign
+    return left, sign[:, None] * rows, sign
 
 
 def _distance(Y: np.ndarray, L: np.ndarray, C: np.ndarray) -> float:
@@ -139,13 +132,14 @@ class DmdOperator:
 
     An operator that a fit returns has ``source`` = (a weak reference to
     the Factorization it was sliced from, the fit's name, the rank it kept
-    after any clamp), and residual_norm evaluates it from that
-    Factorization at size c while it is alive. Its left and right are
+    after any clamp), and residual_norm on the DataMatrices that holds that
+    Factorization evaluates it at size c. Its left and right are
     read-only, like every array of the Factorization, so they cannot drift
     from what the link describes. The link is no constructor argument: an
     operator built by hand, or by dataclasses.replace from a fitted one,
-    has none. Being weak, it keeps no n-row basis alive: once factorize()'s
-    slot lets the Factorization go, the operator's residual is evaluated
+    has none. Being weak, it keeps no n-row basis alive: once the
+    Factorization goes, with its DataMatrices or when that is factored
+    under another tol or strict, the operator's residual is evaluated
     through its factors.
 
     An optimal fit also sets ``transition``, the rho-by-rho matrix R L,
@@ -223,10 +217,9 @@ def _check_rank_arg(k: int) -> int:
 class Factorization:
     """The factorizations of one snapshot pair (X, Y) that every fitter slices.
 
-    It holds no X: ``data`` is the array of the DataMatrices it was built
-    from (its snapshots, or its X) by which residual_norm recognizes that
-    data, not the object, so dropping the DataMatrices frees factorize()'s
-    slot. ``Y`` is Y where it lies when Y is factored apart, and None when
+    It holds no X and no reference to the DataMatrices it was built from,
+    which holds it (see factorize), so dropping the DataMatrices frees
+    both. ``Y`` is Y where it lies when Y is factored apart, and None when
     Y is in the basis.
 
     ``basis`` is Z = Q R_z (linalg.QrFactors) for the columns Z that
@@ -243,7 +236,6 @@ class Factorization:
     and projected fits never need Y factored. Build it with factorize().
     """
 
-    data: np.ndarray
     Y: np.ndarray | None
     tol: float
     strict: bool
@@ -365,7 +357,8 @@ class Factorization:
             left = self.Y @ (self.V / self.s)
         else:
             left = self.basis.lift(self._y[1] @ (self.V / self.s))
-        return self._fitted(left, self.basis.lift_rows(self.U.T), "exact_full", "exact", self.rank_x)
+        left, rows, _ = _signed(left, self.U.T)
+        return self._fitted(left, self.basis.lift_rows(rows), "exact_full", "exact", self.rank_x)
 
     def truncated(self, k: int) -> DmdOperator:
         """Rank-k truncation of the unconstrained solution A = Y X^+.
@@ -378,8 +371,8 @@ class Factorization:
         k = _check_rank_arg(k)
         L, R, rank = self._truncation_coefs
         keep = min(k, rank)
-        left = self._y[0].lift(L[:, :keep])
-        return self._fitted(left, self.basis.lift_rows(R[:keep]), "truncated_exact", "truncated", keep)
+        left, rows, _ = _signed(self._y[0].lift(L[:, :keep]), R[:keep])
+        return self._fitted(left, self.basis.lift_rows(rows), "truncated_exact", "truncated", keep)
 
     def projected(self, k: int) -> DmdOperator:
         """Span-restricted rank-k fit in the left singular basis of X.
@@ -393,8 +386,8 @@ class Factorization:
         k = _check_rank_arg(k)
         L, R, rank = self._projection_coefs
         keep = min(k, rank)
-        left = self.basis.lift(L[:, :keep])
-        return self._fitted(left, self.basis.lift_rows(R[:keep]), "projected", "projected", keep)
+        left, rows, _ = _signed(self.basis.lift(L[:, :keep]), R[:keep])
+        return self._fitted(left, self.basis.lift_rows(rows), "projected", "projected", keep)
 
     @cached_property
     def span_defect(self) -> float:
@@ -480,11 +473,12 @@ class Factorization:
         """||Y - A X||_F of ``fit`` at the rank k it kept, at size c.
 
         The exact fit has A X = Y V V^T, so its residual is ||R_y - R_y V
-        V^T|| (Y is factored for it on first use). Every other fit is A = Q' L_k R_k Q^T, so A X = Q' L_k (R
-        R_x)_k. The optimal and truncated fits have Q' = Q_y, and the
-        residual is ||R_y - L_k (R R_x)_k|| (the optimal column signs cancel
-        in L R). The projected fit has Q' = Q, and with B = Q^T Y the
-        residual is hypot(||Y - Q B||, ||B - L_k (R R_x)_k||).
+        V^T|| (Y is factored for it on first use). Every other fit is A =
+        Q' L_k R_k Q^T, so A X = Q' L_k (R R_x)_k. The optimal and truncated
+        fits have Q' = Q_y, and the residual is ||R_y - L_k (R R_x)_k|| (the
+        column signs a fit sets cancel in L R). The projected fit has Q' =
+        Q, and with B = Q^T Y the residual is hypot(||Y - Q B||, ||B - L_k
+        (R R_x)_k||).
         """
         if fit == "exact":
             Ry = self._y[1]
@@ -519,10 +513,7 @@ class Factorization:
         """
         k = self._optimal_rank(k)
         Pc, core, rows = self._optimal_coefs
-        P = self._y[0].lift(Pc[:, :k])
-        sign = column_signs(P)
-        P *= sign
-        rows_k = sign[:, None] * rows[:k]
+        P, rows_k, sign = _signed(self._y[0].lift(Pc[:, :k]), rows[:k])
         Qt = self.basis.lift_rows(rows_k)
         transition = _read_only((rows_k @ self._y_basis_on_x[:, :k]) * sign)
         op = self._fitted(
@@ -578,10 +569,11 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     searched for repeated columns, and the distinct ones copied side by
     side.
 
-    The last Factorization built is kept, and a call with the same
-    DataMatrices object (read-only, so its data cannot have changed), tol
-    and strict returns it again, with every core it has cached. Another
-    object with equal contents is factored anew.
+    d keeps the Factorization built for it, and a call with the same tol
+    and strict returns it again (d is read-only, so its data cannot have
+    changed), with every core it has cached. Under another tol or strict it
+    is dropped and d factored anew; d holds one at a time. Another object
+    with equal contents is factored anew.
 
     X may have any shape. When its numerical rank r is below m (always so
     when m > n) the fits act through the thresholded pseudo-inverse of its
@@ -589,17 +581,15 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     RankGuardError instead. Either happens on every call, the returned
     Factorization's first or not.
     """
-    global _last
     key = (tol, strict)
-    last = _last
-    if last is not None and last[0]() is d and last[1] == key:
-        fac = last[2]
-    else:
-        # drop the old factorization, this frame's reference too, before the
-        # new one is built: one set of n-row bases alive at a time, not two
-        _last = last = None
-        fac = _factorize(_data_of(d), *_columns(d), tol, strict)
-        _last = (weakref.ref(d, _forget), key, fac)
+    held = d._factorization
+    if held is None or held[0] != key:
+        # free the n-row bases held now before the new ones are built
+        del held
+        object.__setattr__(d, "_factorization", None)
+        held = (key, _factorize(*_columns(d), tol, strict))
+        object.__setattr__(d, "_factorization", held)
+    fac = held[1]
     if fac.rank_x < d.m:
         msg = (
             f"X is numerically rank-deficient (rank {fac.rank_x} < m={d.m}); "
@@ -609,11 +599,6 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
             raise RankGuardError(msg)
         warnings.warn(msg, RankDeficiencyWarning, stacklevel=2)
     return fac
-
-
-def _data_of(d: DataMatrices) -> np.ndarray:
-    """The array that holds d's data: its snapshots, or its X."""
-    return d.X if d.states is None else d.states
 
 
 def _columns(d: DataMatrices) -> tuple:
@@ -638,7 +623,7 @@ def _columns(d: DataMatrices) -> tuple:
     return Z, slice(0, d.m), src, None
 
 
-def _factorize(data, Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Factorization:
+def _factorize(Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Factorization:
     """The Factorization of the columns Z, X = Z[:, x_columns] among them;
     see _columns."""
     basis = qr_factor(Z, checked=True)
@@ -646,7 +631,7 @@ def _factorize(data, Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Fa
     r = fx.numerical_rank(tol)
     _read_only((basis.Q1, basis.T, basis.R, x_columns, y_columns))
     U, s, V = _read_only((fx.W[:, :r], fx.sigma[:r], fx.V[:, :r]))
-    return Factorization(data, Y, tol, strict, basis, U, s, V, x_columns, y_columns)
+    return Factorization(Y, tol, strict, basis, U, s, V, x_columns, y_columns)
 
 
 def fit_exact_dmd(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:
@@ -679,11 +664,11 @@ def fit_optimal_lowrank_dmd(
 def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
     """Frobenius norm of Y - A X.
 
-    An operator that a fit returned, evaluated on the data it was fitted to
-    (its Factorization holds the very array of d's data) while that
-    Factorization is alive, is evaluated at size c from the fit's
-    coefficients (Factorization._residual); the exact fit on independent
-    pairs only once Y is factored. Any other operator or dataset is
+    An operator that a fit returned, evaluated on the DataMatrices it was
+    fitted to while that still holds the operator's Factorization, is
+    evaluated at size c from the fit's coefficients
+    (Factorization._residual); the exact fit on independent pairs only once
+    Y is factored. Any other operator or dataset is
     evaluated through the factors, its squares summed block by block of
     rows: A X = L (R X) with R X rho-by-m, X and Y read as DataMatrices.pairs
     gives them.
@@ -692,10 +677,11 @@ def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
         raise ValidationError(
             f"operator dimension {op.n} does not match data dimension {d.n}"
         )
-    if op.source is not None:
+    held = d._factorization
+    if op.source is not None and held is not None:
         ref, fit, k = op.source
-        fac = ref()
-        if fac is not None and fac.data is _data_of(d) and fac._at_size_c(fit):
+        fac = held[1]
+        if ref() is fac and fac._at_size_c(fit):
             return fac._residual(fit, k)
     X, Y = d.pairs()
     return _distance(Y, op.left, op.right @ X)

@@ -45,6 +45,11 @@ def explicit(states):
     return DataMatrices(X=states[:, :-1].reshape(-1, n).T, Y=states[:, 1:].reshape(-1, n).T)
 
 
+def random_walk():
+    """Four random walks of 16 steps in R^300."""
+    return np.cumsum(np.random.default_rng(0).standard_normal((4, 16, 300)), axis=1)
+
+
 TRAJECTORY_CASES = {
     # name: (states, whether one factorization serves X and Y)
     "one-trajectory": (lambda: trajectories(1, 1, 21), True),
@@ -181,6 +186,23 @@ class TestSameFitsAsExplicitData:
             ma, mb = compute_modes(fa), compute_modes(fb)
             assert np.abs(ma.eigenvalues - mb.eigenvalues).max() <= 1e-13, k
             assert np.abs(ma.modes - mb.modes).max() <= 1e-13, k
+
+    @pytest.mark.parametrize("case", [*TRAJECTORY_CASES, "random-walk"])
+    def test_factors_agree(self, case):
+        # every fit sets its column signs on the lifted n-row left factor,
+        # so the factors do not depend on which columns were factored
+        states = random_walk() if case == "random-walk" else TRAJECTORY_CASES[case][0]()
+        snap, ref = build_data_matrices(SnapshotSet(states=states)), explicit(states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            got, want = factorize(snap), factorize(ref)
+        k = min(5, want.rank_y)
+        for fit in ("exact", "truncated", "projected", "optimal"):
+            a, b = (f.exact() if fit == "exact" else getattr(f, fit)(k) for f in (got, want))
+            if fit == "optimal":
+                a, b = a[0], b[0]
+            for x, y in ((a.left, b.left), (a.right, b.right)):
+                assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max(), fit
 
     def test_unlinked_residual_reads_the_snapshots(self):
         # an operator made by hand is evaluated through its factors, on X

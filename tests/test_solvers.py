@@ -705,7 +705,7 @@ class TestFactorizationReuse:
                   factorize(DataMatrices(X=d.X, Y=d.Y))]
         assert all(other is not fac for other in others)
         assert len(count_tall_factorizations) == 4
-        # one slot: the last of those displaced d's first factorization
+        # d holds one Factorization: the strict one replaced its first
         assert factorize(d) is not fac
         assert len(count_tall_factorizations) == 5
 
@@ -713,8 +713,10 @@ class TestFactorizationReuse:
     def test_warm_results_bit_identical_to_cold(self, case):
         make = COMPRESSION_CASES[case][0]
         d = make()
-        fit_all(d)
-        warm = fit_all(d)  # every fit from the kept factorization and its cores
+        fit_all(d), fit_all(trajectories(14, 3, 9))
+        # every fit from d's kept factorization and its cores, with another
+        # dataset fitted in between
+        warm = fit_all(d)
         for fit in FITS:
             # a fresh DataMatrices is factored by the fit's own call
             cold = fit_one(fit, make())
@@ -734,18 +736,38 @@ class TestFactorizationReuse:
         # X, then Y for the optimal fit, then X again under strict's own key
         assert count_tall_factorizations == [(12, 8)] * 3
 
-    def test_dropping_the_data_empties_the_slot(self):
-        import lrdmd.solvers
+    def test_interleaved_datasets_factored_once_each(self, count_tall_factorizations):
+        a = trajectories(9, 4, 26, n=400)  # one basis for X and Y
+        b = random_data(10, n=400, m=30)  # X, then Y on first use
+        for d in (a, b, a, b):
+            fit_all(d)
+        assert count_tall_factorizations == [(400, 104), (400, 30), (400, 30)]
 
+    def test_data_holds_one_factorization(self):
+        gc.disable()
+        try:
+            d = trajectories(9, 4, 26, n=400)
+            built = []
+            for key in ((1e-12, False), (1e-10, False), (1e-10, True), (1e-12, False)):
+                fac = factorize(d, *key)
+                built.append(weakref.ref(fac))
+                held_key, held = d._factorization
+                assert held_key == key and held is fac
+                del fac
+                # the one it replaced is freed with its n-row bases
+                assert [ref() is not None for ref in built] == [False] * (len(built) - 1) + [True]
+        finally:
+            gc.enable()
+
+    def test_dropping_the_data_frees_its_factorization(self):
         gc.disable()
         try:
             d = random_data(11, n=400, m=30)
             fit_all(d)
             data, fac = weakref.ref(d), weakref.ref(factorize(d))
-            assert lrdmd.solvers._last is not None and fac() is not None
+            assert fac() is not None  # held by d alone
             del d
             assert data() is None
-            assert lrdmd.solvers._last is None
             assert fac() is None  # and with it the n-row bases of X and Y
         finally:
             gc.enable()
@@ -877,9 +899,12 @@ class TestResidualFromFactorization:
             fac = weakref.ref(factorize(d))
             fast = {fit: residual_norm(op, d) for fit, op in ops.items()}
             assert calls == []
-            # another dataset takes factorize's slot; the operators keep
-            # no reference to d's Factorization or its n-row bases
-            factorize(trajectories(6, 4, 11))
+            # fitting another dataset leaves d's Factorization in place
+            fit_operators(trajectories(6, 4, 11), 4)
+            assert fac() is not None and all(op.source[0]() is not None for op in ops.values())
+            # refactoring d under another tol replaces it; the operators
+            # keep no reference to the old one or its n-row bases
+            factorize(d, tol=1e-10)
             assert fac() is None
             assert all(op.source[0]() is None for op in ops.values())
             for fit, op in ops.items():
