@@ -49,13 +49,11 @@ from .snapshots import (
 from .solvers import (
     DmdOperator,
     Factorization,
-    OptimalLowRankFactors,
     factorize,
     fit_exact_dmd,
     fit_optimal_lowrank_dmd,
     fit_projected_dmd,
     fit_truncated_exact_dmd,
-    materialize,
     residual_norm,
 )
 from .toybench import (
@@ -87,7 +85,6 @@ __all__ = [
     "Factorization",
     "LowRankDmdError",
     "NumericalGuardError",
-    "OptimalLowRankFactors",
     "OverflowGuardError",
     "RankClampWarning",
     "RankDeficiencyWarning",
@@ -113,7 +110,6 @@ __all__ = [
     "generate_toy_operator",
     "load_config",
     "load_snapshots",
-    "materialize",
     "numerical_rank",
     "reconstruct_from_modes",
     "residual_norm",

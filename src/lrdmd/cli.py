@@ -148,7 +148,7 @@ def cmd_fit(args) -> int:
     if args.method == "exact":
         op = fac.exact()
     elif args.method == "optimal":
-        op, _ = _fit_optimal_guarded(fac, requested)
+        op = _fit_optimal_guarded(fac, requested)
     elif args.method == "truncated":
         op = fac.truncated(requested)
     else:
@@ -190,8 +190,8 @@ def cmd_modes(args) -> int:
         raise ValidationError("horizon must be >= 1")
     snaps, d = _load_matrices(args)
     theta = _load_theta(args.theta, snaps)
-    op, factors = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
-    mode_set = compute_modes(factors, VARIANT_NAMES[args.variant], tol=args.svd_tol)
+    op = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
+    mode_set = compute_modes(op, VARIANT_NAMES[args.variant], tol=args.svd_tol)
     schedule = amplitudes(mode_set, theta, args.horizon)
     report = verify_eigenpairs(mode_set, op)
     k = mode_set.eigenvalues.shape[0]
@@ -240,11 +240,11 @@ def cmd_simulate(args) -> int:
         raise ValidationError("stride must be >= 1")
     snaps, d = _load_matrices(args)
     theta = _load_theta(args.theta, snaps)
-    op, factors = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
+    op = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
     if args.path == "reduced":
-        traj = simulate_reduced(factors, theta, args.horizon, stride=args.stride)
+        traj = simulate_reduced(op, theta, args.horizon, stride=args.stride)
     else:
-        mode_set = compute_modes(factors, "exact_reconstruction", tol=args.svd_tol)
+        mode_set = compute_modes(op, "exact_reconstruction", tol=args.svd_tol)
         schedule = amplitudes(mode_set, theta, args.horizon)
         traj = reconstruct_from_modes(mode_set, schedule)
         if args.stride > 1:

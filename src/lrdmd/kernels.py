@@ -7,11 +7,11 @@ trajectory recursions. Everything else in the package is BLAS/LAPACK-bound.
 The sweep runs every restart at once: the factors are stacked as
 (restarts, n, k) and (restarts, k, n), so each iteration is a handful of
 batched numpy calls and the Python loop has `iters` steps, not
-`restarts * iters`. The two trajectory recursions share one loop over
-time steps in rank space (_recurse): each step is one matrix-vector
-product into a buffer, and the overflow guard is checked once per block of
-steps by one vectorized norm of the rank-sized states, so no step touches
-an n-row array or runs interpreted guard work.
+`restarts * iters`. The trajectory recursion runs in rank space
+(propagate_reduced): each step is one matrix-vector product into a
+buffer, and the overflow guard is checked once per block of steps by one
+vectorized norm of the rank-sized states, so no step touches an n-row
+array or runs interpreted guard work.
 """
 
 import numpy as np
@@ -71,19 +71,19 @@ def als_sweep(X, Y, YXp, inits, iters):
     return best[r], best_L[r], best_R[r]
 
 
-def _recurse(M, z, horizon, stride, limit, G=None):
+def propagate_reduced(M, z, horizon, stride, limit, G=None):
     """(kept, overflow) of the recursion z_t = M z_{t-1} from z_2 = z.
 
     kept holds z_t at t = 1+stride, 1+2*stride, ... up to horizon. The
-    guard is the squared norm z^T z, or z^T G z when G is given, checked
-    against limit**2 once per block of _BLOCK steps, by one vectorized
-    norm; overflow is the first step that trips it (0: none did), and no
-    state from that step on is kept. Each step is one np.dot into the
-    block's buffer (a BLAS gemv, with less call overhead than np.matmul),
-    so the states are those of z = M @ z step by step, and the recursion
-    holds the kept states and one block, whatever the horizon. Steps past
-    a trip in its block are computed and discarded, their floating-point
-    warnings with them.
+    guard is the squared norm z^T z, or z^T G z when G is given (G = L^T L
+    guards the lifted state L z), checked against limit**2 once per block
+    of _BLOCK steps, by one vectorized norm; overflow is the first step
+    that trips it (0: none did), and no state from that step on is kept.
+    Each step is one np.dot into the block's buffer (a BLAS gemv, with less
+    call overhead than np.matmul), so the states are those of z = M @ z
+    step by step, and the recursion holds the kept states and one block,
+    whatever the horizon. Steps past a trip in its block are computed and
+    discarded, their floating-point warnings with them.
     """
     kept = np.empty(((horizon - 1) // stride, z.shape[0]))
     if horizon == 1:
@@ -116,29 +116,17 @@ def _recurse(M, z, horizon, stride, limit, G=None):
 def propagate_factored(left, right, x0, horizon, stride, limit):
     """Iterate x <- left (right x) from x0, keeping every stride-th state.
 
-    States are indexed t = 1..horizon with x0 at t = 1; rows of the output
-    hold the states at t = 1, 1+stride, 1+2*stride, ... The recursion runs
-    in rank space: x_t = left z_t with z_2 = right x0 and z_{t+1} = (right
-    left) z_t, so a step costs O(rho^2), and the kept states are lifted in
-    one product at the end. The squared norm of each new state, z^T (left^T
-    left) z, is checked against limit**2 (see _recurse); on overflow the
-    step index that tripped the guard is returned (0 means the whole
-    horizon was safe), with the states before it.
+    Kept for the benchmark harness, whose tracer looks it up by name; it
+    goes with ROADMAP item 1's harness adapter. States are indexed t =
+    1..horizon with x0 at t = 1; rows of the output hold the states at t =
+    1, 1+stride, 1+2*stride, ..., from the rank-space recursion z_{t+1} =
+    (right left) z_t from z_2 = right x0 guarded by left^T left, lifted as
+    x_t = left z_t, with the overflow step as in propagate_reduced.
     """
-    if horizon == 1:
-        return x0[None, :].copy(), 0
-    Z, overflow = _recurse(right @ left, right @ x0, horizon, stride, limit, G=left.T @ left)
+    Z, overflow = propagate_reduced(
+        right @ left, right @ x0, horizon, stride, limit, G=left.T @ left
+    )
     out = np.empty((1 + Z.shape[0], x0.shape[0]))
     out[0] = x0
     out[1:] = Z @ left.T
     return out, overflow
-
-
-def propagate_reduced(M, z_first, horizon, stride, limit):
-    """Iterate the low-dimensional recursion z_t = M z_{t-1} from z_2.
-
-    z_first is the state at t = 2; output rows hold z at the kept times
-    t = 1+stride, 1+2*stride, ... up to horizon. The guard is on ||z_t||
-    and overflow is reported the same way as in propagate_factored.
-    """
-    return _recurse(M, z_first, horizon, stride, limit)

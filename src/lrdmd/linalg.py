@@ -82,7 +82,10 @@ def numerical_rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 
 def column_signs(W: np.ndarray) -> np.ndarray:
     """+1 or -1 for each column of W: the sign that makes the column's
-    largest-magnitude entry positive, the first index winning ties."""
+    largest-magnitude entry positive, the first index winning ties; +1
+    for every column of a W with no rows (the SVD of a 0-by-0 core)."""
+    if W.shape[0] == 0:
+        return np.ones(W.shape[1])
     # Column maxima and minima decide it (a column-wise argmax over a tall W
     # costs several times more); where they tie in magnitude the first index
     # wins, which is the documented tie-break and what np.argmax returns.

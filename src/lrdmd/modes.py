@@ -1,20 +1,21 @@
 """Spectral decomposition of the fitted low-rank operator: eigenvalues,
 modes, and their time-varying amplitudes.
 
-The operator A = P Q^T is never materialized: its nonzero eigenvalues are
-those of a k-by-k matrix, whose eigenvectors are mapped back to state
-space. Two mappings ship:
+The operator A = L R (A = P Q^T in the paper's notation) is never formed:
+its nonzero eigenvalues are those of a rho-by-rho matrix, whose
+eigenvectors are mapped back to state space. Two mappings ship:
 
-* ``exact_reconstruction`` (default): the eigenpairs (lambda, w) of Q^T P
-  give phi = P w, since A (P w) = P (Q^T P w) = lambda P w. These satisfy
-  A phi = lambda phi up to roundoff, which verify_eigenpairs checks. No
-  n-row factorization is needed: Q's rank, which the rank guard checks,
-  and Q^T P itself, formed at size c, come with the optimal fit; the one
-  n-row product left is the map w -> P w.
-* ``as_stated``: with the thin SVD Q = Wq Sq Vq^T, the eigenvectors w of
-  Wq^T P Vq Sq give phi = Wq w. Reported as-is; these columns are not in
-  general eigenvectors of A, and verify_eigenpairs quantifies by how much.
-  With Q = Qb R, Wq = Qb Ur comes from the small SVD R = Ur Sq Vq^T.
+* ``exact_reconstruction`` (default): the eigenpairs (lambda, w) of the
+  operator's transition R L give phi = L w, since A (L w) = L (R L w) =
+  lambda L w. These satisfy A phi = lambda phi up to roundoff, which
+  verify_eigenpairs checks. The transition and the singular values of R,
+  which the rank guard checks, come with the operator (at size c for an
+  optimal fit); the one n-row product left is the map w -> L w.
+* ``as_stated``: with the thin SVD Q = R^T = Wq Sq Vq^T, the eigenvectors
+  w of Wq^T L Vq Sq give phi = Wq w. Reported as-is; these columns are not
+  in general eigenvectors of A, and verify_eigenpairs quantifies by how
+  much. With Q = Qb Rb, Wq = Qb Ur comes from the small SVD Rb = Ur Sq
+  Vq^T.
 """
 
 import warnings
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateModeWarning, RankGuardError, ValidationError
 from .linalg import DEFAULT_TOL, numerical_rank, qr_factor, thin_svd
-from .solvers import _ROW_BLOCK, DmdOperator, OptimalLowRankFactors
+from .solvers import _ROW_BLOCK, DmdOperator
 
 VARIANTS = ("exact_reconstruction", "as_stated")
 
@@ -119,36 +120,33 @@ def _real_times_complex(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def compute_modes(
-    f: OptimalLowRankFactors,
+    op: DmdOperator,
     variant: str = "exact_reconstruction",
     tol: float = DEFAULT_TOL,
 ) -> DmdModes:
-    """Eigenvalues and modes of the fitted operator A = P Q^T.
+    """Eigenvalues and modes of the fitted operator A = L R.
 
-    ``exact_reconstruction`` solves the k-by-k eigenproblem for Q^T P,
-    f.transition when the fit supplied it, else formed over the n rows, and
-    maps w to P w; modes paired with zero eigenvalues are dropped with a
-    warning. ``as_stated`` solves it for
-    Wq^T P Vq Sq (with Q = Wq Sq Vq^T) and maps w to Wq w. Either way Q
-    must have numerical rank k; its singular values come from f.q_core
-    when the fit supplied it, else from the R of Q = Qb R.
+    ``exact_reconstruction`` solves the rho-by-rho eigenproblem for
+    op.transition (R L) and maps w to L w; modes paired with zero
+    eigenvalues are dropped with a warning. ``as_stated`` solves it for
+    Wq^T L Vq Sq (with R^T = Wq Sq Vq^T) and maps w to Wq w. Either way R
+    must have numerical rank rho, by op.right_singular_values.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown mode variant {variant!r}; expected one of {VARIANTS}")
-    k = f.rank
-    b = qr_factor(f.Q) if variant == "as_stated" or f.q_core is None else None
-    fq = None if b is None else thin_svd(b.R)
-    sigma_q = np.linalg.svd(f.q_core, compute_uv=False) if fq is None else fq.sigma
-    rank_q = numerical_rank(sigma_q, tol)
+    k = op.declared_rank
+    rank_q = numerical_rank(op.right_singular_values, tol)
     if rank_q < k:
         raise RankGuardError(
             f"operator factor Q lost rank ({rank_q} < {k}); reduce the target rank"
         )
-    Wq = b.lift(fq.W) if variant == "as_stated" else None
-    if Wq is not None:
-        core = Wq.T @ f.P @ (fq.V * fq.sigma)
+    if variant == "as_stated":
+        b = qr_factor(op.right.T)
+        fq = thin_svd(b.R)
+        Wq = b.lift(fq.W)
+        core = Wq.T @ op.left @ (fq.V * fq.sigma)
     else:
-        core = f.Q.T @ f.P if f.transition is None else f.transition
+        core = op.transition
     eigenvalues, W = np.linalg.eig(core)
     order = _spectral_sort(eigenvalues)
     eigenvalues = eigenvalues[order]
@@ -168,7 +166,7 @@ def compute_modes(
             )
             eigenvalues = eigenvalues[nonzero]
             W = W[:, nonzero]
-        modes = _real_times_complex(f.P, W)
+        modes = _real_times_complex(op.left, W)
     return DmdModes(
         eigenvalues=eigenvalues,
         modes=_normalize_columns(modes),
@@ -185,7 +183,7 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
     factors, so they check the modes independently of the k-by-k core they
     came from. The report's tolerance is 1e-8 * ||A||_F, the scale at which
     the exact_reconstruction variant is expected to be exact; ||A||_F is
-    DmdOperator.frobenius_norm, at size c for an optimal fit.
+    DmdOperator.frobenius, at size c for an optimal fit.
     """
     n = modes.modes.shape[0]
     if op.n != n:
@@ -198,7 +196,7 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
         block -= modes.modes[rows] * modes.eigenvalues
         squares += _column_squares(block)
     residuals = np.sqrt(squares)
-    a_norm = op.frobenius_norm()
+    a_norm = op.frobenius
     return EigenpairReport(residuals=residuals, tolerance=1e-8 * a_norm, operator_norm=a_norm)
 
 

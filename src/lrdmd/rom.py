@@ -1,18 +1,15 @@
 """Reduced-order trajectory generation.
 
-Three routes to a surrogate trajectory x~_t with x~_1 = theta:
+Two routes to a surrogate trajectory x~_t with x~_1 = theta:
 
-* simulate_reduced: the k-dimensional recursion z_t = (P^T A P) z_{t-1}
-  driven by z_2 = Q^T theta, lifted back as x~_t = P z_t. The k-by-k
-  transition matrix Q^T P comes with the optimal fit, formed at size c
-  (OptimalLowRankFactors.transition); only a bundle built by hand forms it
-  here, over the n rows. Each step costs O(k^2).
-* simulate_full: repeated application of the factored operator A = L R,
-  run in rank space as z_{t+1} = (R L) z_t from z_2 = R theta, O(rho^2) per
-  step; the kept states are lifted as L z_t in one product. An optimal
-  operator carries R L (DmdOperator.transition) and an orthonormal L, so
-  it takes the reduced recursion with the guard on ||z_t|| = ||x_t||; any
-  other operator forms R L and L^T L here (kernels.propagate_factored).
+* simulate_full, also named simulate_reduced: repeated application of the
+  factored operator A = L R, run in rank space. The rho-dimensional
+  recursion z_t = (R L) z_{t-1} from z_2 = R theta is lifted back as
+  x~_t = L z_t; for an optimal fit A = P Q^T it is the paper's reduced
+  model z_t = (Q^T P) z_{t-1}. The transition R L and the Gram L^T L that
+  guards the norm of x~_t come with the operator (DmdOperator), at size c
+  for an optimal fit, whose L is orthonormal and needs no Gram. Each step
+  costs O(rho^2), and the kept states are lifted in one product.
 * reconstruct_from_modes: the modal expansion x~_t = sum_i nu[t,i] phi_i.
 
 Diverging trajectories are permitted but guarded: any state whose norm
@@ -29,7 +26,7 @@ from . import kernels
 from .errors import OverflowGuardError, ReconstructionWarning, ValidationError
 from .modes import AmplitudeSchedule, DmdModes, _check_theta
 from .snapshots import write_csv_rows
-from .solvers import DmdOperator, OptimalLowRankFactors
+from .solvers import DmdOperator
 
 OVERFLOW_LIMIT = 1e150
 
@@ -39,8 +36,9 @@ class RomTrajectory:
     """Surrogate trajectory: states[j] is the state at time times[j].
 
     times is 1-based and always starts at t = 1 (the initial condition).
-    reduced_states holds the k-dimensional coordinates for times[1:] when
-    the trajectory came from the reduced recursion, else None.
+    reduced_states holds the rank-space coordinates z_t for times[1:] when
+    the trajectory came from simulate_full, and is None for the modal
+    expansion.
     """
 
     states: np.ndarray
@@ -55,72 +53,37 @@ def _check_horizon(horizon, stride):
         raise ValidationError("stride must be >= 1")
 
 
-def _reduced_recursion(P, transition, z2, theta, horizon, stride, label):
-    """(states, zs): z_t = transition z_{t-1} from z_2, kept every stride-th
-    step as zs and lifted as P z_t below theta; ||z_t|| is guarded, which is
-    ||x_t|| for an orthonormal P."""
-    zs, overflow_step = kernels.propagate_reduced(
-        np.ascontiguousarray(transition), z2, horizon, stride, OVERFLOW_LIMIT
-    )
-    if overflow_step:
-        raise OverflowGuardError(
-            f"{label} norm exceeded {OVERFLOW_LIMIT:g} at step {overflow_step}"
-        )
-    states = np.empty((1 + zs.shape[0], P.shape[0]))
-    states[0] = theta
-    states[1:] = zs @ P.T
-    return states, zs
-
-
-def simulate_reduced(
-    f: OptimalLowRankFactors, theta: np.ndarray, horizon: int, stride: int = 1
-) -> RomTrajectory:
-    """Run the k-dimensional recursion and lift the kept states.
-
-    z_2 = Q^T theta, z_t = (Q^T P) z_{t-1}, x~_t = P z_t; the transition
-    matrix Q^T P is exactly P^T (Y X^+) P from the fitted factors. It is
-    f.transition, formed once by the optimal fit, or Q^T P formed here for
-    a bundle built by hand.
-    """
-    theta = _check_theta(theta, f.P.shape[0])
-    _check_horizon(horizon, stride)
-    times = np.arange(1, horizon + 1, stride, dtype=np.int64)
-    transition = f.Q.T @ f.P if f.transition is None else f.transition
-    states, zs = _reduced_recursion(
-        f.P, transition, f.Q.T @ theta, theta, horizon, stride, "reduced trajectory"
-    )
-    return RomTrajectory(states=states, times=times, reduced_states=zs)
-
-
 def simulate_full(
     op: DmdOperator, theta: np.ndarray, horizon: int, stride: int = 1
 ) -> RomTrajectory:
     """Apply the factored operator horizon-1 times starting from theta.
 
-    An optimal operator steps with its transition R L; any other forms R L
-    and L^T L over the n rows (kernels.propagate_factored).
+    z_2 = R theta, z_t = (R L) z_{t-1} guarded by op.gram, x~_t = L z_t,
+    kept every stride-th step (kernels.propagate_reduced). For an optimal
+    fit the transition Q^T P is exactly P^T (Y X^+) P.
     """
     theta = _check_theta(theta, op.n)
     _check_horizon(horizon, stride)
     times = np.arange(1, horizon + 1, stride, dtype=np.int64)
-    if op.transition is not None:
-        states, _ = _reduced_recursion(
-            op.left, op.transition, op.right @ theta, theta, horizon, stride, "trajectory"
-        )
-        return RomTrajectory(states=states, times=times)
-    states, overflow_step = kernels.propagate_factored(
-        np.ascontiguousarray(op.left),
-        np.ascontiguousarray(op.right),
-        theta,
+    zs, overflow_step = kernels.propagate_reduced(
+        np.ascontiguousarray(op.transition),
+        op.right @ theta,
         horizon,
         stride,
         OVERFLOW_LIMIT,
+        op.gram,
     )
     if overflow_step:
         raise OverflowGuardError(
             f"trajectory norm exceeded {OVERFLOW_LIMIT:g} at step {overflow_step}"
         )
-    return RomTrajectory(states=states, times=times)
+    states = np.empty((1 + zs.shape[0], op.n))
+    states[0] = theta
+    states[1:] = zs @ op.left.T
+    return RomTrajectory(states=states, times=times, reduced_states=zs)
+
+
+simulate_reduced = simulate_full
 
 
 def reconstruct_from_modes(modes: DmdModes, amps: AmplitudeSchedule) -> RomTrajectory:

@@ -80,6 +80,8 @@ class DataMatrices:
         Y = np.array(Y, dtype=np.float64, order="C")
         if X.ndim != 2 or Y.ndim != 2 or X.shape != Y.shape:
             raise ValidationError("X and Y must be matrices of identical shape")
+        if X.size == 0:
+            raise ValidationError(f"X and Y must be non-empty, not {X.shape[0]}x{X.shape[1]}")
         for name, M in (("X", X), ("Y", Y)):
             if not np.all(np.isfinite(M)):
                 raise ValidationError(f"{name} contains non-finite values")

@@ -36,13 +36,15 @@ read-only, and so is every array a Factorization holds or a fit returns.
 
 A fitted operator keeps a link to the Factorization it came from, so
 residual_norm on the data it was fitted to is evaluated at size c as well.
-An optimal fit A = P Q^T also carries its rank-space core, formed at size
-c: the k-by-k transition Q^T P, which holds the spectrum and the dynamics
-of A, and ||A||_F. The modes, both reduced-order paths and the eigenpair
-tolerance take them from the fit instead of forming them over the n rows.
+Every operator carries its rank-space core (DmdOperator): the transition R
+L, which holds the spectrum and the dynamics of A = L R, the Gram L^T L
+that guards the rank-space recursion, the singular values of R and
+||A||_F. An optimal fit sets all four at size c; any other operator forms
+them from its factors on first use. The modes, the reduced-order
+trajectories and the eigenpair tolerance read them from the operator.
 
 Operators are kept in factored (n x rho)(rho x n) form; nothing here
-materializes an n-by-n matrix unless materialize() is called explicitly.
+forms an n-by-n matrix.
 """
 
 import warnings
@@ -68,8 +70,6 @@ from .linalg import (
     thin_svd,
 )
 from .snapshots import DataMatrices
-
-MATERIALIZE_GUARD = 10_000
 
 # Largest share of the columns of Y that may be new, copies of no column of
 # X, for factorize() to factor Z = [X, the u new columns] in place of X and
@@ -142,19 +142,17 @@ class DmdOperator:
     under another tol or strict, the operator's residual is evaluated
     through its factors.
 
-    An optimal fit also sets ``transition``, the rho-by-rho matrix R L,
-    formed at size c, and ``_frobenius``, ||A||_F. Its left factor has
-    orthonormal columns, so simulate_full steps with R L and guards on the
-    rank-space state alone. Neither is a constructor argument; an operator
-    without them forms R L from its factors.
+    Its rank-space core is ``transition`` (R L), ``gram`` (L^T L, or None
+    when L has orthonormal columns), ``right_singular_values`` (those of
+    R) and ``frobenius`` (||A||_F). Each is formed from the factors on
+    first use and cached, read-only; an optimal fit sets all four at size
+    c (Factorization.optimal).
     """
 
     left: np.ndarray
     right: np.ndarray
     method_tag: str
     source: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    transition: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
-    _frobenius: float | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -164,45 +162,44 @@ class DmdOperator:
     def declared_rank(self) -> int:
         return self.left.shape[1]
 
+    @property
+    def P(self) -> np.ndarray:
+        """left, the paper's P in A = P Q^T. Kept for the benchmark harness,
+        which reads it; it goes with ROADMAP item 1's harness adapter."""
+        return self.left
+
+    @property
+    def Q(self) -> np.ndarray:
+        """right.T, the paper's Q in A = P Q^T. Kept for the benchmark
+        harness, which reads it; it goes with ROADMAP item 1's harness
+        adapter."""
+        return self.right.T
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector (or matrix-matrix) product through the factors."""
         return self.left @ (self.right @ x)
 
-    def frobenius_norm(self) -> float:
-        """||A||_F: the one an optimal fit computed at size c, else from the
-        factors as sqrt(tr((L^T L)(R R^T)))."""
-        if self._frobenius is not None:
-            return self._frobenius
-        return float(np.sqrt(abs(np.sum((self.left.T @ self.left) * (self.right @ self.right.T)))))
+    @cached_property
+    def transition(self) -> np.ndarray:
+        """R L, the rho-by-rho matrix that carries the nonzero spectrum of A
+        and its dynamics in rank space: A^t L = L (R L)^t."""
+        return _read_only(self.right @ self.left)
 
+    @cached_property
+    def gram(self) -> np.ndarray | None:
+        """L^T L, so that ||L z||^2 = z^T (L^T L) z. An optimal fit sets
+        None: its L has orthonormal columns, and ||L z|| = ||z||."""
+        return _read_only(self.left.T @ self.left)
 
-@dataclass(frozen=True)
-class OptimalLowRankFactors:
-    """Factor bundle from the optimal solver, reused by the spectral and
-    reduced-order modules.
+    @cached_property
+    def right_singular_values(self) -> np.ndarray:
+        """The singular values of R, those of its R factor R^T = Q_r R_r."""
+        return _read_only(thin_svd(qr_factor(self.right.T).R).sigma)
 
-    P (n, k): orthonormal basis of the dominant left singular subspace of Y V_x.
-    Q (n, k): (Y X^+)^T P, so the fitted operator is A = P Q^T.
-    q_core (k, r): a small matrix with the singular values of Q, which the
-    optimal fit supplies (Q = W q_core^T up to column signs, W orthonormal)
-    so that they cost a k-by-r SVD; None for a bundle built by hand, whose
-    Q compute_modes then factors itself.
-    transition (k, k): Q^T P, the matrix that carries the spectrum and the
-    reduced dynamics of A, which the optimal fit forms at size c; None for
-    a bundle built by hand, for which compute_modes and simulate_reduced
-    form Q^T P over the n rows.
-    P and Q are the operator's left factor and the transpose of its right
-    one, and transition is the operator's own, not copies.
-    """
-
-    P: np.ndarray
-    Q: np.ndarray
-    q_core: np.ndarray | None = None
-    transition: np.ndarray | None = None
-
-    @property
-    def rank(self) -> int:
-        return self.P.shape[1]
+    @cached_property
+    def frobenius(self) -> float:
+        """||A||_F = sqrt(tr((L^T L)(R R^T)))."""
+        return float(np.sqrt(abs(np.sum(self.gram * (self.right @ self.right.T)))))
 
 
 def _check_rank_arg(k: int) -> int:
@@ -330,14 +327,13 @@ class Factorization:
         L, R = self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T
         return _read_only((L, R, b.numerical_rank(self.tol)))
 
-    def _fitted(self, left, right, method_tag: str, fit: str, k: int, core=(None, None)):
+    def _fitted(self, left, right, method_tag: str, fit: str, k: int, **core):
         """The operator left @ right of fit at rank k, read-only and weakly
-        linked to this Factorization (DmdOperator.source); core is the
-        optimal fit's (transition, ||A||_F)."""
+        linked to this Factorization (DmdOperator.source); core sets the
+        optimal fit's rank-space core, by the names of DmdOperator's."""
         op = DmdOperator(left=_read_only(left), right=_read_only(right), method_tag=method_tag)
         object.__setattr__(op, "source", (weakref.ref(self), fit, k))
-        object.__setattr__(op, "transition", core[0])
-        object.__setattr__(op, "_frobenius", core[1])
+        op.__dict__.update(core)
         return op
 
     def _at_size_c(self, fit: str) -> bool:
@@ -495,7 +491,7 @@ class Factorization:
             return float(np.hypot(self._outside, np.linalg.norm(self._y_coords - fitted)))
         return float(np.linalg.norm(self._y[1] - fitted))
 
-    def optimal(self, k: int):
+    def optimal(self, k: int) -> DmdOperator:
         """Closed-form global minimizer of ||Y - A X|| over rank(A) <= k.
 
         The minimizer is P_k P_k^T Y X^+ = P_k (diag(t_k) U_k^T diag(1/s) W^T),
@@ -505,21 +501,25 @@ class Factorization:
         (see _optimal_rank); strict mode raises instead.
 
         The operator is P_k Q_k^T with Q_k^T = rows_k W^T, rows = core U^T,
-        so its transition Q_k^T P_k = rows_k (Q^T Q_y P^_k) and its norm
-        ||A||_F = ||rows_k||_F (P_k and Q orthonormal) are formed at size c.
-
-        Returns (operator, factors) where factors feed the spectral and
-        reduced-order modules.
+        and its rank-space core is formed at size c: the transition Q_k^T
+        P_k = rows_k (Q^T Q_y P^_k); no Gram, P_k being orthonormal; the
+        singular values of Q_k, those of core_k since W and U are
+        orthonormal; and ||A||_F = ||rows_k||_F.
         """
         k = self._optimal_rank(k)
         Pc, core, rows = self._optimal_coefs
         P, rows_k, sign = _signed(self._y[0].lift(Pc[:, :k]), rows[:k])
-        Qt = self.basis.lift_rows(rows_k)
-        transition = _read_only((rows_k @ self._y_basis_on_x[:, :k]) * sign)
-        op = self._fitted(
-            P, Qt, "optimal", "optimal", k, (transition, float(np.linalg.norm(rows_k)))
+        return self._fitted(
+            P,
+            self.basis.lift_rows(rows_k),
+            "optimal",
+            "optimal",
+            k,
+            transition=_read_only((rows_k @ self._y_basis_on_x[:, :k]) * sign),
+            gram=None,
+            right_singular_values=_read_only(np.linalg.svd(core[:k], compute_uv=False)),
+            frobenius=float(np.linalg.norm(rows_k)),
         )
-        return op, OptimalLowRankFactors(P=P, Q=Qt.T, q_core=core[:k], transition=transition)
 
 
 def _repeated_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -655,10 +655,14 @@ def fit_projected_dmd(
 
 def fit_optimal_lowrank_dmd(
     d: DataMatrices, k: int, tol: float = DEFAULT_TOL, strict: bool = False
-):
-    """Closed-form global minimizer over rank(A) <= k (Factorization.optimal);
-    returns (operator, factors)."""
-    return factorize(d, tol, strict).optimal(k)
+) -> tuple:
+    """Closed-form global minimizer over rank(A) <= k (Factorization.optimal).
+
+    Returns (op, op), the operator twice: the benchmark harness unpacks a
+    pair. The pair goes with ROADMAP item 1's harness adapter.
+    """
+    op = factorize(d, tol, strict).optimal(k)
+    return op, op
 
 
 def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
@@ -685,12 +689,3 @@ def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
             return fac._residual(fit, k)
     X, Y = d.pairs()
     return _distance(Y, op.left, op.right @ X)
-
-
-def materialize(op: DmdOperator) -> np.ndarray:
-    """Dense n-by-n form of the operator; guarded against large n."""
-    if op.n > MATERIALIZE_GUARD:
-        raise ValidationError(
-            f"refusing to materialize a {op.n}x{op.n} matrix (guard at {MATERIALIZE_GUARD})"
-        )
-    return op.left @ op.right

@@ -17,7 +17,7 @@ from lrdmd.snapshots import (
     load_snapshots,
     save_snapshots,
 )
-from lrdmd.solvers import fit_optimal_lowrank_dmd, materialize
+from lrdmd.solvers import fit_optimal_lowrank_dmd
 from lrdmd.toybench import benchmark_data, companion_residual
 
 
@@ -162,6 +162,27 @@ class TestFit:
         assert main(args) == 0
         keys = [line.split(",")[0] for line in (out / "summary.csv").read_text().splitlines()]
         assert "residual" in keys and "certified_residual" not in keys
+
+    @pytest.mark.parametrize("method, code", [("exact", 0), ("truncated", 0), ("projected", 0),
+                                              ("optimal", 3)])
+    def test_all_zero_snapshots(self, tmp_path, method, code):
+        # X = 0: the baselines fit the rank-0 operator, as the exact fit
+        # does; the optimal fit has nothing to fit and is a numerical failure
+        path = tmp_path / "zeros.csv"
+        save_snapshots(SnapshotSet(states=np.zeros((1, 5, 4))), path)
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = main(["fit", "--input", str(path), "--method", method, "--rank", "1",
+                        "--out", str(out)])
+        assert got == code
+        if code == 0:
+            lines = (out / "summary.csv").read_text().splitlines()
+            summary = dict(line.split(",", 1) for line in lines[1:])
+            assert "declared_rank,0" in lines
+            assert float(summary["residual"]) == 0.0  # ||Y|| of all-zero data
+        else:
+            assert not out.exists()
 
     def test_zero_rank_is_usage_error(self, toy_csv, tmp_path, capsys):
         code = main(
@@ -360,7 +381,7 @@ class TestSimulate:
         op, _ = fit_optimal_lowrank_dmd(d, 3)
         theta = snaps.initial_condition(0)
         assert_allclose(rows[0, 1:], theta, atol=1e-15)
-        assert_allclose(rows[1, 1:], materialize(op) @ theta, atol=1e-10)
+        assert_allclose(rows[1, 1:], op.left @ op.right @ theta, atol=1e-10)
 
     def test_horizon_one_emits_initial_state(self, small_csv, tmp_path):
         out = tmp_path / "sim1"

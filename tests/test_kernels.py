@@ -130,6 +130,24 @@ class TestBlockedRecursion:
         assert (flag > 0) == (radius > 1.0)
         assert got.shape == want.shape and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("radius", [0.97, 1.6], ids=["decaying", "divergent"])
+    def test_reduced_with_gram_is_the_factored_recursion(self, rng, radius):
+        # given G = L^T L, propagate_reduced guards the lifted norm: its
+        # states and its tripping step are those of propagate_factored
+        left = rng.standard_normal((60, 8))
+        right = rng.standard_normal((8, 60))
+        right *= radius / np.abs(np.linalg.eigvals(right @ left)).max()
+        x0 = rng.standard_normal(60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, flag = kernels.propagate_reduced(
+                right @ left, right @ x0, 1000, 7, 1e150, left.T @ left
+            )
+            want, want_flag = kernels.propagate_factored(left, right, x0, 1000, 7, 1e150)
+        assert flag == want_flag
+        assert (flag > 0) == (radius > 1.0)
+        assert np.array_equal(got @ left.T, want[1:])
+
     @pytest.mark.parametrize("horizon", [256, 257, 258, 513])
     def test_block_edges(self, rng, horizon):
         M = 0.5 * np.linalg.qr(rng.standard_normal((4, 4)))[0]

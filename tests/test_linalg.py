@@ -5,15 +5,15 @@ from numpy.testing import assert_allclose
 from lrdmd.errors import RankClampWarning, RankDeficiencyWarning, RankGuardError, ValidationError
 from lrdmd.linalg import CHOLQR_MIN_RATIO, _cholesky_qr2, _fix_signs, qr_factor, thin_svd
 from lrdmd.snapshots import DataMatrices
-from lrdmd.solvers import fit_exact_dmd, fit_optimal_lowrank_dmd, fit_truncated_exact_dmd, materialize
+from lrdmd.solvers import fit_exact_dmd, fit_optimal_lowrank_dmd, fit_truncated_exact_dmd
 
 
 def fitted_pinv(M):
     """M^+ as applied by the exact fit: with Y the first m columns of the
     n-by-n identity, Y M^+ stacks M^+ on zero rows."""
     n, m = M.shape
-    A = materialize(fit_exact_dmd(DataMatrices(X=M, Y=np.eye(n, m))))
-    return A[:m]
+    op = fit_exact_dmd(DataMatrices(X=M, Y=np.eye(n, m)))
+    return (op.left @ op.right)[:m]
 
 
 def dominant_basis(Y, k, strict=False):
@@ -25,7 +25,8 @@ def dominant_basis(Y, k, strict=False):
 
 def truncation(M, k):
     """Best rank-k approximation of M, as the truncated fit on X = I."""
-    return materialize(fit_truncated_exact_dmd(DataMatrices(X=np.eye(*M.shape), Y=M), k))[:, : M.shape[1]]
+    op = fit_truncated_exact_dmd(DataMatrices(X=np.eye(*M.shape), Y=M), k)
+    return (op.left @ op.right)[:, : M.shape[1]]
 
 
 def svd_case(name):

@@ -17,9 +17,11 @@ from lrdmd.modes import (
 from lrdmd.rom import simulate_reduced
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import (
-    OptimalLowRankFactors,
+    DmdOperator,
+    fit_exact_dmd,
     fit_optimal_lowrank_dmd,
-    materialize,
+    fit_projected_dmd,
+    fit_truncated_exact_dmd,
 )
 
 
@@ -54,8 +56,8 @@ def upcast_modes(factors, variant):
     """compute_modes with every real factor upcast to complex before its
     product, and one column at a time normalized. as_stated takes the thin
     SVD of Q as Wq = Qb Ur from Q = Qb R and R = Ur Sq Vq^T; the exact
-    variant takes the fit's core Q^T P (factors.transition), whose agreement
-    with the n-row product is TestTransition's check."""
+    variant takes the fit's core Q^T P (DmdOperator.transition), whose
+    agreement with the n-row product is TestRankSpaceCore's check."""
     if variant == "as_stated":
         b = qr_factor(factors.Q)
         fq = thin_svd(b.R)
@@ -116,7 +118,7 @@ class TestComputeModes:
         k = 5
         op, factors = fit_toy(setting_ii_data, k)
         modes = compute_modes(factors)
-        dense = np.linalg.eigvals(materialize(op))
+        dense = np.linalg.eigvals(op.left @ op.right)
         dense = dense[spectral_key(dense)][:k]
         assert_allclose(modes.eigenvalues, dense, atol=1e-8 * np.abs(dense[0]))
 
@@ -165,9 +167,9 @@ class TestComputeModes:
     def test_rank_collapsed_q_rejected(self):
         P = np.eye(4)[:, :2]
         Q = np.column_stack([np.ones(4), np.ones(4)])  # rank 1
-        factors = OptimalLowRankFactors(P=P, Q=Q)
+        op = DmdOperator(left=P, right=Q.T, method_tag="optimal")
         with pytest.raises(RankGuardError, match="rank"):
-            compute_modes(factors)
+            compute_modes(op)
 
     @pytest.mark.parametrize("variant", ["exact_reconstruction", "as_stated"])
     def test_real_products_match_complex_upcast(self, variant):
@@ -179,10 +181,10 @@ class TestComputeModes:
         assert np.linalg.norm(got.modes - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_hand_built_bundle_forms_its_core(self):
-        # a bundle without the fit's transition takes eig(Q^T P) of the n-row
-        # product, and lands within roundoff of the fitted bundle's modes
+        # an operator built by hand from the fit's factors takes eig(Q^T P)
+        # of the n-row product, and lands within roundoff of the fit's modes
         _, factors = tall_fit()
-        bundle = OptimalLowRankFactors(P=factors.P, Q=factors.Q)
+        bundle = DmdOperator(left=factors.P, right=factors.Q.T, method_tag="optimal")
         lam = np.linalg.eig(factors.Q.T @ factors.P)[0]
         got = compute_modes(bundle)
         assert np.array_equal(got.eigenvalues, lam[spectral_key(lam)])
@@ -275,7 +277,7 @@ class TestVerifyEigenpairs:
     def test_exact_variant_satisfies_eigen_equation(self, setting_ii_data, k):
         op, factors = fit_toy(setting_ii_data, k)
         report = verify_eigenpairs(compute_modes(factors, "exact_reconstruction"), op)
-        assert report.max_residual <= 1e-8 * op.frobenius_norm()
+        assert report.max_residual <= 1e-8 * op.frobenius
 
     @pytest.mark.parametrize("variant", ["exact_reconstruction", "as_stated"])
     def test_real_products_match_complex_upcast(self, variant):
@@ -285,6 +287,20 @@ class TestVerifyEigenpairs:
         want = np.linalg.norm(applied - modes.modes * modes.eigenvalues, axis=0)
         report = verify_eigenpairs(modes, op)
         assert_allclose(report.residuals, want, rtol=1e-12, atol=1e-12 * report.operator_norm)
+
+    @pytest.mark.parametrize("fit", ["truncated", "projected", "exact"])
+    def test_every_fit_has_true_eigenpairs(self, fit):
+        # the exact_reconstruction modes of any operator L R come from its
+        # transition R L, formed from its factors
+        d = DataMatrices(X=np.random.default_rng(3).standard_normal((300, 20)),
+                         Y=np.random.default_rng(4).standard_normal((300, 20)))
+        op = {"truncated": lambda: fit_truncated_exact_dmd(d, 6),
+              "projected": lambda: fit_projected_dmd(d, 6),
+              "exact": lambda: fit_exact_dmd(d)}[fit]()
+        modes = compute_modes(op)
+        assert modes.modes.shape == (300, op.declared_rank)
+        report = verify_eigenpairs(modes, op)
+        assert report.all_passed, report.max_residual
 
     def test_as_stated_variant_reported_without_expectation(self, setting_ii_data):
         op, factors = fit_toy(setting_ii_data, 5)

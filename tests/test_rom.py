@@ -16,12 +16,7 @@ from lrdmd.rom import (
     simulate_reduced,
 )
 from lrdmd.snapshots import DataMatrices
-from lrdmd.solvers import (
-    DmdOperator,
-    OptimalLowRankFactors,
-    fit_optimal_lowrank_dmd,
-    materialize,
-)
+from lrdmd.solvers import DmdOperator, fit_optimal_lowrank_dmd
 
 
 def symmetric_fixture(seed=5, n=8, k=3):
@@ -60,7 +55,7 @@ class TestSimulateReduced:
 
     def test_matches_dense_power_oracle_on_toy_data(self, setting_ii_data, rng):
         op, factors = toy_fit(setting_ii_data, 10)
-        A = materialize(op)
+        A = op.left @ op.right
         theta = rng.standard_normal(setting_ii_data.n)
         traj = simulate_reduced(factors, theta, 10)
         x = theta.copy()
@@ -137,26 +132,37 @@ class TestSimulateFull:
         assert np.all(np.abs(full - reduced) <= 1e-12 * scale)
 
     def test_operators_without_a_core_step_through_their_factors(self, ill_fit):
-        # a replaced operator and a hand-built bundle carry no transition, so
-        # they form R L (with the L^T L guard) and Q^T P over the n rows
-        op, theta, factors = ill_fit
-        copy = dataclasses.replace(op)
+        # a replaced operator and one built by hand from the fit's factors
+        # carry no size-c core, so they form R L and the L^T L guard over
+        # the n rows
+        op, theta, _ = ill_fit
         L, R = np.ascontiguousarray(op.left), np.ascontiguousarray(op.right)
         want, flag = kernels.propagate_factored(L, R, theta, 200, 9, OVERFLOW_LIMIT)
         assert flag == 0
-        assert np.array_equal(simulate_full(copy, theta, 200, 9).states, want)
-        bundle = OptimalLowRankFactors(P=factors.P, Q=factors.Q)
         zs, flag = kernels.propagate_reduced(
-            np.ascontiguousarray(factors.Q.T @ factors.P), factors.Q.T @ theta, 200, 9,
-            OVERFLOW_LIMIT,
+            np.ascontiguousarray(R @ L), R @ theta, 200, 9, OVERFLOW_LIMIT, L.T @ L
         )
-        got = simulate_reduced(bundle, theta, 200, 9)
         assert flag == 0
-        assert np.array_equal(got.reduced_states, zs)
-        assert np.array_equal(got.states[1:], zs @ factors.P.T)
-        fitted = simulate_reduced(factors, theta, 200, 9).states
+        for other in (dataclasses.replace(op), DmdOperator(left=L, right=R, method_tag="optimal")):
+            got = simulate_full(other, theta, 200, 9)
+            assert np.array_equal(got.states, want)
+            assert np.array_equal(got.reduced_states, zs)
+            assert np.array_equal(got.states[1:], zs @ L.T)
+        fitted = simulate_full(op, theta, 200, 9).states
         scale = np.abs(fitted).max(axis=1, keepdims=True)
-        assert np.all(np.abs(got.states - fitted) <= 1e-12 * scale)
+        assert np.all(np.abs(want - fitted) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("horizon, stride", [(1000, 50), (300, 1), (1, 1)])
+    def test_one_path_under_both_names(self, ill_fit, horizon, stride):
+        # simulate_reduced is simulate_full: the same states and the same
+        # rank-space coordinates from one optimal operator
+        op, theta, _ = ill_fit
+        full = simulate_full(op, theta, horizon, stride)
+        reduced = simulate_reduced(op, theta, horizon, stride)
+        assert np.array_equal(full.states, reduced.states)
+        assert np.array_equal(full.reduced_states, reduced.reduced_states)
+        kept = len(range(1 + stride, horizon + 1, stride))
+        assert full.reduced_states.shape == (kept, op.declared_rank)
 
     def test_projector_fixes_vector_in_subspace(self):
         basis = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 2)))[0]

@@ -260,6 +260,13 @@ class TestDataMatrices:
         with pytest.raises(ValidationError, match=f"^{name} contains non-finite values"):
             DataMatrices(**M)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_rejects_empty_data(self, shape):
+        # every fit of such data used to fail inside numpy, with a raw
+        # ValueError from a reduction over an empty array
+        with pytest.raises(ValidationError, match="non-empty"):
+            DataMatrices(X=np.zeros(shape), Y=np.zeros(shape))
+
     def test_fitters_never_see_non_finite_data(self, rng):
         # a NaN in Y used to give an exact fit full of NaN, with no error
         X, Y = rng.standard_normal((200, 20)), rng.standard_normal((200, 20))

@@ -13,6 +13,7 @@ from lrdmd.errors import (
     RankGuardError,
     ValidationError,
 )
+from lrdmd.linalg import qr_factor, thin_svd
 from lrdmd.snapshots import DataMatrices
 from lrdmd.solvers import (
     DmdOperator,
@@ -21,7 +22,6 @@ from lrdmd.solvers import (
     fit_optimal_lowrank_dmd,
     fit_projected_dmd,
     fit_truncated_exact_dmd,
-    materialize,
     residual_norm,
 )
 
@@ -42,14 +42,14 @@ class TestExactDmd:
     def test_identity_predecessors(self, rng):
         Y = rng.standard_normal((4, 4))
         op = fit_exact_dmd(DataMatrices(X=np.eye(4), Y=Y))
-        assert_allclose(materialize(op), Y, atol=1e-12)
+        assert_allclose(op.left @ op.right, Y, atol=1e-12)
 
     def test_orthonormal_columns(self):
         X = np.eye(3)[:, :2]
         Y = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
         op = fit_exact_dmd(DataMatrices(X=X, Y=Y))
         expected = np.outer(Y[:, 0], X[:, 0]) + np.outer(Y[:, 1], X[:, 1])
-        assert_allclose(materialize(op), expected, atol=1e-12)
+        assert_allclose(op.left @ op.right, expected, atol=1e-12)
 
     def test_recovers_generator(self, rng):
         # oracle: direct linear solve G = Y X^-1 on invertible square data
@@ -57,8 +57,8 @@ class TestExactDmd:
         G = rng.standard_normal((5, 5))
         op = fit_exact_dmd(DataMatrices(X=X, Y=G @ X))
         oracle = np.linalg.solve(X.T, (G @ X).T).T
-        assert_allclose(materialize(op), oracle, atol=1e-9)
-        assert_allclose(materialize(op), G, atol=1e-9)
+        assert_allclose(op.left @ op.right, oracle, atol=1e-9)
+        assert_allclose(op.left @ op.right, G, atol=1e-9)
 
     def test_zero_residual_on_full_column_rank(self, rng):
         d = random_data(3)
@@ -81,7 +81,7 @@ class TestExactDmd:
         with pytest.warns(RankDeficiencyWarning):
             op = fit_exact_dmd(d)
         dense = d.Y @ np.linalg.pinv(d.X)
-        assert_allclose(materialize(op), dense, atol=1e-12 * np.linalg.norm(dense))
+        assert_allclose(op.left @ op.right, dense, atol=1e-12 * np.linalg.norm(dense))
         with pytest.raises(RankGuardError):
             fit_exact_dmd(d, strict=True)
 
@@ -91,29 +91,28 @@ class TestTruncatedExactDmd:
         d = random_data(11)
         full = fit_exact_dmd(d)
         trunc = fit_truncated_exact_dmd(d, d.m)
-        assert_allclose(materialize(trunc), materialize(full), atol=1e-10)
+        assert_allclose(trunc.left @ trunc.right, full.left @ full.right, atol=1e-10)
 
     def test_oversized_request_matches_exact(self):
         d = random_data(12, n=6, m=4)
-        assert_allclose(
-            materialize(fit_truncated_exact_dmd(d, 10)),
-            materialize(fit_exact_dmd(d)),
-            atol=1e-10,
-        )
+        trunc, full = fit_truncated_exact_dmd(d, 10), fit_exact_dmd(d)
+        assert_allclose(trunc.left @ trunc.right, full.left @ full.right, atol=1e-10)
 
     def test_diagonal_truncation(self):
         Y = np.diag([5.0, 3.0, 1.0, 0.5])
         op = fit_truncated_exact_dmd(DataMatrices(X=np.eye(4), Y=Y), 2)
-        assert_allclose(materialize(op), np.diag([5.0, 3.0, 0.0, 0.0]), atol=1e-12)
+        assert_allclose(op.left @ op.right, np.diag([5.0, 3.0, 0.0, 0.0]), atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_economic_path_matches_dense_truncation(self, k):
         # oracle: dense SVD truncation of the materialized unconstrained fit
         d = random_data(13)
-        dense = materialize(fit_exact_dmd(d))
+        full = fit_exact_dmd(d)
+        dense = full.left @ full.right
         U, s, Vt = np.linalg.svd(dense)
         oracle = (U[:, :k] * s[:k]) @ Vt[:k]
-        assert_allclose(materialize(fit_truncated_exact_dmd(d, k)), oracle, atol=1e-9)
+        trunc = fit_truncated_exact_dmd(d, k)
+        assert_allclose(trunc.left @ trunc.right, oracle, atol=1e-9)
 
 
 class TestProjectedDmd:
@@ -125,9 +124,10 @@ class TestProjectedDmd:
         U, s, Vt = np.linalg.svd(Y)
         for k in (1, 3):
             oracle = (U[:, :k] * s[:k]) @ Vt[:k]
-            assert_allclose(materialize(fit_projected_dmd(d, k)), oracle, atol=1e-10)
+            proj = fit_projected_dmd(d, k)
+            assert_allclose(proj.left @ proj.right, oracle, atol=1e-10)
             opt, _ = fit_optimal_lowrank_dmd(d, k)
-            assert_allclose(materialize(opt), oracle, atol=1e-10)
+            assert_allclose(opt.left @ opt.right, oracle, atol=1e-10)
 
     def test_setting_i_matches_optimal(self, setting_i_data):
         import warnings
@@ -153,7 +153,8 @@ class TestOptimalLowRankDmd:
     def test_full_rank_request_matches_exact(self):
         d = random_data(21)
         op, _ = fit_optimal_lowrank_dmd(d, d.m)
-        assert_allclose(materialize(op), materialize(fit_exact_dmd(d)), atol=1e-9)
+        full = fit_exact_dmd(d)
+        assert_allclose(op.left @ op.right, full.left @ full.right, atol=1e-9)
 
     def test_eckart_young_degenerate_case(self, rng):
         # with X = I and symmetric Y the objective is the singular tail
@@ -193,7 +194,7 @@ class TestOptimalLowRankDmd:
         d = random_data(22)
         op, factors = fit_optimal_lowrank_dmd(d, 3)
         assert np.linalg.norm(factors.P.T @ factors.P - np.eye(3)) < 1e-10
-        assert_allclose(materialize(op), factors.P @ factors.Q.T, atol=1e-12)
+        assert_allclose(op.left @ op.right, factors.P @ factors.Q.T, atol=1e-12)
         assert np.array_equal(op.left, factors.P)
 
     def test_projection_identity(self):
@@ -203,13 +204,14 @@ class TestOptimalLowRankDmd:
         k = 3
         op, _ = fit_optimal_lowrank_dmd(d, k)
         P = np.linalg.svd(d.Y, full_matrices=False)[0][:, :k]
-        full = materialize(fit_exact_dmd(d))
-        assert_allclose(materialize(op), P @ (P.T @ full), atol=1e-9)
+        exact = fit_exact_dmd(d)
+        full = exact.left @ exact.right
+        assert_allclose(op.left @ op.right, P @ (P.T @ full), atol=1e-9)
 
     def test_projector_idempotent(self):
         d = random_data(24)
         op, factors = fit_optimal_lowrank_dmd(d, 2)
-        A = materialize(op)
+        A = op.left @ op.right
         proj = factors.P @ factors.P.T
         assert np.linalg.norm(proj @ A - A) < 1e-10
 
@@ -248,7 +250,7 @@ class TestOptimalLowRankDmd:
         with pytest.warns(RankClampWarning):
             clamped, _ = fit_optimal_lowrank_dmd(d, 4)
         plain, _ = fit_optimal_lowrank_dmd(d, 2)
-        assert np.array_equal(materialize(clamped), materialize(plain))
+        assert np.array_equal(clamped.left @ clamped.right, plain.left @ plain.right)
         with pytest.raises(RankGuardError):
             fit_optimal_lowrank_dmd(d, 4, strict=True)
 
@@ -288,7 +290,7 @@ class TestOptimalLowRankDmd:
         assert fac.row_space_defect > 0.1 * np.linalg.norm(d.Y)
         assert abs(fac.span_defect - np.linalg.norm(d.Y - X @ np.linalg.pinv(X) @ d.Y)) < 1e-12
         for k in range(1, 5):
-            op, _ = fac.optimal(k)
+            op = fac.optimal(k)
             assert abs(fac.certified_residual(k) - lifted_residual(op, d)) < 1e-12 * np.linalg.norm(d.Y)
         # the clamp of optimal(k): k above rank(Y V_x) = 4 warns, or under strict raises
         with pytest.warns(RankClampWarning):
@@ -296,6 +298,25 @@ class TestOptimalLowRankDmd:
         full = DataMatrices(X=rng.standard_normal((8, 5)), Y=d.Y[:8, :2] @ rng.standard_normal((2, 5)))
         with pytest.raises(RankGuardError):
             factorize(full, strict=True).certified_residual(3)
+
+    @pytest.mark.parametrize("fit", ["exact", "truncated", "projected"])
+    def test_numerically_zero_x_gives_rank_zero_fit(self, fit):
+        # X = 0: no operator moves any state, so every baseline is the zero
+        # operator of rank 0 with residual ||Y||, as the exact fit already was
+        rng = np.random.default_rng(5)
+        d = DataMatrices(X=np.zeros((6, 4)), Y=rng.standard_normal((6, 4)))
+        with pytest.warns(RankDeficiencyWarning, match="rank 0"):
+            op = {"exact": lambda: fit_exact_dmd(d),
+                  "truncated": lambda: fit_truncated_exact_dmd(d, 1),
+                  "projected": lambda: fit_projected_dmd(d, 1)}[fit]()
+            fac = factorize(d)
+        assert op.declared_rank == 0
+        assert op.left.shape == (6, 0) and op.right.shape == (0, 6)
+        norm_y = np.linalg.norm(d.Y)
+        assert abs(residual_norm(op, d) - norm_y) <= 1e-12 * norm_y
+        assert abs(lifted_residual(op, d) - norm_y) <= 1e-12 * norm_y
+        if fit != "exact":
+            assert abs(fac.residual(fit, 1) - norm_y) <= 1e-12 * norm_y
 
     def test_bad_rank_arguments(self):
         d = random_data(26)
@@ -315,28 +336,21 @@ class TestResidualAndMaterialize:
         # oracle: dense recomputation of the residual
         d = random_data(32)
         op = fit_truncated_exact_dmd(d, 2)
-        dense = np.linalg.norm(d.Y - materialize(op) @ d.X)
+        dense = np.linalg.norm(d.Y - op.left @ op.right @ d.X)
         assert abs(lifted_residual(op, d) - dense) < 1e-10
 
     def test_rank_one_materialize(self):
         op = DmdOperator(
             left=np.eye(3)[:, :1], right=np.eye(3)[1:2, :], method_tag="optimal"
         )
-        M = materialize(op)
+        M = op.left @ op.right
         assert M[0, 1] == 1.0 and np.count_nonzero(M) == 1
-
-    def test_materialize_size_guard(self):
-        op = DmdOperator(
-            left=np.zeros((10_001, 1)), right=np.zeros((1, 10_001)), method_tag="optimal"
-        )
-        with pytest.raises(ValidationError, match="materialize"):
-            materialize(op)
 
     def test_frobenius_norm_from_factors(self, rng):
         left = rng.standard_normal((7, 3))
         right = rng.standard_normal((3, 7))
         op = DmdOperator(left=left, right=right, method_tag="optimal")
-        assert abs(op.frobenius_norm() - np.linalg.norm(left @ right)) < 1e-10
+        assert abs(op.frobenius - np.linalg.norm(left @ right)) < 1e-10
 
     def test_dimension_mismatch(self, rng):
         d = random_data(33)
@@ -490,7 +504,7 @@ class TestCompressedFactorization:
             want = fitted(k)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankClampWarning)
-                op, _ = fac.optimal(k)
+                op = fac.optimal(k)
                 certified = fac.certified_residual(k)
             assert_allclose(op.apply(d.X), want["optimal"], atol=tol)
             assert abs(certified - residual(k)) <= tol
@@ -561,56 +575,100 @@ def ill_pairs(n=2000, m=60, seed=23):
 
 
 def optimal_fits(d):
-    """(k, operator, factors) of the optimal fit at every k up to min(n, m),
-    clamped ones included."""
+    """(k, operator) of the optimal fit at every k up to min(n, m), clamped
+    ones included."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         warnings.simplefilter("ignore", RankClampWarning)
         fac = factorize(d)
-        return [(k, *fac.optimal(k)) for k in range(1, min(d.n, d.m) + 1)]
+        return [(k, fac.optimal(k)) for k in range(1, min(d.n, d.m) + 1)]
 
 
 RANK_SPACE_CASES = {**{name: make for name, (make, _) in COMPRESSION_CASES.items()},
                     "ill-independent-pairs": ill_pairs}
 
 
+def core_from_factors(op):
+    """The rank-space core that DmdOperator forms from its factors:
+    (transition, gram, singular values of R, ||A||_F)."""
+    L, R = op.left, op.right
+    return (R @ L, L.T @ L, thin_svd(qr_factor(R.T).R).sigma,
+            float(np.sqrt(abs(np.sum((L.T @ L) * (R @ R.T))))))
+
+
 class TestRankSpaceCore:
-    """The optimal fit forms its transition Q^T P and ||A||_F at size c; they
-    must match the n-row products they replace."""
+    """The optimal fit forms its transition Q^T P, its R's singular values
+    and ||A||_F at size c; they must match the n-row products they replace.
+    Any other operator forms its core from its factors."""
 
     @pytest.mark.parametrize("case", RANK_SPACE_CASES)
     def test_transition_matches_n_row_product(self, case):
-        for _, op, factors in optimal_fits(RANK_SPACE_CASES[case]()):
-            P, Q = factors.P, factors.Q
+        for _, op in optimal_fits(RANK_SPACE_CASES[case]()):
+            P, Q = op.left, op.right.T
             want = Q.T @ P
-            assert factors.transition is op.transition
-            assert factors.transition.shape == want.shape
-            assert np.linalg.norm(factors.transition - want) <= (
+            assert op.transition.shape == want.shape
+            assert np.linalg.norm(op.transition - want) <= (
                 1e-13 * np.linalg.norm(Q) * np.linalg.norm(P)
             )
 
     @pytest.mark.parametrize("case", RANK_SPACE_CASES)
     def test_frobenius_norm_matches_product(self, case):
-        for _, op, _ in optimal_fits(RANK_SPACE_CASES[case]()):
+        for _, op in optimal_fits(RANK_SPACE_CASES[case]()):
             want = np.linalg.norm(op.left @ op.right)
-            assert abs(op.frobenius_norm() - want) <= 1e-13 * want
+            assert abs(op.frobenius - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("case", RANK_SPACE_CASES)
+    def test_size_c_core_matches_core_from_factors(self, case):
+        # the same bounds as above: the transition to 1e-13 ||Q|| ||P||,
+        # the norm and the singular values to 1e-13 of their scale, and
+        # the orthonormal P, for which the fit keeps no Gram, to 1e-13
+        for _, op in optimal_fits(RANK_SPACE_CASES[case]()):
+            transition, gram, sigma, frobenius = core_from_factors(op)
+            P, Q = op.left, op.right.T
+            assert op.gram is None
+            assert np.linalg.norm(gram - np.eye(op.declared_rank)) <= 1e-13
+            assert np.linalg.norm(op.transition - transition) <= (
+                1e-13 * np.linalg.norm(Q) * np.linalg.norm(P)
+            )
+            assert np.max(np.abs(op.right_singular_values - sigma)) <= 1e-13 * sigma[0]
+            assert abs(op.frobenius - frobenius) <= 1e-13 * frobenius
 
     def test_clamped_fit_carries_its_clamped_core(self):
         # rank(Y V) = 4 on the rank-deficient 12x8 input: every k >= 4 is
         # the k = 4 fit, its core included
         fits = optimal_fits(RANK_SPACE_CASES["rank-deficient-12x8"]())
-        assert [f.rank for _, _, f in fits] == [1, 2, 3, 4, 4, 4, 4, 4]
-        assert all(np.array_equal(f.transition, fits[3][2].transition) for _, _, f in fits[4:])
+        assert [op.declared_rank for _, op in fits] == [1, 2, 3, 4, 4, 4, 4, 4]
+        assert all(np.array_equal(op.transition, fits[3][1].transition) for _, op in fits[4:])
 
     def test_replaced_operator_takes_the_factors(self):
         op, _ = fit_optimal_lowrank_dmd(RANK_SPACE_CASES["ill-independent-pairs"](), 20)
         copy = dataclasses.replace(op)
-        assert copy.transition is None
-        L, R = copy.left, copy.right
-        assert copy.frobenius_norm() == float(
-            np.sqrt(abs(np.sum((L.T @ L) * (R @ R.T))))
-        )
-        assert abs(copy.frobenius_norm() - op.frobenius_norm()) <= 1e-13 * op.frobenius_norm()
+        transition, gram, sigma, frobenius = core_from_factors(copy)
+        assert np.array_equal(copy.transition, transition)
+        assert np.array_equal(copy.gram, gram)
+        assert np.array_equal(copy.right_singular_values, sigma)
+        assert copy.frobenius == frobenius
+        assert abs(copy.frobenius - op.frobenius) <= 1e-13 * op.frobenius
+
+    def test_hand_built_operator_takes_the_factors(self, rng):
+        op = DmdOperator(left=rng.standard_normal((30, 4)), right=rng.standard_normal((4, 30)),
+                         method_tag="optimal")
+        transition, gram, sigma, frobenius = core_from_factors(op)
+        assert np.array_equal(op.transition, transition)
+        assert np.array_equal(op.gram, gram)
+        assert np.array_equal(op.right_singular_values, sigma)
+        assert op.frobenius == frobenius
+        # formed once, then cached and read-only
+        assert op.transition is op.transition and op.gram is op.gram
+        for a in (op.transition, op.gram, op.right_singular_values):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_paper_names_alias_the_factors(self):
+        op, same = fit_optimal_lowrank_dmd(random_data(22), 3)
+        assert same is op
+        assert op.P is op.left
+        assert np.shares_memory(op.Q, op.right) and np.array_equal(op.Q, op.right.T)
 
 
 class TestResidualFromCoefficients:
@@ -627,7 +685,7 @@ class TestResidualFromCoefficients:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankClampWarning)
                 fits = {
-                    "optimal": lifted.optimal(k)[0],
+                    "optimal": lifted.optimal(k),
                     "truncated": lifted.truncated(k),
                     "projected": lifted.projected(k),
                 }
@@ -669,8 +727,8 @@ FITS = ("optimal", "exact", "truncated", "projected")
 def fit_one(fit, d, k=5):
     """The arrays that one fitter returns."""
     if fit == "optimal":
-        op, factors = fit_optimal_lowrank_dmd(d, k)
-        return [op.left, op.right, factors.P, factors.Q, factors.q_core]
+        op, _ = fit_optimal_lowrank_dmd(d, k)
+        return [op.left, op.right, op.transition, op.right_singular_values, op.frobenius]
     if fit == "exact":
         op = fit_exact_dmd(d)
     else:
@@ -786,9 +844,10 @@ class TestFactorizationReuse:
 
     def test_shared_arrays_read_only(self):
         d = random_data(12, n=60, m=8)
-        _, factors = fit_optimal_lowrank_dmd(d, 3)
-        with pytest.raises(ValueError, match="read-only"):
-            factors.q_core[0, 0] = 0.0
+        op, _ = fit_optimal_lowrank_dmd(d, 3)
+        for a in (op.transition, op.right_singular_values):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
         fac = factorize(d)
         fac.truncated(3), fac.projected(3), fac.residual("optimal", 3)
         shared = [fac.U, fac.s, fac.V, fac.basis.Q1, fac.basis.R, fac._y[0].Q1, fac._y[1],
@@ -800,8 +859,8 @@ class TestFactorizationReuse:
         assert not any(a.flags.writeable for a in shared)
         # what the fits return is read-only too: an operator's link to its
         # Factorization holds only while its factors are the fit's
-        op, factors = fac.optimal(3)
-        for a in (op.left, op.right, factors.P, factors.Q):
+        op = fac.optimal(3)
+        for a in (op.left, op.right, op.P, op.Q):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0.0
         for op in (fac.exact(), fac.truncated(3), fac.projected(3)):
