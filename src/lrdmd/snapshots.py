@@ -58,16 +58,26 @@ class SnapshotSet:
         return self.states[traj, 0].copy()
 
 
+# Rows taken at a time by the loops over the n rows of the data (the chain
+# check of DataMatrices, and in solvers and modes residual_norm, the part of
+# Y outside X's basis, the eigenpair check and the column pivots): blocks of
+# a few hundred rows stay in cache, and no n-row temporary is formed.
+_ROW_BLOCK = 256
+
+
 class DataMatrices:
     """Aligned n-by-m snapshot matrices: column j of Y succeeds column j of X.
 
-    ``DataMatrices(X=..., Y=...)`` stores its own C-ordered float64 copies
-    of X and Y, read-only, and refuses non-finite entries. One that
-    build_data_matrices makes from a SnapshotSet holds the read-only
-    (N, T, n) snapshot array itself, as ``states``, and no X or Y: d.X and
-    d.Y are C-ordered read-only copies built from it when a caller first
-    reads them, and the solvers never do (see pairs, norm_y and
-    solvers.factorize). ``states`` is None for explicit X and Y.
+    A DataMatrices holds one read-only (N, T, n) snapshot array, ``states``:
+    X gathers states 1..T-1 of every trajectory and Y states 2..T,
+    trajectory-major, so m = N (T - 1). build_data_matrices fills it from a
+    SnapshotSet. ``DataMatrices(X=..., Y=...)`` refuses non-finite entries
+    and copies the pairs into it once: as N trajectories of T states when
+    they chain trajectory-major into trajectories of one length (column j
+    of Y is column j + 1 of X inside each trajectory), else as m
+    trajectories of two states. Either way its pairs are exactly X and Y.
+    d.X and d.Y are read from the array at each access (see pairs), and
+    the solvers factor the array itself (see solvers.factorize).
 
     The data cannot change, so the object keeps the one Factorization that
     solvers.factorize last built for it (see there), and exactly as long
@@ -76,8 +86,8 @@ class DataMatrices:
     """
 
     def __init__(self, X, Y):
-        X = np.array(X, dtype=np.float64, order="C")
-        Y = np.array(Y, dtype=np.float64, order="C")
+        X = np.asarray(X, dtype=np.float64)
+        Y = np.asarray(Y, dtype=np.float64)
         if X.ndim != 2 or Y.ndim != 2 or X.shape != Y.shape:
             raise ValidationError("X and Y must be matrices of identical shape")
         if X.size == 0:
@@ -85,78 +95,79 @@ class DataMatrices:
         for name, M in (("X", X), ("Y", Y)):
             if not np.all(np.isfinite(M)):
                 raise ValidationError(f"{name} contains non-finite values")
-            M.flags.writeable = False
-        self._init(None, X, Y)
+        self._hold(_trajectories_of(X, Y))
 
-    @classmethod
-    def _of_states(cls, states: np.ndarray) -> "DataMatrices":
-        """The pairs of a finite, read-only, C-ordered (N, T, n) array, held
-        as it is."""
-        d = cls.__new__(cls)
-        d._init(states, None, None)
-        return d
-
-    def _init(self, states, X, Y) -> None:
+    def _hold(self, states: np.ndarray) -> None:
+        """Hold a finite, read-only, C-ordered (N, T, n) array as it is."""
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_X", X)
-        object.__setattr__(self, "_Y", Y)
         object.__setattr__(self, "_factorization", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DataMatrices is read-only")
 
     @property
-    def X(self) -> np.ndarray:
-        if self._X is None:
-            object.__setattr__(self, "_X", _paired_columns(self.states, 0))
-        return self._X
-
-    @property
-    def Y(self) -> np.ndarray:
-        if self._Y is None:
-            object.__setattr__(self, "_Y", _paired_columns(self.states, 1))
-        return self._Y
-
-    @property
     def n(self) -> int:
-        return self._X.shape[0] if self.states is None else self.states.shape[2]
+        return self.states.shape[2]
 
     @property
     def m(self) -> int:
-        if self.states is None:
-            return self._X.shape[1]
         N, T, _ = self.states.shape
         return N * (T - 1)
 
+    @property
+    def X(self) -> np.ndarray:
+        return self._lagged(0)
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self._lagged(1)
+
     def pairs(self) -> tuple:
-        """(X, Y) as n-by-m matrices without the copies d.X and d.Y: views of
-        the snapshot array where its layout allows (one trajectory, or two
-        snapshots each), else one F-ordered copy each; explicit X and Y as
-        they are held."""
-        if self.states is None:
-            return self._X, self._Y
-        n = self.n
-        return self.states[:, :-1].reshape(-1, n).T, self.states[:, 1:].reshape(-1, n).T
+        """(X, Y) as read-only n-by-m matrices: views of the snapshot array
+        where its layout allows (one trajectory, or two states each), else
+        one F-ordered copy each, made at every call and not kept."""
+        return self._lagged(0), self._lagged(1)
+
+    def _lagged(self, lag: int) -> np.ndarray:
+        """States lag+1 .. lag+T-1 of every trajectory as the columns of an
+        n-by-m matrix: X for lag 0, Y for lag 1."""
+        N, T, n = self.states.shape
+        M = self.states[:, lag : lag + T - 1].reshape(-1, n).T
+        M.flags.writeable = False
+        return M
 
     @property
     def norm_y(self) -> float:
-        """||Y||_F; from the snapshot array, summed state by state, when
-        there is one."""
-        if self.states is None:
-            return float(np.linalg.norm(self._Y))
+        """||Y||_F, summed state by state from the snapshot array."""
         later = self.states[:, 1:]
         return float(np.sqrt(np.einsum("ijk,ijk->ij", later, later).sum()))
 
 
-def _paired_columns(states: np.ndarray, lag: int) -> np.ndarray:
-    """States lag+1 .. lag+T-1 of every trajectory, trajectory-major, as the
-    columns of a C-ordered read-only n-by-N(T-1) matrix: X for lag 0, Y for
-    lag 1. One copy, no temporary."""
-    N, T, n = states.shape
-    M = np.empty((n, N * (T - 1)))
-    M.reshape(n, N, T - 1)[...] = states[:, lag : lag + T - 1].transpose(2, 0, 1)
-    M.flags.writeable = False
-    return M
+def _trajectories_of(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The read-only (N, T, n) snapshot array whose pairs are exactly the
+    finite n-by-m X and Y, made in one copy.
+
+    The pairs chain where column j of Y is column j + 1 of X, bit for bit,
+    which is checked block by block of rows. When the chains cut them into
+    N runs of one length T - 1, the array holds N trajectories of T states;
+    otherwise m trajectories of two states.
+    """
+    n, m = X.shape
+    chained = np.ones(m - 1, dtype=bool)
+    for r in range(0, n, _ROW_BLOCK):
+        if not chained.any():
+            break
+        rows = slice(r, r + _ROW_BLOCK)
+        chained &= np.all(Y[rows, :-1].view(np.uint64) == X[rows, 1:].view(np.uint64), axis=0)
+    starts = np.flatnonzero(~chained) + 1
+    steps = int(starts[0]) if starts.size else m
+    if m % steps or not np.array_equal(starts, np.arange(steps, m, steps)):
+        steps = 1
+    states = np.empty((m // steps, steps + 1, n))
+    states[:, :-1] = X.T.reshape(-1, steps, n)
+    states[:, -1] = Y[:, steps - 1 :: steps].T
+    states.flags.writeable = False
+    return states
 
 
 def _frozen(a: np.ndarray) -> bool:
@@ -187,7 +198,9 @@ def build_data_matrices(s: SnapshotSet) -> DataMatrices:
         if not np.all(np.isfinite(states)):
             raise ValidationError("snapshots contain non-finite values")
         states.flags.writeable = False
-    return DataMatrices._of_states(states)
+    d = DataMatrices.__new__(DataMatrices)
+    d._hold(states)
+    return d
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,15 @@ are slices of one Factorization of the data, built by factorize():
 The data are compressed once, as in DMD_RRR (Drmac, Mezic and Mohr 2018):
 one tall factorization (linalg.qr_factor) gives X = Q R_x and Y = Q_y R_y
 with orthonormal Q and Q_y, and every core of every fit is then computed
-from the small R factors. For trajectory data Y repeats all but the last
-column of each trajectory of X, so one factorization of the distinct
-snapshot columns serves both (Q_y = Q); otherwise X and Y are factored
-apart, Y on first use. Data built from snapshots (build_data_matrices) is
-factored where it lies, in its one read-only snapshot array, with no copy
-of X, Y or the distinct columns. The n-sized work left is forming the
-factors a fit returns; Factorization.residual evaluates ||Y - A X|| of a
-fit without forming them.
+from the small R factors. Every DataMatrices holds its pairs as one
+read-only snapshot array of N trajectories of T states, so Y repeats X but
+for the last state of each trajectory. With few trajectories for their
+length, one factorization of all the states serves both (Q_y = Q);
+otherwise X and Y are factored apart, Y on first use. The array is
+factored where it lies, with no copy of X, Y or the distinct columns
+wherever its layout allows. The n-sized work left is forming the factors a
+fit returns; Factorization.residual evaluates ||Y - A X|| of a fit without
+forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
 fit_optimal_lowrank_dmd factorize and slice in one call. Each DataMatrices
@@ -69,27 +70,21 @@ from .linalg import (
     qr_factor,
     thin_svd,
 )
-from .snapshots import DataMatrices
+from .snapshots import _ROW_BLOCK, DataMatrices
 
 # Largest share of the columns of Y that may be new, copies of no column of
-# X, for factorize() to factor Z = [X, the u new columns] in place of X and
-# Y apart. Cholesky QR of an n-by-c matrix costs 4 n c^2 flops (two Grams of
-# n c^2 and one product of 2 n c^2), so
+# X, for factorize() to factor all N T states of the snapshot array, Z = [X,
+# the u = N last states], in place of X and Y apart. Cholesky QR of an
+# n-by-c matrix costs 4 n c^2 flops (two Grams of n c^2 and one product of
+# 2 n c^2), so
 #   Z, c = m + u columns:             4 n (m + u)^2
 #   X, and Y when a fit needs it:     4 n m^2 + 4 n m^2 = 8 n m^2.
 # Z is cheaper while (m + u)^2 < 2 m^2, up to u = 0.41 m. At u = m/4 it costs
 # 6.25 n m^2, 22 % below X and Y apart; the fits that need X alone (exact,
 # projected) then pay 56 % over 4 n m^2, less the 2 n m^2 product Q_x^T Y that
-# the projected fit needs when Y is not in the basis. For trajectory data u
-# is the number of trajectories N, and m = N (T - 1), so the gate holds for
-# T >= 5 snapshots per trajectory.
+# the projected fit needs when Y is not in the basis. With m = N (T - 1) the
+# gate holds for T >= 5 states per trajectory.
 SHARED_MAX_NEW = 0.25
-
-# Rows taken at a time by the loops over the n rows of the data (confirming
-# repeated columns, residual_norm and the part of Y outside X's basis, and
-# the eigenpair check and column pivots of modes): blocks of a few hundred
-# rows stay in cache, and no n-row temporary is formed.
-_ROW_BLOCK = 256
 
 def _read_only(x):
     """x, an array or a tuple, with every array in it made read-only: a
@@ -221,13 +216,11 @@ class Factorization:
 
     ``basis`` is Z = Q R_z (linalg.QrFactors) for the columns Z that
     factorize() chose, with R_x = R_z[:, x_columns]: X itself, or, when
-    ``y_columns`` is set, the distinct columns of X and Y (the snapshot
-    array, or [X, the columns of Y that repeat no column of X]), and then
-    Y = Q R_y with R_y = R_z[:, y_columns]. Otherwise Y is factored apart,
-    Y = Q_y R_y, on first use. The rank-r
-    thin SVD R_x = U diag(s) V^T (r the numerical rank of X at tol) gives
-    X = W diag(s) V^T with W = Q U, which is never formed, so X^+ =
-    V diag(1/s) W^T. The thin SVD R_y V = P^ diag(t) U_y^T (``yv``) gives
+    ``y_columns`` is set, every state of the snapshot array, and then Y =
+    Q R_y with R_y = R_z[:, y_columns]. Otherwise Y is factored apart, Y =
+    Q_y R_y, on first use. The rank-r thin SVD R_x = U diag(s) V^T (r the
+    numerical rank of X at tol) gives X = W diag(s) V^T with W = Q U,
+    which is never formed, so X^+ = V diag(1/s) W^T. The thin SVD R_y V = P^ diag(t) U_y^T (``yv``) gives
     Y V = (Q_y P^) diag(t) U_y^T. It and the r-by-r cores of the truncated
     and projected fits are computed on first use and cached, so the exact
     and projected fits never need Y factored. Build it with factorize().
@@ -522,52 +515,15 @@ class Factorization:
         )
 
 
-def _repeated_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """src[j] = the index of a column of X equal to column j of Y, or -1.
-
-    The candidates for column j are the columns of X whose first entry
-    equals Y[0, j]; each is then confirmed in full. Equal entries are one
-    number (0.0 and -0.0 included), so X[:, src[j]] stands for Y[:, j]
-    exactly.
-    """
-    n, m = X.shape
-    src = np.full(m, -1, dtype=np.intp)
-    if n == 0:
-        return src
-    order = np.argsort(X[0], kind="stable")
-    keys = X[0, order]
-    lo = np.searchsorted(keys, Y[0], side="left")
-    hi = np.searchsorted(keys, Y[0], side="right")
-    # the first candidate of every column at once, block by block of rows
-    cols = np.flatnonzero(lo < hi)
-    first = order[lo[cols]]
-    same = np.ones(cols.size, dtype=bool)
-    for r in range(0, n, _ROW_BLOCK):
-        rows = slice(r, r + _ROW_BLOCK)
-        same &= np.all(X[rows, first] == Y[rows][:, cols], axis=0)
-    src[cols[same]] = first[same]
-    # the other candidates where the first one failed: several columns of X
-    # share that first entry
-    for j in cols[~same]:
-        for i in order[lo[j] + 1 : hi[j]]:
-            if np.array_equal(X[:, i], Y[:, j]):
-                src[j] = i
-                break
-    return src
-
-
 def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> Factorization:
     """The Factorization of (X, Y) that the fitters slice.
 
-    When at most SHARED_MAX_NEW * m columns of Y repeat no column of X, as
-    for trajectory data, one tall factorization of the distinct columns
-    serves X and Y. Otherwise X is factored here and Y on first use. For
-    data built from snapshots the new columns are the last state of each
-    trajectory, and the snapshot array is factored where it lies: the
-    F-ordered n-by-NT matrix of all its states, or X and Y as views of it
-    where its layout allows (see DataMatrices.pairs). Explicit X and Y are
-    searched for repeated columns, and the distinct ones copied side by
-    side.
+    Y repeats X but for the last state of each of the N trajectories of d's
+    snapshot array. When N is at most SHARED_MAX_NEW * m, one tall
+    factorization of all the states, the F-ordered n-by-NT matrix that the
+    array is, serves X and Y. Otherwise X is factored here and Y on first
+    use, as views of the array where its layout allows and else as copies
+    (see DataMatrices.pairs).
 
     d keeps the Factorization built for it, and a call with the same tol
     and strict returns it again (d is read-only, so its data cannot have
@@ -580,7 +536,12 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     rank-r part, after a RankDeficiencyWarning; strict mode raises
     RankGuardError instead. Either happens on every call, the returned
     Factorization's first or not.
+
+    tol, relative to the largest singular value, must lie in [0, 1): a
+    NaN, negative or larger one raises ValidationError.
     """
+    if not 0 <= tol < 1:
+        raise ValidationError(f"tol must lie in [0, 1), got {tol!r}")
     key = (tol, strict)
     held = d._factorization
     if held is None or held[0] != key:
@@ -605,22 +566,12 @@ def _columns(d: DataMatrices) -> tuple:
     """(Z, x_columns, y_columns, Y): the columns to factor, where X and Y
     lie among them (y_columns None: Y is not among them, and Y is the
     matrix to factor on first use)."""
-    if d.states is not None:
-        new = d.states.shape[0]
-    else:
-        src = _repeated_columns(d.X, d.Y)
-        new = int(np.count_nonzero(src < 0))
-    if new > SHARED_MAX_NEW * d.m:
+    N, T, n = d.states.shape
+    if N > SHARED_MAX_NEW * d.m:
         X, Y = d.pairs()
         return X, slice(None), None, Y
-    if d.states is not None:
-        N, T, n = d.states.shape
-        x_columns = (T * np.arange(N)[:, None] + np.arange(T - 1)).ravel()
-        return d.states.reshape(N * T, n).T, x_columns, x_columns + 1, None
-    added = np.flatnonzero(src < 0)
-    src[added] = d.m + np.arange(added.size)
-    Z = np.concatenate([d.X, d.Y[:, added]], axis=1) if added.size else d.X
-    return Z, slice(0, d.m), src, None
+    x_columns = (T * np.arange(N)[:, None] + np.arange(T - 1)).ravel()
+    return d.states.reshape(N * T, n).T, x_columns, x_columns + 1, None
 
 
 def _factorize(Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Factorization:

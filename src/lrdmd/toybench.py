@@ -70,11 +70,18 @@ class ToyModel:
         )
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's default generator, seeded; numpy takes no negative seed."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def generate_toy_operator(n: int, r: int, seed: int) -> ToyModel:
     """G = sum of r outer products xi xi^T with standard-normal xi in R^n."""
     if r < 1 or r > n:
         raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     G = np.zeros((n, n))
     for _ in range(r):
         xi = rng.standard_normal(n)
@@ -93,7 +100,7 @@ def generate_snapshots(model: ToyModel, setting: str, m: int, seed: int) -> Snap
         raise ValidationError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
     if m < 1 or m > model.n:
         raise ValidationError(f"need 1 <= m <= n, got m={m}, n={model.n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = model.n
     if setting == "i":
         G = model.spectrally_normalized().G
@@ -151,8 +158,8 @@ class BenchConfig:
         object.__setattr__(self, "settings", tuple(self.settings))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        if self.m > self.n:
-            raise ValidationError(f"need m <= n, got m={self.m}, n={self.n}")
+        if not 1 <= self.m <= self.n:
+            raise ValidationError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         for s in self.settings:
             if s not in SETTINGS:
                 raise ValidationError(f"unknown setting {s!r}")

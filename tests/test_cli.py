@@ -493,6 +493,60 @@ class TestFailedRunsLeaveNoOutput:
         assert not out.exists()
 
 
+class TestRefusedArguments:
+    """A negative seed, a sweep of no pairs and an SVD tolerance outside
+    [0, 1) are usage errors: exit 2, an error line, and no file written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "-1", "generate", "--setting", "ii", "--out", "s.csv"],
+            ["--seed", "-1", "bench", "--out", "b.csv"],
+            ["bench", "--seed", "-5", "--settings", "ii"],
+            ["--seed", "7", "bench", "--m", "0", "--out", "b.csv"],
+        ],
+    )
+    def test_seed_and_pairs(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["seed = -1\n", "seed = 7\nm = 0\n"])
+    def test_seed_and_pairs_in_config(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(text + "output = out/b.csv\n")
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "1", "2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--method", "optimal", "--rank", "3"],
+            ["fit", "--method", "exact"],
+            ["modes", "--rank", "3"],
+            ["simulate", "--rank", "3", "--horizon", "5"],
+            ["validate"],
+        ],
+    )
+    def test_svd_tol(self, toy_csv, tmp_path, capsys, argv, tol):
+        # a NaN tolerance used to read as rank 0 and exit 3 with a
+        # misleading rank message; a negative one passed unnoticed
+        out = [] if argv[0] == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([*argv, "--input", str(toy_csv), "--svd-tol", tol, *out]) == 2
+        assert capsys.readouterr().err.startswith("error: tol must lie in [0, 1), got ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_svd_tol_is_valid(self, toy_csv, tmp_path):
+        out = tmp_path / "out"
+        argv = ["fit", "--method", "optimal", "--rank", "3", "--svd-tol", "0"]
+        assert main([*argv, "--input", str(toy_csv), "--out", str(out)]) == 0
+        assert (out / "summary.csv").read_text().splitlines()[-1] == "svd_tol,0.0"
+
+
 class TestWrittenFiles:
     """Output CSVs read back through np.loadtxt to the library's arrays, bit
     for bit: cells are shortest round-trip reprs, complex values re,im pairs."""

@@ -1,5 +1,6 @@
-"""Data built from snapshots: one read-only snapshot array, factored where it
-lies, with no X, Y or concatenated copy of them."""
+"""Every DataMatrices holds one read-only snapshot array, built from a
+SnapshotSet or from explicit X and Y, and factored where it lies, with no X,
+Y or concatenated copy of them."""
 
 import tracemalloc
 import warnings
@@ -7,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-import lrdmd.snapshots
 import lrdmd.solvers
 from lrdmd.cli import main
 from lrdmd.errors import RankDeficiencyWarning, ValidationError
@@ -62,15 +62,17 @@ TRAJECTORY_CASES = {
 
 @pytest.fixture
 def count_pair_copies(monkeypatch):
-    """Calls to the function that builds d.X and d.Y from the snapshots."""
+    """Reads of d.X (0) and d.Y (1) of any DataMatrices, each of which may
+    copy its snapshot array."""
     calls = []
-    original = lrdmd.snapshots._paired_columns
+    for lag, name in enumerate("XY"):
+        read = getattr(DataMatrices, name).fget
 
-    def counted(states, lag):
-        calls.append(lag)
-        return original(states, lag)
+        def counted(d, lag=lag, read=read):
+            calls.append(lag)
+            return read(d)
 
-    monkeypatch.setattr(lrdmd.snapshots, "_paired_columns", counted)
+        monkeypatch.setattr(DataMatrices, name, property(counted))
     return calls
 
 
@@ -110,12 +112,14 @@ class TestOneSnapshotArray:
         d = build_data_matrices(SnapshotSet(states=states))
         assert (d.n, d.m) == (5, 20)
         assert count_pair_copies == []
-        ref = explicit(states)
-        assert np.array_equal(d.X, ref.X) and np.array_equal(d.Y, ref.Y)
-        d.X, d.Y
+        X, Y = d.X, d.Y
         assert count_pair_copies == [0, 1]
-        for M in (d.X, d.Y):
-            assert M.flags.c_contiguous and not M.flags.writeable
+        assert np.array_equal(X, states[:, :-1].reshape(-1, 5).T)
+        assert np.array_equal(Y, states[:, 1:].reshape(-1, 5).T)
+        for M in (X, Y):
+            assert not M.flags.writeable
+        # not kept: the snapshot array is the one copy d holds
+        assert d.X is not X and vars(d).keys() == {"states", "_factorization"}
 
     def test_read_only(self):
         d = build_data_matrices(SnapshotSet(states=trajectories(2, 2, 3, n=4)))
@@ -157,10 +161,9 @@ class TestOneSnapshotArray:
 
 
 class TestSameFitsAsExplicitData:
-    """A snapshot-built DataMatrices takes the trajectory structure from the
-    snapshots instead of searching X and Y for repeated columns, and factors
-    the snapshot array in place of [X, new columns]: the fits agree with
-    those of explicit X and Y of the same trajectories to rounding."""
+    """Explicit X and Y of the same trajectories, trajectory-major, chain
+    into the same snapshot array, so their fits agree with those of the
+    snapshot-built data (bit for bit: TestExplicitPairs)."""
 
     @pytest.mark.parametrize("case", TRAJECTORY_CASES)
     def test_fits_agree(self, case):
@@ -214,6 +217,64 @@ class TestSameFitsAsExplicitData:
             )
             want = np.linalg.norm(ref.Y - op.left @ (op.right @ ref.X))
             assert abs(residual_norm(op, snap) - want) <= 1e-14 * want
+
+
+def unequal_trajectories():
+    """Pairs of a trajectory of 5 states followed by one of 4."""
+    states = trajectories(8, 1, 9)[0]
+    X = np.column_stack([states[:4].T, states[5:8].T])
+    Y = np.column_stack([states[1:5].T, states[6:9].T])
+    return X, Y
+
+
+class TestExplicitPairs:
+    """DataMatrices(X=..., Y=...) holds the pairs as one snapshot array: the
+    trajectories they chain into, when all have one length, else m
+    trajectories of two states."""
+
+    @pytest.mark.parametrize("case", TRAJECTORY_CASES)
+    def test_trajectory_major_pairs_are_the_snapshots(self, case):
+        states = TRAJECTORY_CASES[case][0]()
+        snap, ref = build_data_matrices(SnapshotSet(states=states)), explicit(states)
+        assert np.array_equal(ref.states, states) and ref.states.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            got, want = factorize(snap), factorize(ref)
+        assert (got.rank_x, got.rank_y, got.span_defect) == (want.rank_x, want.rank_y,
+                                                             want.span_defect)
+        k = want.rank_y
+        for fit in ("exact", "truncated", "projected", "optimal"):
+            a, b = (f.exact() if fit == "exact" else getattr(f, fit)(k) for f in (got, want))
+            assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right), fit
+            if fit != "exact":
+                assert got.residual(fit, k) == want.residual(fit, k), fit
+        assert got.certified_residual(k) == want.certified_residual(k)
+        assert snap.norm_y == ref.norm_y
+
+    @pytest.mark.parametrize("make", [
+        unequal_trajectories,
+        # trajectory-major pairs out of order
+        lambda: tuple(M[:, np.random.default_rng(9).permutation(20)]
+                      for M in explicit(trajectories(2, 4, 6)).pairs()),
+    ], ids=["unequal-lengths", "shuffled"])
+    def test_unchained_pairs_are_two_state_trajectories(self, make):
+        X, Y = make()
+        d = DataMatrices(X=X, Y=Y)
+        n, m = X.shape
+        assert d.states.shape == (m, 2, n)
+        assert np.array_equal(d.X, X) and np.array_equal(d.Y, Y)
+
+    def test_x_and_y_are_the_callers_bit_for_bit(self):
+        # -0.0 == 0.0, but a successor that differs from the next
+        # predecessor only in the sign of a zero does not chain
+        X, Y = (M.copy(order="F") for M in explicit(trajectories(3, 2, 4, n=6)).pairs())
+        X[2, 1], Y[2, 0] = 0.0, -0.0
+        d = DataMatrices(X=X, Y=Y)
+        assert d.states.shape == (6, 2, 6)
+        for got, want in ((d.X, X), (d.Y, Y)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        X[2, 1] = -0.0
+        assert DataMatrices(X=X, Y=Y).states.shape == (2, 4, 6)
 
 
 class TestCommandsBuildNoPairs:

@@ -274,19 +274,19 @@ class TestDataMatrices:
         with pytest.raises(ValidationError, match="Y"):
             fit_exact_dmd(DataMatrices(X=X, Y=Y))
 
-    def test_own_read_only_c_ordered_copies(self, rng):
+    def test_read_only_copy_of_the_callers_data(self, rng):
         X, Y = np.asfortranarray(rng.standard_normal((5, 3))), rng.standard_normal((5, 3))
         X0, Y0 = X.copy(), Y.copy()
         d = DataMatrices(X=X, Y=Y)
-        for M in (d.X, d.Y):
-            assert M.flags.c_contiguous and M.flags.owndata and not M.flags.writeable
+        for M in (d.X, d.Y, d.states):
+            assert not M.flags.writeable
         X[0, 0], Y[0, 0] = 7.0, 7.0
         assert np.array_equal(d.X, X0) and np.array_equal(d.Y, Y0)
 
     def test_built_from_snapshots(self, rng):
         d = build_data_matrices(SnapshotSet(states=rng.standard_normal((3, 4, 5))))
         for M in (d.X, d.Y):
-            assert M.flags.c_contiguous and not M.flags.writeable
+            assert not M.flags.writeable
 
 
 class TestBuildDataMatrices:

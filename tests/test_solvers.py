@@ -433,8 +433,9 @@ def periodic_states():
 
 
 def constant_first_row():
-    # a constant first state entry makes every column of X a candidate for
-    # every column of Y, and all but one of them false
+    # four trajectories with a constant first state entry: every column of
+    # Y agrees in its first row with every column of X, not only the one
+    # it repeats
     d = trajectories(5, 4, 6)
     X, Y = d.X.copy(), d.Y.copy()
     X[0], Y[0] = 1.0, 1.0
@@ -442,7 +443,8 @@ def constant_first_row():
 
 
 def equal_first_rows_only():
-    # first rows agree column by column, nothing else does
+    # independent pairs whose first rows agree column by column, reversed,
+    # and nothing else does
     rng = np.random.default_rng(6)
     X = rng.standard_normal((40, 8))
     Y = rng.standard_normal((40, 8))
@@ -451,12 +453,13 @@ def equal_first_rows_only():
 
 
 COMPRESSION_CASES = {
-    # name: (data, the new columns u of Y when one tall factorization of
-    # Z = [X, those columns] serves X and Y, else None)
+    # name: (data, the number N of trajectories its pairs chain into when
+    # one tall factorization of their m + N states serves X and Y, else
+    # None: unchained pairs are m trajectories of two states, above the gate)
     "one-trajectory": (lambda: trajectories(1, 1, 21), 1),
     "four-trajectories": (lambda: trajectories(2, 4, 6), 4),
-    "shuffled": (lambda: trajectories(2, 4, 6, shuffle=True), 4),
-    "u-at-gate": (lambda: with_new_columns(5), 5),
+    "shuffled": (lambda: trajectories(2, 4, 6, shuffle=True), None),
+    "u-at-gate": (lambda: with_new_columns(5), None),
     "u-above-gate": (lambda: with_new_columns(6), None),
     "independent-pairs": (lambda: random_data(7, n=40, m=12), None),
     "rank-deficient-12x8": (lambda: DataMatrices(
@@ -464,7 +467,7 @@ COMPRESSION_CASES = {
         @ np.random.default_rng(2018).standard_normal((4, 8)),
         Y=np.random.default_rng(2019).standard_normal((12, 8))), None),
     "wide-6x10": (lambda: random_data(8, n=6, m=10), None),
-    "repeated-state": (periodic_states, 0),
+    "repeated-state": (periodic_states, 1),
     "constant-first-row": (constant_first_row, 4),
     "false-candidates": (equal_first_rows_only, None),
 }
@@ -488,7 +491,7 @@ def count_tall_factorizations(monkeypatch):
 class TestCompressedFactorization:
     @pytest.mark.parametrize("case", COMPRESSION_CASES)
     def test_every_fit_matches_reference(self, case, count_tall_factorizations):
-        make, new_columns = COMPRESSION_CASES[case]
+        make, trajectory_count = COMPRESSION_CASES[case]
         d = make()
         fitted, residual, facts = rrr_reference(d.X, d.Y)
         tol = 1e-11 * np.linalg.norm(d.Y)
@@ -511,11 +514,11 @@ class TestCompressedFactorization:
             assert abs(lifted_residual(op, d) - residual(k)) <= tol
             assert_allclose(fac.truncated(k).apply(d.X), want["truncated"], atol=tol)
             assert_allclose(fac.projected(k).apply(d.X), want["projected"], atol=tol)
-        # the route: Z once, or X and then Y once a fit needed it
-        if new_columns is None:
+        # the route: all states once, or X and then Y once a fit needed it
+        if trajectory_count is None:
             assert count_tall_factorizations == [d.X.shape, d.Y.shape]
         else:
-            assert count_tall_factorizations == [(d.n, d.m + new_columns)]
+            assert count_tall_factorizations == [(d.n, d.m + trajectory_count)]
 
     def test_trajectory_data_factored_once(self, count_tall_factorizations):
         d = trajectories(9, 4, 26, n=400)
@@ -533,23 +536,15 @@ class TestCompressedFactorization:
         fac.optimal(5), fac.truncated(5), fac.certified_residual(5)
         assert count_tall_factorizations == [(400, 30), (400, 30)]
 
-    @pytest.mark.parametrize("u, shared", [(5, True), (6, False)])
-    def test_gate_on_new_columns(self, u, shared, count_tall_factorizations):
-        # at most m/4 of the m = 20 columns of Y may be new
-        fac = factorize(with_new_columns(u))
+    @pytest.mark.parametrize("steps, shared", [(4, False), (5, True)])
+    def test_gate_on_explicit_trajectories(self, steps, shared, count_tall_factorizations):
+        # N = 4 trajectories of T states, passed as explicit X and Y: at
+        # most m/4 = N (T - 1)/4 columns of Y may be new, so T >= 5
+        d = trajectories(11, 4, steps)
+        assert d.states.shape == (4, steps, 60)
+        fac = factorize(d)
         assert (fac.y_columns is not None) == shared
-        assert count_tall_factorizations == [(60, 20 + u if shared else 20)]
-
-    def test_repeated_columns_confirmed_in_full(self):
-        from lrdmd.solvers import _repeated_columns
-
-        d = constant_first_row()
-        src = _repeated_columns(d.X, d.Y)
-        found = src >= 0
-        assert np.count_nonzero(~found) == 4  # the last state of each trajectory
-        assert np.array_equal(d.X[:, src[found]], d.Y[:, found])
-        d = equal_first_rows_only()
-        assert np.all(_repeated_columns(d.X, d.Y) == -1)
+        assert count_tall_factorizations == [(60, 4 * steps if shared else d.m)]
 
     @pytest.mark.parametrize("case", ["four-trajectories", "independent-pairs"])
     def test_bit_identical_repeats_and_sign_convention(self, case):
@@ -561,6 +556,35 @@ class TestCompressedFactorization:
         P = first[1].P
         assert np.all(P[np.argmax(np.abs(P), axis=0), np.arange(P.shape[1])] > 0)
         assert np.linalg.norm(P.T @ P - np.eye(6)) < 1e-13
+
+
+class TestTolerance:
+    """tol, relative to the largest singular value, must lie in [0, 1).
+    Every fitter, the companion residual and lrdmd validate go through
+    factorize, which checks it."""
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-12, -np.inf, 1.0, 2.0, np.inf])
+    def test_refused(self, tol):
+        from lrdmd.toybench import companion_residual
+
+        d = random_data(1)
+        calls = [
+            lambda: factorize(d, tol),
+            lambda: fit_exact_dmd(d, tol),
+            lambda: fit_truncated_exact_dmd(d, 2, tol),
+            lambda: fit_projected_dmd(d, 2, tol),
+            lambda: fit_optimal_lowrank_dmd(d, 2, tol),
+            lambda: companion_residual(d, tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"tol must lie in \[0, 1\)"):
+                call()
+        assert d._factorization is None
+
+    def test_zero_is_valid(self):
+        # no singular value is cut: the rank is the count of nonzero ones
+        fac = factorize(random_data(1), 0.0)
+        assert fac.tol == 0.0 and fac.rank_x == 5
 
 
 def ill_pairs(n=2000, m=60, seed=23):

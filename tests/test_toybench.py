@@ -94,6 +94,15 @@ class TestGenerateSnapshots:
         with pytest.raises(ValidationError):
             generate_snapshots(self.model, "i", 21, seed=0)
 
+    def test_negative_seed_refused(self):
+        # numpy's default_rng raises a bare ValueError for it
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            generate_snapshots(self.model, "ii", 5, seed=-1)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -2"):
+            generate_toy_operator(6, 2, seed=np.int64(-2))
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            run_benchmark(BenchConfig(n=8, r=3, m=5, seed=-1))
+
 
 class TestCompanionResidual:
     def test_successors_equal_predecessors(self, rng):
@@ -284,6 +293,12 @@ class TestBenchConfig:
             BenchConfig(methods=("z",), seed=0)
         with pytest.raises(ValidationError):
             BenchConfig(k_values=(0,), seed=0)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_no_pairs_refused(self, m):
+        # m = 0 used to sweep no rank and write a CSV of its header alone
+        with pytest.raises(ValidationError, match=f"need 1 <= m <= n, got m={m}"):
+            BenchConfig(m=m, seed=0)
 
     def test_load_config(self, tmp_path):
         text = (
