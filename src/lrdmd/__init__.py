@@ -61,7 +61,6 @@ from .toybench import (
     BenchResult,
     BenchRow,
     ToyModel,
-    companion_residual,
     generate_snapshots,
     generate_toy_operator,
     load_config,
@@ -99,7 +98,6 @@ __all__ = [
     "ValidationError",
     "amplitudes",
     "build_data_matrices",
-    "companion_residual",
     "compute_modes",
     "factorize",
     "fit_exact_dmd",

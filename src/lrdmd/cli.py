@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalGuardError, RankDeficiencyWarning, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL
-from .modes import amplitudes, compute_modes, verify_eigenpairs
+from .linalg import DEFAULT_TOL, _check_tol
+from .modes import _check_horizon, _check_theta, amplitudes, compute_modes, verify_eigenpairs
 from .rom import reconstruct_from_modes, save_trajectory, simulate_reduced
 from .snapshots import (
     RankReport,
@@ -33,11 +33,9 @@ from .snapshots import (
     save_snapshots,
     write_csv_rows,
 )
-from .solvers import factorize, residual_norm
+from .solvers import _check_rank_arg, factorize, residual_norm
 from .toybench import (
-    BenchConfig,
     RNG_NAME,
-    _parse_int_list,
     _span_defect,
     data_seed_for,
     generate_snapshots,
@@ -99,23 +97,17 @@ def _load_theta(spec: str, snaps) -> np.ndarray:
         raise ValidationError(f"non-numeric value in theta file {path}") from None
     if rows.shape[0] != 1:
         raise ValidationError(f"theta file must contain exactly one row, got {rows.shape[0]}")
-    theta = rows[0]
-    if theta.shape[0] != snaps.n:
-        raise ValidationError(
-            f"theta dimension {theta.shape[0]} does not match state dimension {snaps.n}"
-        )
-    return theta
+    return _check_theta(rows[0], snaps.n)
 
 
 def _check_rank_flag(rank: int) -> int:
     if rank is None:
         raise ValidationError("--rank is required for this command")
-    if rank < 1:
-        raise ValidationError("rank must be >= 1")
-    return rank
+    return _check_rank_arg(rank)
 
 
 def _load_matrices(args):
+    _check_tol(args.svd_tol)  # before the snapshots are read, which can take long
     snaps = load_snapshots(args.input)
     return snaps, build_data_matrices(snaps)
 
@@ -186,8 +178,7 @@ def cmd_fit(args) -> int:
 
 def cmd_modes(args) -> int:
     rank = _check_rank_flag(args.rank)
-    if args.horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    _check_horizon(args.horizon)
     snaps, d = _load_matrices(args)
     theta = _load_theta(args.theta, snaps)
     op = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
@@ -234,10 +225,7 @@ def cmd_modes(args) -> int:
 
 def cmd_simulate(args) -> int:
     rank = _check_rank_flag(args.rank)
-    if args.horizon < 1:
-        raise ValidationError("horizon must be >= 1")
-    if args.stride < 1:
-        raise ValidationError("stride must be >= 1")
+    _check_horizon(args.horizon, args.stride)
     snaps, d = _load_matrices(args)
     theta = _load_theta(args.theta, snaps)
     op = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
@@ -259,32 +247,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = BenchConfig(seed=None)
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.r is not None:
-        overrides["r"] = args.r
-    if args.m is not None:
-        overrides["m"] = args.m
-    if args.settings:
-        overrides["settings"] = tuple(s.strip() for s in args.settings.split(","))
-    if args.methods:
-        overrides["methods"] = tuple(s.strip() for s in args.methods.split(","))
-    if args.k_values:
-        overrides["k_values"] = _parse_int_list(args.k_values)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output"] = args.out
-    if args.no_timing:
-        overrides["measure_time"] = False
-    cfg = dataclasses.replace(cfg, **overrides)
-    if cfg.seed is None:
-        raise ValidationError("a seed is required for reproducible benchmarks (--seed or config)")
+    # the flags override the config file's values, and the merge is validated once
+    flags = dict(
+        n=args.n, r=args.r, m=args.m, settings=args.settings, methods=args.methods,
+        k_values=args.k_values, seed=args.seed, output=args.out,
+        measure_time=False if args.no_timing else None,
+    )
+    cfg = load_config(args.config or None, flags)
     result = run_benchmark(cfg)
     out_path = Path(cfg.output)
     if out_path.parent != Path("."):
@@ -302,8 +271,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.seed is None:
-        raise ValidationError("a seed is required for reproducible generation (--seed)")
     model = generate_toy_operator(args.n, args.r, args.seed)
     snaps = generate_snapshots(model, args.setting, args.m, data_seed_for(args.seed, args.setting))
     out_path = Path(args.out)

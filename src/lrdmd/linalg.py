@@ -63,9 +63,6 @@ class SvdFactors:
     sigma: np.ndarray
     V: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.W * self.sigma) @ self.V.T
-
     def numerical_rank(self, tol: float = DEFAULT_TOL) -> int:
         return numerical_rank(self.sigma, tol)
 
@@ -78,6 +75,14 @@ def numerical_rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     if smax <= 0.0:
         return 0
     return int(np.count_nonzero(sigma > tol * smax))
+
+
+def _check_tol(tol: float) -> float:
+    """tol, relative to the largest singular value, if it lies in [0, 1);
+    a NaN, negative or larger one raises ValidationError."""
+    if not 0 <= tol < 1:
+        raise ValidationError(f"tol must lie in [0, 1), got {tol!r}")
+    return tol
 
 
 def column_signs(W: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeWarning, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL, numerical_rank, qr_factor, thin_svd
+from .linalg import DEFAULT_TOL, _check_tol, numerical_rank, qr_factor, thin_svd
 from .solvers import _ROW_BLOCK, DmdOperator
 
 VARIANTS = ("exact_reconstruction", "as_stated")
@@ -130,10 +130,12 @@ def compute_modes(
     op.transition (R L) and maps w to L w; modes paired with zero
     eigenvalues are dropped with a warning. ``as_stated`` solves it for
     Wq^T L Vq Sq (with R^T = Wq Sq Vq^T) and maps w to Wq w. Either way R
-    must have numerical rank rho, by op.right_singular_values.
+    must have numerical rank rho, by op.right_singular_values; tol, as in
+    factorize, must lie in [0, 1).
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown mode variant {variant!r}; expected one of {VARIANTS}")
+    _check_tol(tol)
     k = op.declared_rank
     rank_q = numerical_rank(op.right_singular_values, tol)
     if rank_q < k:
@@ -210,6 +212,14 @@ def _check_theta(theta, n):
     return theta
 
 
+def _check_horizon(horizon, stride=1):
+    """ValidationError unless horizon >= 1 and stride >= 1."""
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1")
+    if stride < 1:
+        raise ValidationError("stride must be >= 1")
+
+
 def amplitudes(modes: DmdModes, theta: np.ndarray, horizon: int) -> AmplitudeSchedule:
     """Amplitude schedule nu[t, i] = lambda_i^(t-1) * (phi_i^* theta).
 
@@ -219,8 +229,7 @@ def amplitudes(modes: DmdModes, theta: np.ndarray, horizon: int) -> AmplitudeSch
     multiplying step by step; for complex ones numpy's accumulating product
     may round differently, by about 1e-14 relative over 1000 steps.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    _check_horizon(horizon)
     theta = _check_theta(theta, modes.modes.shape[0])
     k = modes.eigenvalues.shape[0]
     values = np.empty((horizon, k), dtype=np.complex128)

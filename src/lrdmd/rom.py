@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import OverflowGuardError, ReconstructionWarning, ValidationError
-from .modes import AmplitudeSchedule, DmdModes, _check_theta
+from .modes import AmplitudeSchedule, DmdModes, _check_horizon, _check_theta
 from .snapshots import write_csv_rows
 from .solvers import DmdOperator
 
@@ -44,13 +44,6 @@ class RomTrajectory:
     states: np.ndarray
     times: np.ndarray
     reduced_states: np.ndarray | None = None
-
-
-def _check_horizon(horizon, stride):
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
 
 
 def simulate_full(

@@ -65,6 +65,7 @@ from .linalg import (
     DEFAULT_TOL,
     QrFactors,
     SvdFactors,
+    _check_tol,
     column_signs,
     numerical_rank,
     qr_factor,
@@ -169,10 +170,6 @@ class DmdOperator:
         harness, which reads it; it goes with ROADMAP item 1's harness
         adapter."""
         return self.right.T
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector (or matrix-matrix) product through the factors."""
-        return self.left @ (self.right @ x)
 
     @cached_property
     def transition(self) -> np.ndarray:
@@ -540,9 +537,7 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     tol, relative to the largest singular value, must lie in [0, 1): a
     NaN, negative or larger one raises ValidationError.
     """
-    if not 0 <= tol < 1:
-        raise ValidationError(f"tol must lie in [0, 1), got {tol!r}")
-    key = (tol, strict)
+    key = (_check_tol(tol), strict)
     held = d._factorization
     if held is None or held[0] != key:
         # free the n-row bases held now before the new ones are built

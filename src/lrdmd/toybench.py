@@ -24,13 +24,12 @@ metadata; identical config and seed reproduce identical rows.
 
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import RankDeficiencyWarning, ValidationError
-from .linalg import DEFAULT_TOL
+from .errors import ValidationError
 from .snapshots import DataMatrices, SnapshotSet, build_data_matrices
 from .solvers import Factorization, factorize
 
@@ -71,7 +70,9 @@ class ToyModel:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    """numpy's default generator, seeded; numpy takes no negative seed."""
+    """numpy's default generator, seeded; a seed is required, and numpy takes no negative one."""
+    if seed is None:
+        raise ValidationError("a seed is required for reproducible data (--seed or a config seed)")
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
@@ -120,22 +121,14 @@ def generate_snapshots(model: ToyModel, setting: str, m: int, seed: int) -> Snap
     return SnapshotSet(states=states)
 
 
-def companion_residual(d: DataMatrices, tol: float = DEFAULT_TOL) -> float:
-    """Span defect ||Y - X X^+ Y||_F / ||Y||_F.
+def _span_defect(fac: Factorization, norm_y: float) -> float:
+    """The companion residual ||Y - X X^+ Y||_F / ||Y||_F of a factorization
+    of data with ||Y||_F = norm_y: its span defect over norm_y.
 
     Zero means every successor column is a linear combination of the
     predecessor columns (the projected solver's modeling assumption);
     values near one mean the successors are mostly outside that span.
-    A rank-deficient X is part of the diagnosis, so it raises no warning.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        return _span_defect(factorize(d, tol), d.norm_y)
-
-
-def _span_defect(fac: Factorization, norm_y: float) -> float:
-    """companion_residual of a factorization of data with ||Y||_F = norm_y:
-    its span defect over norm_y."""
     return fac.span_defect / norm_y if norm_y else 0.0
 
 
@@ -169,6 +162,12 @@ class BenchConfig:
         for k in self.k_values:
             if not 1 <= k <= self.m:
                 raise ValidationError(f"k values must lie in 1..m, got {k}")
+        for name in ("settings", "methods", "k_values"):
+            seen = set()
+            for entry in getattr(self, name):
+                if entry in seen:
+                    raise ValidationError(f"{name} repeats {entry!r}; give each once")
+                seen.add(entry)
 
     def ranks(self) -> tuple:
         """The sweep's k values; an empty k_values field means 1..m."""
@@ -199,9 +198,6 @@ class BenchResult:
     rows: tuple
     settings: dict = field(default_factory=dict)
 
-    def rows_for(self, setting: str, method: str):
-        return [r for r in self.rows if r.setting == setting and r.method == method]
-
 
 def data_seed_for(seed: int, setting: str) -> int:
     """Deterministic per-setting data seed (model uses `seed` itself)."""
@@ -230,8 +226,6 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
     row or in the setting's data or factorization, is recorded as a NaN
     residual for the rows it affects without aborting the sweep.
     """
-    if cfg.seed is None:
-        raise ValidationError("a seed is required for a reproducible benchmark run")
     model = generate_toy_operator(cfg.n, cfg.r, cfg.seed)
     rows = []
     settings_info = {}
@@ -318,38 +312,53 @@ def _parse_bool(text: str) -> bool:
         raise ValidationError(f"{text!r} is not one of true, false, yes, no, 1, 0") from None
 
 
-def load_config(path) -> BenchConfig:
-    """Parse a flat key=value config file into a BenchConfig.
+def _parse_names(text: str) -> tuple:
+    """Comma-separated names, empty entries dropped."""
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# How each BenchConfig field is read from text, in a config file or a flag.
+_PARSERS = {
+    **dict.fromkeys(("n", "r", "m", "seed"), int),
+    **dict.fromkeys(("settings", "methods"), _parse_names),
+    "k_values": _parse_int_list,
+    "output": str,
+    "measure_time": _parse_bool,
+}
+
+
+def load_config(path=None, overrides=None) -> BenchConfig:
+    """One BenchConfig from a flat key=value config file (None: no file)
+    with overrides applied over it, validated once.
 
     Keys match the BenchConfig fields; lists are comma-separated and k
     ranges may use ``1..40``; measure_time takes true/false, yes/no or 1/0 in
-    any case. Lines starting with '#' are comments.
+    any case. Lines starting with '#' are comments. overrides maps fields to
+    a text, parsed as in the file, or to a value of the field's type; None
+    or an empty text counts as not given.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"config file not found: {path}")
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in {f.name for f in fields(BenchConfig)}:
-            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            if key in ("n", "r", "m", "seed"):
-                values[key] = int(val)
-            elif key in ("settings", "methods"):
-                values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
-            elif key == "k_values":
-                values[key] = _parse_int_list(val)
-            elif key == "output":
-                values[key] = val
-            else:  # measure_time
-                values[key] = _parse_bool(val)
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ValidationError(f"config file not found: {path}")
+        for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            key, _, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if key not in _PARSERS:
+                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _PARSERS[key](val)
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for key, value in (overrides or {}).items():
+        if isinstance(value, str):
+            value = _PARSERS[key](value) if value else None
+        if value is not None:
+            values[key] = value
     return BenchConfig(**values)

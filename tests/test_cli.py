@@ -17,8 +17,8 @@ from lrdmd.snapshots import (
     load_snapshots,
     save_snapshots,
 )
-from lrdmd.solvers import fit_optimal_lowrank_dmd
-from lrdmd.toybench import benchmark_data, companion_residual
+from lrdmd.solvers import factorize, fit_optimal_lowrank_dmd
+from lrdmd.toybench import BenchConfig, BenchResult, _span_defect, benchmark_data
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,8 @@ class TestValidate:
         expected = RankReport(n=20, m=12, rank_x=rank_x, rank_y=rank_y, tol=1e-12).lines()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            expected.append(f"companion residual       : {companion_residual(d):.6e}")
+            defect = _span_defect(factorize(d), d.norm_y)
+            expected.append(f"companion residual       : {defect:.6e}")
         calls = {"qr_factor": [], "thin_svd": []}
         for name in calls:
             original = getattr(lrdmd.solvers, name)
@@ -480,6 +481,23 @@ class TestFailedRunsLeaveNoOutput:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["modes", "--rank", "3"],
+            ["simulate", "--rank", "3", "--horizon", "5"],
+            ["simulate", "--rank", "3", "--horizon", "5", "--path", "modal"],
+        ],
+    )
+    def test_theta_of_wrong_width(self, toy_csv, tmp_path, capsys, argv):
+        theta = tmp_path / "theta.csv"
+        theta.write_text("1.0,2.0\n")
+        out = tmp_path / "out"
+        argv = [*argv, "--input", str(toy_csv), "--theta", str(theta), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: theta must be a vector of dimension 50\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["fit", "--method", "optimal"],
             ["modes"],
             ["simulate", "--horizon", "5"],
@@ -504,6 +522,11 @@ class TestRefusedArguments:
             ["--seed", "-1", "bench", "--out", "b.csv"],
             ["bench", "--seed", "-5", "--settings", "ii"],
             ["--seed", "7", "bench", "--m", "0", "--out", "b.csv"],
+            ["bench", "--out", "b.csv"],
+            ["generate", "--setting", "ii", "--out", "s.csv"],
+            ["--seed", "3", "bench", "--k-values", "1..3,2", "--settings", "i", "--methods", "a"],
+            ["--seed", "3", "bench", "--settings", "i,i", "--methods", "a", "--no-timing"],
+            ["--seed", "3", "bench", "--methods", "a,b,a", "--out", "b.csv"],
         ],
     )
     def test_seed_and_pairs(self, tmp_path, monkeypatch, capsys, argv):
@@ -532,13 +555,16 @@ class TestRefusedArguments:
             ["validate"],
         ],
     )
-    def test_svd_tol(self, toy_csv, tmp_path, capsys, argv, tol):
+    def test_svd_tol(self, toy_csv, tmp_path, capsys, monkeypatch, argv, tol):
         # a NaN tolerance used to read as rank 0 and exit 3 with a
-        # misleading rank message; a negative one passed unnoticed
+        # misleading rank message; a negative one passed unnoticed. It is
+        # refused before the snapshot file is read.
+        read = []
+        monkeypatch.setattr(lrdmd.cli, "load_snapshots", read.append)
         out = [] if argv[0] == "validate" else ["--out", str(tmp_path / "out")]
         assert main([*argv, "--input", str(toy_csv), "--svd-tol", tol, *out]) == 2
         assert capsys.readouterr().err.startswith("error: tol must lie in [0, 1), got ")
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [] and read == []
 
     def test_zero_svd_tol_is_valid(self, toy_csv, tmp_path):
         out = tmp_path / "out"
@@ -673,6 +699,52 @@ class TestBench:
         assert main(["bench", "--config", str(cfg)]) == 0
         assert out.exists()
 
+    def test_flags_override_config_then_validate(self, tmp_path):
+        # m = 60 in the file is valid with --n 100; it used to be refused
+        # against the file's default n = 50 before the flag applied
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("m = 60\nk_values = 1..2\nsettings = ii\n")
+        runs = {
+            "file": ["bench", "--config", str(cfg), "--n", "100"],
+            "flags": ["bench", "--n", "100", "--m", "60", "--k-values", "1..2", "--settings", "ii"],
+        }
+        written = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(["--seed", "7", *argv, "--no-timing", "--out", str(out)]) == 0
+            written[name] = out.read_bytes()
+        assert written["file"] == written["flags"]
+        assert len(written["file"].splitlines()) == 1 + 3 * 2
+
+    @pytest.mark.parametrize(
+        "line, flags",
+        [
+            ("n = 100", ["--n", "100"]),
+            ("r = 5", ["--r", "5"]),
+            ("m = 8", ["--m", "8"]),
+            ("settings = iii, ,i", ["--settings", "iii, ,i"]),
+            ("methods = c,a", ["--methods", "c,a"]),
+            ("k_values = 1..3,7", ["--k-values", "1..3,7"]),
+            ("seed = 11", ["--seed", "11"]),
+            ("output = sweep.csv", ["--out", "sweep.csv"]),
+            ("measure_time = false", ["--no-timing"]),
+        ],
+    )
+    def test_each_field_same_from_file_and_flag(self, tmp_path, monkeypatch, line, flags):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg)
+            return BenchResult(rows=())
+
+        monkeypatch.setattr(lrdmd.cli, "run_benchmark", record)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["bench", "--config", str(cfg)]) == 0
+        assert main(["bench", *flags]) == 0
+        assert seen[0] == seen[1] != BenchConfig()
+
     def test_seed_required(self, tmp_path):
         code = main(["bench", "--n", "8", "--r", "3", "--m", "5", "--out", str(tmp_path / "r.csv")])
         assert code == 2
@@ -682,7 +754,9 @@ class TestBench:
         out = tmp_path / "r.csv"
         args = ["--seed", "7", "bench", "--k-values", k_values, "--out", str(out)]
         assert main(args) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        # a flag's value has no path:line prefix, unlike a config file's
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad value for" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("k_values", ["1,x", "9..2"])

@@ -40,7 +40,7 @@ class TestSimulateReduced:
         _, op, factors, theta = symmetric_fixture()
         traj = simulate_reduced(factors, theta, 2)
         assert_allclose(traj.states[0], theta)
-        assert_allclose(traj.states[1], op.apply(theta), atol=1e-12)
+        assert_allclose(traj.states[1], op.left @ (op.right @ theta), atol=1e-12)
 
     def test_full_rank_identity_data_tracks_matrix_powers(self, rng):
         Y = rng.standard_normal((5, 5)) * 0.4

@@ -1,15 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lrdmd.errors import ValidationError
+from lrdmd.errors import RankDeficiencyWarning, ValidationError
+from lrdmd.linalg import DEFAULT_TOL
 from lrdmd.snapshots import DataMatrices, SnapshotSet, build_data_matrices
-from lrdmd.solvers import Factorization
+from lrdmd.solvers import Factorization, factorize
 from lrdmd.toybench import (
     BenchConfig,
     RESULT_HEADER,
+    _span_defect,
     benchmark_data,
-    companion_residual,
     data_seed_for,
     generate_snapshots,
     generate_toy_operator,
@@ -17,6 +20,14 @@ from lrdmd.toybench import (
     run_benchmark,
     write_result_csv,
 )
+
+
+def companion_residual(d, tol=DEFAULT_TOL):
+    """||Y - X X^+ Y||_F / ||Y||_F, as the sweep and lrdmd validate take it
+    from the factorization; a rank-deficient X raises no warning here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
+        return _span_defect(factorize(d, tol), d.norm_y)
 
 
 class TestGenerateToyOperator:
@@ -103,6 +114,13 @@ class TestGenerateSnapshots:
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             run_benchmark(BenchConfig(n=8, r=3, m=5, seed=-1))
 
+    def test_missing_seed_refused(self):
+        # numpy would draw unseeded data, which no run could reproduce
+        with pytest.raises(ValidationError, match="a seed is required"):
+            generate_toy_operator(5, 2, None)
+        with pytest.raises(ValidationError, match="a seed is required"):
+            generate_snapshots(self.model, "ii", 5, seed=None)
+
 
 class TestCompanionResidual:
     def test_successors_equal_predecessors(self, rng):
@@ -145,7 +163,11 @@ class TestRunBenchmark:
         for s in ("ii", "iii"):
             limit = 1e-6 * result.settings[s].norm_y
             for meth in ("a", "b", "c"):
-                ks = [row.k for row in result.rows_for(s, meth) if row.residual <= limit]
+                ks = [
+                    row.k
+                    for row in result.rows
+                    if (row.setting, row.method) == (s, meth) and row.residual <= limit
+                ]
                 first_drop[(s, meth)] = min(ks) if ks else None
         for meth in ("a", "b"):
             assert first_drop[("ii", meth)] == first_drop[("iii", meth)] == 30
@@ -186,7 +208,8 @@ class TestRunBenchmark:
         failed = {r.setting for r in result.rows if np.isnan(r.residual)}
         assert failed == {"ii"}
         assert np.isnan(result.settings["ii"].companion_residual)
-        assert all(np.isfinite(r.residual) for r in result.rows_for("i", "a"))
+        rows_i = [r for r in result.rows if (r.setting, r.method) == ("i", "a")]
+        assert rows_i and all(np.isfinite(r.residual) for r in rows_i)
 
     def test_setting_data_failure_recorded_as_nan_rows(self, monkeypatch):
         # a setting whose data are refused (here a NaN in its snapshots)
@@ -211,7 +234,8 @@ class TestRunBenchmark:
         assert {r.setting for r in result.rows if np.isnan(r.residual)} == {"ii"}
         assert np.isnan(result.settings["ii"].companion_residual)
         assert np.isnan(result.settings["ii"].norm_y)
-        assert all(np.isfinite(r.residual) for r in result.rows_for("i", "a"))
+        rows_i = [r for r in result.rows if (r.setting, r.method) == ("i", "a")]
+        assert rows_i and all(np.isfinite(r.residual) for r in rows_i)
 
     def test_rows_lift_no_operator(self, monkeypatch):
         # every row comes from the setting's coefficient matrices: no
@@ -294,6 +318,15 @@ class TestBenchConfig:
         with pytest.raises(ValidationError):
             BenchConfig(k_values=(0,), seed=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("settings", ("i", "ii", "i")), ("methods", ("a", "a")), ("k_values", (1, 2, 3, 2))],
+    )
+    def test_repeated_entries_refused(self, field, value):
+        # a repeated entry used to sweep its rows again
+        with pytest.raises(ValidationError, match=f"{field} repeats"):
+            BenchConfig(seed=0, **{field: value})
+
     @pytest.mark.parametrize("m", [0, -3])
     def test_no_pairs_refused(self, m):
         # m = 0 used to sweep no rank and write a CSV of its header alone
@@ -347,6 +380,18 @@ class TestBenchConfig:
         path.write_text(f"seed = 1\nmeasure_time = {text}\n")
         with pytest.raises(ValidationError, match=r"b\.cfg:2: bad value for measure_time: .* is not one of"):
             load_config(path)
+
+    def test_overrides_apply_over_the_file_then_validate(self, tmp_path):
+        # m = 60 is valid only with the overriding n = 100: the merged
+        # values are validated once
+        path = tmp_path / "wide.cfg"
+        path.write_text("m = 60\nseed = 1\nsettings = i\n")
+        cfg = load_config(path, {"n": "100", "seed": 4, "settings": "", "methods": None})
+        assert (cfg.n, cfg.m, cfg.seed) == (100, 60, 4)
+        assert cfg.settings == ("i",) and cfg.methods == ("a", "b", "c")
+        with pytest.raises(ValidationError, match="need 1 <= m <= n, got m=60, n=50"):
+            load_config(path)
+        assert load_config(None, {"k_values": "1..3"}) == BenchConfig(k_values=(1, 2, 3))
 
     def test_load_config_errors(self, tmp_path):
         missing = tmp_path / "nope.cfg"
