@@ -42,7 +42,6 @@ from .snapshots import (
     DataMatrices,
     RankReport,
     SnapshotSet,
-    build_data_matrices,
     load_snapshots,
     save_snapshots,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "ToyModel",
     "ValidationError",
     "amplitudes",
-    "build_data_matrices",
     "compute_modes",
     "factorize",
     "fit_exact_dmd",

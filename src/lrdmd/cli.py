@@ -27,7 +27,6 @@ from .modes import _check_horizon, _check_theta, amplitudes, compute_modes, veri
 from .rom import reconstruct_from_modes, save_trajectory, simulate_reduced
 from .snapshots import (
     RankReport,
-    build_data_matrices,
     load_snapshots,
     read_numeric_rows,
     save_snapshots,
@@ -65,23 +64,6 @@ def _write_keyvalue_csv(path: Path, pairs) -> None:
             fh.write(f"{key},{value}\n")
 
 
-def _write_manifest(out_path: Path, command: str, args, inputs, outputs) -> None:
-    params = {
-        k: v for k, v in vars(args).items() if k not in ("func", "command") and v is not None
-    }
-    manifest = {
-        "command": command,
-        "parameters": {k: (str(v) if isinstance(v, Path) else v) for k, v in params.items()},
-        "seed": getattr(args, "seed", None),
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "version": __version__,
-        "rng": RNG_NAME,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    out_path.write_text(json.dumps(manifest, indent=2) + "\n")
-
-
 def _load_theta(spec: str, snaps) -> np.ndarray:
     if spec == "first":
         return snaps.initial_condition(0)
@@ -100,28 +82,39 @@ def _load_theta(spec: str, snaps) -> np.ndarray:
     return _check_theta(rows[0], snaps.n)
 
 
-def _check_rank_flag(rank: int) -> int:
-    if rank is None:
-        raise ValidationError("--rank is required for this command")
-    return _check_rank_arg(rank)
+def _read(args):
+    """The snapshots of --input, after the tol check: the read can take long."""
+    _check_tol(args.svd_tol)
+    return load_snapshots(args.input)
 
 
-def _load_matrices(args):
-    _check_tol(args.svd_tol)  # before the snapshots are read, which can take long
-    snaps = load_snapshots(args.input)
-    return snaps, build_data_matrices(snaps)
+def _fit(args):
+    """(snapshots, theta, Factorization, operator) of fit, modes and
+    simulate, in this order: the flag checks, before the snapshot file is
+    read; the read; theta (modes and simulate); the factorization; the fit
+    named by --method (optimal for modes and simulate).
 
-
-def _fit_optimal_guarded(fac, rank: int):
-    """CLI-level hard guard: requesting more than the numerical rank of
-    Y V_x is a numerical failure (exit 3), unlike the library's
-    clamp-and-warn."""
-    if rank > fac.rank_y:
+    Requesting more of the optimal fit than the numerical rank of Y V_x is
+    a numerical failure here (exit 3), unlike the library's clamp-and-warn.
+    """
+    method = getattr(args, "method", "optimal")
+    if method != "exact":
+        if args.rank is None:
+            raise ValidationError("--rank is required for this command")
+        _check_rank_arg(args.rank)
+    if "horizon" in args:
+        _check_horizon(args.horizon, getattr(args, "stride", 1))
+    snaps = _read(args)
+    theta = _load_theta(args.theta, snaps) if "theta" in args else None
+    fac = factorize(snaps, args.svd_tol, args.strict_rank)
+    if method == "exact":
+        return snaps, theta, fac, fac.exact()
+    if method == "optimal" and args.rank > fac.rank_y:
         raise RankGuardError(
-            f"requested rank {rank} exceeds the numerical rank of Y ({fac.rank_y}) "
+            f"requested rank {args.rank} exceeds the numerical rank of Y ({fac.rank_y}) "
             f"on the row space of X; choose a rank <= {fac.rank_y}"
         )
-    return fac.optimal(rank)
+    return snaps, theta, fac, getattr(fac, method)(args.rank)
 
 
 def _out_dir(args) -> Path:
@@ -132,21 +125,37 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
+def _finish(args, outputs, summary: str, manifest: Path | None = None) -> int:
+    """Write the manifest of a run that wrote ``outputs``, which records
+    the resolved parameters, seed, paths and library version, and print
+    the command's summary line. The manifest goes to ``manifest``, by
+    default beside the one output as <output>.manifest.json."""
+    if manifest is None:
+        manifest = outputs[0].with_suffix(outputs[0].suffix + ".manifest.json")
+    params = {
+        k: v for k, v in vars(args).items() if k not in ("func", "command") and v is not None
+    }
+    inputs = (getattr(args, "input", None), getattr(args, "config", None))
+    record = {
+        "command": args.command,
+        "parameters": {k: (str(v) if isinstance(v, Path) else v) for k, v in params.items()},
+        "seed": getattr(args, "seed", None),
+        "inputs": [str(p) for p in inputs if p],
+        "outputs": [str(p) for p in outputs],
+        "version": __version__,
+        "rng": RNG_NAME,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    manifest.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"{args.command}: {summary}")
+    return 0
+
+
 def cmd_fit(args) -> int:
-    rank = None if args.method == "exact" else _check_rank_flag(args.rank)
-    snaps, d = _load_matrices(args)
-    requested = d.m if rank is None else rank
-    fac = factorize(d, args.svd_tol, args.strict_rank)
-    if args.method == "exact":
-        op = fac.exact()
-    elif args.method == "optimal":
-        op = _fit_optimal_guarded(fac, requested)
-    elif args.method == "truncated":
-        op = fac.truncated(requested)
-    else:
-        op = fac.projected(requested)
-    res = residual_norm(op, d)
-    norm_y = d.norm_y
+    snaps, _, fac, op = _fit(args)
+    requested = snaps.m if args.method == "exact" else args.rank
+    res = residual_norm(op, snaps)
+    norm_y = snaps.norm_y
     out_dir = _out_dir(args)
     outputs = [out_dir / "left.csv", out_dir / "right.csv", out_dir / "summary.csv"]
     _write_matrix_csv(outputs[0], op.left)
@@ -164,24 +173,19 @@ def cmd_fit(args) -> int:
             *certified,
             ("residual_relative", _fmt(res / norm_y if norm_y else 0.0)),
             ("norm_y", _fmt(norm_y)),
-            ("n", d.n),
-            ("m", d.m),
+            ("n", snaps.n),
+            ("m", snaps.m),
             ("rank_x", fac.rank_x),
             ("rank_y", fac.rank_y),
             ("svd_tol", _fmt(args.svd_tol)),
         ],
     )
-    _write_manifest(out_dir / "manifest.json", "fit", args, [args.input], outputs)
-    print(f"fit: method={args.method} rank={op.declared_rank} residual={res:.6e}")
-    return 0
+    summary = f"method={args.method} rank={op.declared_rank} residual={res:.6e}"
+    return _finish(args, outputs, summary, out_dir / "manifest.json")
 
 
 def cmd_modes(args) -> int:
-    rank = _check_rank_flag(args.rank)
-    _check_horizon(args.horizon)
-    snaps, d = _load_matrices(args)
-    theta = _load_theta(args.theta, snaps)
-    op = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
+    _, theta, _, op = _fit(args)
     mode_set = compute_modes(op, VARIANT_NAMES[args.variant], tol=args.svd_tol)
     schedule = amplitudes(mode_set, theta, args.horizon)
     report = verify_eigenpairs(mode_set, op)
@@ -215,20 +219,12 @@ def cmd_modes(args) -> int:
                 f"{_fmt(report.residuals[i])},{_fmt(report.tolerance)},{report.passed[i]}\n"
             )
     outputs = [eig_path, modes_path, amp_path, resid_path]
-    _write_manifest(out_dir / "manifest.json", "modes", args, [args.input], outputs)
-    print(
-        f"modes: variant={args.variant} k={k} "
-        f"max_eigenpair_residual={report.max_residual:.6e}"
-    )
-    return 0
+    summary = f"variant={args.variant} k={k} max_eigenpair_residual={report.max_residual:.6e}"
+    return _finish(args, outputs, summary, out_dir / "manifest.json")
 
 
 def cmd_simulate(args) -> int:
-    rank = _check_rank_flag(args.rank)
-    _check_horizon(args.horizon, args.stride)
-    snaps, d = _load_matrices(args)
-    theta = _load_theta(args.theta, snaps)
-    op = _fit_optimal_guarded(factorize(d, args.svd_tol, args.strict_rank), rank)
+    _, theta, _, op = _fit(args)
     if args.path == "reduced":
         traj = simulate_reduced(op, theta, args.horizon, stride=args.stride)
     else:
@@ -241,9 +237,15 @@ def cmd_simulate(args) -> int:
     out_dir = _out_dir(args)
     traj_path = out_dir / "trajectory.csv"
     save_trajectory(traj, traj_path)
-    _write_manifest(out_dir / "manifest.json", "simulate", args, [args.input], [traj_path])
-    print(f"simulate: path={args.path} steps={traj.states.shape[0]} -> {traj_path}")
-    return 0
+    summary = f"path={args.path} steps={traj.states.shape[0]} -> {traj_path}"
+    return _finish(args, [traj_path], summary, out_dir / "manifest.json")
+
+
+def _out_file(path) -> Path:
+    """path, its directory made when the output is ready to be written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def cmd_bench(args) -> int:
@@ -255,48 +257,31 @@ def cmd_bench(args) -> int:
     )
     cfg = load_config(args.config or None, flags)
     result = run_benchmark(cfg)
-    out_path = Path(cfg.output)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_file(cfg.output)
     write_result_csv(result, out_path)
-    _write_manifest(
-        out_path.with_suffix(out_path.suffix + ".manifest.json"),
-        "bench",
-        args,
-        [args.config] if args.config else [],
-        [out_path],
-    )
-    print(f"bench: {len(result.rows)} rows -> {out_path}")
-    return 0
+    return _finish(args, [out_path], f"{len(result.rows)} rows -> {out_path}")
 
 
 def cmd_generate(args) -> int:
     model = generate_toy_operator(args.n, args.r, args.seed)
     snaps = generate_snapshots(model, args.setting, args.m, data_seed_for(args.seed, args.setting))
-    out_path = Path(args.out)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_file(args.out)
     save_snapshots(snaps, out_path)
-    _write_manifest(
-        out_path.with_suffix(out_path.suffix + ".manifest.json"), "generate", args, [], [out_path]
-    )
-    print(
-        f"generate: setting={args.setting} n={args.n} r={args.r} m={args.m} -> {out_path}"
-    )
-    return 0
+    summary = f"setting={args.setting} n={args.n} r={args.r} m={args.m} -> {out_path}"
+    return _finish(args, [out_path], summary)
 
 
 def cmd_validate(args) -> int:
-    snaps, d = _load_matrices(args)
+    snaps = _read(args)
     # one factorization gives rank(X), rank(Y) from R_y and the span
     # defect; a rank-deficient X is part of the diagnosis, so it raises no
     # warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        fac = factorize(d, args.svd_tol)
+        fac = factorize(snaps, args.svd_tol)
     for line in RankReport.from_factorization(fac).lines():
         print(line)
-    print(f"companion residual       : {_span_defect(fac, d.norm_y):.6e}")
+    print(f"companion residual       : {_span_defect(fac, snaps.norm_y):.6e}")
     return 0
 
 

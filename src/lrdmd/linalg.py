@@ -219,7 +219,7 @@ def qr_factor(M: np.ndarray, checked: bool = False) -> QrFactors:
     other input, and a tall one that those refuse (see SHIFTED_MIN_RATIO),
     goes to Householder QR. The route depends on the input alone. M may
     have any memory layout; checked=True skips the pass that refuses
-    non-finite entries, for data a DataMatrices has validated.
+    non-finite entries, for data a SnapshotSet has validated.
     """
     M = _as_matrix(M, checked)
     p, q = M.shape

@@ -1,5 +1,5 @@
-"""Trajectory snapshot containers, CSV ingestion, and the paired
-predecessor/successor data matrices consumed by the solvers.
+"""Trajectory snapshots: the container every fitter takes, its CSV reader
+and writer, and the paired predecessor/successor matrices of the data.
 
 Snapshot CSV format: header ``traj_id,t,x0,x1,...,x{n-1}``, one row per
 (trajectory, time) pair. Trajectory ids are 1..N and time indices 1..T;
@@ -10,36 +10,71 @@ write_csv_rows, which writes each float as its shortest round-trip repr.
 """
 
 import csv
-import re
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SnapshotFormatError, ValidationError
 
+# Rows taken at a time by the loops over the n rows of the data (the chain
+# check of DataMatrices, and in solvers and modes residual_norm, the part of
+# Y outside X's basis, the eigenpair check and the column pivots): blocks of
+# a few hundred rows stay in cache, and no n-row temporary is formed.
+_ROW_BLOCK = 256
 
-@dataclass(frozen=True)
+
 class SnapshotSet:
-    """N trajectories of T state vectors in R^n, stored as (N, T, n)."""
+    """N trajectories of T state vectors in R^n, held as one read-only,
+    C-ordered float64 (N, T, n) array, ``states``, and the snapshot pairs
+    that the fitters take: column j of Y succeeds column j of X.
 
-    states: np.ndarray
+    X gathers states 1..T-1 of every trajectory and Y states 2..T,
+    trajectory-major, so m = N (T - 1). ``states`` is the caller's array
+    itself when it has that layout and nothing can write into it
+    (load_snapshots and generate_snapshots hand over such arrays), else one
+    copy of it; either way it is checked once for its shape and for finite
+    values. d.X and d.Y are read from the array at each access (see
+    pairs), and the solvers factor the array itself (see
+    solvers.factorize).
 
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=np.float64)
-        if s.ndim != 3:
+    The data cannot change, so the object keeps the one Factorization that
+    solvers.factorize last built for it (see there), and exactly as long
+    as itself: a fitted SnapshotSet keeps its n-row bases alive, about its
+    own size again (twice that when X and Y are factored apart).
+    """
+
+    def __init__(self, states):
+        if not (
+            isinstance(states, np.ndarray)
+            and states.dtype == np.float64
+            and states.flags.c_contiguous
+            and _frozen(states)
+        ):
+            states = np.array(states, dtype=np.float64, order="C")
+            states.flags.writeable = False
+        if states.ndim != 3:
             raise ValidationError("states must have shape (N, T, n)")
-        N, T, n = s.shape
+        N, T, n = states.shape
         if N < 1:
             raise ValidationError("need at least one trajectory")
         if T < 2:
             raise ValidationError("need at least two snapshots per trajectory")
         if n < 1:
             raise ValidationError("state dimension must be positive")
-        if not np.all(np.isfinite(s)):
+        if not np.all(np.isfinite(states)):
             raise ValidationError("snapshots contain non-finite values")
-        object.__setattr__(self, "states", s)
+        self._hold(states)
+
+    def _hold(self, states: np.ndarray) -> None:
+        """Hold a finite, read-only, C-ordered (N, T, n) array as it is."""
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_factorization", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
     @property
     def n(self) -> int:
@@ -53,66 +88,14 @@ class SnapshotSet:
     def num_snapshots(self) -> int:
         return self.states.shape[1]
 
-    def initial_condition(self, traj: int = 0) -> np.ndarray:
-        """First state of the given trajectory (default: trajectory 1)."""
-        return self.states[traj, 0].copy()
-
-
-# Rows taken at a time by the loops over the n rows of the data (the chain
-# check of DataMatrices, and in solvers and modes residual_norm, the part of
-# Y outside X's basis, the eigenpair check and the column pivots): blocks of
-# a few hundred rows stay in cache, and no n-row temporary is formed.
-_ROW_BLOCK = 256
-
-
-class DataMatrices:
-    """Aligned n-by-m snapshot matrices: column j of Y succeeds column j of X.
-
-    A DataMatrices holds one read-only (N, T, n) snapshot array, ``states``:
-    X gathers states 1..T-1 of every trajectory and Y states 2..T,
-    trajectory-major, so m = N (T - 1). build_data_matrices fills it from a
-    SnapshotSet. ``DataMatrices(X=..., Y=...)`` refuses non-finite entries
-    and copies the pairs into it once: as N trajectories of T states when
-    they chain trajectory-major into trajectories of one length (column j
-    of Y is column j + 1 of X inside each trajectory), else as m
-    trajectories of two states. Either way its pairs are exactly X and Y.
-    d.X and d.Y are read from the array at each access (see pairs), and
-    the solvers factor the array itself (see solvers.factorize).
-
-    The data cannot change, so the object keeps the one Factorization that
-    solvers.factorize last built for it (see there), and exactly as long
-    as itself: a fitted DataMatrices keeps its n-row bases alive, about its
-    own size again (twice that when X and Y are factored apart).
-    """
-
-    def __init__(self, X, Y):
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(Y, dtype=np.float64)
-        if X.ndim != 2 or Y.ndim != 2 or X.shape != Y.shape:
-            raise ValidationError("X and Y must be matrices of identical shape")
-        if X.size == 0:
-            raise ValidationError(f"X and Y must be non-empty, not {X.shape[0]}x{X.shape[1]}")
-        for name, M in (("X", X), ("Y", Y)):
-            if not np.all(np.isfinite(M)):
-                raise ValidationError(f"{name} contains non-finite values")
-        self._hold(_trajectories_of(X, Y))
-
-    def _hold(self, states: np.ndarray) -> None:
-        """Hold a finite, read-only, C-ordered (N, T, n) array as it is."""
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_factorization", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DataMatrices is read-only")
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[2]
-
     @property
     def m(self) -> int:
         N, T, _ = self.states.shape
         return N * (T - 1)
+
+    def initial_condition(self, traj: int = 0) -> np.ndarray:
+        """First state of the given trajectory (default: trajectory 1)."""
+        return self.states[traj, 0].copy()
 
     @property
     def X(self) -> np.ndarray:
@@ -141,6 +124,29 @@ class DataMatrices:
         """||Y||_F, summed state by state from the snapshot array."""
         later = self.states[:, 1:]
         return float(np.sqrt(np.einsum("ijk,ijk->ij", later, later).sum()))
+
+
+class DataMatrices(SnapshotSet):
+    """A SnapshotSet made from explicit n-by-m snapshot pairs X and Y.
+
+    ``DataMatrices(X=..., Y=...)`` refuses non-finite entries and copies
+    the pairs into one snapshot array: as N trajectories of T states when
+    they chain trajectory-major into trajectories of one length (column j
+    of Y is column j + 1 of X inside each trajectory), else as m
+    trajectories of two states. Either way its pairs are exactly X and Y.
+    """
+
+    def __init__(self, X, Y):
+        X = np.asarray(X, dtype=np.float64)
+        Y = np.asarray(Y, dtype=np.float64)
+        if X.ndim != 2 or Y.ndim != 2 or X.shape != Y.shape:
+            raise ValidationError("X and Y must be matrices of identical shape")
+        if X.size == 0:
+            raise ValidationError(f"X and Y must be non-empty, not {X.shape[0]}x{X.shape[1]}")
+        for name, M in (("X", X), ("Y", Y)):
+            if not np.all(np.isfinite(M)):
+                raise ValidationError(f"{name} contains non-finite values")
+        self._hold(_trajectories_of(X, Y))
 
 
 def _trajectories_of(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -181,26 +187,6 @@ def _frozen(a: np.ndarray) -> bool:
         return a is None or memoryview(a).readonly
     except TypeError:
         return False
-
-
-def build_data_matrices(s: SnapshotSet) -> DataMatrices:
-    """Pair each snapshot with its time successor, trajectory by trajectory.
-
-    X gathers states 1..T-1 of every trajectory and Y states 2..T, so
-    m = (T-1)*N columns, ordered trajectory-major. The DataMatrices holds
-    one read-only (N, T, n) array: s.states itself when it is C-ordered
-    and nothing can write into it (load_snapshots hands over such an
-    array), else one checked copy of it.
-    """
-    states = s.states
-    if not (_frozen(states) and states.flags.c_contiguous):
-        states = np.array(states, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(states)):
-            raise ValidationError("snapshots contain non-finite values")
-        states.flags.writeable = False
-    d = DataMatrices.__new__(DataMatrices)
-    d._hold(states)
-    return d
 
 
 @dataclass(frozen=True)
@@ -264,59 +250,40 @@ def read_numeric_rows(source, converters=None) -> np.ndarray:
     ``source`` is an open text file or a list of lines. Empty lines are
     skipped; whitespace around a cell is allowed. Returns a 2-D float array
     (0 rows for no input). A cell that is not a number, or a row whose
-    width differs from the first row's, raises numpy's ValueError, which
-    names the row counted from 0 (bad cell) or from 1 (width change),
-    empty lines not counted.
+    width differs from the first row's, raises numpy's ValueError.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         return np.loadtxt(source, delimiter=",", ndmin=2, comments=None, converters=converters)
 
 
-# loadtxt's messages for a bad cell, a width change and a first row too
-# narrow for the key converters; read by _row_error.
-_BAD_CELL = re.compile(r"(could not convert string .*) at row (\d+), column (\d+)")
-_WIDTH_CHANGE = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
-_NARROW_FIRST_ROW = re.compile(r"invalid for the number of fields (\d+)")
+# The key cells, traj_id and t, must be integers: "1.0" is refused.
+_KEY_CELLS = {0: int, 1: int}
 
 
-def _line_of_row(path: Path, row: int) -> int:
-    """File line number of data row ``row`` (0-based, empty lines skipped,
-    as loadtxt skips them); the line it would have without empty lines if
-    the file has fewer data rows."""
+def _data_lines(path: Path):
+    """(file line number, line) of each data row of a snapshot CSV: every
+    line after the header that is not empty, as loadtxt skips only those."""
     with path.open(newline="") as fh:
         fh.readline()
-        seen = -1
         for lineno, line in enumerate(fh, start=2):
-            if line.strip("\r\n"):
-                seen += 1
-                if seen == row:
-                    return lineno
-    return row + 2
+            line = line.strip("\r\n")
+            if line:
+                yield lineno, line
 
 
-def _row_error(path: Path, n: int, exc: ValueError) -> SnapshotFormatError:
-    """Translate a loadtxt ValueError into the error naming its file line."""
-    msg = str(exc)
-    if m := _BAD_CELL.search(msg):
-        lineno = _line_of_row(path, int(m[2]))
-        return SnapshotFormatError(
-            f"{path}:{lineno}: non-numeric cell in column {m[3]} ({m[1]})"
-        )
-    if m := _WIDTH_CHANGE.search(msg):
-        first, width, row = int(m[1]), int(m[2]), int(m[3]) - 1
-        if first != n + 2:
-            width, row = first, 0
-    elif m := _NARROW_FIRST_ROW.search(msg):
-        width, row = int(m[1]), 0
-    else:
-        return SnapshotFormatError(f"{path}: non-numeric cell ({msg})")
-    return _width_error(path, n, width, row)
-
-
-def _width_error(path: Path, n: int, width: int, row: int) -> SnapshotFormatError:
-    lineno = _line_of_row(path, row)
-    return SnapshotFormatError(f"{path}:{lineno}: expected {n + 2} columns, got {width}")
+def _bad_line(path: Path, n: int) -> SnapshotFormatError:
+    """The error naming the first data row that has not n + 2 cells or that
+    the parser refuses, scanned one line at a time."""
+    for lineno, line in _data_lines(path):
+        width = line.count(",") + 1
+        if width != n + 2:
+            return SnapshotFormatError(f"{path}:{lineno}: expected {n + 2} columns, got {width}")
+        try:
+            read_numeric_rows([line], converters=_KEY_CELLS)
+        except ValueError as exc:
+            return SnapshotFormatError(f"{path}:{lineno}: non-numeric cell ({exc})")
+    return SnapshotFormatError(f"{path}: unreadable data rows")
 
 
 def load_snapshots(path) -> SnapshotSet:
@@ -335,22 +302,22 @@ def load_snapshots(path) -> SnapshotSet:
             raise SnapshotFormatError(f"empty snapshot file: {path}")
         n = _parse_header([h.strip() for h in next(csv.reader([first]), [])])
         try:
-            data = read_numeric_rows(fh, converters={0: int, 1: int})
-        except ValueError as exc:
-            raise _row_error(path, n, exc) from None
-    if data.shape[0] == 0:
+            data = read_numeric_rows(fh, converters=_KEY_CELLS)
+        except ValueError:
+            data = None
+    if data is not None and data.shape[0] == 0:
         raise SnapshotFormatError(f"no data rows in {path}")
-    if data.shape[1] != n + 2:
-        raise _width_error(path, n, data.shape[1], 0)
+    if data is None or data.shape[1] != n + 2:
+        raise _bad_line(path, n)
     traj, t = data[:, 0], data[:, 1]
     order = np.lexsort((t, traj))
     keys = data[order, :2]
     repeats = order[1:][np.all(keys[1:] == keys[:-1], axis=1)]
     if repeats.size:
         row = int(repeats.min())
+        lineno = next(islice(_data_lines(path), row, None))[0]
         raise SnapshotFormatError(
-            f"{path}:{_line_of_row(path, row)}: duplicate entry for "
-            f"traj {int(traj[row])}, t {int(t[row])}"
+            f"{path}:{lineno}: duplicate entry for traj {int(traj[row])}, t {int(t[row])}"
         )
     traj_ids = np.unique(traj)
     N = traj_ids.size
@@ -374,8 +341,7 @@ def load_snapshots(path) -> SnapshotSet:
         raise SnapshotFormatError(f"trajectory {j + 1}: time indices must be 1..T, got {times}")
     states = np.empty((N, T, n), dtype=np.float64)
     states[i, t.astype(np.intp) - 1] = data[:, 2:]
-    # nothing else holds this array: read-only, build_data_matrices takes
-    # it as it is
+    # nothing else holds this array: read-only, SnapshotSet holds it as it is
     states.flags.writeable = False
     return SnapshotSet(states=states)
 

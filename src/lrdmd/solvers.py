@@ -18,7 +18,7 @@ are slices of one Factorization of the data, built by factorize():
 The data are compressed once, as in DMD_RRR (Drmac, Mezic and Mohr 2018):
 one tall factorization (linalg.qr_factor) gives X = Q R_x and Y = Q_y R_y
 with orthonormal Q and Q_y, and every core of every fit is then computed
-from the small R factors. Every DataMatrices holds its pairs as one
+from the small R factors. Every SnapshotSet holds its pairs as one
 read-only snapshot array of N trajectories of T states, so Y repeats X but
 for the last state of each trajectory. With few trajectories for their
 length, one factorization of all the states serves both (Q_y = Q);
@@ -29,10 +29,10 @@ fit returns; Factorization.residual evaluates ||Y - A X|| of a fit without
 forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
-fit_optimal_lowrank_dmd factorize and slice in one call. Each DataMatrices
+fit_optimal_lowrank_dmd factorize and slice in one call. Each SnapshotSet
 keeps its Factorization, which factorize returns again for the same tol and
 strict, so fits of one dataset share its tall factorization and its cached
-cores, whatever other datasets are fitted in between. A DataMatrices is
+cores, whatever other datasets are fitted in between. A SnapshotSet is
 read-only, and so is every array a Factorization holds or a fit returns.
 
 A fitted operator keeps a link to the Factorization it came from, so
@@ -71,7 +71,7 @@ from .linalg import (
     qr_factor,
     thin_svd,
 )
-from .snapshots import _ROW_BLOCK, DataMatrices
+from .snapshots import _ROW_BLOCK, SnapshotSet
 
 # Largest share of the columns of Y that may be new, copies of no column of
 # X, for factorize() to factor all N T states of the snapshot array, Z = [X,
@@ -128,13 +128,13 @@ class DmdOperator:
 
     An operator that a fit returns has ``source`` = (a weak reference to
     the Factorization it was sliced from, the fit's name, the rank it kept
-    after any clamp), and residual_norm on the DataMatrices that holds that
+    after any clamp), and residual_norm on the SnapshotSet that holds that
     Factorization evaluates it at size c. Its left and right are
     read-only, like every array of the Factorization, so they cannot drift
     from what the link describes. The link is no constructor argument: an
     operator built by hand, or by dataclasses.replace from a fitted one,
     has none. Being weak, it keeps no n-row basis alive: once the
-    Factorization goes, with its DataMatrices or when that is factored
+    Factorization goes, with its SnapshotSet or when that is factored
     under another tol or strict, the operator's residual is evaluated
     through its factors.
 
@@ -147,7 +147,6 @@ class DmdOperator:
 
     left: np.ndarray
     right: np.ndarray
-    method_tag: str
     source: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -206,8 +205,8 @@ def _check_rank_arg(k: int) -> int:
 class Factorization:
     """The factorizations of one snapshot pair (X, Y) that every fitter slices.
 
-    It holds no X and no reference to the DataMatrices it was built from,
-    which holds it (see factorize), so dropping the DataMatrices frees
+    It holds no X and no reference to the SnapshotSet it was built from,
+    which holds it (see factorize), so dropping the SnapshotSet frees
     both. ``Y`` is Y where it lies when Y is factored apart, and None when
     Y is in the basis.
 
@@ -317,11 +316,11 @@ class Factorization:
         L, R = self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T
         return _read_only((L, R, b.numerical_rank(self.tol)))
 
-    def _fitted(self, left, right, method_tag: str, fit: str, k: int, **core):
+    def _fitted(self, left, right, fit: str, k: int, **core):
         """The operator left @ right of fit at rank k, read-only and weakly
         linked to this Factorization (DmdOperator.source); core sets the
         optimal fit's rank-space core, by the names of DmdOperator's."""
-        op = DmdOperator(left=_read_only(left), right=_read_only(right), method_tag=method_tag)
+        op = DmdOperator(left=_read_only(left), right=_read_only(right))
         object.__setattr__(op, "source", (weakref.ref(self), fit, k))
         op.__dict__.update(core)
         return op
@@ -344,7 +343,7 @@ class Factorization:
         else:
             left = self.basis.lift(self._y[1] @ (self.V / self.s))
         left, rows, _ = _signed(left, self.U.T)
-        return self._fitted(left, self.basis.lift_rows(rows), "exact_full", "exact", self.rank_x)
+        return self._fitted(left, self.basis.lift_rows(rows), "exact", self.rank_x)
 
     def truncated(self, k: int) -> DmdOperator:
         """Rank-k truncation of the unconstrained solution A = Y X^+.
@@ -358,7 +357,7 @@ class Factorization:
         L, R, rank = self._truncation_coefs
         keep = min(k, rank)
         left, rows, _ = _signed(self._y[0].lift(L[:, :keep]), R[:keep])
-        return self._fitted(left, self.basis.lift_rows(rows), "truncated_exact", "truncated", keep)
+        return self._fitted(left, self.basis.lift_rows(rows), "truncated", keep)
 
     def projected(self, k: int) -> DmdOperator:
         """Span-restricted rank-k fit in the left singular basis of X.
@@ -373,7 +372,7 @@ class Factorization:
         L, R, rank = self._projection_coefs
         keep = min(k, rank)
         left, rows, _ = _signed(self.basis.lift(L[:, :keep]), R[:keep])
-        return self._fitted(left, self.basis.lift_rows(rows), "projected", "projected", keep)
+        return self._fitted(left, self.basis.lift_rows(rows), "projected", keep)
 
     @cached_property
     def span_defect(self) -> float:
@@ -503,7 +502,6 @@ class Factorization:
             P,
             self.basis.lift_rows(rows_k),
             "optimal",
-            "optimal",
             k,
             transition=_read_only((rows_k @ self._y_basis_on_x[:, :k]) * sign),
             gram=None,
@@ -512,7 +510,7 @@ class Factorization:
         )
 
 
-def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> Factorization:
+def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL, strict: bool = False) -> Factorization:
     """The Factorization of (X, Y) that the fitters slice.
 
     Y repeats X but for the last state of each of the N trajectories of d's
@@ -520,7 +518,7 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     factorization of all the states, the F-ordered n-by-NT matrix that the
     array is, serves X and Y. Otherwise X is factored here and Y on first
     use, as views of the array where its layout allows and else as copies
-    (see DataMatrices.pairs).
+    (see SnapshotSet.pairs).
 
     d keeps the Factorization built for it, and a call with the same tol
     and strict returns it again (d is read-only, so its data cannot have
@@ -557,7 +555,7 @@ def factorize(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -
     return fac
 
 
-def _columns(d: DataMatrices) -> tuple:
+def _columns(d: SnapshotSet) -> tuple:
     """(Z, x_columns, y_columns, Y): the columns to factor, where X and Y
     lie among them (y_columns None: Y is not among them, and Y is the
     matrix to factor on first use)."""
@@ -580,27 +578,27 @@ def _factorize(Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Factoriz
     return Factorization(Y, tol, strict, basis, U, s, V, x_columns, y_columns)
 
 
-def fit_exact_dmd(d: DataMatrices, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:
+def fit_exact_dmd(d: SnapshotSet, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:
     """Unconstrained least-squares fit A = Y X^+ (Factorization.exact)."""
     return factorize(d, tol, strict).exact()
 
 
 def fit_truncated_exact_dmd(
-    d: DataMatrices, k: int, tol: float = DEFAULT_TOL, strict: bool = False
+    d: SnapshotSet, k: int, tol: float = DEFAULT_TOL, strict: bool = False
 ) -> DmdOperator:
     """Rank-k truncation of A = Y X^+ (Factorization.truncated)."""
     return factorize(d, tol, strict).truncated(k)
 
 
 def fit_projected_dmd(
-    d: DataMatrices, k: int, tol: float = DEFAULT_TOL, strict: bool = False
+    d: SnapshotSet, k: int, tol: float = DEFAULT_TOL, strict: bool = False
 ) -> DmdOperator:
     """Span-restricted rank-k fit (Factorization.projected)."""
     return factorize(d, tol, strict).projected(k)
 
 
 def fit_optimal_lowrank_dmd(
-    d: DataMatrices, k: int, tol: float = DEFAULT_TOL, strict: bool = False
+    d: SnapshotSet, k: int, tol: float = DEFAULT_TOL, strict: bool = False
 ) -> tuple:
     """Closed-form global minimizer over rank(A) <= k (Factorization.optimal).
 
@@ -611,16 +609,16 @@ def fit_optimal_lowrank_dmd(
     return op, op
 
 
-def residual_norm(op: DmdOperator, d: DataMatrices) -> float:
+def residual_norm(op: DmdOperator, d: SnapshotSet) -> float:
     """Frobenius norm of Y - A X.
 
-    An operator that a fit returned, evaluated on the DataMatrices it was
+    An operator that a fit returned, evaluated on the SnapshotSet it was
     fitted to while that still holds the operator's Factorization, is
     evaluated at size c from the fit's coefficients
     (Factorization._residual); the exact fit on independent pairs only once
     Y is factored. Any other operator or dataset is
     evaluated through the factors, its squares summed block by block of
-    rows: A X = L (R X) with R X rho-by-m, X and Y read as DataMatrices.pairs
+    rows: A X = L (R X) with R X rho-by-m, X and Y read as SnapshotSet.pairs
     gives them.
     """
     if op.n != d.n:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .snapshots import DataMatrices, SnapshotSet, build_data_matrices
+from .snapshots import SnapshotSet
 from .solvers import Factorization, factorize
 
 SETTINGS = ("i", "ii", "iii")
@@ -109,15 +109,16 @@ def generate_snapshots(model: ToyModel, setting: str, m: int, seed: int) -> Snap
         states[0, 0] = rng.standard_normal(n)
         for t in range(1, m + 1):
             states[0, t] = G @ states[0, t - 1]
-        return SnapshotSet(states=states)
-    G = model.G
-    starts = rng.standard_normal((m, n))
-    states = np.empty((m, 2, n))
-    states[:, 0, :] = starts
-    if setting == "ii":
-        states[:, 1, :] = starts @ G.T
-    else:  # iii: cubic map x -> G(x + x*x*x)
-        states[:, 1, :] = (starts + starts**3) @ G.T
+    else:
+        starts = rng.standard_normal((m, n))
+        states = np.empty((m, 2, n))
+        states[:, 0, :] = starts
+        if setting == "ii":
+            states[:, 1, :] = starts @ model.G.T
+        else:  # iii: cubic map x -> G(x + x*x*x)
+            states[:, 1, :] = (starts + starts**3) @ model.G.T
+    # nothing else holds this array: read-only, SnapshotSet holds it as it is
+    states.flags.writeable = False
     return SnapshotSet(states=states)
 
 
@@ -153,12 +154,12 @@ class BenchConfig:
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
         if not 1 <= self.m <= self.n:
             raise ValidationError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
-        for s in self.settings:
-            if s not in SETTINGS:
-                raise ValidationError(f"unknown setting {s!r}")
-        for meth in self.methods:
-            if meth not in METHODS:
-                raise ValidationError(f"unknown method {meth!r}")
+        for name, known in (("settings", SETTINGS), ("methods", METHODS)):
+            if not getattr(self, name):
+                raise ValidationError(f"{name} is empty; give one or more of {','.join(known)}")
+            for entry in getattr(self, name):
+                if entry not in known:
+                    raise ValidationError(f"unknown {name[:-1]} {entry!r}")
         for k in self.k_values:
             if not 1 <= k <= self.m:
                 raise ValidationError(f"k values must lie in 1..m, got {k}")
@@ -204,12 +205,11 @@ def data_seed_for(seed: int, setting: str) -> int:
     return seed + 1 + SETTINGS.index(setting)
 
 
-def _setting_data(model: ToyModel, cfg: BenchConfig, setting: str) -> DataMatrices:
-    snaps = generate_snapshots(model, setting, cfg.m, data_seed_for(cfg.seed, setting))
-    return build_data_matrices(snaps)
+def _setting_data(model: ToyModel, cfg: BenchConfig, setting: str) -> SnapshotSet:
+    return generate_snapshots(model, setting, cfg.m, data_seed_for(cfg.seed, setting))
 
 
-def benchmark_data(cfg: BenchConfig, setting: str) -> DataMatrices:
+def benchmark_data(cfg: BenchConfig, setting: str) -> SnapshotSet:
     """The exact dataset the sweep uses for one setting of a config."""
     return _setting_data(generate_toy_operator(cfg.n, cfg.r, cfg.seed), cfg, setting)
 

@@ -13,7 +13,6 @@ from lrdmd.rom import simulate_reduced
 from lrdmd.snapshots import (
     RankReport,
     SnapshotSet,
-    build_data_matrices,
     load_snapshots,
     save_snapshots,
 )
@@ -58,10 +57,7 @@ def small_csv(tmp_path_factory):
 
 class TestGenerate:
     def test_matches_library_generation(self, toy_csv, toy_config):
-        snaps = load_snapshots(toy_csv)
-        from lrdmd.snapshots import build_data_matrices
-
-        d = build_data_matrices(snaps)
+        d = load_snapshots(toy_csv)
         lib = benchmark_data(toy_config, "ii")
         assert np.array_equal(d.X, lib.X)
         assert np.array_equal(d.Y, lib.Y)
@@ -98,7 +94,7 @@ class TestValidate:
             states = np.repeat(rng.standard_normal((1, 7, 20)), 2, axis=0)
         path = tmp_path / "v.csv"
         save_snapshots(SnapshotSet(states=states), path)
-        d = build_data_matrices(load_snapshots(path))
+        d = load_snapshots(path)
         assert (d.n, d.m) == (20, 12)
         # independent reference: numpy's singular-value counts
         rank_x, rank_y = (
@@ -144,10 +140,7 @@ class TestFit:
             line.split(",", 1) for line in (out / "summary.csv").read_text().splitlines()[1:]
         )
         # the factors on disk reproduce the reported residual exactly
-        snaps = load_snapshots(toy_csv)
-        from lrdmd.snapshots import build_data_matrices
-
-        d = build_data_matrices(snaps)
+        d = load_snapshots(toy_csv)
         res = float(np.linalg.norm(d.Y - left @ (right @ d.X)))
         assert abs(res - float(summary["residual"])) < 1e-12 * max(res, 1.0)
         # the Eckart-Young certificate agrees with the evaluated residual
@@ -376,10 +369,7 @@ class TestSimulate:
         assert code == 0
         rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         snaps = load_snapshots(small_csv)
-        from lrdmd.snapshots import build_data_matrices
-
-        d = build_data_matrices(snaps)
-        op, _ = fit_optimal_lowrank_dmd(d, 3)
+        op, _ = fit_optimal_lowrank_dmd(snaps, 3)
         theta = snaps.initial_condition(0)
         assert_allclose(rows[0, 1:], theta, atol=1e-15)
         assert_allclose(rows[1, 1:], op.left @ op.right @ theta, atol=1e-10)
@@ -527,6 +517,7 @@ class TestRefusedArguments:
             ["--seed", "3", "bench", "--k-values", "1..3,2", "--settings", "i", "--methods", "a"],
             ["--seed", "3", "bench", "--settings", "i,i", "--methods", "a", "--no-timing"],
             ["--seed", "3", "bench", "--methods", "a,b,a", "--out", "b.csv"],
+            ["--seed", "7", "bench", "--settings", ",", "--no-timing", "--out", "e.csv"],
         ],
     )
     def test_seed_and_pairs(self, tmp_path, monkeypatch, capsys, argv):
@@ -566,6 +557,30 @@ class TestRefusedArguments:
         assert capsys.readouterr().err.startswith("error: tol must lie in [0, 1), got ")
         assert list(tmp_path.iterdir()) == [] and read == []
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fit", "--method", "optimal"], "--rank is required"),
+            (["fit", "--method", "truncated", "--rank", "0"], "rank must be >= 1"),
+            (["modes"], "--rank is required"),
+            (["modes", "--rank", "0"], "rank must be >= 1"),
+            (["modes", "--rank", "3", "--horizon", "0"], "horizon must be >= 1"),
+            (["simulate", "--horizon", "5"], "--rank is required"),
+            (["simulate", "--rank", "0", "--horizon", "5"], "rank must be >= 1"),
+            (["simulate", "--rank", "3", "--horizon", "0"], "horizon must be >= 1"),
+            (["simulate", "--rank", "3", "--horizon", "5", "--stride", "0"], "stride must be >= 1"),
+        ],
+    )
+    def test_flags_before_the_read(self, toy_csv, tmp_path, capsys, monkeypatch, argv, message):
+        # every flag error, like a bad tolerance, is found before the
+        # snapshot file is read
+        read = []
+        monkeypatch.setattr(lrdmd.cli, "load_snapshots", read.append)
+        out = ["--out", str(tmp_path / "out")]
+        assert main([*argv, "--input", str(toy_csv), *out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == [] and read == []
+
     def test_zero_svd_tol_is_valid(self, toy_csv, tmp_path):
         out = tmp_path / "out"
         argv = ["fit", "--method", "optimal", "--rank", "3", "--svd-tol", "0"]
@@ -582,7 +597,7 @@ class TestWrittenFiles:
     @pytest.fixture(scope="class")
     def library(self, small_csv):
         snaps = load_snapshots(small_csv)
-        op, factors = fit_optimal_lowrank_dmd(build_data_matrices(snaps), self.RANK)
+        op, factors = fit_optimal_lowrank_dmd(snaps, self.RANK)
         return snaps, op, factors
 
     def run(self, command, small_csv, out, *extra):

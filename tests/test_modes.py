@@ -167,7 +167,7 @@ class TestComputeModes:
     def test_rank_collapsed_q_rejected(self):
         P = np.eye(4)[:, :2]
         Q = np.column_stack([np.ones(4), np.ones(4)])  # rank 1
-        op = DmdOperator(left=P, right=Q.T, method_tag="optimal")
+        op = DmdOperator(left=P, right=Q.T)
         with pytest.raises(RankGuardError, match="rank"):
             compute_modes(op)
 
@@ -184,7 +184,7 @@ class TestComputeModes:
         # an operator built by hand from the fit's factors takes eig(Q^T P)
         # of the n-row product, and lands within roundoff of the fit's modes
         _, factors = tall_fit()
-        bundle = DmdOperator(left=factors.P, right=factors.Q.T, method_tag="optimal")
+        bundle = DmdOperator(left=factors.P, right=factors.Q.T)
         lam = np.linalg.eig(factors.Q.T @ factors.P)[0]
         got = compute_modes(bundle)
         assert np.array_equal(got.eigenvalues, lam[spectral_key(lam)])

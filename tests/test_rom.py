@@ -143,7 +143,7 @@ class TestSimulateFull:
             np.ascontiguousarray(R @ L), R @ theta, 200, 9, OVERFLOW_LIMIT, L.T @ L
         )
         assert flag == 0
-        for other in (dataclasses.replace(op), DmdOperator(left=L, right=R, method_tag="optimal")):
+        for other in (dataclasses.replace(op), DmdOperator(left=L, right=R)):
             got = simulate_full(other, theta, 200, 9)
             assert np.array_equal(got.states, want)
             assert np.array_equal(got.reduced_states, zs)
@@ -166,13 +166,13 @@ class TestSimulateFull:
 
     def test_projector_fixes_vector_in_subspace(self):
         basis = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 2)))[0]
-        op = DmdOperator(left=basis, right=basis.T, method_tag="optimal")
+        op = DmdOperator(left=basis, right=basis.T)
         theta = basis @ np.array([1.0, -2.0])
         traj = simulate_full(op, theta, 5)
         assert_allclose(traj.states, np.tile(theta, (5, 1)), atol=1e-12)
 
     def test_zero_operator(self, rng):
-        op = DmdOperator(left=np.zeros((4, 1)), right=np.zeros((1, 4)), method_tag="optimal")
+        op = DmdOperator(left=np.zeros((4, 1)), right=np.zeros((1, 4)))
         theta = rng.standard_normal(4)
         traj = simulate_full(op, theta, 4)
         assert_allclose(traj.states[0], theta)
@@ -191,7 +191,7 @@ class TestSimulateFull:
 
     def test_overflow_guard(self):
         # |x_t|^2 = 2 * 10^(2(t-1)) first exceeds 1e300 at t = 151
-        op = DmdOperator(left=10.0 * np.eye(2), right=np.eye(2), method_tag="optimal")
+        op = DmdOperator(left=10.0 * np.eye(2), right=np.eye(2))
         with pytest.raises(OverflowGuardError, match="exceeded 1e\\+150 at step 151$"):
             simulate_full(op, np.ones(2), 400)
 

@@ -1,6 +1,6 @@
-"""Every DataMatrices holds one read-only snapshot array, built from a
-SnapshotSet or from explicit X and Y, and factored where it lies, with no X,
-Y or concatenated copy of them."""
+"""Every SnapshotSet holds one read-only snapshot array, given as states or
+built from explicit X and Y (DataMatrices), and is factored where it lies,
+with no X, Y or concatenated copy of them."""
 
 import tracemalloc
 import warnings
@@ -12,13 +12,7 @@ import lrdmd.solvers
 from lrdmd.cli import main
 from lrdmd.errors import RankDeficiencyWarning, ValidationError
 from lrdmd.modes import compute_modes
-from lrdmd.snapshots import (
-    DataMatrices,
-    SnapshotSet,
-    build_data_matrices,
-    load_snapshots,
-    save_snapshots,
-)
+from lrdmd.snapshots import DataMatrices, SnapshotSet, load_snapshots, save_snapshots
 from lrdmd.solvers import factorize, residual_norm
 
 
@@ -62,17 +56,17 @@ TRAJECTORY_CASES = {
 
 @pytest.fixture
 def count_pair_copies(monkeypatch):
-    """Reads of d.X (0) and d.Y (1) of any DataMatrices, each of which may
-    copy its snapshot array."""
+    """Reads of d.X (0) and d.Y (1) of any SnapshotSet, DataMatrices
+    included, each of which may copy its snapshot array."""
     calls = []
     for lag, name in enumerate("XY"):
-        read = getattr(DataMatrices, name).fget
+        read = getattr(SnapshotSet, name).fget
 
         def counted(d, lag=lag, read=read):
             calls.append(lag)
             return read(d)
 
-        monkeypatch.setattr(DataMatrices, name, property(counted))
+        monkeypatch.setattr(SnapshotSet, name, property(counted))
     return calls
 
 
@@ -82,13 +76,12 @@ class TestOneSnapshotArray:
         save_snapshots(SnapshotSet(states=trajectories(1, 3, 7, n=5)), path)
         snaps = load_snapshots(path)
         assert not snaps.states.flags.writeable
-        d = build_data_matrices(snaps)
-        assert d.states is snaps.states
+        assert SnapshotSet(states=snaps.states).states is snaps.states
 
     def test_writeable_states_are_copied_once(self):
         states = trajectories(1, 3, 7, n=5)
         want = states.copy()
-        d = build_data_matrices(SnapshotSet(states=states))
+        d = SnapshotSet(states=states)
         assert d.states is not states and not d.states.flags.writeable
         states[:] = 0.0
         assert np.array_equal(d.states, want)
@@ -97,19 +90,22 @@ class TestOneSnapshotArray:
         states = trajectories(1, 3, 7, n=5)
         view = states[:]
         view.flags.writeable = False
-        d = build_data_matrices(SnapshotSet(states=view))
+        d = SnapshotSet(states=view)
         assert not np.shares_memory(d.states, states)
 
     def test_copy_is_checked(self):
-        states = trajectories(1, 3, 7, n=5)
-        snaps = SnapshotSet(states=states)
-        states[1, 2, 3] = np.nan
-        with pytest.raises(ValidationError, match="non-finite"):
-            build_data_matrices(snaps)
+        # non-finite states are refused at construction, whether they are
+        # copied (writeable) or held as they are (read-only)
+        for writeable in (True, False):
+            states = trajectories(1, 3, 7, n=5)
+            states[1, 2, 3] = np.nan
+            states.flags.writeable = writeable
+            with pytest.raises(ValidationError, match="^snapshots contain non-finite values$"):
+                SnapshotSet(states=states)
 
     def test_x_and_y_built_on_demand(self, count_pair_copies):
         states = trajectories(2, 4, 6, n=5)
-        d = build_data_matrices(SnapshotSet(states=states))
+        d = SnapshotSet(states=states)
         assert (d.n, d.m) == (5, 20)
         assert count_pair_copies == []
         X, Y = d.X, d.Y
@@ -122,21 +118,21 @@ class TestOneSnapshotArray:
         assert d.X is not X and vars(d).keys() == {"states", "_factorization"}
 
     def test_read_only(self):
-        d = build_data_matrices(SnapshotSet(states=trajectories(2, 2, 3, n=4)))
+        d = SnapshotSet(states=trajectories(2, 2, 3, n=4))
         with pytest.raises(AttributeError):
             d.states = None
 
     @pytest.mark.parametrize("case", TRAJECTORY_CASES)
     def test_norm_of_y(self, case):
         states = TRAJECTORY_CASES[case][0]()
-        d = build_data_matrices(SnapshotSet(states=states))
+        d = SnapshotSet(states=states)
         want = np.linalg.norm(explicit(states).Y)
         assert abs(d.norm_y - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("case", TRAJECTORY_CASES)
     def test_factored_where_it_lies(self, case, monkeypatch, count_pair_copies):
         make, shared = TRAJECTORY_CASES[case]
-        d = build_data_matrices(SnapshotSet(states=make()))
+        d = SnapshotSet(states=make())
         seen = []
         original = lrdmd.solvers.qr_factor
 
@@ -168,7 +164,7 @@ class TestSameFitsAsExplicitData:
     @pytest.mark.parametrize("case", TRAJECTORY_CASES)
     def test_fits_agree(self, case):
         states = TRAJECTORY_CASES[case][0]()
-        snap, ref = build_data_matrices(SnapshotSet(states=states)), explicit(states)
+        snap, ref = SnapshotSet(states=states), explicit(states)
         tol = 1e-14 * np.linalg.norm(ref.Y)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
@@ -198,7 +194,7 @@ class TestSameFitsAsExplicitData:
         # every fit sets its column signs on the lifted n-row left factor,
         # so the factors do not depend on which columns were factored
         states = random_walk() if case == "random-walk" else TRAJECTORY_CASES[case][0]()
-        snap, ref = build_data_matrices(SnapshotSet(states=states)), explicit(states)
+        snap, ref = SnapshotSet(states=states), explicit(states)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
             got, want = factorize(snap), factorize(ref)
@@ -213,11 +209,10 @@ class TestSameFitsAsExplicitData:
         # and Y as views or copies of the snapshot array
         for case in TRAJECTORY_CASES:
             states = TRAJECTORY_CASES[case][0]()
-            snap, ref = build_data_matrices(SnapshotSet(states=states)), explicit(states)
+            snap, ref = SnapshotSet(states=states), explicit(states)
             rng = np.random.default_rng(0)
             op = lrdmd.solvers.DmdOperator(
                 left=rng.standard_normal((ref.n, 2)), right=rng.standard_normal((2, ref.n)),
-                method_tag="by-hand",
             )
             want = np.linalg.norm(ref.Y - op.left @ (op.right @ ref.X))
             assert abs(residual_norm(op, snap) - want) <= 1e-14 * want
@@ -239,7 +234,7 @@ class TestExplicitPairs:
     @pytest.mark.parametrize("case", TRAJECTORY_CASES)
     def test_trajectory_major_pairs_are_the_snapshots(self, case):
         states = TRAJECTORY_CASES[case][0]()
-        snap, ref = build_data_matrices(SnapshotSet(states=states)), explicit(states)
+        snap, ref = SnapshotSet(states=states), explicit(states)
         assert np.array_equal(ref.states, states) and ref.states.flags.c_contiguous
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
@@ -323,7 +318,7 @@ class TestMemory:
         states.flags.writeable = not read_only
         tracemalloc.start()
         try:
-            factorize(build_data_matrices(SnapshotSet(states=states))).optimal(10)
+            factorize(SnapshotSet(states=states)).optimal(10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

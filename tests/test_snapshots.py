@@ -11,7 +11,6 @@ from lrdmd.snapshots import (
     DataMatrices,
     RankReport,
     SnapshotSet,
-    build_data_matrices,
     load_snapshots,
     save_snapshots,
     write_csv_rows,
@@ -284,7 +283,7 @@ class TestDataMatrices:
         assert np.array_equal(d.X, X0) and np.array_equal(d.Y, Y0)
 
     def test_built_from_snapshots(self, rng):
-        d = build_data_matrices(SnapshotSet(states=rng.standard_normal((3, 4, 5))))
+        d = SnapshotSet(states=rng.standard_normal((3, 4, 5)))
         for M in (d.X, d.Y):
             assert not M.flags.writeable
 
@@ -292,34 +291,31 @@ class TestDataMatrices:
 class TestBuildDataMatrices:
     def test_single_trajectory(self):
         a, b, c = [1.0, 0.0], [2.0, 1.0], [3.0, 2.0]
-        s = SnapshotSet(states=np.array([[a, b, c]]))
-        d = build_data_matrices(s)
+        d = SnapshotSet(states=np.array([[a, b, c]]))
         assert_allclose(d.X.T, [a, b])
         assert_allclose(d.Y.T, [b, c])
 
     def test_two_short_trajectories(self):
         u1, u2, v1, v2 = [1.0], [2.0], [3.0], [4.0]
-        s = SnapshotSet(states=np.array([[u1, u2], [v1, v2]]))
-        d = build_data_matrices(s)
+        d = SnapshotSet(states=np.array([[u1, u2], [v1, v2]]))
         assert_allclose(d.X, [[1.0, 3.0]])
         assert_allclose(d.Y, [[2.0, 4.0]])
 
     def test_reference_scale_column_count(self, rng):
         # one trajectory of 41 states in dimension 50 gives 40 pairs
-        s = SnapshotSet(states=rng.standard_normal((1, 41, 50)))
-        d = build_data_matrices(s)
+        d = SnapshotSet(states=rng.standard_normal((1, 41, 50)))
         assert d.m == 40 and d.n == 50
 
     @pytest.mark.parametrize("N,T", [(1, 2), (2, 3), (3, 5)])
     def test_column_count_invariant(self, N, T, rng):
-        d = build_data_matrices(SnapshotSet(states=rng.standard_normal((N, T, 4))))
+        d = SnapshotSet(states=rng.standard_normal((N, T, 4)))
         assert d.m == (T - 1) * N
 
     @pytest.mark.parametrize("N,T", [(1, 5), (3, 4)])
     def test_pairing_shift(self, N, T, rng):
         # within each trajectory block, predecessors shifted by one step
         # are exactly the previous successors
-        d = build_data_matrices(SnapshotSet(states=rng.standard_normal((N, T, 3))))
+        d = SnapshotSet(states=rng.standard_normal((N, T, 3)))
         for i in range(N):
             block = slice(i * (T - 1), (i + 1) * (T - 1))
             assert np.array_equal(d.X[:, block][:, 1:], d.Y[:, block][:, :-1])

@@ -350,7 +350,7 @@ class TestOptimalLowRankDmd:
 class TestResidualAndMaterialize:
     def test_zero_operator(self, rng):
         d = random_data(31)
-        op = DmdOperator(left=np.zeros((8, 1)), right=np.zeros((1, 8)), method_tag="optimal")
+        op = DmdOperator(left=np.zeros((8, 1)), right=np.zeros((1, 8)))
         assert abs(residual_norm(op, d) - np.linalg.norm(d.Y)) < 1e-12
 
     def test_factored_matches_dense(self):
@@ -362,7 +362,7 @@ class TestResidualAndMaterialize:
 
     def test_rank_one_materialize(self):
         op = DmdOperator(
-            left=np.eye(3)[:, :1], right=np.eye(3)[1:2, :], method_tag="optimal"
+            left=np.eye(3)[:, :1], right=np.eye(3)[1:2, :]
         )
         M = op.left @ op.right
         assert M[0, 1] == 1.0 and np.count_nonzero(M) == 1
@@ -370,12 +370,12 @@ class TestResidualAndMaterialize:
     def test_frobenius_norm_from_factors(self, rng):
         left = rng.standard_normal((7, 3))
         right = rng.standard_normal((3, 7))
-        op = DmdOperator(left=left, right=right, method_tag="optimal")
+        op = DmdOperator(left=left, right=right)
         assert abs(op.frobenius - np.linalg.norm(left @ right)) < 1e-10
 
     def test_dimension_mismatch(self, rng):
         d = random_data(33)
-        op = DmdOperator(left=np.zeros((5, 1)), right=np.zeros((1, 5)), method_tag="optimal")
+        op = DmdOperator(left=np.zeros((5, 1)), right=np.zeros((1, 5)))
         with pytest.raises(ValidationError):
             residual_norm(op, d)
 
@@ -704,8 +704,7 @@ class TestRankSpaceCore:
         assert abs(copy.frobenius - op.frobenius) <= 1e-13 * op.frobenius
 
     def test_hand_built_operator_takes_the_factors(self, rng):
-        op = DmdOperator(left=rng.standard_normal((30, 4)), right=rng.standard_normal((4, 30)),
-                         method_tag="optimal")
+        op = DmdOperator(left=rng.standard_normal((30, 4)), right=rng.standard_normal((4, 30)))
         transition, gram, sigma, frobenius = core_from_factors(op)
         assert np.array_equal(op.transition, transition)
         assert np.array_equal(op.gram, gram)
@@ -987,7 +986,7 @@ class TestResidualFromFactorization:
         assert abs(residual_norm(doubled, d) - true) <= 1e-12 * true
         assert abs(residual_norm(doubled, d) - residual_norm(op, d)) > 0.1 * true
         # an operator built by hand has no link either
-        assert DmdOperator(left=op.left, right=op.right, method_tag="x").source is None
+        assert DmdOperator(left=op.left, right=op.right).source is None
 
     def test_other_data_takes_the_row_block_path(self, count_row_passes):
         calls = count_row_passes

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from lrdmd.errors import RankDeficiencyWarning, ValidationError
 from lrdmd.linalg import DEFAULT_TOL
-from lrdmd.snapshots import DataMatrices, SnapshotSet, build_data_matrices
+from lrdmd.snapshots import DataMatrices, SnapshotSet
 from lrdmd.solvers import Factorization, factorize
 from lrdmd.toybench import (
     BenchConfig,
@@ -72,8 +72,7 @@ class TestGenerateSnapshots:
     def test_setting_i_single_long_trajectory(self):
         s = generate_snapshots(self.model, "i", 12, seed=5)
         assert (s.num_trajectories, s.num_snapshots, s.n) == (1, 13, 20)
-        d = build_data_matrices(s)
-        assert d.m == 12
+        assert s.m == 12
         Gn = self.model.spectrally_normalized().G
         assert_allclose(s.states[0, 1], Gn @ s.states[0, 0], atol=1e-12)
 
@@ -94,8 +93,8 @@ class TestGenerateSnapshots:
 
     def test_companion_residuals_split_the_settings(self):
         model = generate_toy_operator(50, 30, seed=7)
-        d_i = build_data_matrices(generate_snapshots(model, "i", 40, seed=8))
-        d_ii = build_data_matrices(generate_snapshots(model, "ii", 40, seed=8))
+        d_i = generate_snapshots(model, "i", 40, seed=8)
+        d_ii = generate_snapshots(model, "ii", 40, seed=8)
         assert companion_residual(d_i) <= 1e-8
         assert companion_residual(d_ii) >= 0.1
 
@@ -317,6 +316,11 @@ class TestBenchConfig:
             BenchConfig(methods=("z",), seed=0)
         with pytest.raises(ValidationError):
             BenchConfig(k_values=(0,), seed=0)
+        # a sweep of no setting or no method used to write a header-only CSV
+        with pytest.raises(ValidationError, match="^settings is empty"):
+            BenchConfig(settings=(), seed=0)
+        with pytest.raises(ValidationError, match="^methods is empty"):
+            BenchConfig(methods=(), seed=0)
 
     @pytest.mark.parametrize(
         "field, value",
