@@ -40,7 +40,6 @@ from .rom import (
 )
 from .snapshots import (
     DataMatrices,
-    RankReport,
     SnapshotSet,
     load_snapshots,
     save_snapshots,
@@ -87,7 +86,6 @@ __all__ = [
     "RankClampWarning",
     "RankDeficiencyWarning",
     "RankGuardError",
-    "RankReport",
     "ReconstructionWarning",
     "RomTrajectory",
     "SnapshotFormatError",

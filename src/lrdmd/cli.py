@@ -25,13 +25,7 @@ from .errors import NumericalGuardError, RankDeficiencyWarning, RankGuardError, 
 from .linalg import DEFAULT_TOL, _check_tol
 from .modes import _check_horizon, _check_theta, amplitudes, compute_modes, verify_eigenpairs
 from .rom import reconstruct_from_modes, save_trajectory, simulate_reduced
-from .snapshots import (
-    RankReport,
-    load_snapshots,
-    read_numeric_rows,
-    save_snapshots,
-    write_csv_rows,
-)
+from .snapshots import load_snapshots, read_numeric_rows, save_snapshots, write_csv_rows
 from .solvers import _check_rank_arg, factorize, residual_norm
 from .toybench import (
     RNG_NAME,
@@ -107,14 +101,12 @@ def _fit(args):
     snaps = _read(args)
     theta = _load_theta(args.theta, snaps) if "theta" in args else None
     fac = factorize(snaps, args.svd_tol, args.strict_rank)
-    if method == "exact":
-        return snaps, theta, fac, fac.exact()
     if method == "optimal" and args.rank > fac.rank_y:
         raise RankGuardError(
             f"requested rank {args.rank} exceeds the numerical rank of Y ({fac.rank_y}) "
             f"on the row space of X; choose a rank <= {fac.rank_y}"
         )
-    return snaps, theta, fac, getattr(fac, method)(args.rank)
+    return snaps, theta, fac, fac.fit(method, args.rank)
 
 
 def _out_dir(args) -> Path:
@@ -272,16 +264,30 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    """Print the rank diagnostics of --input: which of the solvers' cases
+    applies. They accept any shape and rank; when X lacks full column rank
+    (always so when m > n) they fit through its rank-r part and warn, and
+    --strict-rank refuses it (exit 3), here as in fit. Optimal fits are
+    capped at the rank of Y V_x, that of Y when X has full column rank."""
     snaps = _read(args)
     # one factorization gives rank(X), rank(Y) from R_y and the span
     # defect; a rank-deficient X is part of the diagnosis, so it raises no
     # warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        fac = factorize(snaps, args.svd_tol)
-    for line in RankReport.from_factorization(fac).lines():
-        print(line)
-    print(f"companion residual       : {_span_defect(fac, snaps.norm_y):.6e}")
+        fac = factorize(snaps, args.svd_tol, args.strict_rank)
+    rows = [
+        ("n (state dimension)", fac.n),
+        ("m (snapshot pairs)", fac.m),
+        ("numerical rank of X", fac.rank_x),
+        ("numerical rank of Y", fac.rank_of_y),
+        ("tolerance (rel. to s_max)", f"{fac.tol:g}"),
+        ("m <= n", fac.m <= fac.n),
+        ("rank(X) = rank(Y) = m", fac.rank_x == fac.m and fac.rank_of_y == fac.m),
+        ("companion residual", f"{_span_defect(fac, snaps.norm_y):.6e}"),
+    ]
+    for label, value in rows:
+        print(f"{label:<25}: {value}")
     return 0
 
 

@@ -11,7 +11,6 @@ write_csv_rows, which writes each float as its shortest round-trip repr.
 
 import csv
 import warnings
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -187,50 +186,6 @@ def _frozen(a: np.ndarray) -> bool:
         return a is None or memoryview(a).readonly
     except TypeError:
         return False
-
-
-@dataclass(frozen=True)
-class RankReport:
-    """Numerical-rank diagnostics for a pair of data matrices.
-
-    The solvers accept any shape and rank. When X lacks full column rank
-    (always so when m > n) they fit through its rank-r part and warn, and
-    strict mode refuses; optimal fits are capped at the rank of Y V_x,
-    which is that of Y when X has full column rank. The report tells the
-    caller which case applies, so they can decide whether to proceed, use
-    strict mode, or reduce the target rank.
-    """
-
-    n: int
-    m: int
-    rank_x: int
-    rank_y: int
-    tol: float
-
-    @classmethod
-    def from_factorization(cls, fac) -> "RankReport":
-        """The ranks of X and Y from a solvers.Factorization, at its tol:
-        from the SVD of R_x and the singular values of R_y."""
-        return cls(n=fac.n, m=fac.m, rank_x=fac.rank_x, rank_y=fac.rank_of_y, tol=fac.tol)
-
-    @property
-    def m_within_n(self) -> bool:
-        return self.m <= self.n
-
-    @property
-    def full_rank(self) -> bool:
-        return self.rank_x == self.m and self.rank_y == self.m
-
-    def lines(self):
-        return [
-            f"n (state dimension)      : {self.n}",
-            f"m (snapshot pairs)       : {self.m}",
-            f"numerical rank of X      : {self.rank_x}",
-            f"numerical rank of Y      : {self.rank_y}",
-            f"tolerance (rel. to s_max): {self.tol:g}",
-            f"m <= n                   : {self.m_within_n}",
-            f"rank(X) = rank(Y) = m    : {self.full_rank}",
-        ]
 
 
 def _parse_header(header):

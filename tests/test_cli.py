@@ -10,12 +10,7 @@ import lrdmd.solvers
 from lrdmd.cli import main
 from lrdmd.modes import amplitudes, compute_modes
 from lrdmd.rom import simulate_reduced
-from lrdmd.snapshots import (
-    RankReport,
-    SnapshotSet,
-    load_snapshots,
-    save_snapshots,
-)
+from lrdmd.snapshots import SnapshotSet, load_snapshots, save_snapshots
 from lrdmd.solvers import factorize, fit_optimal_lowrank_dmd
 from lrdmd.toybench import BenchConfig, BenchResult, _span_defect, benchmark_data
 
@@ -102,7 +97,15 @@ class TestValidate:
             for s in (np.linalg.svd(M, compute_uv=False) for M in (d.X, d.Y))
         )
         assert (rank_x, rank_y) == ((6, 6) if rank_deficient else (12, 12))
-        expected = RankReport(n=20, m=12, rank_x=rank_x, rank_y=rank_y, tol=1e-12).lines()
+        expected = [
+            "n (state dimension)      : 20",
+            "m (snapshot pairs)       : 12",
+            f"numerical rank of X      : {rank_x}",
+            f"numerical rank of Y      : {rank_y}",
+            "tolerance (rel. to s_max): 1e-12",
+            "m <= n                   : True",
+            f"rank(X) = rank(Y) = m    : {not rank_deficient}",
+        ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             defect = _span_defect(factorize(d), d.norm_y)
@@ -124,6 +127,16 @@ class TestValidate:
         assert calls["qr_factor"] == [(20, 14 if rank_deficient else 13)]
         assert calls["thin_svd"] and all(shape[0] < 20 for shape in calls["thin_svd"])
         assert capsys.readouterr().out.splitlines() == expected
+        # --strict-rank refuses a rank-deficient X here as in fit: exit 3,
+        # a numerical guard line and no report
+        strict = main(["--strict-rank", "validate", "--input", str(path)])
+        out, err = capsys.readouterr()
+        if rank_deficient:
+            assert (strict, out) == (3, "")
+            assert err.startswith("numerical guard: X is numerically rank-deficient (rank 6 < m=12)")
+            assert "strict mode refuses rank-deficient X" in err
+        else:
+            assert (strict, out.splitlines()) == (0, expected)
 
 
 class TestFit:

@@ -145,7 +145,7 @@ class TestOneSnapshotArray:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
             fac = factorize(d)
-        fac.optimal(1), fac.exact(), fac.projected(1)
+        fac.fit("optimal", 1), fac.fit("exact"), fac.fit("projected", 1)
         # a view of the snapshot array wherever its layout allows one: all
         # N T states, or X and Y of two-snapshot trajectories
         if shared:
@@ -175,14 +175,14 @@ class TestSameFitsAsExplicitData:
         def applied(op):
             return op.left @ (op.right @ X)
 
-        assert np.abs(applied(got.exact()) - applied(want.exact())).max() <= tol
+        assert np.abs(applied(got.fit("exact")) - applied(want.fit("exact"))).max() <= tol
         for k in range(1, want.rank_y + 1):
-            a, b = got.optimal(k), want.optimal(k)
+            a, b = got.fit("optimal", k), want.fit("optimal", k)
             assert np.abs(applied(a) - applied(b)).max() <= tol, k
             assert abs(residual_norm(a, snap) - residual_norm(b, ref)) <= tol, k
             assert abs(got.certified_residual(k) - want.certified_residual(k)) <= tol, k
             for fit in ("truncated", "projected"):
-                a_k, b_k = getattr(got, fit)(k), getattr(want, fit)(k)
+                a_k, b_k = got.fit(fit, k), want.fit(fit, k)
                 assert np.abs(applied(a_k) - applied(b_k)).max() <= tol, (fit, k)
             # eigenvalues and unit-norm modes are scale-free
             ma, mb = compute_modes(a), compute_modes(b)
@@ -200,7 +200,7 @@ class TestSameFitsAsExplicitData:
             got, want = factorize(snap), factorize(ref)
         k = min(5, want.rank_y)
         for fit in ("exact", "truncated", "projected", "optimal"):
-            a, b = (f.exact() if fit == "exact" else getattr(f, fit)(k) for f in (got, want))
+            a, b = (f.fit(fit, k) for f in (got, want))
             for x, y in ((a.left, b.left), (a.right, b.right)):
                 assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max(), fit
 
@@ -243,7 +243,7 @@ class TestExplicitPairs:
                                                              want.span_defect)
         k = want.rank_y
         for fit in ("exact", "truncated", "projected", "optimal"):
-            a, b = (f.exact() if fit == "exact" else getattr(f, fit)(k) for f in (got, want))
+            a, b = (f.fit(fit, k) for f in (got, want))
             assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right), fit
             if fit != "exact":
                 assert got.residual(fit, k) == want.residual(fit, k), fit
@@ -318,7 +318,7 @@ class TestMemory:
         states.flags.writeable = not read_only
         tracemalloc.start()
         try:
-            factorize(SnapshotSet(states=states)).optimal(10)
+            factorize(SnapshotSet(states=states)).fit("optimal", 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

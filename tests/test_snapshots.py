@@ -9,7 +9,6 @@ from lrdmd.errors import RankDeficiencyWarning, SnapshotFormatError, ValidationE
 from lrdmd.linalg import DEFAULT_TOL
 from lrdmd.snapshots import (
     DataMatrices,
-    RankReport,
     SnapshotSet,
     load_snapshots,
     save_snapshots,
@@ -322,11 +321,15 @@ class TestBuildDataMatrices:
 
 
 def validate_report(d, tol=DEFAULT_TOL):
-    """The report `lrdmd validate` prints, from one factorization of (X, Y);
-    a rank-deficient X is part of the diagnosis."""
+    """The factorization whose ranks `lrdmd validate` prints; a
+    rank-deficient X is part of the diagnosis."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        return RankReport.from_factorization(factorize(d, tol))
+        return factorize(d, tol)
+
+
+def full_rank(fac):
+    return fac.rank_x == fac.m and fac.rank_of_y == fac.m
 
 
 def numpy_rank(M, tol=DEFAULT_TOL):
@@ -342,39 +345,40 @@ class TestValidateRankAssumptions:
         d = DataMatrices(X=X, Y=rng.standard_normal((6, 3)))
         report = validate_report(d)
         assert report.rank_x == numpy_rank(X) == 2 < d.m
-        assert report.rank_y == numpy_rank(d.Y) == 3
-        assert not report.full_rank
+        assert report.rank_of_y == numpy_rank(d.Y) == 3
+        assert not full_rank(report)
 
     def test_orthonormal_columns_full_rank(self):
         X = np.eye(5)[:, :3]
         d = DataMatrices(X=X, Y=np.eye(5)[:, 1:4])
         report = validate_report(d)
-        assert report.rank_x == 3 == report.rank_y == d.m
-        assert report.full_rank and report.m_within_n
+        assert report.rank_x == 3 == report.rank_of_y == d.m
+        assert full_rank(report) and report.m <= report.n
 
     def test_setting_ii_ranks(self, setting_ii_data):
         # oracle: singular-value counts from numpy's SVD directly
         assert numpy_rank(setting_ii_data.X) == 40
         assert numpy_rank(setting_ii_data.Y) == 30
         report = validate_report(setting_ii_data)
-        assert (report.rank_x, report.rank_y) == (40, 30)
-        assert report.m_within_n and not report.full_rank
+        assert (report.rank_x, report.rank_of_y) == (40, 30)
+        assert report.m <= report.n and not full_rank(report)
 
     def test_report_lines(self, rng):
+        # the values of the printed lines, which test_cli.py::TestValidate checks
         d = DataMatrices(X=rng.standard_normal((4, 2)), Y=rng.standard_normal((4, 2)))
-        lines = validate_report(d).lines()
-        assert "numerical rank of X      : 2" in lines
-        assert "numerical rank of Y      : 2" in lines
-        assert f"tolerance (rel. to s_max): {DEFAULT_TOL:g}" in lines
+        report = validate_report(d)
+        assert report.rank_x == 2
+        assert report.rank_of_y == 2
+        assert report.tol == DEFAULT_TOL
 
     def test_wide_data_is_diagnosed_not_rejected(self, rng):
         # more snapshot pairs than dimensions: the diagnostic still runs
         # and flags the violated assumption for the solvers
         d = DataMatrices(X=rng.standard_normal((3, 6)), Y=rng.standard_normal((3, 6)))
         report = validate_report(d)
-        assert not report.m_within_n
+        assert not report.m <= report.n
         assert report.rank_x == numpy_rank(d.X) == 3 < d.m
-        assert report.rank_y == numpy_rank(d.Y) == 3
+        assert report.rank_of_y == numpy_rank(d.Y) == 3
 
     def test_custom_tolerance(self, rng):
         X = rng.standard_normal((6, 2)) @ np.diag([1.0, 1e-5])

@@ -101,7 +101,7 @@ class TestExactDmd:
             warnings.simplefilter("ignore", RankDeficiencyWarning)
             fac, other = factorize(d), factorize(shuffled)
         assert fac.rank_x == other.rank_x
-        a, b = fac.exact(), other.exact()
+        a, b = fac.fit("exact"), other.fit("exact")
         unit_roundoff = np.finfo(np.float64).eps / 2
         bound = 16 * unit_roundoff * d.norm_y / fac.s[-1]
         assert np.linalg.norm(a.left @ a.right - b.left @ b.right) <= bound
@@ -311,7 +311,7 @@ class TestOptimalLowRankDmd:
         assert fac.row_space_defect > 0.1 * np.linalg.norm(d.Y)
         assert abs(fac.span_defect - np.linalg.norm(d.Y - X @ np.linalg.pinv(X) @ d.Y)) < 1e-12
         for k in range(1, 5):
-            op = fac.optimal(k)
+            op = fac.fit("optimal", k)
             assert abs(fac.certified_residual(k) - lifted_residual(op, d)) < 1e-12 * np.linalg.norm(d.Y)
         # the clamp of optimal(k): k above rank(Y V_x) = 4 warns, or under strict raises
         with pytest.warns(RankClampWarning):
@@ -527,18 +527,18 @@ class TestCompressedFactorization:
         def applied(op):
             return op.left @ (op.right @ d.X)
 
-        assert_allclose(applied(fac.exact()), fitted(1)["exact"], atol=tol)
+        assert_allclose(applied(fac.fit("exact")), fitted(1)["exact"], atol=tol)
         for k in range(1, min(d.n, d.m) + 1):
             want = fitted(k)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankClampWarning)
-                op = fac.optimal(k)
+                op = fac.fit("optimal", k)
                 certified = fac.certified_residual(k)
             assert_allclose(applied(op), want["optimal"], atol=tol)
             assert abs(certified - residual(k)) <= tol
             assert abs(lifted_residual(op, d) - residual(k)) <= tol
-            assert_allclose(applied(fac.truncated(k)), want["truncated"], atol=tol)
-            assert_allclose(applied(fac.projected(k)), want["projected"], atol=tol)
+            assert_allclose(applied(fac.fit("truncated", k)), want["truncated"], atol=tol)
+            assert_allclose(applied(fac.fit("projected", k)), want["projected"], atol=tol)
         # the route: all states once, or X and then Y once a fit needed it
         if trajectory_count is None:
             assert count_tall_factorizations == [d.X.shape, d.Y.shape]
@@ -549,16 +549,16 @@ class TestCompressedFactorization:
         d = trajectories(9, 4, 26, n=400)
         fac = factorize(d)
         assert count_tall_factorizations == [(400, 104)]
-        fac.exact(), fac.truncated(5), fac.projected(5), fac.optimal(5)
+        fac.fit("exact"), fac.fit("truncated", 5), fac.fit("projected", 5), fac.fit("optimal", 5)
         fac.certified_residual(5), fac.span_defect, fac.rank_of_y
         assert count_tall_factorizations == [(400, 104)]
 
     def test_pairs_factor_y_on_first_use(self, count_tall_factorizations):
         d = random_data(10, n=400, m=30)
         fac = factorize(d)
-        fac.exact(), fac.projected(5), fac.span_defect
+        fac.fit("exact"), fac.fit("projected", 5), fac.span_defect
         assert count_tall_factorizations == [(400, 30)]
-        fac.optimal(5), fac.truncated(5), fac.certified_residual(5)
+        fac.fit("optimal", 5), fac.fit("truncated", 5), fac.certified_residual(5)
         assert count_tall_factorizations == [(400, 30), (400, 30)]
 
     @pytest.mark.parametrize("steps, shared", [(4, False), (5, True)])
@@ -634,7 +634,7 @@ def optimal_fits(d):
         warnings.simplefilter("ignore", RankDeficiencyWarning)
         warnings.simplefilter("ignore", RankClampWarning)
         fac = factorize(d)
-        return [(k, fac.optimal(k)) for k in range(1, min(d.n, d.m) + 1)]
+        return [(k, fac.fit("optimal", k)) for k in range(1, min(d.n, d.m) + 1)]
 
 
 RANK_SPACE_CASES = {**{name: make for name, (make, _) in COMPRESSION_CASES.items()},
@@ -737,9 +737,9 @@ class TestResidualFromCoefficients:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankClampWarning)
                 fits = {
-                    "optimal": lifted.optimal(k),
-                    "truncated": lifted.truncated(k),
-                    "projected": lifted.projected(k),
+                    "optimal": lifted.fit("optimal", k),
+                    "truncated": lifted.fit("truncated", k),
+                    "projected": lifted.fit("projected", k),
                 }
                 for fit, op in fits.items():
                     assert abs(fac.residual(fit, k) - residual_norm(op, d)) <= tol, (fit, k)
@@ -760,17 +760,26 @@ class TestResidualFromCoefficients:
         fac = factorize(d)
         with pytest.warns(RankClampWarning):
             assert fac.residual("optimal", 4) == fac.residual("optimal", 2)
-        with pytest.raises(RankGuardError):
-            factorize(d, strict=True).residual("optimal", 4)
+        with pytest.warns(RankClampWarning):
+            assert fac.fit("optimal", 4).source[2] == 2
+        strict = factorize(d, strict=True)
+        for evaluate in (strict.residual, strict.fit):
+            with pytest.raises(RankGuardError):
+                evaluate("optimal", 4)
         # truncated and projected keep min(k, rank), as their slices do
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert fac.residual("truncated", 5) == fac.residual("truncated", 4)
+            assert fac.fit("truncated", 5).source[2] == fac.fit("truncated", 4).source[2] == 2
         for fit in ("exact", "a", ""):
             with pytest.raises(ValidationError, match="unknown fit"):
                 fac.residual(fit, 2)
-        with pytest.raises(ValidationError):
-            fac.residual("projected", 0)
+        for fit in ("a", ""):
+            with pytest.raises(ValidationError, match="unknown fit"):
+                fac.fit(fit, 2)
+        for evaluate in (fac.residual, fac.fit):
+            with pytest.raises(ValidationError):
+                evaluate("projected", 0)
 
 
 FITS = ("optimal", "exact", "truncated", "projected")
@@ -889,10 +898,10 @@ class TestFactorizationReuse:
             d.X[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             d.Y += 1.0
-        before = factorize(d).exact().left
+        before = factorize(d).fit("exact").left
         X[:] = 0.0
         assert not np.any(d.X == 0.0)
-        assert np.array_equal(factorize(d).exact().left, before)
+        assert np.array_equal(factorize(d).fit("exact").left, before)
 
     def test_shared_arrays_read_only(self):
         d = random_data(12, n=60, m=8)
@@ -901,21 +910,20 @@ class TestFactorizationReuse:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         fac = factorize(d)
-        fac.truncated(3), fac.projected(3), fac.residual("optimal", 3)
         shared = [fac.U, fac.s, fac.V, fac.basis.Q1, fac.basis.R, fac._y[0].Q1, fac._y[1],
-                  fac.yv.W, fac.yv.sigma, fac.yv.V, fac._y_coords, *fac._optimal_coefs,
-                  *fac._truncation_coefs[:2], *fac._projection_coefs[:2],
-                  *fac._rows_on_x.values()]
+                  fac.yv.W, fac.yv.sigma, fac.yv.V, fac._y_coords, *fac._optimal_coefs]
+        for fit in ("optimal", "truncated", "projected"):
+            shared += [a for a in fac._coefs(fit) if isinstance(a, np.ndarray)]
         with pytest.raises(ValueError, match="read-only"):
             fac.V[0, 0] = 0.0
         assert not any(a.flags.writeable for a in shared)
         # what the fits return is read-only too: an operator's link to its
         # Factorization holds only while its factors are the fit's
-        op = fac.optimal(3)
+        op = fac.fit("optimal", 3)
         for a in (op.left, op.right, op.P, op.Q):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 0.0
-        for op in (fac.exact(), fac.truncated(3), fac.projected(3)):
+        for op in (fac.fit("exact"), fac.fit("truncated", 3), fac.fit("projected", 3)):
             with pytest.raises(ValueError, match="read-only"):
                 op.left[0, 0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
