@@ -56,9 +56,7 @@ from .solvers import (
 )
 from .toybench import (
     BenchConfig,
-    BenchResult,
     BenchRow,
-    ToyModel,
     generate_snapshots,
     generate_toy_operator,
     load_config,
@@ -71,7 +69,6 @@ __all__ = [
     "als_lowrank_fit",
     "AmplitudeSchedule",
     "BenchConfig",
-    "BenchResult",
     "BenchRow",
     "DataMatrices",
     "DEFAULT_TOL",
@@ -91,7 +88,6 @@ __all__ = [
     "SnapshotFormatError",
     "SnapshotSet",
     "SvdFactors",
-    "ToyModel",
     "ValidationError",
     "amplitudes",
     "compute_modes",

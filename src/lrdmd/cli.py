@@ -98,6 +98,7 @@ def _fit(args):
         _check_rank_arg(args.rank)
     if "horizon" in args:
         _check_horizon(args.horizon, getattr(args, "stride", 1))
+    _check_out(args.out, directory=True)
     snaps = _read(args)
     theta = _load_theta(args.theta, snaps) if "theta" in args else None
     fac = factorize(snaps, args.svd_tol, args.strict_rank)
@@ -109,12 +110,24 @@ def _fit(args):
     return snaps, theta, fac, fac.fit(method, args.rank)
 
 
-def _out_dir(args) -> Path:
-    """The --out directory, made when the outputs are ready to be written,
-    so that a run that fails leaves none behind."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+def _check_out(path, directory: bool) -> None:
+    """ValidationError unless ``path`` can be written as an output
+    directory (``directory``) or file, checked before any work is done: the
+    nearest existing path on it is a directory, or the output file itself."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing.is_dir() == (existing == path and not directory):
+        what = "a directory" if existing.is_dir() else "not a directory"
+        raise ValidationError(f"output path {path} cannot be written: {existing} is {what}")
+
+
+def _make_out(path, directory: bool) -> Path:
+    """The output directory (``directory``) or file ``path``, its directory
+    made when the outputs are ready to be written, so that a run that fails
+    leaves none behind."""
+    path = Path(path)
+    (path if directory else path.parent).mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _finish(args, outputs, summary: str, manifest: Path | None = None) -> int:
@@ -148,7 +161,7 @@ def cmd_fit(args) -> int:
     requested = snaps.m if args.method == "exact" else args.rank
     res = residual_norm(op, snaps)
     norm_y = snaps.norm_y
-    out_dir = _out_dir(args)
+    out_dir = _make_out(args.out, directory=True)
     outputs = [out_dir / "left.csv", out_dir / "right.csv", out_dir / "summary.csv"]
     _write_matrix_csv(outputs[0], op.left)
     _write_matrix_csv(outputs[1], op.right)
@@ -188,7 +201,7 @@ def cmd_modes(args) -> int:
         np.asarray(a, dtype=np.complex128)
         for a in (mode_set.eigenvalues, mode_set.modes, schedule.values)
     )
-    out_dir = _out_dir(args)
+    out_dir = _make_out(args.out, directory=True)
     eig_path = out_dir / "eigenvalues.csv"
     _write_matrix_csv(eig_path, eigenvalues[:, None], "lambda_re,lambda_im\n")
     modes_path = out_dir / "modes.csv"
@@ -226,18 +239,11 @@ def cmd_simulate(args) -> int:
         if args.stride > 1:
             keep = slice(None, None, args.stride)
             traj = dataclasses.replace(traj, states=traj.states[keep], times=traj.times[keep])
-    out_dir = _out_dir(args)
+    out_dir = _make_out(args.out, directory=True)
     traj_path = out_dir / "trajectory.csv"
     save_trajectory(traj, traj_path)
     summary = f"path={args.path} steps={traj.states.shape[0]} -> {traj_path}"
     return _finish(args, [traj_path], summary, out_dir / "manifest.json")
-
-
-def _out_file(path) -> Path:
-    """path, its directory made when the output is ready to be written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def cmd_bench(args) -> int:
@@ -248,16 +254,18 @@ def cmd_bench(args) -> int:
         measure_time=False if args.no_timing else None,
     )
     cfg = load_config(args.config or None, flags)
-    result = run_benchmark(cfg)
-    out_path = _out_file(cfg.output)
-    write_result_csv(result, out_path)
-    return _finish(args, [out_path], f"{len(result.rows)} rows -> {out_path}")
+    _check_out(cfg.output, directory=False)
+    rows = run_benchmark(cfg)
+    out_path = _make_out(cfg.output, directory=False)
+    write_result_csv(rows, out_path)
+    return _finish(args, [out_path], f"{len(rows)} rows -> {out_path}")
 
 
 def cmd_generate(args) -> int:
-    model = generate_toy_operator(args.n, args.r, args.seed)
-    snaps = generate_snapshots(model, args.setting, args.m, data_seed_for(args.seed, args.setting))
-    out_path = _out_file(args.out)
+    _check_out(args.out, directory=False)
+    G = generate_toy_operator(args.n, args.r, args.seed)
+    snaps = generate_snapshots(G, args.setting, args.m, data_seed_for(args.seed, args.setting))
+    out_path = _make_out(args.out, directory=False)
     save_snapshots(snaps, out_path)
     summary = f"setting={args.setting} n={args.n} r={args.r} m={args.m} -> {out_path}"
     return _finish(args, [out_path], summary)
@@ -380,11 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_GLOBAL_DEFAULTS = dict(seed=None, strict_rank=False, svd_tol=DEFAULT_TOL)
+# the global options each command ignores: setting one is refused, so that
+# no manifest records a value that had no effect
+_UNREAD_GLOBALS = dict.fromkeys(("bench", "generate"), ("svd_tol", "strict_rank"))
+_UNREAD_GLOBALS.update(dict.fromkeys(("fit", "modes", "simulate", "validate"), ("seed",)))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    defaults = argparse.Namespace(seed=None, strict_rank=False, svd_tol=DEFAULT_TOL)
-    args = parser.parse_args(argv, defaults)
+    args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     try:
+        for name in _UNREAD_GLOBALS[args.command]:
+            if getattr(args, name) != _GLOBAL_DEFAULTS[name]:
+                flag = "--" + name.replace("_", "-")
+                raise ValidationError(f"{args.command} does not read {flag}; leave it out")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

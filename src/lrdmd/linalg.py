@@ -63,9 +63,6 @@ class SvdFactors:
     sigma: np.ndarray
     V: np.ndarray
 
-    def numerical_rank(self, tol: float = DEFAULT_TOL) -> int:
-        return numerical_rank(self.sigma, tol)
-
 
 def numerical_rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Count singular values above tol relative to the largest one."""

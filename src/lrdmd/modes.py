@@ -35,14 +35,11 @@ class DmdModes:
     """Eigenvalue/mode pairs of a fitted operator.
 
     eigenvalues has length k and modes is n-by-k complex; column i is the
-    unit-norm mode paired with eigenvalues[i]. variant records which
-    mapping produced the modes.
+    unit-norm mode paired with eigenvalues[i].
     """
 
     eigenvalues: np.ndarray
     modes: np.ndarray
-    variant: str
-    source_rank: int
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,6 @@ class AmplitudeSchedule:
     """values[t-1, i] is the amplitude of mode i at time t = 1..T."""
 
     values: np.ndarray
-    theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,6 @@ class EigenpairReport:
 
     residuals: np.ndarray
     tolerance: float
-    operator_norm: float
 
     @property
     def passed(self) -> np.ndarray:
@@ -169,12 +164,7 @@ def compute_modes(
             eigenvalues = eigenvalues[nonzero]
             W = W[:, nonzero]
         modes = _real_times_complex(op.left, W)
-    return DmdModes(
-        eigenvalues=eigenvalues,
-        modes=_normalize_columns(modes),
-        variant=variant,
-        source_rank=k,
-    )
+    return DmdModes(eigenvalues=eigenvalues, modes=_normalize_columns(modes))
 
 
 def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
@@ -198,8 +188,7 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
         block -= modes.modes[rows] * modes.eigenvalues
         squares += _column_squares(block)
     residuals = np.sqrt(squares)
-    a_norm = op.frobenius
-    return EigenpairReport(residuals=residuals, tolerance=1e-8 * a_norm, operator_norm=a_norm)
+    return EigenpairReport(residuals=residuals, tolerance=1e-8 * op.frobenius)
 
 
 def _check_theta(theta, n):
@@ -236,4 +225,4 @@ def amplitudes(modes: DmdModes, theta: np.ndarray, horizon: int) -> AmplitudeSch
     values[0] = np.conj(theta @ modes.modes)
     values[1:] = modes.eigenvalues
     np.cumprod(values, axis=0, out=values)
-    return AmplitudeSchedule(values=values, theta=theta)
+    return AmplitudeSchedule(values=values)

@@ -36,14 +36,10 @@ class RomTrajectory:
     """Surrogate trajectory: states[j] is the state at time times[j].
 
     times is 1-based and always starts at t = 1 (the initial condition).
-    reduced_states holds the rank-space coordinates z_t for times[1:] when
-    the trajectory came from simulate_full, and is None for the modal
-    expansion.
     """
 
     states: np.ndarray
     times: np.ndarray
-    reduced_states: np.ndarray | None = None
 
 
 def simulate_full(
@@ -73,7 +69,7 @@ def simulate_full(
     states = np.empty((1 + zs.shape[0], op.n))
     states[0] = theta
     states[1:] = zs @ op.left.T
-    return RomTrajectory(states=states, times=times, reduced_states=zs)
+    return RomTrajectory(states=states, times=times)
 
 
 simulate_reduced = simulate_full

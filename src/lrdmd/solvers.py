@@ -268,7 +268,7 @@ class Factorization:
     @cached_property
     def rank_y(self) -> int:
         """Numerical rank of Y V, which is that of Y when X has full column rank."""
-        return self.yv.numerical_rank(self.tol)
+        return numerical_rank(self.yv.sigma, self.tol)
 
     @cached_property
     def rank_of_y(self) -> int:
@@ -326,11 +326,11 @@ class Factorization:
         elif fit == "truncated":
             c = thin_svd(self._optimal_coefs[1])
             L, R = self.yv.W @ (c.W * c.sigma), c.V.T @ self.U.T
-            basis, rank = self._y[0], c.numerical_rank(self.tol)
+            basis, rank = self._y[0], numerical_rank(c.sigma, self.tol)
         elif fit == "projected":
             b = thin_svd((self.U.T @ self._y_coords) @ self.V)
             L, R = self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T
-            basis, rank = self.basis, b.numerical_rank(self.tol)
+            basis, rank = self.basis, numerical_rank(b.sigma, self.tol)
         else:
             raise ValidationError(f"unknown fit {fit!r}; expected optimal, truncated or projected")
         on_x = R @ self.basis.R[:, self.x_columns]
@@ -539,7 +539,7 @@ def _factorize(Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Factoriz
     see _columns."""
     basis = qr_factor(Z, checked=True)
     fx = thin_svd(basis.R[:, x_columns])
-    r = fx.numerical_rank(tol)
+    r = numerical_rank(fx.sigma, tol)
     _read_only((basis.Q1, basis.T, basis.R, x_columns, y_columns))
     U, s, V = _read_only((fx.W[:, :r], fx.sigma[:r], fx.V[:, :r]))
     return Factorization(Y, tol, strict, basis, U, s, V, x_columns, y_columns)

@@ -24,13 +24,13 @@ metadata; identical config and seed reproduce identical rows.
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .snapshots import SnapshotSet
+from .snapshots import SnapshotSet, write_csv_rows
 from .solvers import Factorization, factorize
 
 SETTINGS = ("i", "ii", "iii")
@@ -38,35 +38,6 @@ METHODS = ("a", "b", "c")  # a: optimal closed form, b: truncated exact, c: proj
 FITS = {"a": "optimal", "b": "truncated", "c": "projected"}
 RNG_NAME = "numpy default_rng (PCG64)"
 RESULT_HEADER = "setting,method,k,residual,companion_residual,wall_time_ms"
-
-
-@dataclass(frozen=True)
-class ToyModel:
-    """Random symmetric PSD map G of rank r, built as a sum of r Gaussian
-    outer products; `normalization` records the spectral scaling divisor
-    already applied (1.0 = none)."""
-
-    G: np.ndarray
-    rank: int
-    seed: int
-    normalization: float = 1.0
-
-    @property
-    def n(self) -> int:
-        return self.G.shape[0]
-
-    def spectrally_normalized(self) -> "ToyModel":
-        """Copy of the model scaled to unit spectral radius.
-
-        Scaling changes iterate magnitudes only, not any of the subspaces
-        the solvers see, and keeps long trajectories representable.
-        """
-        if self.normalization != 1.0:
-            return self
-        radius = float(np.linalg.eigvalsh(self.G)[-1])
-        return ToyModel(
-            G=self.G / radius, rank=self.rank, seed=self.seed, normalization=radius
-        )
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -78,7 +49,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def generate_toy_operator(n: int, r: int, seed: int) -> ToyModel:
+def generate_toy_operator(n: int, r: int, seed: int) -> np.ndarray:
     """G = sum of r outer products xi xi^T with standard-normal xi in R^n."""
     if r < 1 or r > n:
         raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
@@ -87,24 +58,25 @@ def generate_toy_operator(n: int, r: int, seed: int) -> ToyModel:
     for _ in range(r):
         xi = rng.standard_normal(n)
         G += np.outer(xi, xi)
-    return ToyModel(G=G, rank=r, seed=seed)
+    return G
 
 
-def generate_snapshots(model: ToyModel, setting: str, m: int, seed: int) -> SnapshotSet:
-    """Snapshot data for one benchmark setting, m predecessor/successor pairs.
+def generate_snapshots(G: np.ndarray, setting: str, m: int, seed: int) -> SnapshotSet:
+    """Snapshot data of G for one benchmark setting, m predecessor/successor pairs.
 
-    Setting i produces a single trajectory of length m+1 under the
-    spectrally normalized map; settings ii and iii produce m independent
-    two-snapshot trajectories of the unnormalized linear and cubic maps.
+    Setting i produces a single trajectory of length m+1 under G scaled to
+    unit spectral radius, which keeps long trajectories representable;
+    settings ii and iii produce m independent two-snapshot trajectories of
+    the unscaled linear and cubic maps.
     """
     if setting not in SETTINGS:
         raise ValidationError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
-    if m < 1 or m > model.n:
-        raise ValidationError(f"need 1 <= m <= n, got m={m}, n={model.n}")
+    n = G.shape[0]
+    if m < 1 or m > n:
+        raise ValidationError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = _rng(seed)
-    n = model.n
     if setting == "i":
-        G = model.spectrally_normalized().G
+        G = G / float(np.linalg.eigvalsh(G)[-1])
         states = np.empty((1, m + 1, n))
         states[0, 0] = rng.standard_normal(n)
         for t in range(1, m + 1):
@@ -114,9 +86,9 @@ def generate_snapshots(model: ToyModel, setting: str, m: int, seed: int) -> Snap
         states = np.empty((m, 2, n))
         states[:, 0, :] = starts
         if setting == "ii":
-            states[:, 1, :] = starts @ model.G.T
+            states[:, 1, :] = starts @ G.T
         else:  # iii: cubic map x -> G(x + x*x*x)
-            states[:, 1, :] = (starts + starts**3) @ model.G.T
+            states[:, 1, :] = (starts + starts**3) @ G.T
     # nothing else holds this array: read-only, SnapshotSet holds it as it is
     states.flags.writeable = False
     return SnapshotSet(states=states)
@@ -185,28 +157,13 @@ class BenchRow:
     wall_time_ms: float
 
 
-@dataclass(frozen=True)
-class SettingInfo:
-    """Per-dataset facts shared by every row of a setting."""
-
-    norm_y: float
-    companion_residual: float
-    data_seed: int
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    rows: tuple
-    settings: dict = field(default_factory=dict)
-
-
 def data_seed_for(seed: int, setting: str) -> int:
-    """Deterministic per-setting data seed (model uses `seed` itself)."""
+    """Deterministic per-setting data seed (G uses `seed` itself)."""
     return seed + 1 + SETTINGS.index(setting)
 
 
-def _setting_data(model: ToyModel, cfg: BenchConfig, setting: str) -> SnapshotSet:
-    return generate_snapshots(model, setting, cfg.m, data_seed_for(cfg.seed, setting))
+def _setting_data(G: np.ndarray, cfg: BenchConfig, setting: str) -> SnapshotSet:
+    return generate_snapshots(G, setting, cfg.m, data_seed_for(cfg.seed, setting))
 
 
 def benchmark_data(cfg: BenchConfig, setting: str) -> SnapshotSet:
@@ -214,10 +171,10 @@ def benchmark_data(cfg: BenchConfig, setting: str) -> SnapshotSet:
     return _setting_data(generate_toy_operator(cfg.n, cfg.r, cfg.seed), cfg, setting)
 
 
-def run_benchmark(cfg: BenchConfig) -> BenchResult:
-    """Sweep every requested (setting, method, k), one dataset per setting.
+def run_benchmark(cfg: BenchConfig) -> tuple:
+    """Sweep every requested (setting, method, k) into BenchRows, one dataset per setting.
 
-    The toy model is built once. Each setting's data is factorized once and
+    The toy map G is built once. Each setting's data is factorized once and
     every row is that factorization's residual(fit, k), computed from its
     small coefficient matrices, so wall_time_ms times that evaluation and
     no operator is formed. Rows come out sorted by (setting, method, k).
@@ -226,25 +183,18 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
     row or in the setting's data or factorization, is recorded as a NaN
     residual for the rows it affects without aborting the sweep.
     """
-    model = generate_toy_operator(cfg.n, cfg.r, cfg.seed)
+    G = generate_toy_operator(cfg.n, cfg.r, cfg.seed)
     rows = []
-    settings_info = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for setting in sorted(cfg.settings, key=SETTINGS.index):
-            norm_y, fac, comp = float("nan"), None, float("nan")
+            fac, comp = None, float("nan")
             try:
-                d = _setting_data(model, cfg, setting)
-                norm_y = d.norm_y
+                d = _setting_data(G, cfg, setting)
                 fac = factorize(d)
-                comp = _span_defect(fac, norm_y)
+                comp = _span_defect(fac, d.norm_y)
             except Exception:
                 fac = None
-            settings_info[setting] = SettingInfo(
-                norm_y=norm_y,
-                companion_residual=comp,
-                data_seed=data_seed_for(cfg.seed, setting),
-            )
             for method in sorted(cfg.methods, key=METHODS.index):
                 for k in sorted(cfg.ranks()):
                     start = time.perf_counter()
@@ -265,18 +215,18 @@ def run_benchmark(cfg: BenchConfig) -> BenchResult:
                             wall_time_ms=elapsed_ms,
                         )
                     )
-    return BenchResult(rows=tuple(rows), settings=settings_info)
+    return tuple(rows)
 
 
-def write_result_csv(result: BenchResult, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_result_csv(rows, path) -> None:
+    """Write BenchRows as the result CSV, one line per row under RESULT_HEADER."""
+    with Path(path).open("w", newline="") as fh:
         fh.write(RESULT_HEADER + "\n")
-        for r in result.rows:
-            fh.write(
-                f"{r.setting},{r.method},{r.k},{r.residual!r},"
-                f"{r.companion_residual!r},{r.wall_time_ms!r}\n"
-            )
+        write_csv_rows(
+            fh,
+            np.array([(r.residual, r.companion_residual, r.wall_time_ms) for r in rows]),
+            (f"{r.setting},{r.method},{r.k}" for r in rows),
+        )
 
 
 def _parse_int_list(text: str):
@@ -317,12 +267,19 @@ def _parse_names(text: str) -> tuple:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
+def _parse_path(text: str) -> str:
+    """A path, refused when empty."""
+    if not text:
+        raise ValidationError("an empty path")
+    return text
+
+
 # How each BenchConfig field is read from text, in a config file or a flag.
 _PARSERS = {
     **dict.fromkeys(("n", "r", "m", "seed"), int),
     **dict.fromkeys(("settings", "methods"), _parse_names),
     "k_values": _parse_int_list,
-    "output": str,
+    "output": _parse_path,
     "measure_time": _parse_bool,
 }
 

@@ -35,12 +35,24 @@ def report(num, name, ok, detail=""):
 def bench():
     cfg = BenchConfig(seed=SEED, measure_time=False)
     start = time.perf_counter()
-    result = run_benchmark(cfg)
+    rows = run_benchmark(cfg)
     elapsed = time.perf_counter() - start
     residuals = {
-        (row.setting, row.method, row.k): row.residual for row in result.rows
+        (row.setting, row.method, row.k): row.residual for row in rows
     }
-    return cfg, result, residuals, elapsed
+    return cfg, rows, residuals, elapsed
+
+
+@pytest.fixture(scope="module")
+def norm_y(bench):
+    """||Y||_F of each setting's data."""
+    cfg = bench[0]
+    return {s: benchmark_data(cfg, s).norm_y for s in cfg.settings}
+
+
+def companion(rows):
+    """The companion residual of each setting, as its rows record it."""
+    return {row.setting: row.companion_residual for row in rows}
 
 
 def toy_fit(data, k):
@@ -56,11 +68,11 @@ def lifted_residual(op, d):
     return lrdmd.residual_norm(op, lrdmd.DataMatrices(X=d.X, Y=d.Y))
 
 
-def test_1_optimality_dominance_over_full_sweep(bench):
-    cfg, result, res, elapsed = bench
+def test_1_optimality_dominance_over_full_sweep(bench, norm_y):
+    cfg, _, res, elapsed = bench
     violations = []
     for s in cfg.settings:
-        slack = 1e-9 * result.settings[s].norm_y
+        slack = 1e-9 * norm_y[s]
         for k in cfg.ranks():
             if res[(s, "a", k)] > res[(s, "b", k)] + slack:
                 violations.append((s, "b", k))
@@ -116,9 +128,9 @@ def test_3_fixed_rank_approximation_of_identity_driven_data():
     assert ok
 
 
-def test_4_span_satisfying_setting_matches_optimal_everywhere(bench):
-    cfg, result, res, _ = bench
-    ny = result.settings["i"].norm_y
+def test_4_span_satisfying_setting_matches_optimal_everywhere(bench, norm_y):
+    cfg, _, res, _ = bench
+    ny = norm_y["i"]
     worst = -np.inf
     violations = []
     for k in cfg.ranks():
@@ -142,11 +154,11 @@ def test_4_span_satisfying_setting_matches_optimal_everywhere(bench):
     "1e-6*||Y|| there. Methods a and b, and method c on the single-trajectory "
     "setting, do collapse (see the attainable-content test).",
 )
-def test_5_all_methods_collapse_past_generator_rank_literal(bench):
-    cfg, result, res, _ = bench
+def test_5_all_methods_collapse_past_generator_rank_literal(bench, norm_y):
+    cfg, _, res, _ = bench
     violations = []
     for s in cfg.settings:
-        limit = 1e-6 * result.settings[s].norm_y
+        limit = 1e-6 * norm_y[s]
         for meth in cfg.methods:
             for k in range(30, 41):
                 if res[(s, meth, k)] > limit:
@@ -158,13 +170,13 @@ def test_5_all_methods_collapse_past_generator_rank_literal(bench):
     assert not violations, f"{len(violations)} rows above threshold: {violations[:4]}..."
 
 
-def test_5_collapse_attainable_content_and_floor_identity(bench):
-    cfg, result, res, _ = bench
+def test_5_collapse_attainable_content_and_floor_identity(bench, norm_y):
+    cfg, rows, res, _ = bench
     # attainable part: the optimal and truncated solvers collapse on every
     # setting, the projected one on the span-satisfying setting
     violations = []
     for s in cfg.settings:
-        limit = 1e-6 * result.settings[s].norm_y
+        limit = 1e-6 * norm_y[s]
         for meth in ("a", "b"):
             violations += [
                 (s, meth, k) for k in range(30, 41) if res[(s, meth, k)] > limit
@@ -176,11 +188,11 @@ def test_5_collapse_attainable_content_and_floor_identity(bench):
     # diagnostic requires to be >= 1e-3 * ||Y||; hence the literal blanket
     # claim above cannot hold for method c there
     floor_checks = []
+    comp = companion(rows)
     for s in ("ii", "iii"):
-        info = result.settings[s]
-        floor = info.companion_residual * info.norm_y
+        floor = comp[s] * norm_y[s]
         res_at_full = res[(s, "c", 40)]
-        floor_checks.append(abs(res_at_full - floor) <= 1e-6 * info.norm_y)
+        floor_checks.append(abs(res_at_full - floor) <= 1e-6 * norm_y[s])
     ok = not violations and all(floor_checks)
     report(5, "collapse holds for every method/setting pair that can attain it", ok,
            "projected residual plateaus at its span defect on settings ii/iii")
@@ -189,8 +201,8 @@ def test_5_collapse_attainable_content_and_floor_identity(bench):
 
 
 def test_6_companion_diagnostic_separates_the_settings(bench):
-    cfg, result, _, _ = bench
-    comp = {s: result.settings[s].companion_residual for s in cfg.settings}
+    _, rows, _, _ = bench
+    comp = companion(rows)
     ok = comp["i"] <= 1e-8 and comp["ii"] >= 1e-3 and comp["iii"] >= 1e-3
     report(6, "span-defect diagnostic: ~0 on setting i, large on ii/iii", ok,
            f"i={comp['i']:.2e}, ii={comp['ii']:.2e}, iii={comp['iii']:.2e}")
@@ -265,7 +277,7 @@ def test_9_benchmark_runs_are_reproducible(tmp_path):
     strip = lambda rows: [
         (r.setting, r.method, r.k, r.residual, r.companion_residual) for r in rows
     ]
-    timed_equal = strip(r1.rows) == strip(r2.rows)
+    timed_equal = strip(r1) == strip(r2)
     ok = byte_identical and timed_equal
     report(9, "identical config and seed give byte-identical result CSVs", ok,
            "timing disabled for the byte comparison; timed runs agree on all "

@@ -12,7 +12,7 @@ from lrdmd.modes import amplitudes, compute_modes
 from lrdmd.rom import simulate_reduced
 from lrdmd.snapshots import SnapshotSet, load_snapshots, save_snapshots
 from lrdmd.solvers import factorize, fit_optimal_lowrank_dmd
-from lrdmd.toybench import BenchConfig, BenchResult, _span_defect, benchmark_data
+from lrdmd.toybench import BenchConfig, _span_defect, benchmark_data
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +239,8 @@ class TestFit:
 
         from lrdmd.toybench import generate_snapshots, generate_toy_operator, data_seed_for
 
-        model = generate_toy_operator(toy_config.n, toy_config.r, toy_config.seed)
-        snaps = generate_snapshots(model, "i", toy_config.m, data_seed_for(toy_config.seed, "i"))
+        G = generate_toy_operator(toy_config.n, toy_config.r, toy_config.seed)
+        snaps = generate_snapshots(G, "i", toy_config.m, data_seed_for(toy_config.seed, "i"))
         csv_path = tmp_path / "setting_i.csv"
         save_snapshots(snaps, csv_path)
         with warnings.catch_warnings():
@@ -515,8 +515,10 @@ class TestFailedRunsLeaveNoOutput:
 
 
 class TestRefusedArguments:
-    """A negative seed, a sweep of no pairs and an SVD tolerance outside
-    [0, 1) are usage errors: exit 2, an error line, and no file written."""
+    """A negative seed, a sweep of no pairs, an SVD tolerance outside
+    [0, 1), a global flag the command does not read and an output path that
+    collides with an existing one are usage errors: exit 2, an error line,
+    and no file written."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -531,6 +533,12 @@ class TestRefusedArguments:
             ["--seed", "3", "bench", "--settings", "i,i", "--methods", "a", "--no-timing"],
             ["--seed", "3", "bench", "--methods", "a,b,a", "--out", "b.csv"],
             ["--seed", "7", "bench", "--settings", ",", "--no-timing", "--out", "e.csv"],
+            # bench and generate draw their data from the seed alone
+            ["--seed", "7", "--svd-tol", "0.5", "--strict-rank", "bench", "--no-timing",
+             "--out", "tol.csv"],
+            ["bench", "--seed", "7", "--strict-rank", "--out", "b.csv"],
+            ["--seed", "7", "generate", "--setting", "ii", "--svd-tol", "0.5", "--out", "s.csv"],
+            ["--strict-rank", "--seed", "7", "generate", "--setting", "ii", "--out", "s.csv"],
         ],
     )
     def test_seed_and_pairs(self, tmp_path, monkeypatch, capsys, argv):
@@ -539,7 +547,7 @@ class TestRefusedArguments:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("text", ["seed = -1\n", "seed = 7\nm = 0\n"])
+    @pytest.mark.parametrize("text", ["seed = -1\n", "seed = 7\nm = 0\n", "seed = 7\noutput =\n"])
     def test_seed_and_pairs_in_config(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "bench.cfg"
@@ -582,6 +590,12 @@ class TestRefusedArguments:
             (["simulate", "--rank", "0", "--horizon", "5"], "rank must be >= 1"),
             (["simulate", "--rank", "3", "--horizon", "0"], "horizon must be >= 1"),
             (["simulate", "--rank", "3", "--horizon", "5", "--stride", "0"], "stride must be >= 1"),
+            # the commands that read snapshots draw no random numbers
+            (["--seed", "3", "fit", "--method", "exact"], "fit does not read --seed"),
+            (["modes", "--seed", "3", "--rank", "3"], "modes does not read --seed"),
+            (["simulate", "--rank", "3", "--horizon", "5", "--seed", "0"],
+             "simulate does not read --seed"),
+            (["validate", "--seed", "3"], "validate does not read --seed"),
         ],
     )
     def test_flags_before_the_read(self, toy_csv, tmp_path, capsys, monkeypatch, argv, message):
@@ -589,10 +603,42 @@ class TestRefusedArguments:
         # snapshot file is read
         read = []
         monkeypatch.setattr(lrdmd.cli, "load_snapshots", read.append)
-        out = ["--out", str(tmp_path / "out")]
+        out = [] if "validate" in argv else ["--out", str(tmp_path / "out")]
         assert main([*argv, "--input", str(toy_csv), *out]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == [] and read == []
+
+    @pytest.mark.parametrize(
+        "argv, out, reason",
+        [
+            (["fit", "--method", "optimal", "--rank", "3"], "file", "file is not a directory"),
+            (["modes", "--rank", "3"], "file", "file is not a directory"),
+            (["simulate", "--rank", "3", "--horizon", "5"], "file", "file is not a directory"),
+            (["fit", "--method", "exact"], "file/out", "file is not a directory"),
+            (["--seed", "7", "generate", "--setting", "ii"], "dir", "dir is a directory"),
+            (["--seed", "7", "bench", "--no-timing"], "dir", "dir is a directory"),
+            (["--seed", "7", "bench"], "file/b.csv", "file is not a directory"),
+        ],
+    )
+    def test_out_collides(self, toy_csv, tmp_path, capsys, monkeypatch, argv, out, reason):
+        # a file where an output directory goes, a directory where an
+        # output file goes, or a path under a file, is refused before the
+        # input is read, the data are drawn or the sweep runs; the existing
+        # path is left as it was
+        calls = []
+        for name in ("load_snapshots", "generate_toy_operator", "run_benchmark"):
+            monkeypatch.setattr(lrdmd.cli, name, lambda *a, **k: calls.append(a))
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        if argv[0] in ("fit", "modes", "simulate"):
+            argv = [*argv, "--input", str(toy_csv)]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output path {tmp_path / out} cannot be written: {tmp_path}/{reason}\n"
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert list((tmp_path / "dir").iterdir()) == []
 
     def test_zero_svd_tol_is_valid(self, toy_csv, tmp_path):
         out = tmp_path / "out"
@@ -764,7 +810,7 @@ class TestBench:
 
         def record(cfg):
             seen.append(cfg)
-            return BenchResult(rows=())
+            return ()
 
         monkeypatch.setattr(lrdmd.cli, "run_benchmark", record)
         cfg = tmp_path / "one.cfg"

@@ -29,6 +29,16 @@ def symmetric_fixture(seed=5, n=8, k=3):
     return d, op, factors, theta
 
 
+def rank_space_states(op, theta, horizon, stride=1):
+    """The rank-space coordinates z_t that simulate_full lifts by op.left."""
+    zs, flag = kernels.propagate_reduced(
+        np.ascontiguousarray(op.transition), op.right @ theta, horizon, stride,
+        OVERFLOW_LIMIT, op.gram,
+    )
+    assert flag == 0
+    return zs
+
+
 def toy_fit(data, k):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -66,8 +76,9 @@ class TestSimulateReduced:
     def test_reduced_states_lift(self):
         _, _, factors, theta = symmetric_fixture()
         traj = simulate_reduced(factors, theta, 5)
-        assert traj.reduced_states.shape == (4, 3)
-        assert_allclose(traj.states[1:], traj.reduced_states @ factors.P.T, atol=1e-12)
+        zs = rank_space_states(factors, theta, 5)
+        assert zs.shape == (4, 3)
+        assert_allclose(traj.states[1:], zs @ factors.P.T, atol=1e-12)
 
     def test_horizon_one(self):
         _, _, factors, theta = symmetric_fixture()
@@ -146,7 +157,6 @@ class TestSimulateFull:
         for other in (dataclasses.replace(op), DmdOperator(left=L, right=R)):
             got = simulate_full(other, theta, 200, 9)
             assert np.array_equal(got.states, want)
-            assert np.array_equal(got.reduced_states, zs)
             assert np.array_equal(got.states[1:], zs @ L.T)
         fitted = simulate_full(op, theta, 200, 9).states
         scale = np.abs(fitted).max(axis=1, keepdims=True)
@@ -154,15 +164,16 @@ class TestSimulateFull:
 
     @pytest.mark.parametrize("horizon, stride", [(1000, 50), (300, 1), (1, 1)])
     def test_one_path_under_both_names(self, ill_fit, horizon, stride):
-        # simulate_reduced is simulate_full: the same states and the same
-        # rank-space coordinates from one optimal operator
+        # simulate_reduced is simulate_full: the same states, lifted from
+        # the same rank-space coordinates, from one optimal operator
         op, theta, _ = ill_fit
         full = simulate_full(op, theta, horizon, stride)
         reduced = simulate_reduced(op, theta, horizon, stride)
         assert np.array_equal(full.states, reduced.states)
-        assert np.array_equal(full.reduced_states, reduced.reduced_states)
+        zs = rank_space_states(op, theta, horizon, stride)
+        assert np.array_equal(full.states[1:], zs @ op.left.T)
         kept = len(range(1 + stride, horizon + 1, stride))
-        assert full.reduced_states.shape == (kept, op.declared_rank)
+        assert zs.shape == (kept, op.declared_rank)
 
     def test_projector_fixes_vector_in_subspace(self):
         basis = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 2)))[0]
@@ -260,8 +271,6 @@ class TestReconstructFromModes:
         broken = DmdModes(
             eigenvalues=np.array([0.9 + 0.3j]),
             modes=phi[:, None],
-            variant="exact_reconstruction",
-            source_rank=1,
         )
         theta = np.array([1.0, 1.0, 0.0])
         with pytest.warns(ReconstructionWarning):

@@ -287,7 +287,7 @@ class TestOptimalLowRankDmd:
         V = Vt[: int(np.count_nonzero(sx > 1e-12 * sx[0]))].T
         defect = np.linalg.norm(d.Y - (d.Y @ V) @ V.T)
         t = np.linalg.svd(d.Y @ V, compute_uv=False)
-        rows = [r for r in full_bench_result.rows if (r.setting, r.method) == (setting, "a")]
+        rows = [r for r in full_bench_result if (r.setting, r.method) == (setting, "a")]
         assert [row.k for row in rows] == list(toy_config.ranks())
         with warnings.catch_warnings():
             # rank-deficient X (setting i) and clamps beyond rank(Y V_r)

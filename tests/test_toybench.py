@@ -13,7 +13,6 @@ from lrdmd.toybench import (
     RESULT_HEADER,
     _span_defect,
     benchmark_data,
-    data_seed_for,
     generate_snapshots,
     generate_toy_operator,
     load_config,
@@ -32,33 +31,38 @@ def companion_residual(d, tol=DEFAULT_TOL):
 
 class TestGenerateToyOperator:
     def test_rank_one(self):
-        model = generate_toy_operator(6, 1, seed=3)
-        sigma = np.linalg.svd(model.G, compute_uv=False)
+        G = generate_toy_operator(6, 1, seed=3)
+        sigma = np.linalg.svd(G, compute_uv=False)
         assert int(np.sum(sigma > 1e-10 * sigma[0])) == 1
         # a single outer product has trace equal to its only eigenvalue
-        assert abs(np.linalg.eigvalsh(model.G)[-1] - np.trace(model.G)) < 1e-10
+        assert abs(np.linalg.eigvalsh(G)[-1] - np.trace(G)) < 1e-10
 
     def test_reference_scale_rank(self):
-        model = generate_toy_operator(50, 30, seed=0)
-        sigma = np.linalg.svd(model.G, compute_uv=False)
+        G = generate_toy_operator(50, 30, seed=0)
+        sigma = np.linalg.svd(G, compute_uv=False)
         assert int(np.sum(sigma > 1e-10 * sigma[0])) == 30
 
     def test_symmetric_exactly(self):
-        model = generate_toy_operator(10, 4, seed=1)
-        assert np.array_equal(model.G, model.G.T)
+        G = generate_toy_operator(10, 4, seed=1)
+        assert np.array_equal(G, G.T)
 
     def test_deterministic(self):
-        g1 = generate_toy_operator(12, 5, seed=9).G
-        g2 = generate_toy_operator(12, 5, seed=9).G
+        g1 = generate_toy_operator(12, 5, seed=9)
+        g2 = generate_toy_operator(12, 5, seed=9)
         assert np.array_equal(g1, g2)
 
     def test_spectral_normalization(self):
-        model = generate_toy_operator(10, 4, seed=2)
-        norm = model.spectrally_normalized()
-        assert abs(np.linalg.eigvalsh(norm.G)[-1] - 1.0) < 1e-12
-        assert norm.normalization > 1.0
-        # scaling must not disturb the eigenvectors
-        assert_allclose(norm.G * norm.normalization, model.G, atol=1e-12)
+        # setting i iterates G scaled to unit spectral radius, which
+        # leaves its eigenvectors alone
+        G = generate_toy_operator(10, 4, seed=2)
+        radius = np.linalg.eigvalsh(G)[-1]
+        assert radius > 1.0
+        Gn = G / radius
+        assert abs(np.linalg.eigvalsh(Gn)[-1] - 1.0) < 1e-12
+        assert_allclose(Gn * radius, G, atol=1e-12)
+        s = generate_snapshots(G, "i", 8, seed=5)
+        for t in range(8):
+            assert_allclose(s.states[0, t + 1], Gn @ s.states[0, t], atol=1e-12)
 
     def test_bad_rank(self):
         with pytest.raises(ValidationError):
@@ -67,47 +71,47 @@ class TestGenerateToyOperator:
 
 class TestGenerateSnapshots:
     def setup_method(self):
-        self.model = generate_toy_operator(20, 8, seed=4)
+        self.G = generate_toy_operator(20, 8, seed=4)
 
     def test_setting_i_single_long_trajectory(self):
-        s = generate_snapshots(self.model, "i", 12, seed=5)
+        s = generate_snapshots(self.G, "i", 12, seed=5)
         assert (s.num_trajectories, s.num_snapshots, s.n) == (1, 13, 20)
         assert s.m == 12
-        Gn = self.model.spectrally_normalized().G
+        Gn = self.G / np.linalg.eigvalsh(self.G)[-1]
         assert_allclose(s.states[0, 1], Gn @ s.states[0, 0], atol=1e-12)
 
     def test_setting_ii_one_step_pairs(self):
-        s = generate_snapshots(self.model, "ii", 12, seed=5)
+        s = generate_snapshots(self.G, "ii", 12, seed=5)
         assert (s.num_trajectories, s.num_snapshots) == (12, 2)
-        assert_allclose(s.states[:, 1, :], s.states[:, 0, :] @ self.model.G.T, atol=1e-12)
+        assert_allclose(s.states[:, 1, :], s.states[:, 0, :] @ self.G.T, atol=1e-12)
 
     def test_setting_iii_cubic_map(self):
-        s = generate_snapshots(self.model, "iii", 12, seed=5)
+        s = generate_snapshots(self.G, "iii", 12, seed=5)
         x1 = s.states[:, 0, :]
-        assert_allclose(s.states[:, 1, :], (x1 + x1**3) @ self.model.G.T, atol=1e-12)
+        assert_allclose(s.states[:, 1, :], (x1 + x1**3) @ self.G.T, atol=1e-12)
 
     def test_deterministic(self):
-        a = generate_snapshots(self.model, "ii", 10, seed=6).states
-        b = generate_snapshots(self.model, "ii", 10, seed=6).states
+        a = generate_snapshots(self.G, "ii", 10, seed=6).states
+        b = generate_snapshots(self.G, "ii", 10, seed=6).states
         assert np.array_equal(a, b)
 
     def test_companion_residuals_split_the_settings(self):
-        model = generate_toy_operator(50, 30, seed=7)
-        d_i = generate_snapshots(model, "i", 40, seed=8)
-        d_ii = generate_snapshots(model, "ii", 40, seed=8)
+        G = generate_toy_operator(50, 30, seed=7)
+        d_i = generate_snapshots(G, "i", 40, seed=8)
+        d_ii = generate_snapshots(G, "ii", 40, seed=8)
         assert companion_residual(d_i) <= 1e-8
         assert companion_residual(d_ii) >= 0.1
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
-            generate_snapshots(self.model, "iv", 5, seed=0)
+            generate_snapshots(self.G, "iv", 5, seed=0)
         with pytest.raises(ValidationError):
-            generate_snapshots(self.model, "i", 21, seed=0)
+            generate_snapshots(self.G, "i", 21, seed=0)
 
     def test_negative_seed_refused(self):
         # numpy's default_rng raises a bare ValueError for it
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
-            generate_snapshots(self.model, "ii", 5, seed=-1)
+            generate_snapshots(self.G, "ii", 5, seed=-1)
         with pytest.raises(ValidationError, match="seed must be >= 0, got -2"):
             generate_toy_operator(6, 2, seed=np.int64(-2))
         with pytest.raises(ValidationError, match="seed must be >= 0"):
@@ -118,7 +122,7 @@ class TestGenerateSnapshots:
         with pytest.raises(ValidationError, match="a seed is required"):
             generate_toy_operator(5, 2, None)
         with pytest.raises(ValidationError, match="a seed is required"):
-            generate_snapshots(self.model, "ii", 5, seed=None)
+            generate_snapshots(self.G, "ii", 5, seed=None)
 
 
 class TestCompanionResidual:
@@ -139,32 +143,31 @@ class TestCompanionResidual:
 class TestRunBenchmark:
     def test_row_count_and_order(self):
         cfg = BenchConfig(n=12, r=5, m=8, k_values=(1, 2, 3), seed=1, measure_time=False)
-        result = run_benchmark(cfg)
-        assert len(result.rows) == 3 * 3 * 3
-        keys = [(r.setting, r.method, r.k) for r in result.rows]
+        rows = run_benchmark(cfg)
+        assert len(rows) == 3 * 3 * 3
+        keys = [(r.setting, r.method, r.k) for r in rows]
         assert keys == sorted(keys, key=lambda t: (("i", "ii", "iii").index(t[0]), t[1], t[2]))
 
     def test_default_sweep_size(self, full_bench_result):
-        assert len(full_bench_result.rows) == 3 * 3 * 40
+        assert len(full_bench_result) == 3 * 3 * 40
 
     def test_truncation_strictly_suboptimal_below_generator_rank(self, full_bench_result):
         # truncating the unconstrained fit is not the constrained optimum
-        res = {(r.setting, r.method, r.k): r.residual for r in full_bench_result.rows}
+        res = {(r.setting, r.method, r.k): r.residual for r in full_bench_result}
         assert res[("ii", "b", 15)] > res[("ii", "a", 15)]
         assert res[("iii", "b", 15)] > res[("iii", "a", 15)]
 
-    def test_linear_and_cubic_settings_share_collapse_rank(self, full_bench_result):
+    def test_linear_and_cubic_settings_share_collapse_rank(self, full_bench_result, toy_config):
         # the independent-pairs and cubic datasets behave analogously: each
         # solver first reaches the 1e-6 * ||Y|| floor at the generator rank
         # on both, and the projected solver reaches it on neither
-        result = full_bench_result
         first_drop = {}
         for s in ("ii", "iii"):
-            limit = 1e-6 * result.settings[s].norm_y
+            limit = 1e-6 * benchmark_data(toy_config, s).norm_y
             for meth in ("a", "b", "c"):
                 ks = [
                     row.k
-                    for row in result.rows
+                    for row in full_bench_result
                     if (row.setting, row.method) == (s, meth) and row.residual <= limit
                 ]
                 first_drop[(s, meth)] = min(ks) if ks else None
@@ -183,9 +186,9 @@ class TestRunBenchmark:
         monkeypatch.setattr(Factorization, "residual", sabotaged)
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2, 3), settings=("ii",), seed=4,
                           measure_time=False)
-        result = run_benchmark(cfg)
-        assert len(result.rows) == 3 * 3
-        failed = [r for r in result.rows if np.isnan(r.residual)]
+        rows = run_benchmark(cfg)
+        assert len(rows) == 3 * 3
+        failed = [r for r in rows if np.isnan(r.residual)]
         assert [(r.method, r.k) for r in failed] == [("b", 2)]
 
     def test_factorization_failure_recorded_as_nan_rows(self, monkeypatch):
@@ -202,12 +205,12 @@ class TestRunBenchmark:
         monkeypatch.setattr(tb, "factorize", sabotaged)
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("i", "ii"), seed=4,
                           measure_time=False)
-        result = run_benchmark(cfg)
-        assert len(result.rows) == 2 * 3 * 2
-        failed = {r.setting for r in result.rows if np.isnan(r.residual)}
+        rows = run_benchmark(cfg)
+        assert len(rows) == 2 * 3 * 2
+        failed = {r.setting for r in rows if np.isnan(r.residual)}
         assert failed == {"ii"}
-        assert np.isnan(result.settings["ii"].companion_residual)
-        rows_i = [r for r in result.rows if (r.setting, r.method) == ("i", "a")]
+        assert all(np.isnan(r.companion_residual) for r in rows if r.setting == "ii")
+        rows_i = [r for r in rows if (r.setting, r.method) == ("i", "a")]
         assert rows_i and all(np.isfinite(r.residual) for r in rows_i)
 
     def test_setting_data_failure_recorded_as_nan_rows(self, monkeypatch):
@@ -217,8 +220,8 @@ class TestRunBenchmark:
 
         orig = tb.generate_snapshots
 
-        def sabotaged(model, setting, m, seed):
-            snaps = orig(model, setting, m, seed)
+        def sabotaged(G, setting, m, seed):
+            snaps = orig(G, setting, m, seed)
             if setting == "ii":
                 states = snaps.states.copy()
                 states[0, 1, 0] = np.nan
@@ -228,12 +231,11 @@ class TestRunBenchmark:
         monkeypatch.setattr(tb, "generate_snapshots", sabotaged)
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("i", "ii"), seed=4,
                           measure_time=False)
-        result = run_benchmark(cfg)
-        assert len(result.rows) == 2 * 3 * 2
-        assert {r.setting for r in result.rows if np.isnan(r.residual)} == {"ii"}
-        assert np.isnan(result.settings["ii"].companion_residual)
-        assert np.isnan(result.settings["ii"].norm_y)
-        rows_i = [r for r in result.rows if (r.setting, r.method) == ("i", "a")]
+        rows = run_benchmark(cfg)
+        assert len(rows) == 2 * 3 * 2
+        assert {r.setting for r in rows if np.isnan(r.residual)} == {"ii"}
+        assert all(np.isnan(r.companion_residual) for r in rows if r.setting == "ii")
+        rows_i = [r for r in rows if (r.setting, r.method) == ("i", "a")]
         assert rows_i and all(np.isfinite(r.residual) for r in rows_i)
 
     def test_rows_lift_no_operator(self, monkeypatch):
@@ -261,27 +263,27 @@ class TestRunBenchmark:
         monkeypatch.setattr(tb, "residual_norm", counted_norm, raising=False)
         monkeypatch.setattr(lrdmd.solvers, "_distance",
                             counting("_distance", lrdmd.solvers._distance))
-        result = run_benchmark(BenchConfig(seed=7, measure_time=False))
-        assert len(result.rows) == 360
-        assert all(np.isfinite(r.residual) for r in result.rows)
+        rows = run_benchmark(BenchConfig(seed=7, measure_time=False))
+        assert len(rows) == 360
+        assert all(np.isfinite(r.residual) for r in rows)
         assert calls == ["_distance", "_distance"]
 
     def test_deterministic_rows(self):
         cfg = BenchConfig(n=10, r=4, m=6, seed=3, measure_time=False)
-        r1 = run_benchmark(cfg)
-        r2 = run_benchmark(cfg)
-        assert r1.rows == r2.rows
+        assert run_benchmark(cfg) == run_benchmark(cfg)
 
     def test_requires_seed(self):
         with pytest.raises(ValidationError, match="seed"):
             run_benchmark(BenchConfig(n=8, r=3, m=5))
 
     def test_setting_info_matches_generation(self):
+        # each setting's rows describe benchmark_data's dataset
         cfg = BenchConfig(n=10, r=4, m=6, seed=3, measure_time=False)
-        result = run_benchmark(cfg)
+        rows = run_benchmark(cfg)
         d = benchmark_data(cfg, "ii")
-        assert result.settings["ii"].norm_y == float(np.linalg.norm(d.Y))
-        assert result.settings["ii"].data_seed == data_seed_for(3, "ii")
+        assert d.norm_y == float(np.linalg.norm(d.Y))
+        comp = {r.companion_residual for r in rows if r.setting == "ii"}
+        assert comp == {companion_residual(d)}
 
     def test_csv_format(self, tmp_path):
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), seed=2, measure_time=False)
@@ -296,8 +298,7 @@ class TestRunBenchmark:
 
     def test_wall_time_measured_by_default(self):
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1,), seed=2)
-        result = run_benchmark(cfg)
-        assert any(r.wall_time_ms > 0 for r in result.rows)
+        assert any(r.wall_time_ms > 0 for r in run_benchmark(cfg))
 
 
 class TestBenchConfig:
