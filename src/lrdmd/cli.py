@@ -98,6 +98,7 @@ def _fit(args):
         _check_rank_arg(args.rank)
     if "horizon" in args:
         _check_horizon(args.horizon, getattr(args, "stride", 1))
+    args.out = args.out or f"{args.command}_out"  # --out left out or empty
     _check_out(args.out, directory=True)
     snaps = _read(args)
     theta = _load_theta(args.theta, snaps) if "theta" in args else None
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exact: unconstrained least squares",
     )
     p.add_argument("--rank", type=int, default=None, help="target rank k")
-    p.add_argument("--out", default="fit_out", help="output directory")
+    p.add_argument("--out", help="output directory (default: fit_out)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser(
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=tuple(VARIANT_NAMES), default="exact")
     p.add_argument("--theta", default="first", help="'first' or a one-row CSV file")
     p.add_argument("--horizon", type=int, default=10, help="amplitude schedule length")
-    p.add_argument("--out", default="modes_out")
+    p.add_argument("--out", help="output directory (default: modes_out)")
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("simulate", parents=[common], help="run the reduced-order surrogate")
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", choices=("reduced", "modal"), default="reduced")
     p.add_argument("--theta", default="first")
     p.add_argument("--stride", type=int, default=1, help="keep every stride-th state")
-    p.add_argument("--out", default="simulate_out")
+    p.add_argument("--out", help="output directory (default: simulate_out)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", parents=[common], help="sweep solvers over the synthetic settings")

@@ -1,8 +1,8 @@
 """Shared dense linear algebra: one tall factorization M = Q R with its
-orthonormal basis Q in implicit form, the thin SVD of small matrices, and
-the relative numerical rank behind every rank decision. Tall matrices go
-to qr_factor, small ones to LAPACK's SVD (thin_svd): the SVD of a tall M
-is that of its small R, lifted through the basis.
+orthonormal basis Q in implicit form, the thin SVD of small matrices, the
+numerical rank behind every rank decision and the blocks of n-row passes.
+Tall matrices go to qr_factor, small ones to LAPACK's SVD (thin_svd): the
+SVD of a tall M is that of its small R, lifted through the basis.
 
 qr_factor factors a tall matrix by Cholesky QR, which needs only BLAS-3
 products over its long side: CholeskyQR2 when it is well enough
@@ -50,6 +50,16 @@ UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # q = 40 Householder stays ahead up to p/q = 8 (0.28 vs 0.23).
 CHOLQR_MIN_ASPECT = 5
 
+# Rows per block of every n-row loop: a block stays in cache, and no n-row
+# temporary is formed.
+_ROW_BLOCK = 256
+
+
+def row_blocks(n: int):
+    """Slices of rows 0..n-1 in order, _ROW_BLOCK (read at each call) at a time."""
+    for r in range(0, n, _ROW_BLOCK):
+        yield slice(r, r + _ROW_BLOCK)
+
 
 @dataclass(frozen=True)
 class SvdFactors:
@@ -65,7 +75,7 @@ class SvdFactors:
 
 
 def numerical_rank(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Count singular values above tol relative to the largest one."""
+    """Count singular values strictly above tol times the largest one."""
     if sigma.size == 0:
         return 0
     smax = sigma[0]

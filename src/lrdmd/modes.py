@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeWarning, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL, _check_tol, numerical_rank, qr_factor, thin_svd
-from .solvers import _ROW_BLOCK, DmdOperator
+from .linalg import DEFAULT_TOL, _check_tol, numerical_rank, qr_factor, row_blocks, thin_svd
+from .solvers import DmdOperator
 
 VARIANTS = ("exact_reconstruction", "as_stated")
 
@@ -94,8 +94,8 @@ def _normalize_columns(modes: np.ndarray) -> np.ndarray:
     cols = np.arange(k)
     top = np.full(k, -1.0)
     pivots = np.empty(k, dtype=modes.dtype)
-    for r in range(0, modes.shape[0], _ROW_BLOCK):
-        block = modes[r : r + _ROW_BLOCK]
+    for rows in row_blocks(modes.shape[0]):
+        block = modes[rows]
         mag = np.abs(block)
         i = np.argmax(mag, axis=0)
         peak = mag[i, cols]
@@ -182,8 +182,7 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
         raise ValidationError("operator and modes have mismatched dimensions")
     reduced = _real_times_complex(op.right, modes.modes)
     squares = np.zeros(modes.eigenvalues.shape[0])
-    for r in range(0, n, _ROW_BLOCK):
-        rows = slice(r, r + _ROW_BLOCK)
+    for rows in row_blocks(n):
         block = _real_times_complex(op.left[rows], reduced)
         block -= modes.modes[rows] * modes.eigenvalues
         squares += _column_squares(block)

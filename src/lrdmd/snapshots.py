@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SnapshotFormatError, ValidationError
-
-# Rows taken at a time by the loops over the n rows of the data (the chain
-# check of DataMatrices, and in solvers and modes residual_norm, the part of
-# Y outside X's basis, the eigenpair check and the column pivots): blocks of
-# a few hundred rows stay in cache, and no n-row temporary is formed.
-_ROW_BLOCK = 256
+from .linalg import row_blocks
 
 
 class SnapshotSet:
@@ -159,10 +154,9 @@ def _trajectories_of(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     n, m = X.shape
     chained = np.ones(m - 1, dtype=bool)
-    for r in range(0, n, _ROW_BLOCK):
+    for rows in row_blocks(n):
         if not chained.any():
             break
-        rows = slice(r, r + _ROW_BLOCK)
         chained &= np.all(Y[rows, :-1].view(np.uint64) == X[rows, 1:].view(np.uint64), axis=0)
     starts = np.flatnonzero(~chained) + 1
     steps = int(starts[0]) if starts.size else m

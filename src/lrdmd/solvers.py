@@ -70,9 +70,10 @@ from .linalg import (
     column_signs,
     numerical_rank,
     qr_factor,
+    row_blocks,
     thin_svd,
 )
-from .snapshots import _ROW_BLOCK, SnapshotSet
+from .snapshots import SnapshotSet
 
 # Largest share of the columns of Y that may be new, copies of no column of
 # X, for factorize() to factor all N T states of the snapshot array, Z = [X,
@@ -113,8 +114,7 @@ def _distance(Y: np.ndarray, L: np.ndarray, C: np.ndarray) -> float:
     """||Y - L C||_F for n-row Y and L and a small C, its squares summed
     block by block of rows."""
     total = 0.0
-    for r in range(0, Y.shape[0], _ROW_BLOCK):
-        rows = slice(r, r + _ROW_BLOCK)
+    for rows in row_blocks(Y.shape[0]):
         block = (Y[rows] - L[rows] @ C).ravel()
         total += float(block @ block)
     return float(np.sqrt(total))

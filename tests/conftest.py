@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrdmd import linalg
 from lrdmd.toybench import BenchConfig, benchmark_data, run_benchmark
 
 TOY_SEED = 7
@@ -34,3 +35,11 @@ def setting_iii_data(toy_config):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(params=[1, 3, linalg._ROW_BLOCK], ids=lambda rows: f"block{rows}")
+def row_block(request, monkeypatch):
+    """Every n-row loop (linalg.row_blocks) taking blocks of 1, 3 and the
+    default number of rows: small data then spans several blocks."""
+    monkeypatch.setattr(linalg, "_ROW_BLOCK", request.param)
+    return request.param

@@ -1,0 +1,185 @@
+"""Mutation gate for tier-1: every entry of MUTANTS is a small fault in
+src/lrdmd, and tier-1 must fail on each.
+
+For each entry the script copies src/, tests/ and pyproject.toml into a
+temporary directory, replaces the entry's old text, which must occur exactly
+once in its file, with the new text, and runs tier-1 there with -x. A mutant
+survives when tier-1 passes. Tier-1 first runs once on the unmutated copy,
+which must pass.
+
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py M5 M11      # the named ones
+
+Exit status: 0 when tier-1 catches every mutant run, 1 when one survives,
+2 when the unmutated copy fails or an entry's old text is not found once.
+pytest collects only test_*.py, so tier-1 itself does not run this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FIRST_BLOCK = "list(row_blocks({}))[:1]"
+
+# (name, file in src/lrdmd, old text, new text, the claim the mutant breaks)
+MUTANTS = [
+    (
+        "M1", "solvers.py",
+        "return float(np.hypot(self.row_space_defect, np.linalg.norm(self.yv.sigma[k:])))",
+        "return float(np.linalg.norm(self.yv.sigma[k:]))",
+        "certified_residual is the optimal residual also when X is rank deficient",
+    ),
+    (
+        "M2", "solvers.py",
+        "f = thin_svd(self._y[1] @ self.V)",
+        "f = thin_svd(self._y[1])",
+        "the optimal fit's core is the SVD of R_y V: it minimizes ||Y - A X||",
+    ),
+    (
+        "M3", "linalg.py",
+        "R2 = np.linalg.cholesky(Q.T @ Q).T",
+        "R2 = np.eye(Q.shape[1])",
+        "CholeskyQR2 takes two passes: the basis of qr_factor is orthonormal",
+    ),
+    (
+        "M4", "solvers.py",
+        'if k <= rank or fit != "optimal":',
+        "if True:",
+        "the optimal fit warns (strict: raises) when it clamps k to rank(Y V)",
+    ),
+    (
+        "M5", "solvers.py",
+        "for rows in row_blocks(Y.shape[0]):",
+        "for rows in " + FIRST_BLOCK.format("Y.shape[0]") + ":",
+        "residual_norm through the factors sums every block of rows",
+    ),
+    (
+        "M6", "solvers.py",
+        "return float(np.hypot(self._outside, np.linalg.norm(self._y_coords - fitted)))",
+        "return float(np.linalg.norm(self._y_coords - fitted))",
+        "the projected residual counts the part of Y outside X's basis",
+    ),
+    (
+        "M7", "solvers.py",
+        "if N > SHARED_MAX_NEW * d.m:",
+        "if True:",
+        "trajectory data is factored once, X and Y in one basis",
+    ),
+    (
+        "M8", "linalg.py",
+        "sigma > tol * smax",
+        "sigma >= tol * smax",
+        "numerical_rank counts singular values strictly above tol times the largest",
+    ),
+    (
+        "M9", "modes.py",
+        "for rows in row_blocks(modes.shape[0]):",
+        "for rows in " + FIRST_BLOCK.format("modes.shape[0]") + ":",
+        "each mode's largest entry, in any block of rows, is made real positive",
+    ),
+    (
+        "M10", "modes.py",
+        "for rows in row_blocks(n):",
+        "for rows in " + FIRST_BLOCK.format("n") + ":",
+        "verify_eigenpairs sums every block of rows",
+    ),
+    (
+        "M11", "snapshots.py",
+        "for rows in row_blocks(n):",
+        "for rows in " + FIRST_BLOCK.format("n") + ":",
+        "the pairs of DataMatrices(X=..., Y=...) are exactly X and Y",
+    ),
+    (
+        "F1", "solvers.py",
+        "return _read_only((f.W, core, core @ self.U.T))",
+        "return _read_only((thin_svd(self._y[1]).W, core, core @ self.U.T))",
+        "the optimal fit takes P from Y V_r, not Y: optimal for rank-deficient X",
+    ),
+    (
+        "F2", "solvers.py",
+        "    key = (_check_tol(tol), strict)\n",
+        "    if d.m > d.n:\n"
+        '        raise ValidationError("more snapshot pairs than states")\n'
+        "    key = (_check_tol(tol), strict)\n",
+        "every fitter accepts m > n and fits through the rank-r part of X",
+    ),
+]
+
+
+def _tree(dest: Path) -> None:
+    """Copy what tier-1 reads into dest."""
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+
+
+def _tier1(tree: Path) -> tuple:
+    """(pytest's exit code, its first failure line) of tier-1 with -x in
+    tree, importing lrdmd from tree/src alone."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = run.stdout.splitlines() or [""]
+    failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+    return run.returncode, (failed[0] if failed else lines[-1])
+
+
+def _mutate(tree: Path, file: str, old: str, new: str) -> None:
+    path = tree / "src" / "lrdmd" / file
+    text = path.read_text()
+    count = text.count(old)
+    if count != 1:
+        raise LookupError(f"old text found {count} times in {file}: {old!r}")
+    path.write_text(text.replace(old, new))
+
+
+def main(names) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        _tree(Path(tmp))
+        code, line = _tier1(Path(tmp))
+    if code != 0:
+        print(f"tier-1 fails on the unmutated copy: {line}", file=sys.stderr)
+        return 2
+    survivors = []
+    for name, file, old, new, claim in MUTANTS:
+        if names and name not in names:
+            continue
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp)
+            _tree(tree)
+            try:
+                _mutate(tree, file, old, new)
+            except LookupError as exc:
+                print(f"{name}: stale entry: {exc}", file=sys.stderr)
+                return 2
+            code, line = _tier1(tree)
+        verdict = "SURVIVED" if code == 0 else "caught"
+        print(f"{name:4} {verdict:8} {time.perf_counter() - start:5.1f} s  {claim}", flush=True)
+        if code == 0:
+            survivors.append(name)
+        else:
+            print(f"     {line}", flush=True)
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived tier-1: {', '.join(survivors)}")
+        return 1
+    print("every mutant caught")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -539,6 +539,8 @@ class TestRefusedArguments:
             ["bench", "--seed", "7", "--strict-rank", "--out", "b.csv"],
             ["--seed", "7", "generate", "--setting", "ii", "--svd-tol", "0.5", "--out", "s.csv"],
             ["--strict-rank", "--seed", "7", "generate", "--setting", "ii", "--out", "s.csv"],
+            # an empty --out counts as not given, and generate requires one
+            ["--seed", "7", "generate", "--setting", "ii", "--out", ""],
         ],
     )
     def test_seed_and_pairs(self, tmp_path, monkeypatch, capsys, argv):
@@ -639,6 +641,30 @@ class TestRefusedArguments:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
         assert (tmp_path / "file").read_text() == "kept\n"
         assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (["fit", "--method", "optimal", "--rank", "3"], "fit_out"),
+            (["modes", "--rank", "3"], "modes_out"),
+            (["simulate", "--rank", "3", "--horizon", "5"], "simulate_out"),
+        ],
+    )
+    def test_empty_out_is_the_default(self, toy_csv, tmp_path, capsys, monkeypatch, argv, default):
+        # --out "" counts as not given: the command writes to its default
+        # directory, checked for a collision like any other, and nothing
+        # goes to the working directory
+        monkeypatch.chdir(tmp_path)
+        argv = [*argv, "--input", str(toy_csv), "--out", ""]
+        (tmp_path / default).write_text("kept\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output path {default} cannot be written: {default} is not a directory\n"
+        (tmp_path / default).unlink()
+        assert main(argv) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [default]
+        manifest = json.loads((tmp_path / default / "manifest.json").read_text())
+        assert manifest["parameters"]["out"] == default
 
     def test_zero_svd_tol_is_valid(self, toy_csv, tmp_path):
         out = tmp_path / "out"

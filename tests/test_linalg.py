@@ -88,6 +88,12 @@ def assert_qr_matches_lapack(M, fast):
     assert_allclose(np.linalg.svd(f.R, compute_uv=False), s, rtol=0, atol=1e-13 * scale)
 
 
+def test_numerical_rank_counts_strictly_above_tol():
+    # tol = 0 on an exactly singular spectrum: the zero is not counted
+    assert numerical_rank(np.array([1.0, 0.5, 0.0]), tol=0.0) == 2
+    assert numerical_rank(np.array([1.0, 0.5, 0.25]), tol=0.25) == 2
+
+
 class TestThinSvd:
     def test_diagonal(self):
         f = thin_svd(np.diag([3.0, 2.0]))

@@ -309,6 +309,32 @@ class TestVerifyEigenpairs:
         assert report.residuals.shape == (5,)
 
 
+class TestRowBlocks:
+    """The two n-row loops of the modes, on 7 rows in blocks of 1, 3 and
+    the default number of rows: each reads every block."""
+
+    def test_pivot_is_the_largest_entry_of_every_block(self, row_block):
+        rng = np.random.default_rng(17)
+        Z = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+        Z[6, 0] = 10.0 - 3.0j  # the largest entry in the last row
+        # a tie across blocks: the earlier row wins
+        Z[1, 1], Z[5, 1] = 8.0j, -8.0
+        got = _normalize_columns(Z.copy())
+        assert_allclose(got, normalized(Z), rtol=0, atol=1e-14)
+        assert got[1, 1] == abs(got[1, 1]) and got[5, 1].imag != 0.0
+
+    def test_residuals_sum_every_block(self, row_block):
+        rng = np.random.default_rng(18)
+        op = DmdOperator(left=rng.standard_normal((7, 3)), right=rng.standard_normal((3, 7)))
+        modes = DmdModes(
+            eigenvalues=rng.standard_normal(2) + 1j * rng.standard_normal(2),
+            modes=rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2)),
+        )
+        A = op.left @ op.right
+        want = np.linalg.norm(A @ modes.modes - modes.modes * modes.eigenvalues, axis=0)
+        assert_allclose(verify_eigenpairs(modes, op).residuals, want, rtol=1e-13)
+
+
 class TestAmplitudes:
     def setup_method(self):
         rng = np.random.default_rng(99)

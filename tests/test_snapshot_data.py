@@ -275,6 +275,16 @@ class TestExplicitPairs:
         X[2, 1] = -0.0
         assert DataMatrices(X=X, Y=Y).states.shape == (2, 4, 6)
 
+    def test_chain_checked_in_every_row_block(self, row_block):
+        # pairs that chain in every row but the last are not one trajectory
+        states = np.random.default_rng(14).standard_normal((7, 6))
+        X, Y = states[:, :-1], states[:, 1:].copy()
+        assert DataMatrices(X=X, Y=Y).states.shape == (1, 6, 7)
+        Y[-1, 2] += 1.0
+        d = DataMatrices(X=X, Y=Y)
+        assert d.states.shape == (5, 2, 7)
+        assert np.array_equal(d.X, X) and np.array_equal(d.Y, Y)
+
 
 class TestCommandsBuildNoPairs:
     @pytest.mark.parametrize("steps", [2, 9])

@@ -996,6 +996,19 @@ class TestResidualFromFactorization:
         # an operator built by hand has no link either
         assert DmdOperator(left=op.left, right=op.right).source is None
 
+    def test_hand_built_operator_over_every_row_block(self, row_block):
+        # through the factors, its squares summed over every block of rows
+        d = random_data(15, n=7, m=5)
+        rng = np.random.default_rng(16)
+        op = DmdOperator(left=rng.standard_normal((7, 2)), right=rng.standard_normal((2, 7)))
+        want = np.linalg.norm(d.Y - op.left @ (op.right @ d.X))
+        assert abs(residual_norm(op, d) - want) <= 1e-13 * want
+        # the part of Y outside X's basis, the n-row term of independent pairs
+        fac = factorize(d)
+        assert fac.y_columns is None
+        want = np.linalg.norm(d.Y - d.X @ np.linalg.pinv(d.X) @ d.Y)
+        assert abs(fac.span_defect - want) <= 1e-12 * want
+
     def test_other_data_takes_the_row_block_path(self, count_row_passes):
         calls = count_row_passes
         d = trajectories(3, 4, 11)  # Y in the basis: no n-row term at all
