@@ -24,7 +24,7 @@ from . import __version__
 from .errors import NumericalGuardError, RankDeficiencyWarning, RankGuardError, ValidationError
 from .linalg import DEFAULT_TOL, _check_tol
 from .modes import _check_horizon, _check_theta, amplitudes, compute_modes, verify_eigenpairs
-from .rom import reconstruct_from_modes, save_trajectory, simulate_reduced
+from .rom import reconstruct_from_modes, save_trajectory, simulate_full
 from .snapshots import load_snapshots, read_numeric_rows, save_snapshots, write_csv_rows
 from .solvers import _check_rank_arg, factorize, residual_norm
 from .toybench import (
@@ -82,14 +82,34 @@ def _read(args):
     return load_snapshots(args.input)
 
 
+def _factorize(args, snaps, rank=None):
+    """The Factorization of snaps at --svd-tol, with the CLI's two rank
+    refusals (RankGuardError, exit 3) where the library warns: under
+    --strict-rank, X without full column rank, with no warning printed;
+    and an optimal fit of a ``rank`` above the numerical rank of Y V_x."""
+    with warnings.catch_warnings():
+        if args.strict_rank:
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+        fac = factorize(snaps, args.svd_tol)
+    if args.strict_rank and fac.rank_x < fac.m:
+        raise RankGuardError(
+            f"X is numerically rank-deficient (rank {fac.rank_x} < m={fac.m}); "
+            "strict mode refuses rank-deficient X"
+        )
+    if rank is not None and rank > fac.rank_y:
+        raise RankGuardError(
+            f"requested rank {rank} exceeds the numerical rank of Y ({fac.rank_y}) "
+            f"on the row space of X; choose a rank <= {fac.rank_y}"
+        )
+    return fac
+
+
 def _fit(args):
     """(snapshots, theta, Factorization, operator) of fit, modes and
     simulate, in this order: the flag checks, before the snapshot file is
-    read; the read; theta (modes and simulate); the factorization; the fit
-    named by --method (optimal for modes and simulate).
-
-    Requesting more of the optimal fit than the numerical rank of Y V_x is
-    a numerical failure here (exit 3), unlike the library's clamp-and-warn.
+    read; the read; theta (modes and simulate); the factorization and its
+    refusals (_factorize); the fit named by --method (optimal for modes and
+    simulate).
     """
     method = getattr(args, "method", "optimal")
     if method != "exact":
@@ -102,12 +122,7 @@ def _fit(args):
     _check_out(args.out, directory=True)
     snaps = _read(args)
     theta = _load_theta(args.theta, snaps) if "theta" in args else None
-    fac = factorize(snaps, args.svd_tol, args.strict_rank)
-    if method == "optimal" and args.rank > fac.rank_y:
-        raise RankGuardError(
-            f"requested rank {args.rank} exceeds the numerical rank of Y ({fac.rank_y}) "
-            f"on the row space of X; choose a rank <= {fac.rank_y}"
-        )
+    fac = _factorize(args, snaps, args.rank if method == "optimal" else None)
     return snaps, theta, fac, fac.fit(method, args.rank)
 
 
@@ -115,6 +130,8 @@ def _check_out(path, directory: bool) -> None:
     """ValidationError unless ``path`` can be written as an output
     directory (``directory``) or file, checked before any work is done: the
     nearest existing path on it is a directory, or the output file itself."""
+    if not str(path):
+        raise ValidationError("output path '' cannot be written: it is empty")
     path = Path(path)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if existing.is_dir() == (existing == path and not directory):
@@ -131,21 +148,25 @@ def _make_out(path, directory: bool) -> Path:
     return path
 
 
-def _finish(args, outputs, summary: str, manifest: Path | None = None) -> int:
+def _finish(args, outputs, summary: str, manifest: Path | None = None, params=None) -> int:
     """Write the manifest of a run that wrote ``outputs``, which records
-    the resolved parameters, seed, paths and library version, and print
-    the command's summary line. The manifest goes to ``manifest``, by
-    default beside the one output as <output>.manifest.json."""
+    the resolved parameters ``params`` (by default the flags that are set
+    and that the command reads), their seed, the paths and the library
+    version, and print the command's summary line. The manifest goes to
+    ``manifest``, by default beside the one output as
+    <output>.manifest.json."""
     if manifest is None:
         manifest = outputs[0].with_suffix(outputs[0].suffix + ".manifest.json")
     params = {
-        k: v for k, v in vars(args).items() if k not in ("func", "command") and v is not None
+        k: (str(v) if isinstance(v, Path) else v)
+        for k, v in (vars(args) if params is None else params).items()
+        if k not in ("func", "command", *_UNREAD_GLOBALS[args.command]) and v is not None
     }
     inputs = (getattr(args, "input", None), getattr(args, "config", None))
     record = {
         "command": args.command,
-        "parameters": {k: (str(v) if isinstance(v, Path) else v) for k, v in params.items()},
-        "seed": getattr(args, "seed", None),
+        "parameters": params,
+        "seed": params.get("seed"),
         "inputs": [str(p) for p in inputs if p],
         "outputs": [str(p) for p in outputs],
         "version": __version__,
@@ -232,7 +253,7 @@ def cmd_modes(args) -> int:
 def cmd_simulate(args) -> int:
     _, theta, _, op = _fit(args)
     if args.path == "reduced":
-        traj = simulate_reduced(op, theta, args.horizon, stride=args.stride)
+        traj = simulate_full(op, theta, args.horizon, stride=args.stride)
     else:
         mode_set = compute_modes(op, "exact_reconstruction", tol=args.svd_tol)
         schedule = amplitudes(mode_set, theta, args.horizon)
@@ -259,7 +280,8 @@ def cmd_bench(args) -> int:
     rows = run_benchmark(cfg)
     out_path = _make_out(cfg.output, directory=False)
     write_result_csv(rows, out_path)
-    return _finish(args, [out_path], f"{len(rows)} rows -> {out_path}")
+    summary = f"{len(rows)} rows -> {out_path}"
+    return _finish(args, [out_path], summary, params=vars(cfg))
 
 
 def cmd_generate(args) -> int:
@@ -284,7 +306,7 @@ def cmd_validate(args) -> int:
     # warning
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RankDeficiencyWarning)
-        fac = factorize(snaps, args.svd_tol, args.strict_rank)
+        fac = _factorize(args, snaps)
     rows = [
         ("n (state dimension)", fac.n),
         ("m (snapshot pairs)", fac.m),

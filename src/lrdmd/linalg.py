@@ -201,6 +201,7 @@ def _cholesky_qr(M: np.ndarray) -> QrFactors | None:
         sigma = np.linalg.svd(R, compute_uv=False)
         if sigma[-1] >= CHOLQR_MIN_RATIO * sigma[0]:
             return QrFactors(Q1=Q1, T=np.linalg.inv(R2), R=R)
+        del found, Q1  # the refused p-by-q basis, before the shifted pass
     p, q = M.shape
     # ||M||_2^2 is the top eigenvalue of G; trace(G) overestimates it up to
     # q-fold, and the larger shift leaves Q0 too ill conditioned

@@ -8,7 +8,7 @@ sliced by Factorization.fit(name, k):
 * "exact"     -- unconstrained least squares A = Y X^+.
 * "truncated" -- rank-k truncation of the unconstrained solution;
   optimal approximation of the operator, not of the residual.
-* "projected" -- solves the problem restricted to operators whose action
+* "projected" -- solves the problem over the operators whose action
   on X stays in the column span of X (the classic projected approach);
   exact only when the data satisfies that span assumption.
 * "optimal"   -- the closed-form global minimizer, reduced-rank
@@ -31,9 +31,9 @@ forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
 fit_optimal_lowrank_dmd factorize and slice in one call. Each SnapshotSet
-keeps its Factorization, which factorize returns again for the same tol and
-strict, so fits of one dataset share its tall factorization and its cached
-cores, whatever other datasets are fitted in between. A SnapshotSet is
+keeps its Factorization, which factorize returns again for the same tol, so
+fits of one dataset share its tall factorization and its cached cores,
+whatever other datasets are fitted in between. A SnapshotSet is
 read-only, and so is every array a Factorization holds or a fit returns.
 
 A fitted operator keeps a link to the Factorization it came from, so
@@ -136,8 +136,8 @@ class DmdOperator:
     operator built by hand, or by dataclasses.replace from a fitted one,
     has none. Being weak, it keeps no n-row basis alive: once the
     Factorization goes, with its SnapshotSet or when that is factored
-    under another tol or strict, the operator's residual is evaluated
-    through its factors.
+    under another tol, the operator's residual is evaluated through its
+    factors.
 
     Its rank-space core is ``transition`` (R L), ``gram`` (L^T L, or None
     when L has orthonormal columns), ``right_singular_values`` (those of
@@ -217,17 +217,17 @@ class Factorization:
     Q R_y with R_y = R_z[:, y_columns]. Otherwise Y is factored apart, Y =
     Q_y R_y, on first use. The rank-r thin SVD R_x = U diag(s) V^T (r the
     numerical rank of X at tol) gives X = W diag(s) V^T with W = Q U,
-    which is never formed, so X^+ = V diag(1/s) W^T. The thin SVD R_y V = P^ diag(t) U_y^T (``yv``) gives
-    Y V = (Q_y P^) diag(t) U_y^T. It and the r-by-r cores of the truncated
-    and projected fits are computed on first use and cached, so the exact
-    and projected fits never need Y factored. Build it with factorize() and
-    slice it with fit(name, k); residual(name, k) evaluates a rank-k fit's
-    residual from the same cached row without forming its factors.
+    which is never formed, so X^+ = V diag(1/s) W^T. The thin SVD R_y V =
+    P^ diag(t) U_y^T (``yv``) gives Y V = (Q_y P^) diag(t) U_y^T. It and
+    the r-by-r cores of the truncated and projected fits are computed on
+    first use and cached, so the projected fit never needs Y factored.
+    Build it with factorize() and slice it with fit(name, k); residual(name,
+    k) evaluates a rank-k fit's residual from the same cached row without
+    forming its factors.
     """
 
     Y: np.ndarray | None
     tol: float
-    strict: bool
     basis: QrFactors
     U: np.ndarray
     s: np.ndarray
@@ -340,8 +340,8 @@ class Factorization:
     def _keep(self, fit: str, k: int) -> int:
         """The rank that fit(fit, k) keeps: k, clamped to its row's rank,
         which covers that whole numerical column space, so larger k cannot
-        change the operator. The optimal fit warns (strict: RankGuardError)
-        when it clamps; the truncated and projected fits clamp silently."""
+        change the operator. The optimal fit warns when it clamps; the
+        truncated and projected fits clamp silently."""
         k = _check_rank_arg(k)
         rank = self._coefs(fit)[3]
         if k <= rank or fit != "optimal":
@@ -349,41 +349,31 @@ class Factorization:
         if rank == 0:
             raise RankGuardError("Y is numerically zero on the row space of X; nothing to fit")
         msg = f"requested rank {k} exceeds the numerical rank {rank} of Y V_x; clamped"
-        if self.strict:
-            raise RankGuardError(msg)
         warnings.warn(msg, RankClampWarning, stacklevel=3)
         return rank
-
-    def _fitted(self, left, right, fit: str, k: int) -> DmdOperator:
-        """The operator left @ right of fit at rank k, read-only and weakly
-        linked to this Factorization (DmdOperator.source)."""
-        op = DmdOperator(left=_read_only(left), right=_read_only(right))
-        object.__setattr__(op, "source", (weakref.ref(self), fit, k))
-        return op
-
-    def _at_size_c(self, fit: str) -> bool:
-        """Whether _residual(fit, k) needs no n-row pass: true for every fit
-        but the exact one on independent pairs before Y is factored, which
-        would factor Y just for it."""
-        return fit != "exact" or self.y_columns is not None or "_y" in self.__dict__
 
     def fit(self, name: str, k: int | None = None) -> DmdOperator:
         """The fit ``name`` ("exact", "truncated", "projected" or "optimal";
         see the module docstring) at rank k; the exact fit reads no k.
 
-        A rank-k fit is its _coefs row at the rank _keep allows, the left
-        factor basis L_k with thin_svd's column signs, set after lifting. The
-        optimal fit's rank-space core is set at size c: the transition Q_k^T
-        P_k = rows_k (Q^T Q_y P^_k); no Gram, P_k being orthonormal; the
-        singular values of Q_k, those of core_k since W and U are
-        orthonormal; and ||A||_F = ||rows_k||_F.
+        Every fit is A = (basis L_k)(R_k Q^T), read-only and weakly linked
+        to this Factorization (DmdOperator.source). A rank-k fit is its
+        _coefs row at the rank _keep allows. The exact fit A = Y X^+ = (Y V
+        diag(1/s)) W^T has basis Q_y, L = R_y V diag(1/s) and R = U^T, at k
+        = rank_x. The left factor takes thin_svd's column signs, set after
+        lifting. The optimal fit's rank-space core is set at size c: the
+        transition Q_k^T P_k = rows_k (Q^T Q_y P^_k); no Gram, P_k being
+        orthonormal; the singular values of Q_k, those of core_k since W and
+        U are orthonormal; and ||A||_F = ||rows_k||_F.
         """
         if name == "exact":
-            return self._exact()
-        k = self._keep(name, k)
-        basis, L, R, _, _ = self._coefs(name)
+            basis, L, R, k = self._y[0], self._y[1] @ (self.V / self.s), self.U.T, self.rank_x
+        else:
+            k = self._keep(name, k)
+            basis, L, R, _, _ = self._coefs(name)
         left, rows, sign = _signed(basis.lift(L[:, :k]), R[:k])
-        op = self._fitted(left, self.basis.lift_rows(rows), name, k)
+        op = DmdOperator(left=_read_only(left), right=_read_only(self.basis.lift_rows(rows)))
+        object.__setattr__(op, "source", (weakref.ref(self), name, k))
         if name == "optimal":
             op.__dict__.update(
                 transition=_read_only((rows @ self._y_basis_on_x[:, :k]) * sign),
@@ -394,21 +384,6 @@ class Factorization:
                 frobenius=float(np.linalg.norm(rows)),
             )
         return op
-
-    def _exact(self) -> DmdOperator:
-        """Unconstrained least-squares fit A = Y X^+ = (Y V diag(1/s)) W^T.
-
-        With full-column-rank X the residual ||Y - A X|| vanishes because
-        X^+ X is the identity on R^m. When Y is in the basis, Y V = Q (R_y
-        V), so the left factor is lifted from the factors, with Y unread;
-        otherwise it is formed from Y itself, which is not factored for it.
-        """
-        if self.y_columns is None:
-            left = self.Y @ (self.V / self.s)
-        else:
-            left = self.basis.lift(self._y[1] @ (self.V / self.s))
-        left, rows, _ = _signed(left, self.U.T)
-        return self._fitted(left, self.basis.lift_rows(rows), "exact", self.rank_x)
 
     @cached_property
     def span_defect(self) -> float:
@@ -462,12 +437,11 @@ class Factorization:
         """||Y - A X||_F of ``fit`` at the rank k it kept, at size c.
 
         The exact fit has A X = Y V V^T, so its residual is ||R_y - R_y V
-        V^T|| (Y is factored for it on first use). Every other fit is A =
-        basis L_k R_k Q^T, so A X = basis L_k (R R_x)_k. The optimal and
-        truncated fits have basis Q_y, and the residual is ||R_y - L_k (R
-        R_x)_k|| (the column signs a fit sets cancel in L R). The projected
-        fit has basis Q, and with B = Q^T Y the residual is hypot(||Y - Q
-        B||, ||B - L_k (R R_x)_k||).
+        V^T||. Every other fit is A = basis L_k R_k Q^T, so A X = basis L_k
+        (R R_x)_k. The optimal and truncated fits have basis Q_y, and the
+        residual is ||R_y - L_k (R R_x)_k|| (the column signs a fit sets
+        cancel in L R). The projected fit has basis Q, and with B = Q^T Y the
+        residual is hypot(||Y - Q B||, ||B - L_k (R R_x)_k||).
         """
         if fit == "exact":
             Ry = self._y[1]
@@ -479,7 +453,7 @@ class Factorization:
         return float(np.linalg.norm(self._y[1] - fitted))
 
 
-def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL, strict: bool = False) -> Factorization:
+def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL) -> Factorization:
     """The Factorization of (X, Y) that the fitters slice.
 
     Y repeats X but for the last state of each of the N trajectories of d's
@@ -490,33 +464,31 @@ def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL, strict: bool = False) ->
     (see SnapshotSet.pairs).
 
     d keeps the Factorization built for it, and a call with the same tol
-    and strict returns it again (d is read-only, so its data cannot have
-    changed), with every core it has cached. Under another tol or strict it
-    is dropped and d factored anew; d holds one at a time. Another object
-    with equal contents is factored anew.
+    returns it again (d is read-only, so its data cannot have changed), with
+    every core it has cached. Under another tol it is dropped and d
+    factored anew; d holds one at a time. Another object with equal
+    contents is factored anew.
 
     X may have any shape. When its numerical rank r is below m (always so
     when m > n) the fits act through the thresholded pseudo-inverse of its
-    rank-r part, after a RankDeficiencyWarning; strict mode raises
-    RankGuardError instead. Either happens on every call, the returned
-    Factorization's first or not.
+    rank-r part, after a RankDeficiencyWarning on every call, the returned
+    Factorization's first or not. A caller that wants such X refused turns
+    the warning into an error: warnings.simplefilter("error",
+    RankDeficiencyWarning).
 
     tol, relative to the largest singular value, must lie in [0, 1): a
     NaN, negative or larger one raises ValidationError.
     """
-    key = (_check_tol(tol), strict)
-    held = d._factorization
-    if held is None or held[0] != key:
+    _check_tol(tol)
+    fac = d._factorization
+    if fac is None or fac.tol != tol:
         # free the n-row bases held now before the new ones are built
-        del held
+        del fac
         object.__setattr__(d, "_factorization", None)
-        held = (key, _factorize(*_columns(d), tol, strict))
-        object.__setattr__(d, "_factorization", held)
-    fac = held[1]
+        object.__setattr__(d, "_factorization", _factorize(*_columns(d), tol))
+    fac = d._factorization
     if fac.rank_x < d.m:
         msg = f"X is numerically rank-deficient (rank {fac.rank_x} < m={d.m}); "
-        if strict:
-            raise RankGuardError(msg + "strict mode refuses rank-deficient X")
         warning = msg + "proceeding with a thresholded pseudo-inverse"
         warnings.warn(warning, RankDeficiencyWarning, stacklevel=2)
     return fac
@@ -534,7 +506,7 @@ def _columns(d: SnapshotSet) -> tuple:
     return d.states.reshape(N * T, n).T, x_columns, x_columns + 1, None
 
 
-def _factorize(Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Factorization:
+def _factorize(Z, x_columns, y_columns, Y, tol: float) -> Factorization:
     """The Factorization of the columns Z, X = Z[:, x_columns] among them;
     see _columns."""
     basis = qr_factor(Z, checked=True)
@@ -542,37 +514,31 @@ def _factorize(Z, x_columns, y_columns, Y, tol: float, strict: bool) -> Factoriz
     r = numerical_rank(fx.sigma, tol)
     _read_only((basis.Q1, basis.T, basis.R, x_columns, y_columns))
     U, s, V = _read_only((fx.W[:, :r], fx.sigma[:r], fx.V[:, :r]))
-    return Factorization(Y, tol, strict, basis, U, s, V, x_columns, y_columns)
+    return Factorization(Y, tol, basis, U, s, V, x_columns, y_columns)
 
 
-def fit_exact_dmd(d: SnapshotSet, tol: float = DEFAULT_TOL, strict: bool = False) -> DmdOperator:
+def fit_exact_dmd(d: SnapshotSet, tol: float = DEFAULT_TOL) -> DmdOperator:
     """Unconstrained least-squares fit A = Y X^+ (Factorization.fit)."""
-    return factorize(d, tol, strict).fit("exact")
+    return factorize(d, tol).fit("exact")
 
 
-def fit_truncated_exact_dmd(
-    d: SnapshotSet, k: int, tol: float = DEFAULT_TOL, strict: bool = False
-) -> DmdOperator:
+def fit_truncated_exact_dmd(d: SnapshotSet, k: int, tol: float = DEFAULT_TOL) -> DmdOperator:
     """Rank-k truncation of A = Y X^+ (Factorization.fit)."""
-    return factorize(d, tol, strict).fit("truncated", k)
+    return factorize(d, tol).fit("truncated", k)
 
 
-def fit_projected_dmd(
-    d: SnapshotSet, k: int, tol: float = DEFAULT_TOL, strict: bool = False
-) -> DmdOperator:
-    """Span-restricted rank-k fit (Factorization.fit)."""
-    return factorize(d, tol, strict).fit("projected", k)
+def fit_projected_dmd(d: SnapshotSet, k: int, tol: float = DEFAULT_TOL) -> DmdOperator:
+    """Span-constrained rank-k fit (Factorization.fit)."""
+    return factorize(d, tol).fit("projected", k)
 
 
-def fit_optimal_lowrank_dmd(
-    d: SnapshotSet, k: int, tol: float = DEFAULT_TOL, strict: bool = False
-) -> tuple:
+def fit_optimal_lowrank_dmd(d: SnapshotSet, k: int, tol: float = DEFAULT_TOL) -> tuple:
     """Closed-form global minimizer over rank(A) <= k (Factorization.fit).
 
     Returns (op, op), the operator twice: the benchmark harness unpacks a
     pair. The pair goes with ROADMAP item 1's harness adapter.
     """
-    op = factorize(d, tol, strict).fit("optimal", k)
+    op = factorize(d, tol).fit("optimal", k)
     return op, op
 
 
@@ -582,21 +548,16 @@ def residual_norm(op: DmdOperator, d: SnapshotSet) -> float:
     An operator that a fit returned, evaluated on the SnapshotSet it was
     fitted to while that still holds the operator's Factorization, is
     evaluated at size c from the fit's coefficients
-    (Factorization._residual); the exact fit on independent pairs only once
-    Y is factored. Any other operator or dataset is
-    evaluated through the factors, its squares summed block by block of
-    rows: A X = L (R X) with R X rho-by-m, X and Y read as SnapshotSet.pairs
-    gives them.
+    (Factorization._residual). Any other operator or dataset is evaluated
+    through the factors, its squares summed block by block of rows: A X = L
+    (R X) with R X rho-by-m, X and Y read as SnapshotSet.pairs gives them.
     """
     if op.n != d.n:
         raise ValidationError(
             f"operator dimension {op.n} does not match data dimension {d.n}"
         )
-    held = d._factorization
-    if op.source is not None and held is not None:
-        ref, fit, k = op.source
-        fac = held[1]
-        if ref() is fac and fac._at_size_c(fit):
-            return fac._residual(fit, k)
+    fac = d._factorization
+    if fac is not None and op.source is not None and op.source[0]() is fac:
+        return fac._residual(*op.source[1:])
     X, Y = d.pairs()
     return _distance(Y, op.left, op.right @ X)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,18 @@ def row_block(request, monkeypatch):
     default number of rows: small data then spans several blocks."""
     monkeypatch.setattr(linalg, "_ROW_BLOCK", request.param)
     return request.param
+
+
+def _refused(category, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", category)
+        with pytest.raises(category):
+            call()
+
+
+@pytest.fixture()
+def refused():
+    """refused(category, call): call() under warnings.simplefilter("error",
+    category), the idiom that turns a library warning into a refusal, must
+    raise the warning."""
+    return _refused

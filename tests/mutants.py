@@ -51,7 +51,7 @@ MUTANTS = [
         "M4", "solvers.py",
         'if k <= rank or fit != "optimal":',
         "if True:",
-        "the optimal fit warns (strict: raises) when it clamps k to rank(Y V)",
+        "the optimal fit warns when it clamps k to rank(Y V)",
     ),
     (
         "M5", "solvers.py",
@@ -96,6 +96,24 @@ MUTANTS = [
         "the pairs of DataMatrices(X=..., Y=...) are exactly X and Y",
     ),
     (
+        "M12", "solvers.py",
+        "basis, L, R, k = self._y[0], self._y[1] @ (self.V / self.s)",
+        "basis, L, R, k = self.basis, self._y[1] @ (self.V / self.s)",
+        "the exact fit lifts its left factor through Y's basis",
+    ),
+    (
+        "M13", "cli.py",
+        "if args.strict_rank and fac.rank_x < fac.m:",
+        "if False:",
+        "--strict-rank refuses a rank-deficient X (exit 3)",
+    ),
+    (
+        "M14", "linalg.py",
+        "        del found, Q1  # the refused p-by-q basis, before the shifted pass\n",
+        "",
+        "qr_factor frees a refused CholeskyQR2 basis before the shifted pass",
+    ),
+    (
         "F1", "solvers.py",
         "return _read_only((f.W, core, core @ self.U.T))",
         "return _read_only((thin_svd(self._y[1]).W, core, core @ self.U.T))",
@@ -103,10 +121,10 @@ MUTANTS = [
     ),
     (
         "F2", "solvers.py",
-        "    key = (_check_tol(tol), strict)\n",
+        "    _check_tol(tol)\n",
+        "    _check_tol(tol)\n"
         "    if d.m > d.n:\n"
-        '        raise ValidationError("more snapshot pairs than states")\n'
-        "    key = (_check_tol(tol), strict)\n",
+        '        raise ValidationError("more snapshot pairs than states")\n',
         "every fitter accepts m > n and fits through the rank-r part of X",
     ),
 ]

@@ -61,6 +61,10 @@ class TestGenerate:
         manifest = json.loads((toy_csv.parent / (toy_csv.name + ".manifest.json")).read_text())
         assert manifest["command"] == "generate"
         assert manifest["seed"] == 7
+        # the flags generate reads, and not the global ones it refuses
+        assert manifest["parameters"] == {
+            "seed": 7, "setting": "ii", "n": 50, "r": 30, "m": 40, "out": str(toy_csv)
+        }
         assert str(toy_csv) in manifest["outputs"]
 
     def test_requires_seed(self, tmp_path):
@@ -232,30 +236,37 @@ class TestFit:
         )
         assert code == 2
 
-    def test_strict_rank_flag_escalates_deficiency(self, tmp_path, toy_config):
+    def test_strict_rank_flag_escalates_deficiency(self, tmp_path, toy_config, capsys):
         # the single-trajectory setting yields rank-deficient X: tolerated
-        # with a warning by default, refused under --strict-rank
-        import warnings
-
+        # with a warning by default, refused under --strict-rank with no
+        # warning first (one would be an error here, and exit 1)
+        from lrdmd.errors import RankDeficiencyWarning
         from lrdmd.toybench import generate_snapshots, generate_toy_operator, data_seed_for
 
         G = generate_toy_operator(toy_config.n, toy_config.r, toy_config.seed)
         snaps = generate_snapshots(G, "i", toy_config.m, data_seed_for(toy_config.seed, "i"))
         csv_path = tmp_path / "setting_i.csv"
         save_snapshots(snaps, csv_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.warns(RankDeficiencyWarning):
             ok = main(
                 ["fit", "--input", str(csv_path), "--method", "exact", "--out", str(tmp_path / "lenient")]
             )
         assert ok == 0
-        strict = main(
-            ["--strict-rank", "fit", "--input", str(csv_path), "--method", "exact", "--out", str(tmp_path / "strict")]
-        )
-        assert strict == 3
-        # the flag may also follow the subcommand
-        args = ["fit", "--input", str(csv_path), "--method", "exact", "--strict-rank"]
-        assert main([*args, "--out", str(tmp_path / "strict_after")]) == 3
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = main(
+                ["--strict-rank", "fit", "--input", str(csv_path), "--method", "exact", "--out", str(tmp_path / "strict")]
+            )
+            assert strict == 3
+            assert capsys.readouterr().err == (
+                "numerical guard: X is numerically rank-deficient (rank 18 < m=40); "
+                "strict mode refuses rank-deficient X\n"
+            )
+            # the flag may also follow the subcommand
+            args = ["fit", "--input", str(csv_path), "--method", "exact", "--strict-rank"]
+            assert main([*args, "--out", str(tmp_path / "strict_after")]) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lenient", "setting_i.csv"]
 
     def test_global_options_after_subcommand(self, toy_csv, tmp_path):
         def svd_tol(name, before, after):
@@ -549,6 +560,14 @@ class TestRefusedArguments:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_out_is_named(self, tmp_path, monkeypatch, capsys):
+        # generate requires an output file, and the refusal names the empty
+        # value given, not the working directory it would resolve to
+        monkeypatch.chdir(tmp_path)
+        assert main(["--seed", "7", "generate", "--setting", "ii", "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: output path '' cannot be written: it is empty\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("text", ["seed = -1\n", "seed = 7\nm = 0\n", "seed = 7\noutput =\n"])
     def test_seed_and_pairs_in_config(self, tmp_path, monkeypatch, capsys, text):
         monkeypatch.chdir(tmp_path)
@@ -798,6 +817,29 @@ class TestBench:
         )
         assert main(["bench", "--config", str(cfg)]) == 0
         assert out.exists()
+
+    def test_config_run_reproduced_from_its_manifest(self, tmp_path, monkeypatch):
+        # the manifest records the resolved configuration and its seed: the
+        # flags rebuilt from it give the same CSV, byte for byte
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b.cfg").write_text("seed = 11\nn = 20\nm = 8\nr = 5\nk_values = 1..3\n")
+        assert main(["bench", "--config", "b.cfg", "--no-timing", "--out", "r.csv"]) == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        params = manifest["parameters"]
+        assert manifest["seed"] == params["seed"] == 11
+        assert params == {
+            "n": 20, "r": 5, "m": 8, "settings": ["i", "ii", "iii"], "methods": ["a", "b", "c"],
+            "k_values": [1, 2, 3], "seed": 11, "output": "r.csv", "measure_time": False,
+        }
+        flags = ["--seed", str(manifest["seed"]), "bench", "--out", "again.csv"]
+        for name in ("n", "r", "m", "settings", "methods", "k_values"):
+            value = params[name]
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags += ["--" + name.replace("_", "-"), text]
+        if not params["measure_time"]:
+            flags.append("--no-timing")
+        assert main(flags) == 0
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
     def test_flags_override_config_then_validate(self, tmp_path):
         # m = 60 in the file is valid with --n 100; it used to be refused

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lrdmd.errors import RankClampWarning, RankDeficiencyWarning, RankGuardError, ValidationError
+from lrdmd.errors import RankClampWarning, RankDeficiencyWarning, ValidationError
 from lrdmd.linalg import (
     CHOLQR_MIN_RATIO,
     _cholesky_qr2,
@@ -23,10 +25,10 @@ def fitted_pinv(M):
     return (op.left @ op.right)[:m]
 
 
-def dominant_basis(Y, k, strict=False):
+def dominant_basis(Y, k):
     """Top-k left singular basis of Y, as the P of the optimal fit on X = I
     (then Y V_x = Y up to the column signs of V_x)."""
-    _, factors = fit_optimal_lowrank_dmd(DataMatrices(X=np.eye(*Y.shape), Y=Y), k, strict=strict)
+    _, factors = fit_optimal_lowrank_dmd(DataMatrices(X=np.eye(*Y.shape), Y=Y), k)
     return factors.P
 
 
@@ -178,6 +180,29 @@ class TestThinSvd:
         M = svd_case(case)
         assert _cholesky_qr2(M, M.T @ M, CHOLQR_MIN_RATIO) is None
 
+    def test_refused_basis_freed_before_shifted_pass(self):
+        # kappa = 10^6.5: unshifted CholeskyQR2 forms a p-by-q basis whose R
+        # then fails the sigma check, and the shifted pass takes over. The
+        # refused basis is freed first, so the peak holds two p-by-q
+        # matrices (Q0 and its basis), not three.
+        rng = np.random.default_rng(8)
+        U, _ = np.linalg.qr(rng.standard_normal((4000, 40)))
+        V, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        M = (U * np.logspace(0, -6.5, 40)) @ V.T
+        del U
+        Q, R2, R1 = _cholesky_qr2(M, M.T @ M, CHOLQR_MIN_RATIO)
+        s = np.linalg.svd(R2 @ R1, compute_uv=False)
+        assert s[-1] < CHOLQR_MIN_RATIO * s[0]
+        del Q
+        tracemalloc.start()
+        try:
+            f = qr_factor(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.T is not None  # a Cholesky route, and the shifted one
+        assert peak <= 2.5 * M.nbytes
+
 
 class TestPseudoInverse:
     """The Moore-Penrose inverse X^+ that the exact fit applies."""
@@ -246,13 +271,12 @@ class TestTopLeftSingularBasis:
         P = dominant_basis(rng.standard_normal((10, 6)), 4)
         assert np.linalg.norm(P.T @ P - np.eye(4)) < 1e-10
 
-    def test_rank_guard(self, rng):
+    def test_rank_guard(self, rng, refused):
         base = rng.standard_normal((5, 2))
         Y = np.column_stack([base, base @ rng.standard_normal((2, 2))])  # rank 2
         with pytest.warns(RankClampWarning):
             assert dominant_basis(Y, 3).shape == (5, 2)
-        with pytest.raises(RankGuardError):
-            dominant_basis(Y, 3, strict=True)
+        refused(RankClampWarning, lambda: dominant_basis(Y, 3))
 
     def test_accurate_below_gram_noise_floor(self, rng):
         # directions with sigma ~ 1e-8 * sigma_max vanish when the spectrum
@@ -264,14 +288,13 @@ class TestTopLeftSingularBasis:
         assert np.linalg.norm(P.T @ P - np.eye(3)) < 1e-10
         assert np.linalg.norm(P @ P.T - U[:, :3] @ U[:, :3].T) < 1e-6
 
-    def test_rejects_wide(self):
-        # a wide X never has full column rank: a warning, or under strict
-        # mode a refusal
+    def test_wide_warns_or_is_refused_by_filter(self, refused):
+        # a wide X never has full column rank: a warning, or a refusal
+        # under a filter that makes the warning an error
         Y = np.arange(10.0).reshape(2, 5)
         with pytest.warns(RankDeficiencyWarning):
             dominant_basis(Y, 1)
-        with pytest.raises(RankGuardError):
-            dominant_basis(Y, 1, strict=True)
+        refused(RankDeficiencyWarning, lambda: dominant_basis(Y, 1))
 
 
 class TestTruncateRank:

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from lrdmd.errors import (
     RankClampWarning,
     RankDeficiencyWarning,
-    RankGuardError,
     ValidationError,
 )
 from lrdmd.linalg import qr_factor, thin_svd
@@ -66,16 +65,15 @@ class TestExactDmd:
         op = fit_exact_dmd(d)
         assert lifted_residual(op, d) < 1e-8 * np.linalg.norm(d.Y)
 
-    def test_rank_deficient_warns(self, rng):
+    def test_rank_deficient_warns(self, rng, refused):
         base = rng.standard_normal((6, 2))
         X = np.column_stack([base, base.sum(axis=1)])
         d = DataMatrices(X=X, Y=rng.standard_normal((6, 3)))
         with pytest.warns(RankDeficiencyWarning):
             fit_exact_dmd(d)
-        with pytest.raises(RankGuardError):
-            fit_exact_dmd(d, strict=True)
+        refused(RankDeficiencyWarning, lambda: fit_exact_dmd(d))
 
-    def test_accepts_wide_data(self, rng):
+    def test_accepts_wide_data(self, rng, refused):
         # more snapshot pairs than states: X^+ = X^T (X X^T)^-1 and the fit
         # is the dense least-squares solution Y X^+
         d = DataMatrices(X=rng.standard_normal((3, 5)), Y=rng.standard_normal((3, 5)))
@@ -83,8 +81,7 @@ class TestExactDmd:
             op = fit_exact_dmd(d)
         dense = d.Y @ np.linalg.pinv(d.X)
         assert_allclose(op.left @ op.right, dense, atol=1e-12 * np.linalg.norm(dense))
-        with pytest.raises(RankGuardError):
-            fit_exact_dmd(d, strict=True)
+        refused(RankDeficiencyWarning, lambda: fit_exact_dmd(d))
 
     @pytest.mark.parametrize("seed", range(1, 11))
     @pytest.mark.parametrize("setting", ["i", "ii", "iii"])
@@ -264,7 +261,7 @@ class TestOptimalLowRankDmd:
             residuals.append(lifted_residual(op, d))
         assert all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
 
-    def test_clamp_beyond_rank_of_y(self, rng):
+    def test_clamp_beyond_rank_of_y(self, rng, refused):
         X = rng.standard_normal((8, 5))
         Y_low = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 5))  # rank 2
         d = DataMatrices(X=X, Y=Y_low)
@@ -272,8 +269,7 @@ class TestOptimalLowRankDmd:
             clamped, _ = fit_optimal_lowrank_dmd(d, 4)
         plain, _ = fit_optimal_lowrank_dmd(d, 2)
         assert np.array_equal(clamped.left @ clamped.right, plain.left @ plain.right)
-        with pytest.raises(RankGuardError):
-            fit_optimal_lowrank_dmd(d, 4, strict=True)
+        refused(RankClampWarning, lambda: fit_optimal_lowrank_dmd(d, 4))
 
     @pytest.mark.parametrize("setting", ["i", "ii", "iii"])
     def test_eckart_young_certificate(self, toy_config, full_bench_result, setting):
@@ -299,7 +295,7 @@ class TestOptimalLowRankDmd:
             assert abs(row.residual - certificate) <= 1e-12 * np.linalg.norm(d.Y)
             assert abs(from_factors - certificate) <= 1e-12 * np.linalg.norm(d.Y)
 
-    def test_certified_residual_with_rank_deficient_x(self, rng):
+    def test_certified_residual_with_rank_deficient_x(self, rng, refused):
         # rank(X) = 4 < m: part of Y lies outside the row space of X and
         # bounds every fit from below
         X = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 8))
@@ -313,12 +309,12 @@ class TestOptimalLowRankDmd:
         for k in range(1, 5):
             op = fac.fit("optimal", k)
             assert abs(fac.certified_residual(k) - lifted_residual(op, d)) < 1e-12 * np.linalg.norm(d.Y)
-        # the clamp of optimal(k): k above rank(Y V_x) = 4 warns, or under strict raises
+        # the clamp of optimal(k): k above rank(Y V_x) = 4 warns, or raises
+        # under a filter that makes the warning an error
         with pytest.warns(RankClampWarning):
             assert fac.certified_residual(6) == fac.certified_residual(4)
         full = DataMatrices(X=rng.standard_normal((8, 5)), Y=d.Y[:8, :2] @ rng.standard_normal((2, 5)))
-        with pytest.raises(RankGuardError):
-            factorize(full, strict=True).certified_residual(3)
+        refused(RankClampWarning, lambda: factorize(full).certified_residual(3))
 
     @pytest.mark.parametrize("fit", ["exact", "truncated", "projected"])
     def test_numerically_zero_x_gives_rank_zero_fit(self, fit):
@@ -556,9 +552,10 @@ class TestCompressedFactorization:
     def test_pairs_factor_y_on_first_use(self, count_tall_factorizations):
         d = random_data(10, n=400, m=30)
         fac = factorize(d)
-        fac.fit("exact"), fac.fit("projected", 5), fac.span_defect
+        fac.fit("projected", 5), fac.span_defect
         assert count_tall_factorizations == [(400, 30)]
-        fac.fit("optimal", 5), fac.fit("truncated", 5), fac.certified_residual(5)
+        fac.fit("exact"), fac.fit("optimal", 5), fac.fit("truncated", 5)
+        fac.certified_residual(5)
         assert count_tall_factorizations == [(400, 30), (400, 30)]
 
     @pytest.mark.parametrize("steps, shared", [(4, False), (5, True)])
@@ -754,7 +751,7 @@ class TestResidualFromCoefficients:
         shared = factorize(trajectories(2, 4, 6))
         assert shared.y_columns is not None and shared._outside == 0.0
 
-    def test_optimal_clamp_and_unknown_fit(self, rng):
+    def test_optimal_clamp_and_unknown_fit(self, rng, refused):
         X = rng.standard_normal((8, 5))
         d = DataMatrices(X=X, Y=rng.standard_normal((8, 2)) @ rng.standard_normal((2, 5)))
         fac = factorize(d)
@@ -762,10 +759,8 @@ class TestResidualFromCoefficients:
             assert fac.residual("optimal", 4) == fac.residual("optimal", 2)
         with pytest.warns(RankClampWarning):
             assert fac.fit("optimal", 4).source[2] == 2
-        strict = factorize(d, strict=True)
-        for evaluate in (strict.residual, strict.fit):
-            with pytest.raises(RankGuardError):
-                evaluate("optimal", 4)
+        for evaluate in (fac.residual, fac.fit):
+            refused(RankClampWarning, lambda: evaluate("optimal", 4))
         # truncated and projected keep min(k, rank), as their slices do
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -812,7 +807,7 @@ class TestFactorizationReuse:
 
     def test_independent_pairs_factor_x_then_y_once(self, count_tall_factorizations):
         d = random_data(10, n=400, m=30)
-        fit_exact_dmd(d), fit_projected_dmd(d, 5)
+        fit_projected_dmd(d, 5)
         assert count_tall_factorizations == [(400, 30)]
         fit_all(d), fit_all(d, 7)
         assert count_tall_factorizations == [(400, 30), (400, 30)]
@@ -820,13 +815,12 @@ class TestFactorizationReuse:
     def test_new_key_or_new_object_factors_anew(self, count_tall_factorizations):
         d = trajectories(9, 4, 26, n=400)
         fac = factorize(d)
-        others = [factorize(d, tol=1e-10), factorize(d, strict=True),
-                  factorize(DataMatrices(X=d.X, Y=d.Y))]
+        others = [factorize(d, tol=1e-10), factorize(DataMatrices(X=d.X, Y=d.Y))]
         assert all(other is not fac for other in others)
-        assert len(count_tall_factorizations) == 4
-        # d holds one Factorization: the strict one replaced its first
+        assert len(count_tall_factorizations) == 3
+        # d holds one Factorization: the one at 1e-10 replaced its first
         assert factorize(d) is not fac
-        assert len(count_tall_factorizations) == 5
+        assert len(count_tall_factorizations) == 4
 
     @pytest.mark.parametrize("case", ["four-trajectories", "independent-pairs"])
     def test_warm_results_bit_identical_to_cold(self, case):
@@ -849,11 +843,46 @@ class TestFactorizationReuse:
                      lambda: fit_optimal_lowrank_dmd(d, 2), lambda: factorize(d)):
             with pytest.warns(RankDeficiencyWarning, match="rank 4 < m=8"):
                 call()
-        for _ in range(3):
-            with pytest.raises(RankGuardError, match="rank 4 < m=8"):
-                fit_projected_dmd(d, 2, strict=True)
-        # X, then Y for the optimal fit, then X again under strict's own key
-        assert count_tall_factorizations == [(12, 8)] * 3
+        # the refusal is the warning made an error, at the same key: d keeps
+        # its Factorization, and X is not factored again
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficiencyWarning)
+            for _ in range(3):
+                with pytest.raises(RankDeficiencyWarning, match="rank 4 < m=8"):
+                    fit_projected_dmd(d, 2)
+        # X, then Y for the exact fit
+        assert count_tall_factorizations == [(12, 8)] * 2
+
+    @pytest.mark.parametrize("case", ["four-trajectories", "independent-pairs", "rank-deficient-12x8"])
+    def test_one_factorization_per_tol_whatever_the_fits(
+        self, case, count_tall_factorizations, count_row_passes, refused
+    ):
+        # at one tol, no fit, clamp or refusal replaces d's Factorization,
+        # and an operator fitted first keeps its residual at size c
+        d = COMPRESSION_CASES[case][0]()
+        k = min(d.n, d.m) + 1  # past every rank: the optimal fit clamps
+        steps = [
+            lambda: fit_optimal_lowrank_dmd(d, k),
+            lambda: refused(RankClampWarning, lambda: fit_optimal_lowrank_dmd(d, k)),
+            lambda: fit_projected_dmd(d, 3),
+            lambda: fit_truncated_exact_dmd(d, k),
+            lambda: fit_exact_dmd(d),
+            lambda: fit_all(d, 2),
+        ]
+        if case == "rank-deficient-12x8":
+            steps.insert(2, lambda: refused(RankDeficiencyWarning, lambda: fit_projected_dmd(d, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fac = factorize(d)
+            first = fit_exact_dmd(d)
+            want = residual_norm(first, d)
+            built = len(count_tall_factorizations)
+            for step in steps:
+                step()
+                assert residual_norm(first, d) == want
+                assert factorize(d) is fac
+        assert len(count_tall_factorizations) == built
+        assert count_row_passes == []
 
     def test_interleaved_datasets_factored_once_each(self, count_tall_factorizations):
         a = trajectories(9, 4, 26, n=400)  # one basis for X and Y
@@ -867,11 +896,10 @@ class TestFactorizationReuse:
         try:
             d = trajectories(9, 4, 26, n=400)
             built = []
-            for key in ((1e-12, False), (1e-10, False), (1e-10, True), (1e-12, False)):
-                fac = factorize(d, *key)
+            for tol in (1e-12, 1e-10, 1e-11, 1e-12):
+                fac = factorize(d, tol)
                 built.append(weakref.ref(fac))
-                held_key, held = d._factorization
-                assert held_key == key and held is fac
+                assert d._factorization is fac and fac.tol == tol
                 del fac
                 # the one it replaced is freed with its n-row bases
                 assert [ref() is not None for ref in built] == [False] * (len(built) - 1) + [True]
@@ -1045,16 +1073,17 @@ class TestResidualFromFactorization:
         finally:
             gc.enable()
 
-    def test_exact_fit_factors_no_y_for_its_residual(self, count_tall_factorizations, count_row_passes):
+    def test_exact_fit_lifts_through_y_basis(self, count_tall_factorizations, count_row_passes):
         calls = count_row_passes
         d = random_data(16, n=400, m=30)  # independent pairs: Y has its own basis
         op = fit_exact_dmd(d)
-        by_rows = residual_norm(op, d)
-        assert count_tall_factorizations == [d.X.shape]
-        assert calls == [d.Y.shape]
-        # once a fit has factored Y, the exact residual is taken at size c
-        fit_optimal_lowrank_dmd(d, 5)
+        # the exact fit factors Y, as every fit but the projected one does,
+        # and its residual is taken at size c, with no n-row pass
         assert count_tall_factorizations == [d.X.shape, d.Y.shape]
         at_size_c = residual_norm(op, d)
+        assert calls == []
+        by_rows = lifted_residual(op, d)
         assert calls == [d.Y.shape]
         assert abs(at_size_c - by_rows) <= 1e-12 * np.linalg.norm(d.Y)
+        dense = d.Y @ np.linalg.pinv(d.X)
+        assert_allclose(op.left @ op.right, dense, atol=1e-12 * np.linalg.norm(dense))
