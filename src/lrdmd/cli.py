@@ -6,7 +6,7 @@ parameters, seed, paths, and library version, so any output can be
 reproduced from its manifest.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input or usage,
-3 numerical guard (rank guard, trajectory overflow).
+3 numerical guard (a rank the data cannot support, trajectory overflow).
 """
 
 import argparse
@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalGuardError, RankDeficiencyWarning, RankGuardError, ValidationError
+from .errors import NumericalGuardError, RankClampWarning, RankDeficiencyWarning, ValidationError
 from .linalg import DEFAULT_TOL, _check_tol
 from .modes import _check_horizon, _check_theta, amplitudes, compute_modes, verify_eigenpairs
 from .rom import reconstruct_from_modes, save_trajectory, simulate_full
-from .snapshots import load_snapshots, read_numeric_rows, save_snapshots, write_csv_rows
+from .snapshots import load_snapshots, read_numeric_rows, save_csv, save_snapshots
 from .solvers import _check_rank_arg, factorize, residual_norm
 from .toybench import (
     RNG_NAME,
@@ -39,23 +39,6 @@ from .toybench import (
 )
 
 VARIANT_NAMES = {"as-stated": "as_stated", "exact": "exact_reconstruction"}
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_matrix_csv(path: Path, M: np.ndarray, header: str = "", lead=None) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(header)
-        write_csv_rows(fh, M, lead)
-
-
-def _write_keyvalue_csv(path: Path, pairs) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write("key,value\n")
-        for key, value in pairs:
-            fh.write(f"{key},{value}\n")
 
 
 def _load_theta(spec: str, snaps) -> np.ndarray:
@@ -82,34 +65,13 @@ def _read(args):
     return load_snapshots(args.input)
 
 
-def _factorize(args, snaps, rank=None):
-    """The Factorization of snaps at --svd-tol, with the CLI's two rank
-    refusals (RankGuardError, exit 3) where the library warns: under
-    --strict-rank, X without full column rank, with no warning printed;
-    and an optimal fit of a ``rank`` above the numerical rank of Y V_x."""
-    with warnings.catch_warnings():
-        if args.strict_rank:
-            warnings.simplefilter("ignore", RankDeficiencyWarning)
-        fac = factorize(snaps, args.svd_tol)
-    if args.strict_rank and fac.rank_x < fac.m:
-        raise RankGuardError(
-            f"X is numerically rank-deficient (rank {fac.rank_x} < m={fac.m}); "
-            "strict mode refuses rank-deficient X"
-        )
-    if rank is not None and rank > fac.rank_y:
-        raise RankGuardError(
-            f"requested rank {rank} exceeds the numerical rank of Y ({fac.rank_y}) "
-            f"on the row space of X; choose a rank <= {fac.rank_y}"
-        )
-    return fac
-
-
 def _fit(args):
     """(snapshots, theta, Factorization, operator) of fit, modes and
     simulate, in this order: the flag checks, before the snapshot file is
-    read; the read; theta (modes and simulate); the factorization and its
-    refusals (_factorize); the fit named by --method (optimal for modes and
-    simulate).
+    read; the read; theta (modes and simulate); the factorization at
+    --svd-tol; the fit named by --method (optimal for modes and simulate).
+    The library's rank warnings become refusals in main: a rank-deficient
+    X under --strict-rank, and an optimal --rank above rank(Y V_x).
     """
     method = getattr(args, "method", "optimal")
     if method != "exact":
@@ -122,7 +84,7 @@ def _fit(args):
     _check_out(args.out, directory=True)
     snaps = _read(args)
     theta = _load_theta(args.theta, snaps) if "theta" in args else None
-    fac = _factorize(args, snaps, args.rank if method == "optimal" else None)
+    fac = factorize(snaps, args.svd_tol)
     return snaps, theta, fac, fac.fit(method, args.rank)
 
 
@@ -185,28 +147,26 @@ def cmd_fit(args) -> int:
     norm_y = snaps.norm_y
     out_dir = _make_out(args.out, directory=True)
     outputs = [out_dir / "left.csv", out_dir / "right.csv", out_dir / "summary.csv"]
-    _write_matrix_csv(outputs[0], op.left)
-    _write_matrix_csv(outputs[1], op.right)
+    save_csv(outputs[0], op.left)
+    save_csv(outputs[1], op.right)
     certified = []
     if args.method == "optimal":
-        certified = [("certified_residual", _fmt(fac.certified_residual(requested)))]
-    _write_keyvalue_csv(
-        outputs[2],
-        [
-            ("method", args.method),
-            ("requested_rank", requested),
-            ("declared_rank", op.declared_rank),
-            ("residual", _fmt(res)),
-            *certified,
-            ("residual_relative", _fmt(res / norm_y if norm_y else 0.0)),
-            ("norm_y", _fmt(norm_y)),
-            ("n", snaps.n),
-            ("m", snaps.m),
-            ("rank_x", fac.rank_x),
-            ("rank_y", fac.rank_y),
-            ("svd_tol", _fmt(args.svd_tol)),
-        ],
-    )
+        certified = [("certified_residual", fac.certified_residual(requested))]
+    rows = [
+        ("method", args.method),
+        ("requested_rank", requested),
+        ("declared_rank", op.declared_rank),
+        ("residual", res),
+        *certified,
+        ("residual_relative", res / norm_y if norm_y else 0.0),
+        ("norm_y", norm_y),
+        ("n", snaps.n),
+        ("m", snaps.m),
+        ("rank_x", fac.rank_x),
+        ("rank_y", fac.rank_y),
+        ("svd_tol", args.svd_tol),
+    ]
+    save_csv(outputs[2], rows, "key,value")
     summary = f"method={args.method} rank={op.declared_rank} residual={res:.6e}"
     return _finish(args, outputs, summary, out_dir / "manifest.json")
 
@@ -224,28 +184,19 @@ def cmd_modes(args) -> int:
         for a in (mode_set.eigenvalues, mode_set.modes, schedule.values)
     )
     out_dir = _make_out(args.out, directory=True)
-    eig_path = out_dir / "eigenvalues.csv"
-    _write_matrix_csv(eig_path, eigenvalues[:, None], "lambda_re,lambda_im\n")
-    modes_path = out_dir / "modes.csv"
-    _write_matrix_csv(
-        modes_path, modes, ",".join(f"mode{i}_re,mode{i}_im" for i in range(k)) + "\n"
-    )
-    amp_path = out_dir / "amplitudes.csv"
-    _write_matrix_csv(
-        amp_path,
-        amps,
-        "t," + ",".join(f"amp{i}_re,amp{i}_im" for i in range(k)) + "\n",
-        map(str, range(1, amps.shape[0] + 1)),
-    )
-    resid_path = out_dir / "eigenpair_residuals.csv"
-    with resid_path.open("w", newline="") as fh:
-        fh.write("mode,lambda_re,lambda_im,residual,tolerance,passed\n")
-        for i in range(k):
-            fh.write(
-                f"{i},{_fmt(mode_set.eigenvalues[i].real)},{_fmt(mode_set.eigenvalues[i].imag)},"
-                f"{_fmt(report.residuals[i])},{_fmt(report.tolerance)},{report.passed[i]}\n"
-            )
-    outputs = [eig_path, modes_path, amp_path, resid_path]
+    outputs = [
+        out_dir / f"{name}.csv"
+        for name in ("eigenvalues", "modes", "amplitudes", "eigenpair_residuals")
+    ]
+    save_csv(outputs[0], eigenvalues[:, None], "lambda_re,lambda_im")
+    save_csv(outputs[1], modes, ",".join(f"mode{i}_re,mode{i}_im" for i in range(k)))
+    header = "t," + ",".join(f"amp{i}_re,amp{i}_im" for i in range(k))
+    save_csv(outputs[2], amps, header, map(str, range(1, amps.shape[0] + 1)))
+    residuals = [
+        (i, lam.real, lam.imag, res, report.tolerance, ok)
+        for i, (lam, res, ok) in enumerate(zip(eigenvalues, report.residuals, report.passed))
+    ]
+    save_csv(outputs[3], residuals, "mode,lambda_re,lambda_im,residual,tolerance,passed")
     summary = f"variant={args.variant} k={k} max_eigenpair_residual={report.max_residual:.6e}"
     return _finish(args, outputs, summary, out_dir / "manifest.json")
 
@@ -257,10 +208,10 @@ def cmd_simulate(args) -> int:
     else:
         mode_set = compute_modes(op, "exact_reconstruction", tol=args.svd_tol)
         schedule = amplitudes(mode_set, theta, args.horizon)
-        traj = reconstruct_from_modes(mode_set, schedule)
-        if args.stride > 1:
-            keep = slice(None, None, args.stride)
-            traj = dataclasses.replace(traj, states=traj.states[keep], times=traj.times[keep])
+        # only the kept steps are expanded to n-vectors
+        kept = dataclasses.replace(schedule, values=schedule.values[:: args.stride])
+        traj = reconstruct_from_modes(mode_set, kept)
+        traj = dataclasses.replace(traj, times=np.arange(1, args.horizon + 1, args.stride))
     out_dir = _make_out(args.out, directory=True)
     traj_path = out_dir / "trajectory.csv"
     save_trajectory(traj, traj_path)
@@ -298,15 +249,17 @@ def cmd_validate(args) -> int:
     """Print the rank diagnostics of --input: which of the solvers' cases
     applies. They accept any shape and rank; when X lacks full column rank
     (always so when m > n) they fit through its rank-r part and warn, and
-    --strict-rank refuses it (exit 3), here as in fit. Optimal fits are
-    capped at the rank of Y V_x, that of Y when X has full column rank."""
+    --strict-rank refuses it (exit 3), here as in fit: only without the flag
+    is the RankDeficiencyWarning ignored. Optimal fits are capped at the
+    rank of Y V_x, that of Y when X has full column rank."""
     snaps = _read(args)
     # one factorization gives rank(X), rank(Y) from R_y and the span
     # defect; a rank-deficient X is part of the diagnosis, so it raises no
-    # warning
+    # warning, but --strict-rank still refuses it
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        fac = _factorize(args, snaps)
+        if not args.strict_rank:
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+        fac = factorize(snaps, args.svd_tol)
     rows = [
         ("n (state dimension)", fac.n),
         ("m (snapshot pairs)", fac.m),
@@ -426,11 +379,19 @@ def main(argv=None) -> int:
             if getattr(args, name) != _GLOBAL_DEFAULTS[name]:
                 flag = "--" + name.replace("_", "-")
                 raise ValidationError(f"{args.command} does not read {flag}; leave it out")
-        return args.func(args)
+        # where the library warns about rank, the CLI refuses (exit 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankClampWarning)
+            if args.strict_rank:
+                warnings.simplefilter("error", RankDeficiencyWarning)
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalGuardError as exc:
+    except RankDeficiencyWarning as exc:
+        print(f"numerical guard: {exc}; strict mode refuses rank-deficient X", file=sys.stderr)
+        return 3
+    except (NumericalGuardError, RankClampWarning) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     except Exception:  # pragma: no cover - defensive

@@ -2,7 +2,9 @@
 
 Two error families matter for the CLI exit-code contract: ValidationError
 (bad input or usage, exit 2) and NumericalGuardError (a numerical safety
-guard tripped, exit 3). Anything else is an internal error (exit 1).
+guard tripped, exit 3). The CLI also exits 3 on a RankClampWarning, and
+on a RankDeficiencyWarning under --strict-rank, which it turns into errors.
+Anything else is an internal error (exit 1).
 """
 
 
@@ -31,11 +33,13 @@ class OverflowGuardError(NumericalGuardError):
 
 
 class RankDeficiencyWarning(UserWarning):
-    """Data matrix is numerically rank-deficient; thresholded inverse used."""
+    """X is numerically rank-deficient: the fits then act through the
+    thresholded pseudo-inverse of its rank-r part."""
 
 
 class RankClampWarning(UserWarning):
-    """Requested rank exceeded the usable rank and was clamped."""
+    """An optimal fit's requested rank exceeds the numerical rank of Y V_x:
+    the fit then clamps it to that rank."""
 
 
 class DegenerateModeWarning(UserWarning):
@@ -43,4 +47,6 @@ class DegenerateModeWarning(UserWarning):
 
 
 class ReconstructionWarning(UserWarning):
-    """Modal reconstruction produced a non-negligible imaginary part."""
+    """Modal reconstruction produced a non-negligible imaginary part, judged
+    over the steps it expanded: for ``lrdmd simulate --path modal --stride``
+    the written steps alone."""

@@ -18,14 +18,13 @@ exceeds the overflow limit aborts the run with OverflowGuardError.
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .errors import OverflowGuardError, ReconstructionWarning, ValidationError
 from .modes import AmplitudeSchedule, DmdModes, _check_horizon, _check_theta
-from .snapshots import write_csv_rows
+from .snapshots import save_csv
 from .solvers import DmdOperator
 
 OVERFLOW_LIMIT = 1e150
@@ -104,7 +103,5 @@ def reconstruct_from_modes(modes: DmdModes, amps: AmplitudeSchedule) -> RomTraje
 
 def save_trajectory(traj: RomTrajectory, path) -> None:
     """Write a trajectory CSV: header t,x0,...,x{n-1}, one row per kept step."""
-    n = traj.states.shape[1]
-    with Path(path).open("w", newline="") as fh:
-        fh.write("t," + ",".join(f"x{j}" for j in range(n)) + "\n")
-        write_csv_rows(fh, traj.states, (str(int(t)) for t in traj.times))
+    header = "t," + ",".join(f"x{j}" for j in range(traj.states.shape[1]))
+    save_csv(path, traj.states, header, (str(int(t)) for t in traj.times))

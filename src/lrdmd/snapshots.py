@@ -5,8 +5,8 @@ Snapshot CSV format: header ``traj_id,t,x0,x1,...,x{n-1}``, one row per
 (trajectory, time) pair. Trajectory ids are 1..N and time indices 1..T;
 rows may appear in any order but must tile the complete N-by-T grid.
 The body is parsed by numpy's C parser (read_numeric_rows) and checked
-array-at-a-time. Every numeric CSV the package writes goes through
-write_csv_rows, which writes each float as its shortest round-trip repr.
+array-at-a-time. Every CSV the package writes goes through save_csv,
+which writes each float as its shortest round-trip repr.
 """
 
 import csv
@@ -295,30 +295,40 @@ def load_snapshots(path) -> SnapshotSet:
     return SnapshotSet(states=states)
 
 
-def write_csv_rows(fh, M: np.ndarray, lead=None) -> None:
-    """Write the rows of a 2-D array to ``fh`` as CSV lines.
+def save_csv(path, rows, header=None, lead=None) -> None:
+    """Write a CSV file: the ``header`` line, when given, then the rows.
 
-    Each cell is repr() of a Python float, the shortest string that reads
-    back bit-exactly; a complex entry is written as two cells, re then im.
+    ``rows`` is a float or complex array, whose rows are written as they
+    are (a vector is one row), or rows of mixed cells. Each float is repr()
+    of a Python float, the shortest string that reads back bit-exactly; a
+    complex entry is two cells, re then im; any other cell is its str().
     ``lead``, when given, yields one prefix per row (such as "traj_id,t"),
     written as the leading cell(s). Rows are streamed, not joined in memory.
     """
-    M = np.atleast_2d(M)
-    if np.iscomplexobj(M):
-        M = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
+    if isinstance(rows, np.ndarray):
+        M = np.atleast_2d(rows)
+        if np.iscomplexobj(M):
+            M = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)
+        else:
+            M = M.astype(np.float64, copy=False)
+        cells = (",".join(map(repr, row.tolist())) for row in M)
     else:
-        M = M.astype(np.float64, copy=False)
-    cells = (",".join(map(repr, row.tolist())) for row in M)
-    if lead is None:
-        fh.writelines(f"{c}\n" for c in cells)
-    else:
-        fh.writelines(f"{p},{c}\n" for p, c in zip(lead, cells))
+        cells = (
+            ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+            for row in rows
+        )
+    with Path(path).open("w", newline="") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        if lead is None:
+            fh.writelines(f"{c}\n" for c in cells)
+        else:
+            fh.writelines(f"{p},{c}\n" for p, c in zip(lead, cells))
 
 
 def save_snapshots(s: SnapshotSet, path) -> None:
     """Write a SnapshotSet as CSV; load_snapshots round-trips it bit-exactly."""
     N, T = s.num_trajectories, s.num_snapshots
-    with Path(path).open("w", newline="") as fh:
-        fh.write("traj_id,t," + ",".join(f"x{j}" for j in range(s.n)) + "\n")
-        keys = (f"{i + 1},{t + 1}" for i in range(N) for t in range(T))
-        write_csv_rows(fh, s.states.reshape(N * T, s.n), keys)
+    header = "traj_id,t," + ",".join(f"x{j}" for j in range(s.n))
+    keys = (f"{i + 1},{t + 1}" for i in range(N) for t in range(T))
+    save_csv(path, s.states.reshape(N * T, s.n), header, keys)

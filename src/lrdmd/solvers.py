@@ -348,7 +348,10 @@ class Factorization:
             return min(k, rank)
         if rank == 0:
             raise RankGuardError("Y is numerically zero on the row space of X; nothing to fit")
-        msg = f"requested rank {k} exceeds the numerical rank {rank} of Y V_x; clamped"
+        msg = (
+            f"requested rank {k} exceeds the numerical rank of Y ({rank}) on the row "
+            f"space of X; choose a rank <= {rank}"
+        )
         warnings.warn(msg, RankClampWarning, stacklevel=3)
         return rank
 
@@ -488,9 +491,8 @@ def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL) -> Factorization:
         object.__setattr__(d, "_factorization", _factorize(*_columns(d), tol))
     fac = d._factorization
     if fac.rank_x < d.m:
-        msg = f"X is numerically rank-deficient (rank {fac.rank_x} < m={d.m}); "
-        warning = msg + "proceeding with a thresholded pseudo-inverse"
-        warnings.warn(warning, RankDeficiencyWarning, stacklevel=2)
+        msg = f"X is numerically rank-deficient (rank {fac.rank_x} < m={d.m})"
+        warnings.warn(msg, RankDeficiencyWarning, stacklevel=2)
     return fac
 
 

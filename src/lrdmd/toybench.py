@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .snapshots import SnapshotSet, write_csv_rows
+from .snapshots import SnapshotSet, save_csv
 from .solvers import Factorization, factorize
 
 SETTINGS = ("i", "ii", "iii")
@@ -220,13 +220,11 @@ def run_benchmark(cfg: BenchConfig) -> tuple:
 
 def write_result_csv(rows, path) -> None:
     """Write BenchRows as the result CSV, one line per row under RESULT_HEADER."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(RESULT_HEADER + "\n")
-        write_csv_rows(
-            fh,
-            np.array([(r.residual, r.companion_residual, r.wall_time_ms) for r in rows]),
-            (f"{r.setting},{r.method},{r.k}" for r in rows),
-        )
+    cells = (
+        (r.setting, r.method, r.k, r.residual, r.companion_residual, r.wall_time_ms)
+        for r in rows
+    )
+    save_csv(path, cells, RESULT_HEADER)
 
 
 def _parse_int_list(text: str):

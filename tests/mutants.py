@@ -103,7 +103,7 @@ MUTANTS = [
     ),
     (
         "M13", "cli.py",
-        "if args.strict_rank and fac.rank_x < fac.m:",
+        "if args.strict_rank:",
         "if False:",
         "--strict-rank refuses a rank-deficient X (exit 3)",
     ),
@@ -112,6 +112,30 @@ MUTANTS = [
         "        del found, Q1  # the refused p-by-q basis, before the shifted pass\n",
         "",
         "qr_factor frees a refused CholeskyQR2 basis before the shifted pass",
+    ),
+    (
+        "M15", "cli.py",
+        '            warnings.simplefilter("error", RankClampWarning)\n',
+        "",
+        "the CLI refuses an optimal rank above rank(Y V_x) (exit 3)",
+    ),
+    (
+        "M16", "cli.py",
+        "if not args.strict_rank:",
+        "if True:",
+        "validate under --strict-rank refuses a rank-deficient X (exit 3)",
+    ),
+    (
+        "M17", "snapshots.py",
+        "M = np.ascontiguousarray(M, dtype=np.complex128).view(np.float64)",
+        "M = M.real.astype(np.float64)",
+        "the CSV writer writes a complex entry as two cells, re then im",
+    ),
+    (
+        "M18", "snapshots.py",
+        '            fh.write(header + "\\n")\n',
+        "            pass\n",
+        "the CSV writer writes the header line first",
     ),
     (
         "F1", "solvers.py",

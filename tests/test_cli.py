@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 import lrdmd.cli
 import lrdmd.solvers
 from lrdmd.cli import main
+from lrdmd.errors import RankClampWarning, RankDeficiencyWarning
 from lrdmd.modes import amplitudes, compute_modes
 from lrdmd.rom import simulate_reduced
 from lrdmd.snapshots import SnapshotSet, load_snapshots, save_snapshots
@@ -240,7 +242,6 @@ class TestFit:
         # the single-trajectory setting yields rank-deficient X: tolerated
         # with a warning by default, refused under --strict-rank with no
         # warning first (one would be an error here, and exit 1)
-        from lrdmd.errors import RankDeficiencyWarning
         from lrdmd.toybench import generate_snapshots, generate_toy_operator, data_seed_for
 
         G = generate_toy_operator(toy_config.n, toy_config.r, toy_config.seed)
@@ -430,6 +431,42 @@ class TestSimulate:
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[0]) for r in rows] == [1, 5, 9]
 
+    def test_modal_path_expands_only_kept_steps(self, tmp_path, monkeypatch):
+        # 4 trajectories of 16 states of a stable rank-16 system in R^500:
+        # 4000 steps kept every 40th. Traced from the end of the fit on, the
+        # run holds a few times the kept states' bytes (4.5 times); expanding
+        # every step and then dropping most held 120 times them.
+        rng = np.random.default_rng(3)
+        n, horizon, stride = 500, 4000, 40
+        Q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+        z, basis, states = rng.standard_normal((4, 16)), rng.standard_normal((16, n)), []
+        for _ in range(16):
+            states.append(z @ basis)
+            z = 0.99 * z @ Q.T
+        path = tmp_path / "tall.csv"
+        save_snapshots(SnapshotSet(states=np.stack(states, axis=1)), path)
+        fit = lrdmd.cli._fit
+
+        def traced_after_fit(args):
+            result = fit(args)
+            tracemalloc.start()
+            return result
+
+        monkeypatch.setattr(lrdmd.cli, "_fit", traced_after_fit)
+        out = tmp_path / "sim"
+        argv = ["simulate", "--input", str(path), "--rank", "8", "--horizon", str(horizon),
+                "--path", "modal", "--stride", str(stride), "--out", str(out)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficiencyWarning)  # rank(X) = 16 < m
+                assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = horizon // stride * n * 8
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + horizon // stride
+        assert peak <= 8 * kept
+
     @pytest.mark.parametrize("path", ["reduced", "modal"])
     @pytest.mark.parametrize("stride", ["0", "-2"])
     def test_bad_stride_on_either_path(self, small_csv, tmp_path, capsys, path, stride):
@@ -523,6 +560,49 @@ class TestFailedRunsLeaveNoOutput:
         assert main([*argv, "--rank", "45", "--input", str(toy_csv), "--out", str(out)]) == 3
         assert "numerical rank of Y (30)" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRankRefusalsAreLibraryWarnings:
+    """Each CLI rank refusal is the library's warning made an error: its
+    line is "numerical guard: " and the warning's own text."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--method", "optimal"],
+            ["modes"],
+            ["simulate", "--horizon", "5", "--path", "modal"],
+        ],
+    )
+    def test_clamp(self, toy_csv, tmp_path, capsys, argv):
+        with pytest.warns(RankClampWarning) as caught:
+            factorize(load_snapshots(toy_csv)).fit("optimal", 45)
+        text = str(caught.pop(RankClampWarning).message)
+        assert text.startswith("requested rank 45 exceeds the numerical rank of Y (30)")
+        argv = [*argv, "--rank", "45", "--input", str(toy_csv), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"numerical guard: {text}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["fit", "--method", "exact"],
+            ["simulate", "--rank", "3", "--horizon", "5"],
+        ],
+    )
+    def test_strict_deficiency(self, setting_i_data, tmp_path, capsys, argv):
+        path = tmp_path / "setting_i.csv"
+        save_snapshots(setting_i_data, path)
+        with pytest.warns(RankDeficiencyWarning) as caught:
+            factorize(load_snapshots(path))
+        text = str(caught.pop(RankDeficiencyWarning).message)
+        assert text == "X is numerically rank-deficient (rank 18 < m=40)"
+        if argv != ["validate"]:
+            argv = [*argv, "--out", str(tmp_path / "o")]
+        assert main(["--strict-rank", *argv, "--input", str(path)]) == 3
+        suffix = "; strict mode refuses rank-deficient X"
+        assert capsys.readouterr().err == f"numerical guard: {text}{suffix}\n"
 
 
 class TestRefusedArguments:

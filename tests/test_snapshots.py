@@ -1,4 +1,3 @@
-import io
 import warnings
 
 import numpy as np
@@ -11,8 +10,8 @@ from lrdmd.snapshots import (
     DataMatrices,
     SnapshotSet,
     load_snapshots,
+    save_csv,
     save_snapshots,
-    write_csv_rows,
 )
 from lrdmd.solvers import factorize, fit_exact_dmd
 
@@ -202,10 +201,15 @@ class TestLoaderBehaviour:
 
 
 class TestWriteCsvRows:
-    def write(self, M, lead=None):
-        fh = io.StringIO()
-        write_csv_rows(fh, M, lead)
-        return fh.getvalue()
+    """save_csv, the one writer of every CSV the package writes."""
+
+    @pytest.fixture(autouse=True)
+    def _path(self, tmp_path):
+        self.path = tmp_path / "rows.csv"
+
+    def write(self, rows, lead=None, header=None):
+        save_csv(self.path, rows, header, lead)
+        return self.path.read_text()
 
     def test_cells_are_shortest_round_trip_reprs(self):
         values = [0.1, 1e-17, -0.0, 5e-324, -1.2345678901234567e300]
@@ -223,6 +227,24 @@ class TestWriteCsvRows:
         M = np.array([[1.5, 2.0], [-3.0, 0.25]])
         assert self.write(M, ["1,1", "1,2"]) == "1,1,1.5,2.0\n1,2,-3.0,0.25\n"
         assert self.write(M, map(str, (1, 21))) == "1,1.5,2.0\n21,-3.0,0.25\n"
+
+    def test_header_line_first(self):
+        M = np.array([[1.5, 2.0]])
+        assert self.write(M, header="a,b") == "a,b\n1.5,2.0\n"
+        assert self.write(np.empty((0, 2)), header="a,b") == "a,b\n"
+        assert self.write(M, ["7"], header="t,a,b") == "t,a,b\n7,1.5,2.0\n"
+
+    def test_mixed_cells(self):
+        # a float (numpy's too) is its shortest repr, anything else its str
+        rows = [
+            ("residual", np.float64(0.1)),
+            ("rank", np.int64(3)),
+            (2, -0.0, 1e-300, "x y", np.bool_(True), False),
+        ]
+        assert self.write(rows, header="key,value") == (
+            "key,value\nresidual,0.1\nrank,3\n2,-0.0,1e-300,x y,True,False\n"
+        )
+        assert self.write(iter([(0.1, 5e-324)])) == "0.1,5e-324\n"
 
     def test_snapshot_file_bytes(self, tmp_path):
         states = np.array([[[0.1, -0.0], [5e-324, 2.0]], [[1e-17, 3.0], [-1.0, 1e300]]])
