@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 internal error, 2 invalid input or usage,
 
 import argparse
 import dataclasses
+import functools
 import json
+import os
 import sys
 import traceback
 import warnings
@@ -113,9 +115,9 @@ def _make_out(path, directory: bool) -> Path:
 def _finish(args, outputs, summary: str, manifest: Path | None = None, params=None) -> int:
     """Write the manifest of a run that wrote ``outputs``, which records
     the resolved parameters ``params`` (by default the flags that are set
-    and that the command reads), their seed, the paths and the library
-    version, and print the command's summary line. The manifest goes to
-    ``manifest``, by default beside the one output as
+    and that the command reads), their seed, the paths, the library
+    version and the _environment, and print the command's summary line.
+    The manifest goes to ``manifest``, by default beside the one output as
     <output>.manifest.json."""
     if manifest is None:
         manifest = outputs[0].with_suffix(outputs[0].suffix + ".manifest.json")
@@ -133,11 +135,32 @@ def _finish(args, outputs, summary: str, manifest: Path | None = None, params=No
         "outputs": [str(p) for p in outputs],
         "version": __version__,
         "rng": RNG_NAME,
+        "environment": _environment(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     manifest.write_text(json.dumps(record, indent=2) + "\n")
     print(f"{args.command}: {summary}")
     return 0
+
+
+@functools.cache
+def _environment() -> dict:
+    """What the bytes of a run's CSVs depend on beyond its parameters, read
+    once per process: numpy's version, its BLAS (None where numpy cannot
+    name it, as numpy 1.24's show_config, which takes no mode), the BLAS
+    thread variables as set (None when unset) and the CPU count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = None
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {name: os.environ.get(name) for name in threads},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def cmd_fit(args) -> int:
@@ -275,7 +298,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args does not change it, and
+    main hands it a fresh Namespace on each call."""
     # global options go before or after the subcommand, the one after winning;
     # SUPPRESS keeps a subcommand from resetting them (main sets the defaults)
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -371,9 +397,15 @@ _UNREAD_GLOBALS = dict.fromkeys(("bench", "generate"), ("svd_tol", "strict_rank"
 _UNREAD_GLOBALS.update(dict.fromkeys(("fit", "modes", "simulate", "validate"), ("seed",)))
 
 
+def _warning_line(message, category, *_) -> str:
+    """A warning as main prints it, one line that names no source file."""
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
+    args = build_parser().parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
+    # catch_warnings restores the filters and showwarning, not the format
+    default_format = warnings.formatwarning
     try:
         for name in _UNREAD_GLOBALS[args.command]:
             if getattr(args, name) != _GLOBAL_DEFAULTS[name]:
@@ -381,6 +413,7 @@ def main(argv=None) -> int:
                 raise ValidationError(f"{args.command} does not read {flag}; leave it out")
         # where the library warns about rank, the CLI refuses (exit 3)
         with warnings.catch_warnings():
+            warnings.formatwarning = _warning_line
             warnings.simplefilter("error", RankClampWarning)
             if args.strict_rank:
                 warnings.simplefilter("error", RankDeficiencyWarning)
@@ -397,6 +430,8 @@ def main(argv=None) -> int:
     except Exception:  # pragma: no cover - defensive
         traceback.print_exc()
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -303,7 +303,9 @@ def save_csv(path, rows, header=None, lead=None) -> None:
     of a Python float, the shortest string that reads back bit-exactly; a
     complex entry is two cells, re then im; any other cell is its str().
     ``lead``, when given, yields one prefix per row (such as "traj_id,t"),
-    written as the leading cell(s). Rows are streamed, not joined in memory.
+    written as the leading cell(s). Rows are streamed, not joined in memory;
+    a row of mixed cells is joined from a list, which str.join takes faster
+    than a generator.
     """
     if isinstance(rows, np.ndarray):
         M = np.atleast_2d(rows)
@@ -314,7 +316,7 @@ def save_csv(path, rows, header=None, lead=None) -> None:
         cells = (",".join(map(repr, row.tolist())) for row in M)
     else:
         cells = (
-            ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+            ",".join([repr(float(c)) if isinstance(c, float) else str(c) for c in row])
             for row in rows
         )
     with Path(path).open("w", newline="") as fh:

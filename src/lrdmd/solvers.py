@@ -26,8 +26,8 @@ length, one factorization of all the states serves both (Q_y = Q);
 otherwise X and Y are factored apart, Y on first use. The array is
 factored where it lies, with no copy of X, Y or the distinct columns
 wherever its layout allows. The n-sized work left is forming the factors a
-fit returns; Factorization.residual evaluates ||Y - A X|| of a fit without
-forming them.
+fit returns; Factorization.residual_curve evaluates ||Y - A X|| of a fit at
+every rank at once without forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
 fit_optimal_lowrank_dmd factorize and slice in one call. Each SnapshotSet
@@ -221,9 +221,10 @@ class Factorization:
     P^ diag(t) U_y^T (``yv``) gives Y V = (Q_y P^) diag(t) U_y^T. It and
     the r-by-r cores of the truncated and projected fits are computed on
     first use and cached, so the projected fit never needs Y factored.
-    Build it with factorize() and slice it with fit(name, k); residual(name,
-    k) evaluates a rank-k fit's residual from the same cached row without
-    forming its factors.
+    Build it with factorize() and slice it with fit(name, k);
+    residual_curve(name) evaluates a rank-k fit's residual at every k from
+    the same cached row without forming its factors, and residual(name, k)
+    reads it at one k.
     """
 
     Y: np.ndarray | None
@@ -305,37 +306,43 @@ class Factorization:
         return {}
 
     def _coefs(self, fit: str) -> tuple:
-        """(basis, L, R, rank, R R_x) of the rank-k fit ``fit``, computed once:
-        at rank k <= rank it is A = (basis L_k)(R_k Q^T), and R R_x (R_x =
-        Q^T X) is its rows on X. The small L and R hold every k at once.
+        """(basis, L, R, rank, sigma) of the rank-k fit ``fit``, computed
+        once: at rank k <= rank it is A = (basis L_k)(R_k Q^T). The small L
+        and R hold every k at once, and L[:, :rank] = Omega diag(sigma[:rank])
+        with Omega orthonormal.
 
         * optimal: P_k P_k^T Y X^+ = P_k (diag(t_k) U_k^T diag(1/s) W^T), P_k
-          = Q_y P^_k the top k left singular vectors of Y V: L = P^, R =
-          core U^T (_optimal_coefs) in Q_y, rank that of Y V.
+          = Q_y P^_k the top k left singular vectors of Y V: L = P^ (sigma =
+          1) and R = core U^T (_optimal_coefs) in Q_y, rank that of Y V.
         * truncated: the SVD core = Uc Sc Vc^T is that of Y X^+ (Q_y P^ and
           W are orthonormal): L = P^ Uc Sc and R = Vc^T U^T in Q_y.
         * projected: the SVD B = W^T Y V = U^T (Q^T Y) V = Ub Sb Vb^T gives
           A = W Bk diag(1/s) W^T: L = U Ub Sb and R = Vb^T diag(1/s) U^T in Q.
+
+        The optimal fit of a Y numerically zero on the row space of X has
+        rank 0 and nothing to fit: its row raises RankGuardError.
         """
         row = self._table.get(fit)
-        if row is not None:
-            return row
+        if row is None:
+            row = self._table[fit] = _read_only(self._row(fit))
+        if row[3] == 0 and fit == "optimal":
+            raise RankGuardError("Y is numerically zero on the row space of X; nothing to fit")
+        return row
+
+    def _row(self, fit: str) -> tuple:
+        """The _coefs row of ``fit``, computed."""
         if fit == "optimal":
             L, _, R = self._optimal_coefs
-            basis, rank = self._y[0], self.rank_y
-        elif fit == "truncated":
+            return self._y[0], L, R, self.rank_y, np.ones(L.shape[1])
+        if fit == "truncated":
             c = thin_svd(self._optimal_coefs[1])
             L, R = self.yv.W @ (c.W * c.sigma), c.V.T @ self.U.T
-            basis, rank = self._y[0], numerical_rank(c.sigma, self.tol)
-        elif fit == "projected":
+            return self._y[0], L, R, numerical_rank(c.sigma, self.tol), c.sigma
+        if fit == "projected":
             b = thin_svd((self.U.T @ self._y_coords) @ self.V)
             L, R = self.U @ (b.W * b.sigma), (b.V.T / self.s) @ self.U.T
-            basis, rank = self.basis, numerical_rank(b.sigma, self.tol)
-        else:
-            raise ValidationError(f"unknown fit {fit!r}; expected optimal, truncated or projected")
-        on_x = R @ self.basis.R[:, self.x_columns]
-        row = self._table[fit] = _read_only((basis, L, R, rank, on_x))
-        return row
+            return self.basis, L, R, numerical_rank(b.sigma, self.tol), b.sigma
+        raise ValidationError(f"unknown fit {fit!r}; expected optimal, truncated or projected")
 
     def _keep(self, fit: str, k: int) -> int:
         """The rank that fit(fit, k) keeps: k, clamped to its row's rank,
@@ -346,8 +353,6 @@ class Factorization:
         rank = self._coefs(fit)[3]
         if k <= rank or fit != "optimal":
             return min(k, rank)
-        if rank == 0:
-            raise RankGuardError("Y is numerically zero on the row space of X; nothing to fit")
         msg = (
             f"requested rank {k} exceeds the numerical rank of Y ({rank}) on the row "
             f"space of X; choose a rank <= {rank}"
@@ -373,7 +378,7 @@ class Factorization:
             basis, L, R, k = self._y[0], self._y[1] @ (self.V / self.s), self.U.T, self.rank_x
         else:
             k = self._keep(name, k)
-            basis, L, R, _, _ = self._coefs(name)
+            basis, L, R = self._coefs(name)[:3]
         left, rows, sign = _signed(basis.lift(L[:, :k]), R[:k])
         op = DmdOperator(left=_read_only(left), right=_read_only(self.basis.lift_rows(rows)))
         object.__setattr__(op, "source", (weakref.ref(self), name, k))
@@ -429,31 +434,66 @@ class Factorization:
         k = self._keep("optimal", k)
         return float(np.hypot(self.row_space_defect, np.linalg.norm(self.yv.sigma[k:])))
 
+    @cached_property
+    def _curves(self) -> dict:
+        """Fit name -> its residual_curve, filled on first use."""
+        return {}
+
+    def residual_curve(self, fit: str) -> np.ndarray:
+        """[||Y - A X||_F of fit(fit, k) for k = 0..rank], rank that of the
+        rank-k fit ``fit`` ("optimal", "truncated" or "projected"), so that
+        any k reads curve[min(k, rank)]; k = 0 is the zero operator. It is
+        computed once, at size c with no loop over k and no factor formed,
+        and is read-only.
+
+        Every rank-k fit is A X = basis Omega_k diag(sigma_k) O_k, O = (R
+        R_x)[:rank], with Omega orthonormal (_coefs). With T = basis^T Y
+        and C = Omega^T T, the residual of the optimal and truncated fits
+        (basis Q_y, T = R_y) is
+
+            ||T - Omega C||^2 + sum_{i<=k} ||C_i - sigma_i O_i||^2
+                              + sum_{k<i<=rank} ||C_i||^2,
+
+        orthogonal parts, each summed as it is. The projected fit has basis
+        Q, T = B = Q^T Y, and takes the hypot with ||Y - Q B||.
+        """
+        curve = self._curves.get(fit)
+        if curve is None:
+            _, L, R, rank, sigma = self._coefs(fit)
+            T = self._y_coords if fit == "projected" else self._y[1]
+            on_x = R[:rank] @ self.basis.R[:, self.x_columns]
+            curve = _curve(T, L[:, :rank], sigma[:rank], on_x)
+            if fit == "projected":
+                curve = np.hypot(self._outside, curve)
+            curve = self._curves[fit] = _read_only(curve)
+        return curve
+
     def residual(self, fit: str, k: int) -> float:
         """||Y - A X||_F of fit(fit, k) for a rank-k fit ("optimal",
-        "truncated" or "projected"), evaluated at size c with no factor
-        formed; k is clamped as by the fit (_keep). See _residual.
-        """
+        "truncated" or "projected"): residual_curve(fit) at the rank k is
+        clamped to, as by the fit (_keep)."""
         return self._residual(fit, self._keep(fit, k))
 
     def _residual(self, fit: str, k: int) -> float:
-        """||Y - A X||_F of ``fit`` at the rank k it kept, at size c.
-
-        The exact fit has A X = Y V V^T, so its residual is ||R_y - R_y V
-        V^T||. Every other fit is A = basis L_k R_k Q^T, so A X = basis L_k
-        (R R_x)_k. The optimal and truncated fits have basis Q_y, and the
-        residual is ||R_y - L_k (R R_x)_k|| (the column signs a fit sets
-        cancel in L R). The projected fit has basis Q, and with B = Q^T Y the
-        residual is hypot(||Y - Q B||, ||B - L_k (R R_x)_k||).
-        """
+        """||Y - A X||_F of ``fit`` at the rank k it kept, at size c. The
+        exact fit has A X = Y V V^T, so its residual is ||R_y - R_y V V^T||;
+        every other fit reads its residual_curve."""
         if fit == "exact":
             Ry = self._y[1]
             return float(np.linalg.norm(Ry - (Ry @ self.V) @ self.V.T))
-        _, L, _, _, on_x = self._coefs(fit)
-        fitted = L[:, :k] @ on_x[:k]
-        if fit == "projected":
-            return float(np.hypot(self._outside, np.linalg.norm(self._y_coords - fitted)))
-        return float(np.linalg.norm(self._y[1] - fitted))
+        return float(self.residual_curve(fit)[k])
+
+
+def _curve(T: np.ndarray, L: np.ndarray, sigma: np.ndarray, on_x: np.ndarray) -> np.ndarray:
+    """[||T - L_k on_x_k||_F for k = 0..rank], rank the width of L = Omega
+    diag(sigma) with Omega orthonormal; see Factorization.residual_curve."""
+    omega = L / sigma
+    C = omega.T @ T
+    head = T - omega @ C
+    fitted = C - sigma[:, None] * on_x
+    kept = np.cumsum(np.concatenate(([0.0], np.einsum("ij,ij->i", fitted, fitted))))
+    left = np.cumsum(np.concatenate((np.einsum("ij,ij->i", C, C), [0.0]))[::-1])[::-1]
+    return np.sqrt(float(np.vdot(head, head)) + kept + left)
 
 
 def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL) -> Factorization:

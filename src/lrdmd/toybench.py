@@ -15,11 +15,12 @@ PSD). Settings:
   (elementwise cube), a non-linear system.
 
 Residuals ||Y - A X||_F are recorded per (setting, method, k) into a
-plot-ready CSV. Each setting is factorized once, and every row is
-evaluated from that factorization's coefficient matrices
-(Factorization.residual) without forming the operator. Randomness comes
-from numpy's default generator (PCG64, ziggurat normals), recorded in run
-metadata; identical config and seed reproduce identical rows.
+plot-ready CSV. Each setting is factorized once, and each (setting,
+method) block of rows reads one residual curve of that factorization
+(Factorization.residual_curve), every k at once, without forming an
+operator. Randomness comes from numpy's default generator (PCG64,
+ziggurat normals), recorded in run metadata; identical config and seed
+reproduce identical rows.
 """
 
 import time
@@ -174,16 +175,20 @@ def benchmark_data(cfg: BenchConfig, setting: str) -> SnapshotSet:
 def run_benchmark(cfg: BenchConfig) -> tuple:
     """Sweep every requested (setting, method, k) into BenchRows, one dataset per setting.
 
-    The toy map G is built once. Each setting's data is factorized once and
-    every row is that factorization's residual(fit, k), computed from its
-    small coefficient matrices, so wall_time_ms times that evaluation and
-    no operator is formed. Rows come out sorted by (setting, method, k).
-    Fitter warnings (rank deficiency of X, rank clamps past the numerical
-    rank of Y V_x) are expected in the sweep and suppressed; an error, in a
-    row or in the setting's data or factorization, is recorded as a NaN
-    residual for the rows it affects without aborting the sweep.
+    The toy map G is built once. Each setting's data is factorized once,
+    and each (setting, method) block of rows reads one residual curve of
+    that factorization (Factorization.residual_curve), computed at size c
+    with no operator formed: the row of rank k is curve[min(k, rank)].
+    wall_time_ms is the curve's time on the block's first row and 0.0 on
+    the rest. Rows come out sorted by (setting, method, k). Fitter warnings
+    (rank deficiency of X) are expected in the sweep and suppressed; an
+    error, in a curve or in the setting's data or factorization, is
+    recorded as a NaN residual for the block or the setting it affects
+    without aborting the sweep. The optimal fit of a setting whose Y is
+    numerically zero on the row space of X has no curve, hence NaN rows.
     """
     G = generate_toy_operator(cfg.n, cfg.r, cfg.seed)
+    ranks = sorted(cfg.ranks())
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -196,25 +201,18 @@ def run_benchmark(cfg: BenchConfig) -> tuple:
             except Exception:
                 fac = None
             for method in sorted(cfg.methods, key=METHODS.index):
-                for k in sorted(cfg.ranks()):
-                    start = time.perf_counter()
-                    res = float("nan")
-                    if fac is not None:
-                        try:
-                            res = fac.residual(FITS[method], k)
-                        except Exception:
-                            pass
-                    elapsed_ms = (time.perf_counter() - start) * 1e3 if cfg.measure_time else 0.0
-                    rows.append(
-                        BenchRow(
-                            setting=setting,
-                            method=method,
-                            k=k,
-                            residual=res,
-                            companion_residual=comp,
-                            wall_time_ms=elapsed_ms,
-                        )
-                    )
+                start = time.perf_counter()
+                curve = [float("nan")]
+                if fac is not None:
+                    try:
+                        curve = fac.residual_curve(FITS[method]).tolist()
+                    except Exception:
+                        pass
+                elapsed_ms = (time.perf_counter() - start) * 1e3 if cfg.measure_time else 0.0
+                for k in ranks:
+                    res = curve[min(k, len(curve) - 1)]
+                    rows.append(BenchRow(setting, method, k, res, comp, elapsed_ms))
+                    elapsed_ms = 0.0
     return tuple(rows)
 
 

@@ -61,8 +61,8 @@ MUTANTS = [
     ),
     (
         "M6", "solvers.py",
-        "return float(np.hypot(self._outside, np.linalg.norm(self._y_coords - fitted)))",
-        "return float(np.linalg.norm(self._y_coords - fitted))",
+        "curve = np.hypot(self._outside, curve)",
+        "curve = np.hypot(0.0, curve)",
         "the projected residual counts the part of Y outside X's basis",
     ),
     (
@@ -136,6 +136,30 @@ MUTANTS = [
         '            fh.write(header + "\\n")\n',
         "            pass\n",
         "the CSV writer writes the header line first",
+    ),
+    (
+        "M19", "solvers.py",
+        "return np.sqrt(float(np.vdot(head, head)) + kept + left)",
+        "return np.sqrt(kept + left)",
+        "the residual curve counts the part of T outside the span of Omega",
+    ),
+    (
+        "M20", "toybench.py",
+        "res = curve[min(k, len(curve) - 1)]",
+        "res = curve[min(k, len(curve) - 1) - 1]",
+        "the sweep's row of rank k reads the curve at k",
+    ),
+    (
+        "M21", "solvers.py",
+        'np.concatenate((np.einsum("ij,ij->i", C, C), [0.0]))',
+        'np.concatenate(([0.0], np.einsum("ij,ij->i", C, C)))',
+        "the residual curve at k sums the rows of C past k, from k + 1",
+    ),
+    (
+        "M22", "cli.py",
+        "            warnings.formatwarning = _warning_line\n",
+        "",
+        "the CLI prints a warning as one line that names no source file",
     ),
     (
         "F1", "solvers.py",

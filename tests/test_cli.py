@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import lrdmd.cli
 import lrdmd.solvers
 from lrdmd.cli import main
 from lrdmd.errors import RankClampWarning, RankDeficiencyWarning
+from lrdmd.linalg import DEFAULT_TOL
 from lrdmd.modes import amplitudes, compute_modes
 from lrdmd.rom import simulate_reduced
 from lrdmd.snapshots import SnapshotSet, load_snapshots, save_snapshots
@@ -848,6 +853,20 @@ class TestBench:
         assert len(lines) == 1 + 3 * 3 * 4
         assert (tmp_path / "results.csv.manifest.json").exists()
 
+    def test_manifest_records_the_environment(self, tmp_path):
+        # what the CSV bytes depend on beyond the parameters: numpy, its
+        # BLAS, the BLAS thread variables and the CPU count
+        out = tmp_path / "results.csv"
+        argv = ["--seed", "3", "bench", "--n", "8", "--r", "3", "--m", "5", "--out", str(out)]
+        assert main(argv) == 0
+        env = json.loads((tmp_path / "results.csv.manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert env["threads"] == {name: os.environ.get(name) for name in names}
+        blas = env["blas"]
+        assert blas is None or (set(blas) == {"name", "version"} and blas["name"])
+
     def test_no_timing_runs_are_byte_identical(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -993,3 +1012,50 @@ class TestBench:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["bench", "--config", str(cfg)]) == 2
+
+
+class TestMainCalls:
+    def test_calls_share_the_parser_and_no_state(self, setting_i_data, tmp_path, capsys):
+        assert lrdmd.cli.build_parser() is lrdmd.cli.build_parser()
+        # a global flag of one call does not reach the next
+        generate = ["generate", "--setting", "ii", "--n", "8", "--r", "3", "--m", "5"]
+        assert main(["--seed", "4", *generate, "--out", str(tmp_path / "a.csv")]) == 0
+        assert main([*generate, "--out", str(tmp_path / "b.csv")]) == 2
+        assert "a seed is required" in capsys.readouterr().err
+        path = tmp_path / "setting_i.csv"
+        save_snapshots(setting_i_data, path)
+        fit = ["fit", "--input", str(path), "--method", "exact"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            assert main(["--strict-rank", *fit, "--out", str(tmp_path / "strict")]) == 3
+            assert main([*fit, "--out", str(tmp_path / "lenient")]) == 0
+            assert main(["--svd-tol", "0.5", *fit, "--out", str(tmp_path / "coarse")]) == 0
+            assert main([*fit, "--out", str(tmp_path / "default")]) == 0
+        tols = [
+            json.loads((tmp_path / name / "manifest.json").read_text())["parameters"]["svd_tol"]
+            for name in ("coarse", "default")
+        ]
+        assert tols == [0.5, DEFAULT_TOL]
+
+    def test_warning_is_one_line(self, setting_i_data, tmp_path):
+        # the library's warning, printed by a fresh lrdmd process, names no
+        # source file; main leaves the process's warning format as it was
+        path = tmp_path / "deficient.csv"
+        save_snapshots(setting_i_data, path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(lrdmd.cli.__file__).parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-m", "lrdmd.cli", "fit", "--input", str(path), "--method", "exact",
+             "--out", str(tmp_path / "fit")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0
+        assert run.stderr == (
+            "warning: RankDeficiencyWarning: X is numerically rank-deficient (rank 18 < m=40)\n"
+        )
+        default = warnings.formatwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            assert main(["fit", "--input", str(path), "--method", "exact",
+                         "--out", str(tmp_path / "again")]) == 0
+        assert warnings.formatwarning is default

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from lrdmd.errors import (
     RankClampWarning,
     RankDeficiencyWarning,
+    RankGuardError,
     ValidationError,
 )
 from lrdmd.linalg import qr_factor, thin_svd
@@ -775,6 +776,59 @@ class TestResidualFromCoefficients:
         for evaluate in (fac.residual, fac.fit):
             with pytest.raises(ValidationError):
                 evaluate("projected", 0)
+
+
+def direct_residual(fac, fit, k):
+    """||T - L_k (R R_x)_k||_F of a rank-k fit's _coefs row, the product
+    formed and subtracted, with T = R_y (optimal, truncated) or B = Q^T Y
+    and then the hypot with ||Y - Q B|| (projected)."""
+    _, L, R, _, _ = fac._coefs(fit)
+    fitted = L[:, :k] @ (R[:k] @ fac.basis.R[:, fac.x_columns])
+    if fit == "projected":
+        return float(np.hypot(fac._outside, np.linalg.norm(fac._y_coords - fitted)))
+    return float(np.linalg.norm(fac._y[1] - fitted))
+
+
+CURVE_CASES = {
+    **{f"setting-{s}": s for s in ("i", "ii", "iii")},
+    "rank-deficient-12x8": COMPRESSION_CASES["rank-deficient-12x8"][0],
+    "wide-6x10": COMPRESSION_CASES["wide-6x10"][0],
+    "zero-y": lambda: DataMatrices(
+        X=np.random.default_rng(3).standard_normal((6, 4)), Y=np.zeros((6, 4))),
+}
+
+
+class TestResidualCurve:
+    @pytest.mark.parametrize("case", CURVE_CASES)
+    def test_matches_direct_evaluation_at_every_rank(self, case, toy_config):
+        make = CURVE_CASES[case]
+        d = benchmark_data(toy_config, make) if isinstance(make, str) else make()
+        tol = 1e-15 * np.linalg.norm(d.Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            fac = factorize(d)
+        for fit in ("optimal", "truncated", "projected"):
+            if case == "zero-y" and fit == "optimal":
+                # nothing to fit, as fit("optimal", k) says for every k
+                with pytest.raises(RankGuardError):
+                    fac.residual_curve(fit)
+                continue
+            curve = fac.residual_curve(fit)
+            rank = fac._coefs(fit)[3]
+            assert curve.shape == (rank + 1,) and not curve.flags.writeable
+            assert fac.residual_curve(fit) is curve  # computed once
+            for k in range(rank + 1):
+                assert abs(curve[k] - direct_residual(fac, fit, k)) <= tol, (fit, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankClampWarning)
+                for k in range(1, rank + 3):
+                    assert fac.residual(fit, k) == curve[min(k, rank)]
+
+    def test_unknown_fit(self):
+        fac = factorize(random_data(3))
+        for fit in ("exact", "a"):
+            with pytest.raises(ValidationError, match="unknown fit"):
+                fac.residual_curve(fit)
 
 
 FITS = ("optimal", "exact", "truncated", "projected")

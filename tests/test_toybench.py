@@ -176,20 +176,21 @@ class TestRunBenchmark:
         assert first_drop[("ii", "c")] is None and first_drop[("iii", "c")] is None
 
     def test_fitter_failure_recorded_as_nan_row(self, monkeypatch):
-        orig = Factorization.residual
+        # a failed curve gives NaN for its whole (setting, method) block
+        orig = Factorization.residual_curve
 
-        def sabotaged(fac, fit, k):
-            if fit == "truncated" and k == 2:
+        def sabotaged(fac, fit):
+            if fit == "truncated":
                 raise RuntimeError("boom")
-            return orig(fac, fit, k)
+            return orig(fac, fit)
 
-        monkeypatch.setattr(Factorization, "residual", sabotaged)
+        monkeypatch.setattr(Factorization, "residual_curve", sabotaged)
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2, 3), settings=("ii",), seed=4,
                           measure_time=False)
         rows = run_benchmark(cfg)
         assert len(rows) == 3 * 3
         failed = [r for r in rows if np.isnan(r.residual)]
-        assert [(r.method, r.k) for r in failed] == [("b", 2)]
+        assert [(r.method, r.k) for r in failed] == [("b", 1), ("b", 2), ("b", 3)]
 
     def test_factorization_failure_recorded_as_nan_rows(self, monkeypatch):
         import lrdmd.toybench as tb
@@ -299,6 +300,15 @@ class TestRunBenchmark:
     def test_wall_time_measured_by_default(self):
         cfg = BenchConfig(n=8, r=3, m=5, k_values=(1,), seed=2)
         assert any(r.wall_time_ms > 0 for r in run_benchmark(cfg))
+
+    def test_wall_time_on_the_first_row_of_each_block(self):
+        # one curve per (setting, method): its time goes on the block's
+        # first row, and 0.0 on the rest
+        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2, 3), seed=2)
+        rows = run_benchmark(cfg)
+        assert len(rows) == 3 * 3 * 3
+        for row in rows:
+            assert (row.wall_time_ms > 0) == (row.k == 1), row
 
 
 class TestBenchConfig:
