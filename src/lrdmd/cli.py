@@ -76,9 +76,13 @@ def _fit(args):
     X under --strict-rank, and an optimal --rank above rank(Y V_x).
     """
     method = getattr(args, "method", "optimal")
-    if method != "exact":
-        if args.rank is None:
-            raise ValidationError("--rank is required for this command")
+    if method == "exact":
+        # the exact fit reads no k: refused, so that no manifest records one
+        if args.rank is not None:
+            raise ValidationError("fit --method exact does not read --rank; leave it out")
+    elif args.rank is None:
+        raise ValidationError("--rank is required for this command")
+    else:
         _check_rank_arg(args.rank)
     if "horizon" in args:
         _check_horizon(args.horizon, getattr(args, "stride", 1))

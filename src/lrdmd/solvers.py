@@ -26,8 +26,10 @@ length, one factorization of all the states serves both (Q_y = Q);
 otherwise X and Y are factored apart, Y on first use. The array is
 factored where it lies, with no copy of X, Y or the distinct columns
 wherever its layout allows. The n-sized work left is forming the factors a
-fit returns; Factorization.residual_curve evaluates ||Y - A X|| of a fit at
-every rank at once without forming them.
+fit returns: one product with the basis forms both where it is X's own, two
+where Y was factored apart (Factorization.fit).
+Factorization.residual_curve evaluates ||Y - A X|| of a fit at every rank
+at once without forming them.
 
 fit_exact_dmd, fit_truncated_exact_dmd, fit_projected_dmd and
 fit_optimal_lowrank_dmd factorize and slice in one call. Each SnapshotSet
@@ -101,15 +103,6 @@ def _read_only(x):
     return x
 
 
-def _signed(left: np.ndarray, rows: np.ndarray) -> tuple:
-    """(left, rows, sign): a fit's n-row left factor with thin_svd's column
-    signs, set after lifting so that they do not depend on the columns
-    factored, and its right factor's row coefficients flipped to match."""
-    sign = column_signs(left)
-    left *= sign
-    return left, sign[:, None] * rows, sign
-
-
 def _distance(Y: np.ndarray, L: np.ndarray, C: np.ndarray) -> float:
     """||Y - L C||_F for n-row Y and L and a small C, its squares summed
     block by block of rows."""
@@ -125,7 +118,11 @@ class DmdOperator:
     """A fitted linear operator A = left @ right of rank <= declared_rank.
 
     left is n-by-rho and right rho-by-n, so applying the operator costs
-    O(n * rho) instead of O(n^2).
+    O(n * rho) instead of O(n^2). A fit returns left column-major and right
+    row-major, each n-row vector contiguous: where X's basis lifts both,
+    they are views of one read-only 2 rho-by-n buffer, left its first rho
+    rows transposed, and otherwise each has a read-only buffer of its own
+    (Factorization.fit). An operator built by hand takes any layout.
 
     An operator that a fit returns has ``source`` = (a weak reference to
     the Factorization it was sliced from, the fit's name, the rank it kept
@@ -368,28 +365,50 @@ class Factorization:
         to this Factorization (DmdOperator.source). A rank-k fit is its
         _coefs row at the rank _keep allows. The exact fit A = Y X^+ = (Y V
         diag(1/s)) W^T has basis Q_y, L = R_y V diag(1/s) and R = U^T, at k
-        = rank_x. The left factor takes thin_svd's column signs, set after
-        lifting. The optimal fit's rank-space core is set at size c: the
-        transition Q_k^T P_k = rows_k (Q^T Q_y P^_k); no Gram, P_k being
-        orthonormal; the singular values of Q_k, those of core_k since W and
-        U are orthonormal; and ||A||_F = ||rows_k||_F.
+        = rank_x.
+
+        Where the basis is X's own (every projected fit, and every fit when
+        Y is in that basis), both factors come from one product with it,
+        [L_k^T; R_k] Q^T, a 2k-by-n buffer that reads Q once: left is its
+        first k rows transposed, column-major n-by-k, and right its last k
+        rows, row-major k-by-n. Where Y was factored apart, L_k^T Q_y^T and
+        R_k Q^T are one product each, in the same orientation. The left
+        factor then takes thin_svd's column signs, read down its contiguous
+        columns, and the rows of both factors are scaled by them in place:
+        negation is exact, so this is the lift of the flipped rows.
+
+        The optimal fit's rank-space core is set at size c: the transition
+        Q_k^T P_k = rows_k (Q^T Q_y P^_k), rows_k the flipped R_k; no Gram,
+        P_k being orthonormal; the singular values of Q_k, those of core_k
+        since W and U are orthonormal; and ||A||_F = ||R_k||_F.
         """
         if name == "exact":
             basis, L, R, k = self._y[0], self._y[1] @ (self.V / self.s), self.U.T, self.rank_x
         else:
             k = self._keep(name, k)
             basis, L, R = self._coefs(name)[:3]
-        left, rows, sign = _signed(basis.lift(L[:, :k]), R[:k])
-        op = DmdOperator(left=_read_only(left), right=_read_only(self.basis.lift_rows(rows)))
+        L, R = L[:, :k], R[:k]
+        both = None
+        if basis is self.basis:
+            both = basis.lift_rows(np.concatenate((L.T, R)))
+            left_rows, right = both[:k], both[k:]
+        else:
+            left_rows, right = basis.lift_rows(L.T), self.basis.lift_rows(R)
+        sign = column_signs(left_rows.T)
+        left_rows *= sign[:, None]
+        right *= sign[:, None]
+        # read-only before left is viewed: a view takes its flags when made
+        _read_only((both, left_rows, right))
+        op = DmdOperator(left=left_rows.T, right=right)
         object.__setattr__(op, "source", (weakref.ref(self), name, k))
         if name == "optimal":
             op.__dict__.update(
-                transition=_read_only((rows @ self._y_basis_on_x[:, :k]) * sign),
+                transition=_read_only(((sign[:, None] * R) @ self._y_basis_on_x[:, :k]) * sign),
                 gram=None,
                 right_singular_values=_read_only(
                     np.linalg.svd(self._optimal_coefs[1][:k], compute_uv=False)
                 ),
-                frobenius=float(np.linalg.norm(rows)),
+                frobenius=float(np.linalg.norm(R)),
             )
         return op
 

@@ -162,6 +162,18 @@ MUTANTS = [
         "the CLI prints a warning as one line that names no source file",
     ),
     (
+        "M23", "solvers.py",
+        "        right *= sign[:, None]\n",
+        "",
+        "the right factor's rows take the signs of the left factor's columns",
+    ),
+    (
+        "M24", "solvers.py",
+        "if basis is self.basis:",
+        "if True:",
+        "where Y was factored apart, the left factor is lifted through Y's basis",
+    ),
+    (
         "F1", "solvers.py",
         "return _read_only((f.W, core, core @ self.U.T))",
         "return _read_only((thin_svd(self._y[1]).W, core, core @ self.U.T))",

@@ -191,7 +191,8 @@ class TestFit:
         out = tmp_path / "fit"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = main(["fit", "--input", str(path), "--method", method, "--rank", "1",
+            rank = [] if method == "exact" else ["--rank", "1"]
+            got = main(["fit", "--input", str(path), "--method", method, *rank,
                         "--out", str(out)])
         assert got == code
         if code == 0:
@@ -702,6 +703,9 @@ class TestRefusedArguments:
             (["simulate", "--rank", "3", "--horizon", "5", "--seed", "0"],
              "simulate does not read --seed"),
             (["validate", "--seed", "3"], "validate does not read --seed"),
+            # the exact fit reads no k, so no manifest may record one
+            (["fit", "--method", "exact", "--rank", "3"],
+             "fit --method exact does not read --rank; leave it out"),
         ],
     )
     def test_flags_before_the_read(self, toy_csv, tmp_path, capsys, monkeypatch, argv, message):
@@ -1059,3 +1063,53 @@ class TestMainCalls:
             assert main(["fit", "--input", str(path), "--method", "exact",
                          "--out", str(tmp_path / "again")]) == 0
         assert warnings.formatwarning is default
+
+
+def argv_from_manifest(record) -> list:
+    """The argv of a run rebuilt from its manifest alone: the command, then
+    each recorded parameter as its flag, a switch that is set as the flag
+    alone and one that is not left out."""
+    argv = [record["command"]]
+    for name, value in record["parameters"].items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, str(value)]
+    return argv
+
+
+class TestRerunFromManifest:
+    """A run of fit or simulate is reproduced from its manifest alone: the
+    argv rebuilt from it writes the same CSVs, byte for byte, and the same
+    manifest but for its timestamp."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--method", "optimal", "--rank", "3"],
+            ["fit", "--method", "exact", "--svd-tol", "1e-10"],
+            ["--strict-rank", "fit", "--method", "projected", "--rank", "4"],
+            ["simulate", "--rank", "3", "--horizon", "20"],
+            ["simulate", "--rank", "3", "--horizon", "20", "--path", "modal", "--stride", "7",
+             "--theta", "theta.csv"],
+        ],
+    )
+    def test_outputs_reproduced(self, toy_csv, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "snaps.csv").write_bytes(toy_csv.read_bytes())
+        (tmp_path / "theta.csv").write_text(",".join(["0.5"] * 50) + "\n")
+        out = tmp_path / "run"
+        assert main([*argv, "--input", "snaps.csv", "--out", "run"]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        record = json.loads(first.pop("manifest.json"))
+        assert first and all(name.endswith(".csv") for name in first)
+        for path in out.iterdir():
+            path.unlink()
+        out.rmdir()
+        assert main(argv_from_manifest(record)) == 0
+        again = {p.name: p.read_bytes() for p in out.iterdir()}
+        rerun = json.loads(again.pop("manifest.json"))
+        assert again == first
+        del record["timestamp"], rerun["timestamp"]
+        assert rerun == record

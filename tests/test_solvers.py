@@ -13,8 +13,8 @@ from lrdmd.errors import (
     RankGuardError,
     ValidationError,
 )
-from lrdmd.linalg import qr_factor, thin_svd
-from lrdmd.snapshots import DataMatrices
+from lrdmd.linalg import QrFactors, column_signs, qr_factor, thin_svd
+from lrdmd.snapshots import DataMatrices, SnapshotSet
 from lrdmd.solvers import (
     DmdOperator,
     factorize,
@@ -579,6 +579,69 @@ class TestCompressedFactorization:
         P = first[1].P
         assert np.all(P[np.argmax(np.abs(P), axis=0), np.arange(P.shape[1])] > 0)
         assert np.linalg.norm(P.T @ P - np.eye(6)) < 1e-13
+
+
+FACTOR_LAYOUTS = {
+    # name: (data, whether X and Y share one basis), one per layout that
+    # factorize's _columns tells apart, and pairs given as explicit X and Y
+    "one-trajectory": (lambda: SnapshotSet(trajectories(1, 1, 21).states), True),
+    "shared-trajectories": (lambda: SnapshotSet(trajectories(2, 4, 6).states), True),
+    "trajectories-apart": (lambda: SnapshotSet(trajectories(11, 4, 4).states), False),
+    "two-state-pairs": (
+        lambda: SnapshotSet(np.random.default_rng(17).standard_normal((12, 2, 60))), False),
+    "data-matrices": (lambda: random_data(7, n=40, m=12), False),
+}
+
+
+def two_product_factors(fac, fit, k):
+    """(left, right) of fac.fit(fit, k) at the rank k it kept, in the form
+    of one product per factor: basis L_k lifted, its column signs set
+    after lifting, and the flipped rows of R_k lifted through X's basis."""
+    if fit == "exact":
+        basis, L, R = fac._y[0], fac._y[1] @ (fac.V / fac.s), fac.U.T
+    else:
+        basis, L, R = fac._coefs(fit)[:3]
+    left = basis.lift(L[:, :k])
+    sign = column_signs(left)
+    return left * sign, fac.basis.lift_rows(sign[:, None] * R[:k])
+
+
+class TestFactorLayout:
+    """A fit's factors are views of one read-only buffer of 2k rows where
+    its basis is X's own, lifted in one product: left column-major, right
+    row-major. Where Y was factored apart, each is lifted on its own."""
+
+    @pytest.mark.parametrize("layout", FACTOR_LAYOUTS)
+    @pytest.mark.parametrize("fit", ["exact", "optimal", "truncated", "projected"])
+    def test_one_product_and_layouts(self, fit, layout, monkeypatch):
+        make, shared = FACTOR_LAYOUTS[layout]
+        fac = factorize(make())
+        assert (fac.y_columns is not None) == shared
+        k = fac.rank_x if fit == "exact" else 4
+        want_left, want_right = two_product_factors(fac, fit, k)
+        calls = []
+        lift_rows = QrFactors.lift_rows
+
+        def counted(basis, C):
+            calls.append(C.shape[0])
+            return lift_rows(basis, C)
+
+        monkeypatch.setattr(QrFactors, "lift_rows", counted)
+        op = fac.fit(fit, None if fit == "exact" else k)
+        monkeypatch.undo()
+        assert op.declared_rank == k
+        # the projected fit is in X's basis whatever the layout
+        assert calls == ([2 * k] if shared or fit == "projected" else [k, k])
+        left, right = op.left, op.right
+        assert left.flags.f_contiguous and right.flags.c_contiguous
+        for a in (left, right):
+            assert not a.flags.writeable
+            assert a.base is None or not a.base.flags.writeable
+        assert np.all(left[np.argmax(np.abs(left), axis=0), np.arange(k)] > 0)
+        # one product reads the basis as two did, at the same flops: the
+        # factors agree with the two-product form to roundoff, signs too
+        assert np.all(np.abs(left - want_left) <= 1e-14 * np.abs(want_left).max(axis=0))
+        assert np.all(np.abs(right - want_right) <= 1e-14 * np.abs(want_right).max(axis=1)[:, None])
 
 
 class TestTolerance:
