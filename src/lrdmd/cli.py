@@ -6,7 +6,8 @@ parameters, seed, paths, and library version, so any output can be
 reproduced from its manifest.
 
 Exit codes: 0 success, 1 internal error, 2 invalid input or usage,
-3 numerical guard (a rank the data cannot support, trajectory overflow).
+3 numerical guard (a rank the data cannot support, trajectory overflow,
+a LAPACK breakdown).
 """
 
 import argparse
@@ -251,7 +252,6 @@ def cmd_bench(args) -> int:
     flags = dict(
         n=args.n, r=args.r, m=args.m, settings=args.settings, methods=args.methods,
         k_values=args.k_values, seed=args.seed, output=args.out,
-        measure_time=False if args.no_timing else None,
     )
     cfg = load_config(args.config or None, flags)
     _check_out(cfg.output, directory=False)
@@ -372,11 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=None, help="comma list from {a,b,c}")
     p.add_argument("--k-values", dest="k_values", default=None, help="e.g. 1..40 or 5,10,20")
     p.add_argument("--out", default=None, help="result CSV path")
-    p.add_argument(
-        "--no-timing",
-        action="store_true",
-        help="write wall_time_ms as 0.0 so result CSVs are byte-identical across runs",
-    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("generate", parents=[common], help="emit a synthetic snapshot CSV")
@@ -428,7 +423,7 @@ def main(argv=None) -> int:
     except RankDeficiencyWarning as exc:
         print(f"numerical guard: {exc}; strict mode refuses rank-deficient X", file=sys.stderr)
         return 3
-    except (NumericalGuardError, RankClampWarning) as exc:
+    except (NumericalGuardError, RankClampWarning, np.linalg.LinAlgError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     except Exception:  # pragma: no cover - defensive

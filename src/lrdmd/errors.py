@@ -2,9 +2,11 @@
 
 Two error families matter for the CLI exit-code contract: ValidationError
 (bad input or usage, exit 2) and NumericalGuardError (a numerical safety
-guard tripped, exit 3). The CLI also exits 3 on a RankClampWarning, and
-on a RankDeficiencyWarning under --strict-rank, which it turns into errors.
-Anything else is an internal error (exit 1).
+guard tripped or LAPACK broke down, exit 3). The CLI also exits 3 on a
+RankClampWarning, and on a RankDeficiencyWarning under --strict-rank,
+which it turns into errors, and on a LinAlgError that numpy raises outside
+linalg.qr_factor and linalg.thin_svd. Anything else is an internal error
+(exit 1).
 """
 
 
@@ -21,7 +23,8 @@ class SnapshotFormatError(ValidationError):
 
 
 class NumericalGuardError(LowRankDmdError, RuntimeError):
-    """A numerical safety guard refused to continue."""
+    """A numerical safety guard refused to continue, or LAPACK broke down
+    (raised from numpy's LinAlgError)."""
 
 
 class RankGuardError(NumericalGuardError):

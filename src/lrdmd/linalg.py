@@ -16,14 +16,16 @@ out; QrFactors.lift applies it to a small matrix at one p-row product.
 All routines are deterministic: singular vectors follow a fixed sign
 convention (the largest-magnitude entry of each left singular vector is
 made positive, first index winning ties) so repeated runs produce
-bit-identical factors.
+bit-identical factors. A LAPACK breakdown in qr_factor or thin_svd (numpy's
+LinAlgError, such as an SVD that does not converge on the overflowed Gram
+of data near 1e160) is raised as NumericalGuardError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalGuardError, ValidationError
 
 DEFAULT_TOL = 1e-12
 
@@ -235,10 +237,13 @@ def qr_factor(M: np.ndarray, checked: bool = False) -> QrFactors:
     """
     M = _as_matrix(M, checked)
     p, q = M.shape
-    found = _cholesky_qr(M) if p >= CHOLQR_MIN_ASPECT * q > 0 else None
-    if found is None:
-        Q, R = np.linalg.qr(M)
-        found = QrFactors(Q1=Q, T=None, R=R)
+    try:
+        found = _cholesky_qr(M) if p >= CHOLQR_MIN_ASPECT * q > 0 else None
+        if found is None:
+            Q, R = np.linalg.qr(M)
+            found = QrFactors(Q1=Q, T=None, R=R)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalGuardError(f"LAPACK failed to factor a {p}-by-{q} matrix: {exc}") from exc
     return found
 
 
@@ -247,7 +252,10 @@ def thin_svd(M: np.ndarray) -> SvdFactors:
     the module's sign convention. Small means a core or an R factor: a tall
     matrix goes to qr_factor, and the SVD of its R, lifted, is its own.
     """
-    W, sigma, Vt = np.linalg.svd(_as_matrix(M), full_matrices=False)
+    try:
+        W, sigma, Vt = np.linalg.svd(_as_matrix(M), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalGuardError(f"LAPACK failed on the SVD of a small matrix: {exc}") from exc
     V = Vt.T.copy()
     _fix_signs(W, V)
     return SvdFactors(W=W, sigma=sigma, V=V)

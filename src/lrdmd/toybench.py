@@ -19,18 +19,18 @@ plot-ready CSV. Each setting is factorized once, and each (setting,
 method) block of rows reads one residual curve of that factorization
 (Factorization.residual_curve), every k at once, without forming an
 operator. Randomness comes from numpy's default generator (PCG64,
-ziggurat normals), recorded in run metadata; identical config and seed
-reproduce identical rows.
+ziggurat normals), recorded in run metadata. The rows hold results only,
+no timing, so identical config and seed reproduce identical rows and a
+byte-identical CSV; the sweep's speed is measured by perfbench.
 """
 
-import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import RankDeficiencyWarning, ValidationError
 from .snapshots import SnapshotSet, save_csv
 from .solvers import Factorization, factorize
 
@@ -38,7 +38,7 @@ SETTINGS = ("i", "ii", "iii")
 METHODS = ("a", "b", "c")  # a: optimal closed form, b: truncated exact, c: projected
 FITS = {"a": "optimal", "b": "truncated", "c": "projected"}
 RNG_NAME = "numpy default_rng (PCG64)"
-RESULT_HEADER = "setting,method,k,residual,companion_residual,wall_time_ms"
+RESULT_HEADER = "setting,method,k,residual,companion_residual"
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -109,7 +109,9 @@ def _span_defect(fac: Factorization, norm_y: float) -> float:
 @dataclass(frozen=True)
 class BenchConfig:
     """Benchmark sweep parameters; defaults reproduce the reference study
-    scale (n=50, r=30, m=40, all settings, all methods, k = 1..m)."""
+    scale (n=50, r=30, m=40, all settings, all methods, k = 1..m). Every
+    field determines the result CSV (output names it): one config gives
+    one CSV, byte for byte."""
 
     n: int = 50
     r: int = 30
@@ -119,7 +121,6 @@ class BenchConfig:
     k_values: tuple = ()
     seed: int | None = None
     output: str = "bench_results.csv"
-    measure_time: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "settings", tuple(self.settings))
@@ -155,7 +156,6 @@ class BenchRow:
     k: int
     residual: float
     companion_residual: float
-    wall_time_ms: float
 
 
 def data_seed_for(seed: int, setting: str) -> int:
@@ -179,19 +179,19 @@ def run_benchmark(cfg: BenchConfig) -> tuple:
     and each (setting, method) block of rows reads one residual curve of
     that factorization (Factorization.residual_curve), computed at size c
     with no operator formed: the row of rank k is curve[min(k, rank)].
-    wall_time_ms is the curve's time on the block's first row and 0.0 on
-    the rest. Rows come out sorted by (setting, method, k). Fitter warnings
-    (rank deficiency of X) are expected in the sweep and suppressed; an
-    error, in a curve or in the setting's data or factorization, is
-    recorded as a NaN residual for the block or the setting it affects
-    without aborting the sweep. The optimal fit of a setting whose Y is
+    Rows come out sorted by (setting, method, k) and hold no timing, so
+    identical configs give identical rows. RankDeficiencyWarning (an X
+    without full column rank, as in setting i) is expected and ignored;
+    every other warning reaches the caller. An error, in a curve or in the
+    setting's data or factorization, is recorded as a NaN residual for the
+    block or the setting it affects without aborting the sweep. The optimal fit of a setting whose Y is
     numerically zero on the row space of X has no curve, hence NaN rows.
     """
     G = generate_toy_operator(cfg.n, cfg.r, cfg.seed)
     ranks = sorted(cfg.ranks())
     rows = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", RankDeficiencyWarning)
         for setting in sorted(cfg.settings, key=SETTINGS.index):
             fac, comp = None, float("nan")
             try:
@@ -201,27 +201,21 @@ def run_benchmark(cfg: BenchConfig) -> tuple:
             except Exception:
                 fac = None
             for method in sorted(cfg.methods, key=METHODS.index):
-                start = time.perf_counter()
                 curve = [float("nan")]
                 if fac is not None:
                     try:
                         curve = fac.residual_curve(FITS[method]).tolist()
                     except Exception:
                         pass
-                elapsed_ms = (time.perf_counter() - start) * 1e3 if cfg.measure_time else 0.0
                 for k in ranks:
                     res = curve[min(k, len(curve) - 1)]
-                    rows.append(BenchRow(setting, method, k, res, comp, elapsed_ms))
-                    elapsed_ms = 0.0
+                    rows.append(BenchRow(setting, method, k, res, comp))
     return tuple(rows)
 
 
 def write_result_csv(rows, path) -> None:
     """Write BenchRows as the result CSV, one line per row under RESULT_HEADER."""
-    cells = (
-        (r.setting, r.method, r.k, r.residual, r.companion_residual, r.wall_time_ms)
-        for r in rows
-    )
+    cells = ((r.setting, r.method, r.k, r.residual, r.companion_residual) for r in rows)
     save_csv(path, cells, RESULT_HEADER)
 
 
@@ -246,18 +240,6 @@ def _parse_int_list(text: str):
     return tuple(out)
 
 
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(text: str) -> bool:
-    """true/yes/1 or false/no/0, in any case; anything else is refused, so a
-    misspelt value cannot pass as False."""
-    try:
-        return _BOOLEANS[text.lower()]
-    except KeyError:
-        raise ValidationError(f"{text!r} is not one of true, false, yes, no, 1, 0") from None
-
-
 def _parse_names(text: str) -> tuple:
     """Comma-separated names, empty entries dropped."""
     return tuple(v.strip() for v in text.split(",") if v.strip())
@@ -276,7 +258,6 @@ _PARSERS = {
     **dict.fromkeys(("settings", "methods"), _parse_names),
     "k_values": _parse_int_list,
     "output": _parse_path,
-    "measure_time": _parse_bool,
 }
 
 
@@ -284,9 +265,9 @@ def load_config(path=None, overrides=None) -> BenchConfig:
     """One BenchConfig from a flat key=value config file (None: no file)
     with overrides applied over it, validated once.
 
-    Keys match the BenchConfig fields; lists are comma-separated and k
-    ranges may use ``1..40``; measure_time takes true/false, yes/no or 1/0 in
-    any case. Lines starting with '#' are comments. overrides maps fields to
+    Keys match the BenchConfig fields, and any other key is refused with
+    its file:line; lists are comma-separated and k ranges may use
+    ``1..40``. Lines starting with '#' are comments. overrides maps fields to
     a text, parsed as in the file, or to a value of the field's type; None
     or an empty text counts as not given.
     """

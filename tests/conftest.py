@@ -11,7 +11,7 @@ TOY_SEED = 7
 
 @pytest.fixture(scope="session")
 def toy_config():
-    return BenchConfig(seed=TOY_SEED, measure_time=False)
+    return BenchConfig(seed=TOY_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -174,6 +174,24 @@ MUTANTS = [
         "where Y was factored apart, the left factor is lifted through Y's basis",
     ),
     (
+        "M25", "linalg.py",
+        'raise NumericalGuardError(f"LAPACK failed to factor a {p}-by-{q} matrix: {exc}") from exc',
+        "raise",
+        "a LAPACK breakdown in qr_factor is a NumericalGuardError",
+    ),
+    (
+        "M26", "toybench.py",
+        'warnings.simplefilter("ignore", RankDeficiencyWarning)',
+        'warnings.simplefilter("ignore")',
+        "the sweep ignores RankDeficiencyWarning alone; other warnings reach the caller",
+    ),
+    (
+        "M27", "linalg.py",
+        'raise NumericalGuardError(f"LAPACK failed on the SVD of a small matrix: {exc}") from exc',
+        "raise",
+        "a LAPACK breakdown in thin_svd is a NumericalGuardError",
+    ),
+    (
         "F1", "solvers.py",
         "return _read_only((f.W, core, core @ self.U.T))",
         "return _read_only((thin_svd(self._y[1]).W, core, core @ self.U.T))",

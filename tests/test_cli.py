@@ -627,12 +627,11 @@ class TestRefusedArguments:
             ["bench", "--out", "b.csv"],
             ["generate", "--setting", "ii", "--out", "s.csv"],
             ["--seed", "3", "bench", "--k-values", "1..3,2", "--settings", "i", "--methods", "a"],
-            ["--seed", "3", "bench", "--settings", "i,i", "--methods", "a", "--no-timing"],
+            ["--seed", "3", "bench", "--settings", "i,i", "--methods", "a"],
             ["--seed", "3", "bench", "--methods", "a,b,a", "--out", "b.csv"],
-            ["--seed", "7", "bench", "--settings", ",", "--no-timing", "--out", "e.csv"],
+            ["--seed", "7", "bench", "--settings", ",", "--out", "e.csv"],
             # bench and generate draw their data from the seed alone
-            ["--seed", "7", "--svd-tol", "0.5", "--strict-rank", "bench", "--no-timing",
-             "--out", "tol.csv"],
+            ["--seed", "7", "--svd-tol", "0.5", "--strict-rank", "bench", "--out", "tol.csv"],
             ["bench", "--seed", "7", "--strict-rank", "--out", "b.csv"],
             ["--seed", "7", "generate", "--setting", "ii", "--svd-tol", "0.5", "--out", "s.csv"],
             ["--strict-rank", "--seed", "7", "generate", "--setting", "ii", "--out", "s.csv"],
@@ -726,7 +725,7 @@ class TestRefusedArguments:
             (["simulate", "--rank", "3", "--horizon", "5"], "file", "file is not a directory"),
             (["fit", "--method", "exact"], "file/out", "file is not a directory"),
             (["--seed", "7", "generate", "--setting", "ii"], "dir", "dir is a directory"),
-            (["--seed", "7", "bench", "--no-timing"], "dir", "dir is a directory"),
+            (["--seed", "7", "bench"], "dir", "dir is a directory"),
             (["--seed", "7", "bench"], "file/b.csv", "file is not a directory"),
         ],
     )
@@ -853,7 +852,7 @@ class TestBench:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "setting,method,k,residual,companion_residual,wall_time_ms"
+        assert lines[0] == "setting,method,k,residual,companion_residual"
         assert len(lines) == 1 + 3 * 3 * 4
         assert (tmp_path / "results.csv.manifest.json").exists()
 
@@ -872,6 +871,7 @@ class TestBench:
         assert blas is None or (set(blas) == {"name", "version"} and blas["name"])
 
     def test_no_timing_runs_are_byte_identical(self, tmp_path):
+        # a row holds results only, no timing: two runs write the same bytes
         outs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
@@ -886,7 +886,6 @@ class TestBench:
                     "4",
                     "--m",
                     "6",
-                    "--no-timing",
                     "--out",
                     str(out),
                 ]
@@ -907,7 +906,7 @@ class TestBench:
         written = {}
         for name, argv in runs.items():
             out = tmp_path / f"{name}.csv"
-            assert main([*argv, "--no-timing", "--out", str(out)]) == 0
+            assert main([*argv, "--out", str(out)]) == 0
             written[name] = out.read_bytes()
         assert written["after"] == written["before"] == written["both"]
         assert written["other"] != written["before"]
@@ -926,21 +925,19 @@ class TestBench:
         # flags rebuilt from it give the same CSV, byte for byte
         monkeypatch.chdir(tmp_path)
         (tmp_path / "b.cfg").write_text("seed = 11\nn = 20\nm = 8\nr = 5\nk_values = 1..3\n")
-        assert main(["bench", "--config", "b.cfg", "--no-timing", "--out", "r.csv"]) == 0
+        assert main(["bench", "--config", "b.cfg", "--out", "r.csv"]) == 0
         manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
         params = manifest["parameters"]
         assert manifest["seed"] == params["seed"] == 11
         assert params == {
             "n": 20, "r": 5, "m": 8, "settings": ["i", "ii", "iii"], "methods": ["a", "b", "c"],
-            "k_values": [1, 2, 3], "seed": 11, "output": "r.csv", "measure_time": False,
+            "k_values": [1, 2, 3], "seed": 11, "output": "r.csv",
         }
         flags = ["--seed", str(manifest["seed"]), "bench", "--out", "again.csv"]
         for name in ("n", "r", "m", "settings", "methods", "k_values"):
             value = params[name]
             text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
             flags += ["--" + name.replace("_", "-"), text]
-        if not params["measure_time"]:
-            flags.append("--no-timing")
         assert main(flags) == 0
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
 
@@ -956,7 +953,7 @@ class TestBench:
         written = {}
         for name, argv in runs.items():
             out = tmp_path / f"{name}.csv"
-            assert main(["--seed", "7", *argv, "--no-timing", "--out", str(out)]) == 0
+            assert main(["--seed", "7", *argv, "--out", str(out)]) == 0
             written[name] = out.read_bytes()
         assert written["file"] == written["flags"]
         assert len(written["file"].splitlines()) == 1 + 3 * 2
@@ -972,7 +969,6 @@ class TestBench:
             ("k_values = 1..3,7", ["--k-values", "1..3,7"]),
             ("seed = 11", ["--seed", "11"]),
             ("output = sweep.csv", ["--out", "sweep.csv"]),
-            ("measure_time = false", ["--no-timing"]),
         ],
     )
     def test_each_field_same_from_file_and_flag(self, tmp_path, monkeypatch, line, flags):
@@ -1016,6 +1012,21 @@ class TestBench:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["bench", "--config", str(cfg)]) == 2
+
+    def test_timing_switch_refused(self, tmp_path, monkeypatch, capsys):
+        # the sweep records no timing, so neither --no-timing nor a
+        # measure_time key has an effect: both are usage errors (exit 2)
+        # that write nothing
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as caught:
+            main(["--seed", "7", "bench", "--no-timing", "--out", "x.csv"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --no-timing" in capsys.readouterr().err
+        cfg = tmp_path / "timing.cfg"
+        cfg.write_text("seed = 7\nmeasure_time = false\n")
+        assert main(["bench", "--config", str(cfg), "--out", "x.csv"]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown config key 'measure_time'\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestMainCalls:
@@ -1080,9 +1091,10 @@ def argv_from_manifest(record) -> list:
 
 
 class TestRerunFromManifest:
-    """A run of fit or simulate is reproduced from its manifest alone: the
-    argv rebuilt from it writes the same CSVs, byte for byte, and the same
-    manifest but for its timestamp."""
+    """A run of fit, modes, simulate or generate is reproduced from its
+    manifest alone: the argv rebuilt from it writes the same CSVs, byte for
+    byte, and the same manifest but for its timestamp. (bench has its own
+    test in TestBench; validate writes no file, hence no manifest.)"""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1093,6 +1105,8 @@ class TestRerunFromManifest:
             ["simulate", "--rank", "3", "--horizon", "20"],
             ["simulate", "--rank", "3", "--horizon", "20", "--path", "modal", "--stride", "7",
              "--theta", "theta.csv"],
+            ["modes", "--rank", "4", "--variant", "as-stated", "--theta", "theta.csv",
+             "--horizon", "12", "--svd-tol", "1e-10"],
         ],
     )
     def test_outputs_reproduced(self, toy_csv, tmp_path, monkeypatch, argv):
@@ -1113,3 +1127,47 @@ class TestRerunFromManifest:
         assert again == first
         del record["timestamp"], rerun["timestamp"]
         assert rerun == record
+
+    def test_generate_reproduced(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--seed", "5", "generate", "--setting", "iii", "--n", "12", "--r", "4",
+                "--m", "9", "--out", "snaps.csv"]
+        assert main(argv) == 0
+        manifest = tmp_path / "snaps.csv.manifest.json"
+        first, record = (tmp_path / "snaps.csv").read_bytes(), json.loads(manifest.read_text())
+        for path in tmp_path.iterdir():
+            path.unlink()
+        assert main(argv_from_manifest(record)) == 0
+        assert (tmp_path / "snaps.csv").read_bytes() == first
+        rerun = json.loads(manifest.read_text())
+        del record["timestamp"], rerun["timestamp"]
+        assert rerun == record
+
+
+class TestLapackBreakdown:
+    """A LAPACK breakdown (here a monkeypatched routine that raises numpy's
+    LinAlgError, as its SVD does on the overflowed Gram of data near 1e160)
+    is a numerical guard: exit 3, one ``numerical guard:`` line, no
+    traceback and no output."""
+
+    @pytest.mark.parametrize(
+        "argv, routine",
+        [
+            (["fit", "--method", "optimal", "--rank", "3"], "svd"),
+            (["validate"], "svd"),
+            # outside qr_factor and thin_svd, main maps numpy's error itself
+            (["modes", "--rank", "3"], "eig"),
+        ],
+    )
+    def test_exit_3(self, toy_csv, tmp_path, capsys, monkeypatch, argv, routine):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+        monkeypatch.setattr(np.linalg, routine, broken)
+        out = [] if argv == ["validate"] else ["--out", str(tmp_path / "out")]
+        assert main([*argv, "--input", str(toy_csv), *out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("numerical guard: ") and line.endswith(f"{routine} did not converge")
+        assert list(tmp_path.iterdir()) == []

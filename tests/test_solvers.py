@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrdmd.errors import (
+    NumericalGuardError,
     RankClampWarning,
     RankDeficiencyWarning,
     RankGuardError,
@@ -1204,3 +1205,27 @@ class TestResidualFromFactorization:
         assert abs(at_size_c - by_rows) <= 1e-12 * np.linalg.norm(d.Y)
         dense = d.Y @ np.linalg.pinv(d.X)
         assert_allclose(op.left @ op.right, dense, atol=1e-12 * np.linalg.norm(dense))
+
+
+class TestLapackBreakdown:
+    """A LAPACK breakdown in the factorization (here a monkeypatched SVD
+    that does not converge, as on the overflowed Gram of data near 1e160)
+    is a NumericalGuardError, chained from numpy's LinAlgError."""
+
+    @pytest.mark.parametrize(
+        "trajectories, states, n",
+        [(1, 11, 400), (40, 2, 50)],
+        # Cholesky QR of one shared basis; Householder QR of X and Y apart
+        ids=["tall-trajectory", "pairs"],
+    )
+    def test_factorize(self, monkeypatch, trajectories, states, n):
+        rng = np.random.default_rng(3)
+        d = SnapshotSet(states=rng.standard_normal((trajectories, states, n)))
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", broken)
+        with pytest.raises(NumericalGuardError, match="SVD did not converge") as caught:
+            factorize(d)
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)

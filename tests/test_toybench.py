@@ -142,7 +142,7 @@ class TestCompanionResidual:
 
 class TestRunBenchmark:
     def test_row_count_and_order(self):
-        cfg = BenchConfig(n=12, r=5, m=8, k_values=(1, 2, 3), seed=1, measure_time=False)
+        cfg = BenchConfig(n=12, r=5, m=8, k_values=(1, 2, 3), seed=1)
         rows = run_benchmark(cfg)
         assert len(rows) == 3 * 3 * 3
         keys = [(r.setting, r.method, r.k) for r in rows]
@@ -185,8 +185,7 @@ class TestRunBenchmark:
             return orig(fac, fit)
 
         monkeypatch.setattr(Factorization, "residual_curve", sabotaged)
-        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2, 3), settings=("ii",), seed=4,
-                          measure_time=False)
+        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2, 3), settings=("ii",), seed=4)
         rows = run_benchmark(cfg)
         assert len(rows) == 3 * 3
         failed = [r for r in rows if np.isnan(r.residual)]
@@ -204,8 +203,7 @@ class TestRunBenchmark:
             return orig(d, *args, **kwargs)
 
         monkeypatch.setattr(tb, "factorize", sabotaged)
-        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("i", "ii"), seed=4,
-                          measure_time=False)
+        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("i", "ii"), seed=4)
         rows = run_benchmark(cfg)
         assert len(rows) == 2 * 3 * 2
         failed = {r.setting for r in rows if np.isnan(r.residual)}
@@ -230,8 +228,7 @@ class TestRunBenchmark:
             return snaps
 
         monkeypatch.setattr(tb, "generate_snapshots", sabotaged)
-        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("i", "ii"), seed=4,
-                          measure_time=False)
+        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("i", "ii"), seed=4)
         rows = run_benchmark(cfg)
         assert len(rows) == 2 * 3 * 2
         assert {r.setting for r in rows if np.isnan(r.residual)} == {"ii"}
@@ -264,13 +261,13 @@ class TestRunBenchmark:
         monkeypatch.setattr(tb, "residual_norm", counted_norm, raising=False)
         monkeypatch.setattr(lrdmd.solvers, "_distance",
                             counting("_distance", lrdmd.solvers._distance))
-        rows = run_benchmark(BenchConfig(seed=7, measure_time=False))
+        rows = run_benchmark(BenchConfig(seed=7))
         assert len(rows) == 360
         assert all(np.isfinite(r.residual) for r in rows)
         assert calls == ["_distance", "_distance"]
 
     def test_deterministic_rows(self):
-        cfg = BenchConfig(n=10, r=4, m=6, seed=3, measure_time=False)
+        cfg = BenchConfig(n=10, r=4, m=6, seed=3)
         assert run_benchmark(cfg) == run_benchmark(cfg)
 
     def test_requires_seed(self):
@@ -279,7 +276,7 @@ class TestRunBenchmark:
 
     def test_setting_info_matches_generation(self):
         # each setting's rows describe benchmark_data's dataset
-        cfg = BenchConfig(n=10, r=4, m=6, seed=3, measure_time=False)
+        cfg = BenchConfig(n=10, r=4, m=6, seed=3)
         rows = run_benchmark(cfg)
         d = benchmark_data(cfg, "ii")
         assert d.norm_y == float(np.linalg.norm(d.Y))
@@ -287,7 +284,7 @@ class TestRunBenchmark:
         assert comp == {companion_residual(d)}
 
     def test_csv_format(self, tmp_path):
-        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), seed=2, measure_time=False)
+        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), seed=2)
         path = tmp_path / "out.csv"
         write_result_csv(run_benchmark(cfg), path)
         lines = path.read_text().splitlines()
@@ -296,19 +293,34 @@ class TestRunBenchmark:
         cells = lines[1].split(",")
         assert cells[0] == "i" and cells[1] == "a" and cells[2] == "1"
         float(cells[3])  # parses
+        # results only: no column depends on how long the sweep took
+        assert RESULT_HEADER == "setting,method,k,residual,companion_residual"
+        assert {len(line.split(",")) for line in lines} == {5}
 
-    def test_wall_time_measured_by_default(self):
-        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1,), seed=2)
-        assert any(r.wall_time_ms > 0 for r in run_benchmark(cfg))
+    def test_other_warnings_escape(self, monkeypatch):
+        # the sweep ignores RankDeficiencyWarning alone: any other warning
+        # of a curve reaches the caller
+        orig = Factorization.residual_curve
 
-    def test_wall_time_on_the_first_row_of_each_block(self):
-        # one curve per (setting, method): its time goes on the block's
-        # first row, and 0.0 on the rest
-        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2, 3), seed=2)
-        rows = run_benchmark(cfg)
-        assert len(rows) == 3 * 3 * 3
-        for row in rows:
-            assert (row.wall_time_ms > 0) == (row.k == 1), row
+        def warning(fac, fit):
+            warnings.warn("curve overflow", RuntimeWarning)
+            return orig(fac, fit)
+
+        monkeypatch.setattr(Factorization, "residual_curve", warning)
+        cfg = BenchConfig(n=8, r=3, m=5, k_values=(1, 2), settings=("ii",), methods=("a",),
+                          seed=4)
+        with pytest.warns(RuntimeWarning, match="curve overflow"):
+            rows = run_benchmark(cfg)
+        assert len(rows) == 2 and all(np.isfinite(r.residual) for r in rows)
+
+    def test_default_study_raises_no_other_warning(self, full_bench_result, toy_config):
+        # every warning category but the ignored one an error: the default
+        # study still runs every row (an error there would be a NaN block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_benchmark(toy_config)
+        assert rows == full_bench_result
+        assert all(np.isfinite(r.residual) for r in rows)
 
 
 class TestBenchConfig:
@@ -354,7 +366,7 @@ class TestBenchConfig:
             "n = 12\nr = 5\nm = 8\n"
             "settings = i,ii\nmethods = a,c\n"
             "k_values = 1..3,5\nseed = 11\n"
-            "output = results.csv\nmeasure_time = false\n"
+            "output = results.csv\n"
         )
         path = tmp_path / "bench.cfg"
         path.write_text(text)
@@ -362,7 +374,7 @@ class TestBenchConfig:
         assert (cfg.n, cfg.r, cfg.m, cfg.seed) == (12, 5, 8, 11)
         assert cfg.settings == ("i", "ii") and cfg.methods == ("a", "c")
         assert cfg.k_values == (1, 2, 3, 5)
-        assert cfg.measure_time is False
+        assert cfg.output == "results.csv"
 
     @pytest.mark.parametrize(
         "text, bad",
@@ -380,20 +392,13 @@ class TestBenchConfig:
         with pytest.raises(ValidationError, match=f"k.cfg:2: bad value for k_values: {bad}"):
             load_config(path)
 
-    @pytest.mark.parametrize(
-        "text, want",
-        [("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False)],
-    )
-    def test_measure_time_booleans(self, tmp_path, text, want):
-        path = tmp_path / "b.cfg"
-        path.write_text(f"measure_time = {text}\n")
-        assert load_config(path).measure_time is want
-
-    @pytest.mark.parametrize("text", ["ture", "flase", "on", "2", ""])
-    def test_misspelt_boolean_names_the_line(self, tmp_path, text):
+    @pytest.mark.parametrize("text", ["ture", "flase", "on", "2", "", "false"])
+    def test_measure_time_is_an_unknown_key(self, tmp_path, text):
+        # the sweep records no timing, so no key switches it: a config that
+        # names measure_time is refused at its line, whatever the value
         path = tmp_path / "b.cfg"
         path.write_text(f"seed = 1\nmeasure_time = {text}\n")
-        with pytest.raises(ValidationError, match=r"b\.cfg:2: bad value for measure_time: .* is not one of"):
+        with pytest.raises(ValidationError, match=r"b\.cfg:2: unknown config key 'measure_time'"):
             load_config(path)
 
     def test_overrides_apply_over_the_file_then_validate(self, tmp_path):
