@@ -16,6 +16,15 @@ eigenvectors are mapped back to state space. Two mappings ship:
   in general eigenvectors of A, and verify_eigenpairs quantifies by how
   much. With Q = Qb Rb, Wq = Qb Ur comes from the small SVD Rb = Ur Sq
   Vq^T.
+
+Either map is one real n-row product (as in DMD_RRR, Drmac, Mezic & Mohr
+2018): LAPACK's real eigenvector basis of the small matrix, a real vector
+for each real eigenvalue and [Re w, Im w] for each conjugate pair, is
+lifted by L (or Wq), n k^2 flops. A real spectrum then gives float64
+modes, as np.linalg.eig gives a real W; a spectrum with a conjugate pair
+gives complex modes, the second of each pair the exact conjugate of the
+first. verify_eigenpairs, amplitudes and rom.reconstruct_from_modes
+follow the dtype.
 """
 
 import warnings
@@ -24,7 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeWarning, RankGuardError, ValidationError
-from .linalg import DEFAULT_TOL, _check_tol, numerical_rank, qr_factor, row_blocks, thin_svd
+from .linalg import (
+    DEFAULT_TOL,
+    _check_tol,
+    column_signs,
+    numerical_rank,
+    qr_factor,
+    row_blocks,
+    thin_svd,
+)
 from .solvers import DmdOperator
 
 VARIANTS = ("exact_reconstruction", "as_stated")
@@ -34,12 +51,23 @@ VARIANTS = ("exact_reconstruction", "as_stated")
 class DmdModes:
     """Eigenvalue/mode pairs of a fitted operator.
 
-    eigenvalues has length k and modes is n-by-k complex; column i is the
-    unit-norm mode paired with eigenvalues[i].
+    eigenvalues is a vector of length k and modes is n-by-k; column i is
+    the unit-norm mode paired with eigenvalues[i], else ValidationError.
+    compute_modes returns float64 eigenvalues and modes when the spectrum
+    is real, and complex128 ones, each conjugate pair's modes exact
+    conjugates, when it is not; every consumer follows the dtype.
     """
 
     eigenvalues: np.ndarray
     modes: np.ndarray
+
+    def __post_init__(self):
+        lam, phi = np.shape(self.eigenvalues), np.shape(self.modes)
+        if len(lam) != 1 or len(phi) != 2 or phi[1] != lam[0]:
+            raise ValidationError(
+                f"modes must be n-by-k for a vector of k eigenvalues; got "
+                f"eigenvalues of shape {lam} and modes of shape {phi}"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,46 +100,60 @@ class EigenpairReport:
 
 def _spectral_sort(eigenvalues: np.ndarray) -> np.ndarray:
     """Deterministic order: descending |lambda|, then descending real part,
-    then descending imaginary part (conjugate pairs stay adjacent, +i first)."""
+    then descending imaginary part (conjugate pairs stay adjacent, +i first,
+    unless a pair repeats: the stable sort then gives lambda, lambda, conj,
+    conj)."""
     return np.lexsort((-eigenvalues.imag, -eigenvalues.real, -np.abs(eigenvalues)))
 
 
-def _column_squares(Z: np.ndarray) -> np.ndarray:
-    """Squared l2 norms of the columns of a complex p-by-k Z, summed over
-    its interleaved (re, im) columns without a p-by-k temporary."""
-    R = np.ascontiguousarray(Z, dtype=np.complex128).view(np.float64)
-    return np.einsum("ij,ij->j", R, R).reshape(-1, 2).sum(axis=1)
+def _unit_modes(U: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Unit modes from the lifted real eigenvector basis U (n-by-k).
 
-
-def _normalize_columns(modes: np.ndarray) -> np.ndarray:
-    """Unit l2 columns with the largest-magnitude entry made real positive
-    (the first index winning ties), in place; returns modes."""
-    norms = np.sqrt(_column_squares(modes))
+    Columns first[p] and second[p] hold the real and imaginary parts of one
+    complex mode u + i v, which goes to column first[p] and its conjugate to
+    second[p]; every other column is a real mode. Each mode has unit l2
+    norm and its largest-magnitude entry made real positive, the first index
+    winning ties: column_signs for a real mode, the phase of that entry for
+    a complex one. Real modes alone are U itself, scaled in place; with a
+    pair the modes are complex and C-contiguous, each column of their real
+    view a combination of at most two columns of U, formed by one product.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", U, U))
+    norms[first] = norms[second] = np.hypot(norms[first], norms[second])
     if np.any(norms == 0.0):
         raise ValidationError("mode column collapsed to zero")
-    modes /= norms
-    k = modes.shape[1]
-    cols = np.arange(k)
-    top = np.full(k, -1.0)
-    pivots = np.empty(k, dtype=modes.dtype)
-    for rows in row_blocks(modes.shape[0]):
-        block = modes[rows]
-        mag = np.abs(block)
-        i = np.argmax(mag, axis=0)
-        peak = mag[i, cols]
-        better = peak > top  # strictly: an earlier block wins ties
-        top[better] = peak[better]
-        pivots[better] = block[i, cols][better]
-    modes *= np.conj(pivots) / np.abs(pivots)
+    scale = column_signs(U) / norms
+    if first.size == 0:
+        U *= scale
+        return U
+    mag = U[:, first] ** 2
+    mag += U[:, second] ** 2
+    i = np.argmax(mag, axis=0)  # the first index wins ties
+    phase = U[i, first] - 1j * U[i, second]  # conjugate of the pivot
+    phase /= np.abs(phase) * norms[first]
+    k = U.shape[1]
+    S = np.zeros((k, k, 2))  # S[:, j] gives (Re, Im) of mode j
+    S[np.arange(k), np.arange(k), 0] = scale
+    # (u + i v)(c + i s) = (u c - v s) + i (u s + v c); the conjugates are
+    # copied after the product, so that they are exact
+    S[first, first, 0], S[first, first, 1] = phase.real, phase.imag
+    S[second, first, 0], S[second, first, 1] = -phase.imag, phase.real
+    modes = (U @ S.reshape(k, 2 * k)).view(np.complex128)
+    for f, s in zip(first.tolist(), second.tolist()):
+        np.conjugate(modes[:, f], out=modes[:, s])
     return modes
 
 
-def _real_times_complex(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """A @ Z for a real A and a complex Z, as one real product on the
-    interleaved (re, im) columns of Z instead of a complex one on an
-    upcast A."""
-    Z = np.ascontiguousarray(Z, dtype=np.complex128)
-    return (A @ Z.view(np.float64)).view(np.complex128)
+def _dtype(modes: "DmdModes") -> np.dtype:
+    """float64 when both the modes and the eigenvalues are real, else
+    complex128: the dtype of Phi diag(lambda) and of the amplitudes."""
+    return np.result_type(modes.modes, modes.eigenvalues, np.float64)
+
+
+def _real_view(Z: np.ndarray) -> np.ndarray:
+    """Z itself when it is float64; a complex Z as its interleaved (re, im)
+    columns, a float64 view of it made C-contiguous."""
+    return Z if Z.dtype == np.float64 else np.ascontiguousarray(Z).view(np.float64)
 
 
 def compute_modes(
@@ -140,53 +182,62 @@ def compute_modes(
     if variant == "as_stated":
         b = qr_factor(op.right.T)
         fq = thin_svd(b.R)
-        Wq = b.lift(fq.W)
-        core = Wq.T @ op.left @ (fq.V * fq.sigma)
+        basis = b.lift(fq.W)
+        core = basis.T @ op.left @ (fq.V * fq.sigma)
     else:
-        core = op.transition
+        basis, core = op.left, op.transition
     eigenvalues, W = np.linalg.eig(core)
-    order = _spectral_sort(eigenvalues)
-    eigenvalues = eigenvalues[order]
-    W = W[:, order]
-    if variant == "as_stated":
-        modes = _real_times_complex(Wq, W)
-    else:
+    kept = np.ones(eigenvalues.shape, dtype=bool)
+    if variant == "exact_reconstruction":
         scale = max(float(np.abs(eigenvalues).max(initial=0.0)), float(np.linalg.norm(core)))
-        nonzero = np.abs(eigenvalues) > tol * scale
-        if not np.all(nonzero):
-            dropped = int(np.count_nonzero(~nonzero))
+        kept = np.abs(eigenvalues) > tol * scale
+        if not np.all(kept):
+            dropped = int(np.count_nonzero(~kept))
             warnings.warn(
                 f"dropped {dropped} mode(s) with zero eigenvalue; the "
                 "exact_reconstruction variant reports nonzero eigenvalues only",
                 DegenerateModeWarning,
                 stacklevel=2,
             )
-            eigenvalues = eigenvalues[nonzero]
-            W = W[:, nonzero]
-        modes = _real_times_complex(op.left, W)
-    return DmdModes(eigenvalues=eigenvalues, modes=_normalize_columns(modes))
+    order = _spectral_sort(eigenvalues)
+    order = order[kept[order]]
+    # LAPACK's real basis: a pair's +imag column j is V[:, j] + i V[:, j+1]
+    # (a conjugate has the same modulus, so both are kept or dropped)
+    pairs = np.flatnonzero(kept & (eigenvalues.imag > 0))
+    V = np.real(W).copy()
+    V[:, pairs + 1] = np.imag(W[:, pairs])
+    place = np.empty(eigenvalues.shape, dtype=np.intp)
+    place[order] = np.arange(order.size)
+    # one real n-row product, column-major: (V^T basis^T)^T = basis V
+    U = (V[:, order].T @ basis.T).T
+    modes = _unit_modes(U, place[pairs], place[pairs + 1])
+    return DmdModes(eigenvalues=eigenvalues[order], modes=modes)
 
 
 def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
     """Residuals ||A phi_i - lambda_i phi_i||_2 evaluated through the factors:
     L (R Phi) - Phi diag(lambda), with R Phi rho-by-k, block by block of rows.
 
-    The residuals take no shortcut through the fit: they use the n-row
-    factors, so they check the modes independently of the k-by-k core they
-    came from. The report's tolerance is 1e-8 * ||A||_F, the scale at which
-    the exact_reconstruction variant is expected to be exact; ||A||_F is
-    DmdOperator.frobenius, at size c for an optimal fit.
+    Both sides are formed on the real view of the modes (_real_view): real
+    modes with real eigenvalues take real products of k columns, and a
+    complex Phi or lambda takes those of the 2k interleaved (re, im)
+    columns. The residuals take no shortcut through the fit: they use the
+    n-row factors, so they check the modes independently of the k-by-k
+    core they came from. The report's tolerance is 1e-8 * ||A||_F, the
+    scale at which the exact_reconstruction variant is expected to be
+    exact; ||A||_F is DmdOperator.frobenius, at size c for an optimal fit.
     """
-    n = modes.modes.shape[0]
+    n, k = modes.modes.shape
     if op.n != n:
         raise ValidationError("operator and modes have mismatched dimensions")
-    reduced = _real_times_complex(op.right, modes.modes)
-    squares = np.zeros(modes.eigenvalues.shape[0])
+    phi = np.asarray(modes.modes, dtype=_dtype(modes))
+    reduced = op.right @ _real_view(phi)
+    squares = np.zeros(reduced.shape[1])
     for rows in row_blocks(n):
-        block = _real_times_complex(op.left[rows], reduced)
-        block -= modes.modes[rows] * modes.eigenvalues
-        squares += _column_squares(block)
-    residuals = np.sqrt(squares)
+        block = op.left[rows] @ reduced
+        block -= _real_view(phi[rows] * modes.eigenvalues)
+        squares += np.einsum("ij,ij->j", block, block)
+    residuals = np.sqrt(squares.reshape(k, -1).sum(axis=1))
     return EigenpairReport(residuals=residuals, tolerance=1e-8 * op.frobenius)
 
 
@@ -220,7 +271,7 @@ def amplitudes(modes: DmdModes, theta: np.ndarray, horizon: int) -> AmplitudeSch
     _check_horizon(horizon)
     theta = _check_theta(theta, modes.modes.shape[0])
     k = modes.eigenvalues.shape[0]
-    values = np.empty((horizon, k), dtype=np.complex128)
+    values = np.empty((horizon, k), dtype=_dtype(modes))
     values[0] = np.conj(theta @ modes.modes)
     values[1:] = modes.eigenvalues
     np.cumprod(values, axis=0, out=values)

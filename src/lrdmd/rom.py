@@ -79,13 +79,25 @@ def reconstruct_from_modes(modes: DmdModes, amps: AmplitudeSchedule) -> RomTraje
 
     The state is the real part of the expansion; a conjugate-closed mode
     set makes the imaginary part vanish, and a warning is raised when it
-    does not (relative to the state norm).
+    does not (relative to the state norm). Real modes take one real product,
+    Re(nu) Phi^T, and form the imaginary part Im(nu) Phi^T only when nu has
+    a nonzero imaginary entry.
     """
     if modes.eigenvalues.shape[0] != amps.values.shape[1]:
         raise ValidationError("modes and amplitude schedule have mismatched mode counts")
-    complex_states = amps.values @ modes.modes.T
-    imag_norm = float(np.linalg.norm(complex_states.imag))
-    real_norm = float(np.linalg.norm(complex_states.real))
+    nu, phi = amps.values, modes.modes
+    if np.iscomplexobj(phi):
+        expanded = nu @ phi.T
+        parts = expanded.view(np.float64).reshape(-1, 2)
+        real_sq, imag_sq = np.einsum("ij,ij->j", parts, parts)
+        states = np.ascontiguousarray(expanded.real)
+    else:
+        states = np.real(nu) @ phi.T
+        real_sq = imag_sq = 0.0
+        if np.any(np.imag(nu)):
+            imag = np.imag(nu) @ phi.T
+            real_sq, imag_sq = np.vdot(states, states), np.vdot(imag, imag)
+    real_norm, imag_norm = float(np.sqrt(real_sq)), float(np.sqrt(imag_sq))
     if imag_norm > 1e-6 * max(real_norm, 1e-300):
         warnings.warn(
             f"modal reconstruction has imaginary norm {imag_norm:.3e} "
@@ -96,7 +108,7 @@ def reconstruct_from_modes(modes: DmdModes, amps: AmplitudeSchedule) -> RomTraje
         )
     horizon = amps.values.shape[0]
     return RomTrajectory(
-        states=np.ascontiguousarray(complex_states.real),
+        states=states,
         times=np.arange(1, horizon + 1, dtype=np.int64),
     )
 

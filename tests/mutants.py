@@ -79,9 +79,9 @@ MUTANTS = [
     ),
     (
         "M9", "modes.py",
-        "for rows in row_blocks(modes.shape[0]):",
-        "for rows in " + FIRST_BLOCK.format("modes.shape[0]") + ":",
-        "each mode's largest entry, in any block of rows, is made real positive",
+        "i = np.argmax(mag, axis=0)",
+        "i = np.argmax(mag[:3], axis=0)",
+        "each complex mode's largest entry, in any row, is made real positive",
     ),
     (
         "M10", "modes.py",
@@ -190,6 +190,24 @@ MUTANTS = [
         'raise NumericalGuardError(f"LAPACK failed on the SVD of a small matrix: {exc}") from exc',
         "raise",
         "a LAPACK breakdown in thin_svd is a NumericalGuardError",
+    ),
+    (
+        "M28", "modes.py",
+        "scale = column_signs(U) / norms",
+        "scale = 1.0 / norms",
+        "each real mode's largest-magnitude entry is made positive",
+    ),
+    (
+        "M29", "modes.py",
+        "np.conjugate(modes[:, f], out=modes[:, s])",
+        "np.copyto(modes[:, s], modes[:, f])",
+        "the second mode of a conjugate pair is the exact conjugate of the first",
+    ),
+    (
+        "M30", "modes.py",
+        "block -= _real_view(phi[rows] * modes.eigenvalues)",
+        "block -= _real_view(phi[rows] * modes.eigenvalues) if np.iscomplexobj(phi) else 0.0",
+        "verify_eigenpairs subtracts Phi Lambda on the real path too",
     ),
     (
         "F1", "solvers.py",

@@ -81,6 +81,8 @@ def assert_qr_matches_lapack(M, fast):
     identity, and R has the singular values of M by LAPACK."""
     f = qr_factor(M)
     assert (f.T is not None) == fast
+    # a Cholesky basis is column-major, so lift_rows is a plain product
+    assert f.Q1.flags.f_contiguous or not fast
     s = np.linalg.svd(M, compute_uv=False)
     scale = max(s[0], 1.0) if s.size else 1.0
     rho = min(M.shape)

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 from lrdmd.errors import DegenerateModeWarning, RankGuardError, ValidationError
 from lrdmd.linalg import qr_factor, thin_svd
 from lrdmd.modes import (
+    VARIANTS,
     DmdModes,
-    _normalize_columns,
+    _unit_modes,
     amplitudes,
     compute_modes,
     verify_eigenpairs,
@@ -94,6 +95,24 @@ def ill_conditioned_fit(k=90):
     spectrum = 0.99 * 10.0 ** (-10.0 * np.arange(m) / (m - 1))
     X = rng.standard_normal((n, m))
     return fit_optimal_lowrank_dmd(DataMatrices(X=X, Y=U @ (spectrum[:, None] * (U.T @ X))), k)
+
+
+def repeated_pair_operator(n=9):
+    """A hand-built operator whose transition is exactly blockdiag(C, 0.5, C)
+    for a 2-by-2 C with eigenvalues c +- i s: one conjugate pair twice
+    beside a real eigenvalue, so the spectral sort puts lambda, lambda,
+    conj, conj where LAPACK returns each pair in adjacent columns. C is not
+    normal, so no mode has two entries of equal magnitude for the phase to
+    choose between. L selects 5 of n coordinates, so L^T L is exactly the
+    identity."""
+    c, s = 0.9 * np.cos(0.7), 0.9 * np.sin(0.7)
+    core = np.zeros((5, 5))
+    core[:2, :2] = core[3:, 3:] = [[c, -2.0 * s], [0.5 * s, c]]
+    core[2, 2] = 0.5
+    L = np.eye(n)[:, np.random.default_rng(6).permutation(n)[:5]]
+    op = DmdOperator(left=L, right=core @ L.T)
+    assert np.array_equal(op.transition, core)
+    return op
 
 
 class TestComputeModes:
@@ -253,16 +272,77 @@ class TestComputeModes:
         assert shapes and max(shape[0] for shape in shapes) <= 30
 
     def test_zero_column_rejected(self):
-        modes = np.ones((5, 3), dtype=np.complex128)
-        modes[:, 1] = 0.0
-        with pytest.raises(ValidationError, match="collapsed to zero"):
-            _normalize_columns(modes)
+        # a real mode, and a pair whose two columns are both zero
+        U = np.ones((5, 4))
+        U[:, 1:3] = 0.0
+        none = np.empty(0, dtype=np.intp)
+        for first, second in ((none, none), (np.array([1]), np.array([2]))):
+            with pytest.raises(ValidationError, match="collapsed to zero"):
+                _unit_modes(U.copy(), first, second)
 
     def test_unknown_variant(self):
         d = DataMatrices(X=np.eye(2), Y=np.eye(2))
         _, factors = fit_optimal_lowrank_dmd(d, 1)
         with pytest.raises(ValidationError):
             compute_modes(factors, "bogus")
+
+
+class TestModeDtype:
+    """A real spectrum gives float64 modes from one real lift; a spectrum
+    with a conjugate pair gives complex modes, each pair exact conjugates."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("fit", ["setting-ii", "ill-8000x100"])
+    def test_real_spectrum_gives_real_modes(self, setting_ii_data, fit, variant):
+        _, factors = fit_toy(setting_ii_data, 5) if fit == "setting-ii" else ill_conditioned_fit()
+        lam, want = upcast_modes(factors, variant)
+        got = compute_modes(factors, variant)
+        assert got.eigenvalues.dtype == got.modes.dtype == np.float64
+        assert np.array_equal(got.eigenvalues, lam)
+        assert np.linalg.norm(got.modes - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("case", ["400x30", "repeated-pair"])
+    def test_mixed_spectrum_gives_conjugate_complex_modes(self, case, variant):
+        factors = tall_fit()[1] if case == "400x30" else repeated_pair_operator()
+        lam, want = upcast_modes(factors, variant)
+        got = compute_modes(factors, variant)
+        assert got.modes.dtype == np.complex128
+        assert np.array_equal(got.eigenvalues, lam)
+        assert np.linalg.norm(got.modes - want) <= 1e-12 * np.linalg.norm(want)
+        # the sort is stable, so the i-th eigenvalue with positive imaginary
+        # part pairs with the i-th with negative imaginary part
+        upper, lower = np.flatnonzero(lam.imag > 0), np.flatnonzero(lam.imag < 0)
+        assert upper.size == lower.size > 0 and np.any(lam.imag == 0)
+        assert np.array_equal(lam[lower], np.conj(lam[upper]))
+        assert np.array_equal(got.modes[:, lower], np.conj(got.modes[:, upper]))
+        if case == "repeated-pair" and variant == "exact_reconstruction":
+            assert list(upper) == [0, 1] and list(lower) == [2, 3]
+
+    @pytest.mark.parametrize("fit", ["setting-ii", "ill-8000x100"])
+    def test_verify_real_modes_matches_complex_upcast(self, setting_ii_data, fit):
+        op, factors = fit_toy(setting_ii_data, 5) if fit == "setting-ii" else ill_conditioned_fit()
+        modes = compute_modes(factors)
+        assert modes.modes.dtype == np.float64
+        upcast = DmdModes(eigenvalues=modes.eigenvalues.astype(np.complex128),
+                          modes=modes.modes.astype(np.complex128))
+        applied = op.left.astype(np.complex128) @ (op.right.astype(np.complex128) @ upcast.modes)
+        want = np.linalg.norm(applied - upcast.modes * upcast.eigenvalues, axis=0)
+        for bundle in (modes, upcast):
+            report = verify_eigenpairs(bundle, op)
+            assert_allclose(report.residuals, want, rtol=1e-12, atol=1e-12 * op.frobenius)
+            assert report.all_passed
+
+
+class TestDmdModes:
+    @pytest.mark.parametrize(
+        "lam, phi",
+        [((3,), (5, 2)), ((2,), (5, 3)), ((2, 1), (5, 2)), ((2,), (5,)), ((), (5, 1))],
+        ids=["fewer-modes", "more-modes", "2-d-eigenvalues", "1-d-modes", "scalar"],
+    )
+    def test_mismatched_counts_refused(self, lam, phi):
+        with pytest.raises(ValidationError, match="modes must be n-by-k"):
+            DmdModes(eigenvalues=np.ones(lam), modes=np.ones(phi, dtype=np.complex128))
 
 
 class TestVerifyEigenpairs:
@@ -310,8 +390,9 @@ class TestVerifyEigenpairs:
 
 
 class TestRowBlocks:
-    """The two n-row loops of the modes, on 7 rows in blocks of 1, 3 and
-    the default number of rows: each reads every block."""
+    """The n-row passes of the modes (the pivot search, over whole columns,
+    and the block loop of verify_eigenpairs) on 7 rows, with blocks of 1, 3
+    and the default number of rows: each reads every row."""
 
     def test_pivot_is_the_largest_entry_of_every_block(self, row_block):
         rng = np.random.default_rng(17)
@@ -319,9 +400,19 @@ class TestRowBlocks:
         Z[6, 0] = 10.0 - 3.0j  # the largest entry in the last row
         # a tie across blocks: the earlier row wins
         Z[1, 1], Z[5, 1] = 8.0j, -8.0
-        got = _normalize_columns(Z.copy())
-        assert_allclose(got, normalized(Z), rtol=0, atol=1e-14)
-        assert got[1, 1] == abs(got[1, 1]) and got[5, 1].imag != 0.0
+        # the real basis of Z's columns, pairs out of order, beside one real
+        # column whose largest magnitude ties between a negative and a
+        # positive entry
+        first, second = np.array([0, 3, 4]), np.array([5, 1, 2])
+        U = np.empty((7, 7))
+        U[:, first], U[:, second] = Z.real, Z.imag
+        U[:, 6] = rng.uniform(-1.0, 1.0, 7)
+        U[1, 6], U[5, 6] = -8.0, 8.0
+        got = _unit_modes(U.copy(), first, second)
+        assert_allclose(got[:, first], normalized(Z), rtol=0, atol=1e-14)
+        assert np.array_equal(got[:, second], np.conj(got[:, first]))
+        assert got[1, 3] == abs(got[1, 3]) and got[5, 3].imag != 0.0
+        assert_allclose(got[:, 6], -U[:, 6] / np.linalg.norm(U[:, 6]), rtol=0, atol=1e-14)
 
     def test_residuals_sum_every_block(self, row_block):
         rng = np.random.default_rng(18)

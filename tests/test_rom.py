@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from lrdmd import kernels
 from lrdmd.errors import OverflowGuardError, ReconstructionWarning, ValidationError
-from lrdmd.modes import amplitudes, compute_modes
+from lrdmd.modes import DmdModes, amplitudes, compute_modes
 from lrdmd.rom import (
     OVERFLOW_LIMIT,
     reconstruct_from_modes,
@@ -262,9 +263,31 @@ class TestReconstructFromModes:
             scale = max(np.linalg.norm(reduced.states[t]), 1e-300)
             assert np.linalg.norm(modal.states[t] - reduced.states[t]) <= 1e-8 * scale
 
-    def test_warns_when_mode_set_not_conjugate_closed(self):
-        from lrdmd.modes import DmdModes
+    def test_real_modes_take_one_real_product(self, setting_ii_data):
+        # setting ii's spectrum is real: the states are Re(nu) Phi^T, the one
+        # array the expansion allocates, and equal the complex expansion of
+        # the same modes upcast
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, factors = fit_optimal_lowrank_dmd(setting_ii_data, 5)
+        modes = compute_modes(factors)
+        assert modes.modes.dtype == np.float64
+        theta = setting_ii_data.X[:, 0]
+        amps = amplitudes(modes, theta, 60)
+        tracemalloc.start()
+        try:
+            got = reconstruct_from_modes(modes, amps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * got.states.nbytes
+        upcast = DmdModes(eigenvalues=modes.eigenvalues.astype(np.complex128),
+                          modes=modes.modes.astype(np.complex128))
+        want = reconstruct_from_modes(upcast, amplitudes(upcast, theta, 60)).states
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got.states - want) <= 1e-14 * scale)
 
+    def test_warns_when_mode_set_not_conjugate_closed(self):
         # one complex mode without its conjugate partner: the imaginary
         # parts of the expansion cannot cancel
         phi = np.array([0.8, 0.6j, 0.0], dtype=np.complex128)
@@ -275,6 +298,13 @@ class TestReconstructFromModes:
         theta = np.array([1.0, 1.0, 0.0])
         with pytest.warns(ReconstructionWarning):
             reconstruct_from_modes(broken, amplitudes(broken, theta, 6))
+
+    def test_warns_when_real_mode_has_complex_eigenvalue(self):
+        # real modes take the real product; a complex eigenvalue without its
+        # conjugate still leaves an imaginary part, which is checked
+        broken = DmdModes(eigenvalues=np.array([0.9 + 0.3j]), modes=np.array([[0.8], [0.6], [0.0]]))
+        with pytest.warns(ReconstructionWarning):
+            reconstruct_from_modes(broken, amplitudes(broken, np.array([1.0, 1.0, 0.0]), 6))
 
     def test_mismatched_mode_count(self):
         _, _, factors, theta = symmetric_fixture()
