@@ -288,13 +288,13 @@ def cmd_validate(args) -> int:
             warnings.simplefilter("ignore", RankDeficiencyWarning)
         fac = factorize(snaps, args.svd_tol)
     rows = [
-        ("n (state dimension)", fac.n),
-        ("m (snapshot pairs)", fac.m),
+        ("n (state dimension)", snaps.n),
+        ("m (snapshot pairs)", snaps.m),
         ("numerical rank of X", fac.rank_x),
         ("numerical rank of Y", fac.rank_of_y),
         ("tolerance (rel. to s_max)", f"{fac.tol:g}"),
-        ("m <= n", fac.m <= fac.n),
-        ("rank(X) = rank(Y) = m", fac.rank_x == fac.m and fac.rank_of_y == fac.m),
+        ("m <= n", snaps.m <= snaps.n),
+        ("rank(X) = rank(Y) = m", fac.rank_x == snaps.m and fac.rank_of_y == snaps.m),
         ("companion residual", f"{_span_defect(fac, snaps.norm_y):.6e}"),
     ]
     for label, value in rows:

@@ -17,8 +17,8 @@ All routines are deterministic: singular vectors follow a fixed sign
 convention (the largest-magnitude entry of each left singular vector is
 made positive, first index winning ties) so repeated runs produce
 bit-identical factors. A LAPACK breakdown in qr_factor or thin_svd (numpy's
-LinAlgError, such as an SVD that does not converge on the overflowed Gram
-of data near 1e160) is raised as NumericalGuardError.
+LinAlgError) is raised as NumericalGuardError, and so is a Cholesky Gram
+that overflows (data near 1e160), before it is factored.
 """
 
 from dataclasses import dataclass
@@ -114,12 +114,6 @@ def column_signs(W: np.ndarray) -> np.ndarray:
     return sign
 
 
-def _fix_signs(W: np.ndarray, V: np.ndarray) -> None:
-    sign = column_signs(W)
-    W *= sign
-    V *= sign
-
-
 def _as_matrix(M, checked: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
@@ -208,9 +202,15 @@ def _cholesky_qr(M: np.ndarray) -> QrFactors | None:
     chol(G + s I), s = 11 (pq + q(q+1)) u ||M||_2^2, which keeps the Cholesky
     factor from breaking down, and CholeskyQR2 then factors Q0 unless
     SHIFTED_MIN_RATIO refuses it. Either way M = Q R with Q = Q1 R2^-1 and
-    R = R2 R1 [R0].
+    R = R2 R1 [R0]. A Gram with a non-finite entry, squares of M that
+    overflow, raises NumericalGuardError.
     """
-    G = M.T @ M
+    p, q = M.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = M.T @ M
+    if not np.all(np.isfinite(G)):
+        raise NumericalGuardError(f"the Gram matrix of a {p}-by-{q} matrix overflows: "
+                                  "its entries are too large to square")
     found = _cholesky_qr2(M, G, CHOLQR_MIN_RATIO)
     if found is not None:
         Q1, R2, R1 = found
@@ -219,7 +219,6 @@ def _cholesky_qr(M: np.ndarray) -> QrFactors | None:
         if sigma[-1] >= CHOLQR_MIN_RATIO * sigma[0]:
             return QrFactors(Q1=Q1, T=np.linalg.inv(R2), R=R)
         del found, Q1  # the refused p-by-q basis, before the shifted pass
-    p, q = M.shape
     # ||M||_2^2 is the top eigenvalue of G; trace(G) overestimates it up to
     # q-fold, and the larger shift leaves Q0 too ill conditioned
     shift = 11.0 * (p * q + q * (q + 1)) * UNIT_ROUNDOFF * np.linalg.eigvalsh(G)[-1]
@@ -268,5 +267,7 @@ def thin_svd(M: np.ndarray) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise NumericalGuardError(f"LAPACK failed on the SVD of a small matrix: {exc}") from exc
     V = Vt.T.copy()
-    _fix_signs(W, V)
+    sign = column_signs(W)
+    W *= sign
+    V *= sign
     return SvdFactors(W=W, sigma=sigma, V=V)

@@ -15,16 +15,17 @@ eigenvectors are mapped back to state space. Two mappings ship:
   w of Wq^T L Vq Sq give phi = Wq w. Reported as-is; these columns are not
   in general eigenvectors of A, and verify_eigenpairs quantifies by how
   much. With Q = Qb Rb, Wq = Qb Ur comes from the small SVD Rb = Ur Sq
-  Vq^T.
+  Vq^T, and is never formed: the core is Ur^T (Qb^T L) Vq Sq, one n-row
+  product, and the modes Qb (Ur w).
 
 Either map is one real n-row product (as in DMD_RRR, Drmac, Mezic & Mohr
 2018): LAPACK's real eigenvector basis of the small matrix, a real vector
 for each real eigenvalue and [Re w, Im w] for each conjugate pair, is
-lifted by L (or Wq), n k^2 flops. A real spectrum then gives float64
-modes, as np.linalg.eig gives a real W; a spectrum with a conjugate pair
-gives complex modes, the second of each pair the exact conjugate of the
-first. verify_eigenpairs, amplitudes and rom.reconstruct_from_modes
-follow the dtype.
+lifted by L (or, mapped by Ur, by Qb), n k^2 flops. A real spectrum then
+gives float64 modes, as np.linalg.eig gives a real W; a spectrum with a
+conjugate pair gives complex modes, the second of each pair the exact
+conjugate of the first. verify_eigenpairs, amplitudes and
+rom.reconstruct_from_modes follow the dtype.
 """
 
 import warnings
@@ -179,16 +180,17 @@ def compute_modes(
         raise RankGuardError(
             f"operator factor Q lost rank ({rank_q} < {k}); reduce the target rank"
         )
-    if variant == "as_stated":
+    as_stated = variant == "as_stated"
+    if as_stated:
+        # Wq = Qb Ur is never formed: Wq^T L = Ur^T (Qb^T L)
         b = qr_factor(op.right.T)
         fq = thin_svd(b.R)
-        basis = b.lift(fq.W)
-        core = basis.T @ op.left @ (fq.V * fq.sigma)
+        core = fq.W.T @ b.project(op.left) @ (fq.V * fq.sigma)
     else:
-        basis, core = op.left, op.transition
+        core = op.transition
     eigenvalues, W = np.linalg.eig(core)
     kept = np.ones(eigenvalues.shape, dtype=bool)
-    if variant == "exact_reconstruction":
+    if not as_stated:
         scale = max(float(np.abs(eigenvalues).max(initial=0.0)), float(np.linalg.norm(core)))
         kept = np.abs(eigenvalues) > tol * scale
         if not np.all(kept):
@@ -208,8 +210,10 @@ def compute_modes(
     V[:, pairs + 1] = np.imag(W[:, pairs])
     place = np.empty(eigenvalues.shape, dtype=np.intp)
     place[order] = np.arange(order.size)
-    # one real n-row product, column-major: (V^T basis^T)^T = basis V
-    U = (V[:, order].T @ basis.T).T
+    # one real n-row product, column-major: (V^T L^T)^T = L V, or Wq V =
+    # ((Ur V)^T Qb^T)^T
+    V = V[:, order]
+    U = b.lift_rows((fq.W @ V).T).T if as_stated else (V.T @ op.left.T).T
     modes = _unit_modes(U, place[pairs], place[pairs + 1])
     return DmdModes(eigenvalues=eigenvalues[order], modes=modes)
 

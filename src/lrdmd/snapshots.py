@@ -31,7 +31,7 @@ class SnapshotSet:
     (load_snapshots and generate_snapshots hand over such arrays), else one
     copy of it; either way it is checked once for its shape and for finite
     values. d.X and d.Y are read from the array at each access (see
-    pairs), and the solvers factor the array itself (see
+    _lagged), and the solvers factor the array itself (see
     solvers.factorize).
 
     The data cannot change, so the object keeps the one Factorization that
@@ -99,15 +99,12 @@ class SnapshotSet:
     def Y(self) -> np.ndarray:
         return self._lagged(1)
 
-    def pairs(self) -> tuple:
-        """(X, Y) as read-only n-by-m matrices: views of the snapshot array
-        where its layout allows (one trajectory, or two states each), else
-        one F-ordered copy each, made at every call and not kept."""
-        return self._lagged(0), self._lagged(1)
-
     def _lagged(self, lag: int) -> np.ndarray:
-        """States lag+1 .. lag+T-1 of every trajectory as the columns of an
-        n-by-m matrix: X for lag 0, Y for lag 1."""
+        """States lag+1 .. lag+T-1 of every trajectory as the columns of a
+        read-only n-by-m matrix, X for lag 0 and Y for lag 1: a view of the
+        snapshot array where its layout allows (one trajectory, or two
+        states each), else one F-ordered copy, made at every call and not
+        kept."""
         N, T, n = self.states.shape
         M = self.states[:, lag : lag + T - 1].reshape(-1, n).T
         M.flags.writeable = False

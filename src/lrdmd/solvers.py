@@ -220,8 +220,7 @@ class Factorization:
     first use and cached, so the projected fit never needs Y factored.
     Build it with factorize() and slice it with fit(name, k);
     residual_curve(name) evaluates a rank-k fit's residual at every k from
-    the same cached row without forming its factors, and residual(name, k)
-    reads it at one k.
+    the same cached row without forming its factors.
     """
 
     Y: np.ndarray | None
@@ -232,10 +231,6 @@ class Factorization:
     V: np.ndarray
     x_columns: slice | np.ndarray
     y_columns: np.ndarray | None
-
-    @property
-    def n(self) -> int:
-        return self.basis.Q1.shape[0]
 
     @property
     def m(self) -> int:
@@ -487,12 +482,6 @@ class Factorization:
             curve = self._curves[fit] = _read_only(curve)
         return curve
 
-    def residual(self, fit: str, k: int) -> float:
-        """||Y - A X||_F of fit(fit, k) for a rank-k fit ("optimal",
-        "truncated" or "projected"): residual_curve(fit) at the rank k is
-        clamped to, as by the fit (_keep)."""
-        return self._residual(fit, self._keep(fit, k))
-
     def _residual(self, fit: str, k: int) -> float:
         """||Y - A X||_F of ``fit`` at the rank k it kept, at size c. The
         exact fit has A X = Y V V^T, so its residual is ||R_y - R_y V V^T||;
@@ -522,8 +511,8 @@ def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL) -> Factorization:
     snapshot array. When N is at most SHARED_MAX_NEW * m, one tall
     factorization of all the states, the F-ordered n-by-NT matrix that the
     array is, serves X and Y. Otherwise X is factored here and Y on first
-    use, as views of the array where its layout allows and else as copies
-    (see SnapshotSet.pairs).
+    use, as d.X and d.Y give them: views of the array where its layout
+    allows, else copies.
 
     d keeps the Factorization built for it, and a call with the same tol
     returns it again (d is read-only, so its data cannot have changed), with
@@ -557,12 +546,11 @@ def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL) -> Factorization:
 
 def _columns(d: SnapshotSet) -> tuple:
     """(Z, x_columns, y_columns, Y): the columns to factor, where X and Y
-    lie among them (y_columns None: Y is not among them, and Y is the
-    matrix to factor on first use)."""
+    lie among them (y_columns None: Z is d.X, Y is not among them, and Y
+    is d.Y, the matrix to factor on first use)."""
     N, T, n = d.states.shape
     if N > SHARED_MAX_NEW * d.m:
-        X, Y = d.pairs()
-        return X, slice(None), None, Y
+        return d.X, slice(None), None, d.Y
     x_columns = (T * np.arange(N)[:, None] + np.arange(T - 1)).ravel()
     return d.states.reshape(N * T, n).T, x_columns, x_columns + 1, None
 
@@ -611,7 +599,7 @@ def residual_norm(op: DmdOperator, d: SnapshotSet) -> float:
     evaluated at size c from the fit's coefficients
     (Factorization._residual). Any other operator or dataset is evaluated
     through the factors, its squares summed block by block of rows: A X = L
-    (R X) with R X rho-by-m, X and Y read as SnapshotSet.pairs gives them.
+    (R X) with R X rho-by-m, X and Y read as d.X and d.Y give them.
     """
     if op.n != d.n:
         raise ValidationError(
@@ -620,5 +608,4 @@ def residual_norm(op: DmdOperator, d: SnapshotSet) -> float:
     fac = d._factorization
     if fac is not None and op.source is not None and op.source[0]() is fac:
         return fac._residual(*op.source[1:])
-    X, Y = d.pairs()
-    return _distance(Y, op.left, op.right @ X)
+    return _distance(d.Y, op.left, op.right @ d.X)

@@ -163,13 +163,10 @@ def data_seed_for(seed: int, setting: str) -> int:
     return seed + 1 + SETTINGS.index(setting)
 
 
-def _setting_data(G: np.ndarray, cfg: BenchConfig, setting: str) -> SnapshotSet:
-    return generate_snapshots(G, setting, cfg.m, data_seed_for(cfg.seed, setting))
-
-
 def benchmark_data(cfg: BenchConfig, setting: str) -> SnapshotSet:
     """The exact dataset the sweep uses for one setting of a config."""
-    return _setting_data(generate_toy_operator(cfg.n, cfg.r, cfg.seed), cfg, setting)
+    G = generate_toy_operator(cfg.n, cfg.r, cfg.seed)
+    return generate_snapshots(G, setting, cfg.m, data_seed_for(cfg.seed, setting))
 
 
 def run_benchmark(cfg: BenchConfig) -> tuple:
@@ -195,7 +192,7 @@ def run_benchmark(cfg: BenchConfig) -> tuple:
         for setting in sorted(cfg.settings, key=SETTINGS.index):
             fac, comp = None, float("nan")
             try:
-                d = _setting_data(G, cfg, setting)
+                d = generate_snapshots(G, setting, cfg.m, data_seed_for(cfg.seed, setting))
                 fac = factorize(d)
                 comp = _span_defect(fac, d.norm_y)
             except Exception:

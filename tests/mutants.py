@@ -210,6 +210,18 @@ MUTANTS = [
         "verify_eigenpairs subtracts Phi Lambda on the real path too",
     ),
     (
+        "M31", "linalg.py",
+        "    if not np.all(np.isfinite(G)):\n",
+        "    if False:\n",
+        "a Cholesky Gram that overflows is refused before it is factored",
+    ),
+    (
+        "M32", "modes.py",
+        "b.lift_rows((fq.W @ V).T).T",
+        "b.lift_rows(V.T).T",
+        "as_stated lifts Ur V through Qb: its modes are Wq w",
+    ),
+    (
         "F1", "solvers.py",
         "return _read_only((f.W, core, core @ self.U.T))",
         "return _read_only((thin_svd(self._y[1]).W, core, core @ self.U.T))",

@@ -1146,9 +1146,9 @@ class TestRerunFromManifest:
 
 class TestLapackBreakdown:
     """A LAPACK breakdown (here a monkeypatched routine that raises numpy's
-    LinAlgError, as its SVD does on the overflowed Gram of data near 1e160)
-    is a numerical guard: exit 3, one ``numerical guard:`` line, no
-    traceback and no output."""
+    LinAlgError) is a numerical guard: exit 3, one ``numerical guard:``
+    line, no traceback and no output. So is a Cholesky Gram that overflows,
+    on data near 1e160, which is refused before LAPACK sees it."""
 
     @pytest.mark.parametrize(
         "argv, routine",
@@ -1171,3 +1171,22 @@ class TestLapackBreakdown:
         [line] = captured.err.splitlines()
         assert line.startswith("numerical guard: ") and line.endswith(f"{routine} did not converge")
         assert list(tmp_path.iterdir()) == []
+
+    def test_overflowed_gram(self, tmp_path):
+        # a fresh lrdmd process, so that any warning reaches its stderr
+        path = tmp_path / "walk.csv"
+        steps = np.random.default_rng(8).standard_normal((1, 41, 400))
+        save_snapshots(SnapshotSet(states=np.cumsum(steps, axis=1) * 1e160), path)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(lrdmd.cli.__file__).parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-m", "lrdmd.cli", "fit", "--input", str(path), "--method", "optimal",
+             "--rank", "3", "--out", str(tmp_path / "fit")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 3 and run.stdout == ""
+        assert run.stderr == (
+            "numerical guard: the Gram matrix of a 400-by-41 matrix overflows: its entries are "
+            "too large to square\n"
+        )
+        assert not (tmp_path / "fit").exists()

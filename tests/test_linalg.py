@@ -8,7 +8,7 @@ from lrdmd.errors import RankClampWarning, RankDeficiencyWarning, ValidationErro
 from lrdmd.linalg import (
     CHOLQR_MIN_RATIO,
     _cholesky_qr2,
-    _fix_signs,
+    column_signs,
     numerical_rank,
     qr_factor,
     thin_svd,
@@ -133,10 +133,9 @@ class TestThinSvd:
         assert_allclose((f.W * f.sigma) @ f.V.T, np.diag([-3.0, -2.0]), atol=1e-14)
         # entries of equal magnitude and opposite sign: the first one wins
         W = np.array([[-0.5, 0.5], [0.5, -0.5], [0.1, 0.2]])
-        V = np.eye(2)
-        _fix_signs(W, V)
-        assert np.array_equal(W, [[0.5, 0.5], [-0.5, -0.5], [-0.1, 0.2]])
-        assert np.array_equal(V, [[-1.0, 0.0], [0.0, 1.0]])
+        sign = column_signs(W)
+        assert np.array_equal(sign, [-1.0, 1.0])
+        assert np.array_equal(W * sign, [[0.5, 0.5], [-0.5, -0.5], [-0.1, 0.2]])
 
     def test_deterministic(self, rng):
         M = rng.standard_normal((6, 4))

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lrdmd.errors import DegenerateModeWarning, RankGuardError, ValidationError
-from lrdmd.linalg import qr_factor, thin_svd
+from lrdmd.linalg import QrFactors, qr_factor, thin_svd
 from lrdmd.modes import (
     VARIANTS,
     DmdModes,
@@ -56,14 +56,15 @@ def normalized(modes):
 def upcast_modes(factors, variant):
     """compute_modes with every real factor upcast to complex before its
     product, and one column at a time normalized. as_stated takes the thin
-    SVD of Q as Wq = Qb Ur from Q = Qb R and R = Ur Sq Vq^T; the exact
-    variant takes the fit's core Q^T P (DmdOperator.transition), whose
-    agreement with the n-row product is TestRankSpaceCore's check."""
+    SVD of Q as Wq = Qb Ur from Q = Qb R and R = Ur Sq Vq^T, and its core
+    as Ur^T (Qb^T P) Vq Sq; the exact variant takes the fit's core Q^T P
+    (DmdOperator.transition), whose agreement with the n-row product is
+    TestRankSpaceCore's check."""
     if variant == "as_stated":
         b = qr_factor(factors.Q)
         fq = thin_svd(b.R)
         Wq = b.lift(fq.W)
-        core = Wq.T @ factors.P @ (fq.V * fq.sigma)
+        core = fq.W.T @ b.project(factors.P) @ (fq.V * fq.sigma)
     else:
         core = factors.transition
     lam, W = np.linalg.eig(core)
@@ -74,6 +75,17 @@ def upcast_modes(factors, variant):
     else:
         modes = factors.P.astype(np.complex128) @ W
     return lam, normalized(modes)
+
+
+def formed_wq_modes(factors):
+    """The as_stated eigenpairs with Wq = Qb Ur formed: the eigenvectors w
+    of Wq^T P Vq Sq, mapped to Wq w, one column at a time normalized."""
+    b = qr_factor(factors.Q)
+    fq = thin_svd(b.R)
+    Wq = b.lift(fq.W)
+    lam, W = np.linalg.eig(Wq.T @ factors.P @ (fq.V * fq.sigma))
+    order = spectral_key(lam)
+    return lam[order], normalized(Wq @ W[:, order])
 
 
 def svd_of_q_modes(factors):
@@ -285,6 +297,43 @@ class TestComputeModes:
         _, factors = fit_optimal_lowrank_dmd(d, 1)
         with pytest.raises(ValidationError):
             compute_modes(factors, "bogus")
+
+
+AS_STATED_FITS = {
+    # a conjugate pair among real eigenvalues, and two real spectra
+    "400x30": lambda data: tall_fit()[1],
+    "setting-ii": lambda data: fit_toy(data, 5)[1],
+    "ill-8000x100": lambda data: ill_conditioned_fit()[1],
+}
+
+
+class TestAsStatedProducts:
+    """as_stated takes two n-row products, the core's Qb^T P and the lift of
+    Ur V, and never forms Wq = Qb Ur."""
+
+    @pytest.mark.parametrize("fit", ["400x30", "setting-ii"])
+    def test_one_project_and_one_lift(self, fit, setting_ii_data, monkeypatch):
+        factors = AS_STATED_FITS[fit](setting_ii_data)
+        calls = []
+        for name in ("lift", "lift_rows", "project", "inner"):
+            def counted(basis, M, name=name, original=getattr(QrFactors, name)):
+                calls.append(name)
+                return original(basis, M)
+
+            monkeypatch.setattr(QrFactors, name, counted)
+        modes = compute_modes(factors, "as_stated").modes
+        assert calls == ["project", "lift_rows"]
+        # real modes are the lift itself, column-major as the exact variant's
+        assert modes.flags.f_contiguous == (modes.dtype == np.float64)
+
+    @pytest.mark.parametrize("fit", AS_STATED_FITS)
+    def test_matches_formed_wq(self, fit, setting_ii_data):
+        factors = AS_STATED_FITS[fit](setting_ii_data)
+        lam, want = formed_wq_modes(factors)
+        got = compute_modes(factors, "as_stated")
+        assert np.abs(got.eigenvalues - lam).max() <= 1e-12 * np.abs(lam).max()
+        deviation = np.abs(got.modes - want).max(axis=0) / np.abs(want).max(axis=0)
+        assert deviation.max() <= 1e-12
 
 
 class TestModeDtype:

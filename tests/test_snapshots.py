@@ -375,7 +375,7 @@ class TestValidateRankAssumptions:
         d = DataMatrices(X=X, Y=np.eye(5)[:, 1:4])
         report = validate_report(d)
         assert report.rank_x == 3 == report.rank_of_y == d.m
-        assert full_rank(report) and report.m <= report.n
+        assert full_rank(report) and d.m <= d.n
 
     def test_setting_ii_ranks(self, setting_ii_data):
         # oracle: singular-value counts from numpy's SVD directly
@@ -383,7 +383,7 @@ class TestValidateRankAssumptions:
         assert numpy_rank(setting_ii_data.Y) == 30
         report = validate_report(setting_ii_data)
         assert (report.rank_x, report.rank_of_y) == (40, 30)
-        assert report.m <= report.n and not full_rank(report)
+        assert setting_ii_data.m <= setting_ii_data.n and not full_rank(report)
 
     def test_report_lines(self, rng):
         # the values of the printed lines, which test_cli.py::TestValidate checks
@@ -398,7 +398,7 @@ class TestValidateRankAssumptions:
         # and flags the violated assumption for the solvers
         d = DataMatrices(X=rng.standard_normal((3, 6)), Y=rng.standard_normal((3, 6)))
         report = validate_report(d)
-        assert not report.m <= report.n
+        assert not d.m <= d.n
         assert report.rank_x == numpy_rank(d.X) == 3 < d.m
         assert report.rank_of_y == numpy_rank(d.Y) == 3
 

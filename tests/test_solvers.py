@@ -335,7 +335,8 @@ class TestOptimalLowRankDmd:
         assert abs(residual_norm(op, d) - norm_y) <= 1e-12 * norm_y
         assert abs(lifted_residual(op, d) - norm_y) <= 1e-12 * norm_y
         if fit != "exact":
-            assert abs(fac.residual(fit, 1) - norm_y) <= 1e-12 * norm_y
+            [at_rank_0] = fac.residual_curve(fit)
+            assert abs(at_rank_0 - norm_y) <= 1e-12 * norm_y
 
     def test_bad_rank_arguments(self):
         d = random_data(26)
@@ -804,7 +805,7 @@ class TestResidualFromCoefficients:
                     "projected": lifted.fit("projected", k),
                 }
                 for fit, op in fits.items():
-                    assert abs(fac.residual(fit, k) - residual_norm(op, d)) <= tol, (fit, k)
+                    assert abs(curve_at(fac, fit, k) - residual_norm(op, d)) <= tol, (fit, k)
 
     def test_projected_takes_the_part_outside_the_basis(self):
         # independent pairs: Y has its own basis and a part outside X's,
@@ -812,7 +813,7 @@ class TestResidualFromCoefficients:
         d = random_data(7, n=40, m=12)
         fac = factorize(d)
         assert fac.y_columns is None and fac._outside > 0.1 * np.linalg.norm(d.Y)
-        assert abs(fac.residual("projected", 12) - fac.span_defect) <= 1e-12 * np.linalg.norm(d.Y)
+        assert abs(curve_at(fac, "projected", 12) - fac.span_defect) <= 1e-12 * np.linalg.norm(d.Y)
         shared = factorize(trajectories(2, 4, 6))
         assert shared.y_columns is not None and shared._outside == 0.0
 
@@ -821,25 +822,27 @@ class TestResidualFromCoefficients:
         d = DataMatrices(X=X, Y=rng.standard_normal((8, 2)) @ rng.standard_normal((2, 5)))
         fac = factorize(d)
         with pytest.warns(RankClampWarning):
-            assert fac.residual("optimal", 4) == fac.residual("optimal", 2)
-        with pytest.warns(RankClampWarning):
             assert fac.fit("optimal", 4).source[2] == 2
-        for evaluate in (fac.residual, fac.fit):
-            refused(RankClampWarning, lambda: evaluate("optimal", 4))
+        refused(RankClampWarning, lambda: fac.fit("optimal", 4))
         # truncated and projected keep min(k, rank), as their slices do
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fac.residual("truncated", 5) == fac.residual("truncated", 4)
             assert fac.fit("truncated", 5).source[2] == fac.fit("truncated", 4).source[2] == 2
         for fit in ("exact", "a", ""):
             with pytest.raises(ValidationError, match="unknown fit"):
-                fac.residual(fit, 2)
+                fac.residual_curve(fit)
         for fit in ("a", ""):
             with pytest.raises(ValidationError, match="unknown fit"):
                 fac.fit(fit, 2)
-        for evaluate in (fac.residual, fac.fit):
-            with pytest.raises(ValidationError):
-                evaluate("projected", 0)
+        with pytest.raises(ValidationError):
+            fac.fit("projected", 0)
+
+
+def curve_at(fac, fit, k):
+    """The residual of fit(fit, k), read off the curve at the rank the fit
+    keeps, as lrdmd bench reads its rows."""
+    curve = fac.residual_curve(fit)
+    return curve[min(k, curve.size - 1)]
 
 
 def direct_residual(fac, fit, k):
@@ -886,7 +889,7 @@ class TestResidualCurve:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankClampWarning)
                 for k in range(1, rank + 3):
-                    assert fac.residual(fit, k) == curve[min(k, rank)]
+                    assert residual_norm(fac.fit(fit, k), d) == curve[min(k, rank)]
 
     def test_unknown_fit(self):
         fac = factorize(random_data(3))
@@ -1209,8 +1212,8 @@ class TestResidualFromFactorization:
 
 class TestLapackBreakdown:
     """A LAPACK breakdown in the factorization (here a monkeypatched SVD
-    that does not converge, as on the overflowed Gram of data near 1e160)
-    is a NumericalGuardError, chained from numpy's LinAlgError."""
+    that does not converge) is a NumericalGuardError, chained from numpy's
+    LinAlgError."""
 
     @pytest.mark.parametrize(
         "trajectories, states, n",
@@ -1229,3 +1232,31 @@ class TestLapackBreakdown:
         with pytest.raises(NumericalGuardError, match="SVD did not converge") as caught:
             factorize(d)
         assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+
+
+def random_walk(scale, n=400, states=41):
+    """One random walk of `states` states in R^n, times scale: tall enough
+    for Cholesky QR."""
+    steps = np.random.default_rng(8).standard_normal((1, states, n))
+    return SnapshotSet(states=np.cumsum(steps, axis=1) * scale)
+
+
+class TestOverflowedGram:
+    """Squares of data near 1e160 overflow: the Cholesky Gram is refused
+    before it is factored, with no warning on the way."""
+
+    def test_refused_before_factoring(self):
+        d = random_walk(1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalGuardError, match="Gram matrix of a 400-by-41 matrix overflows"):
+                factorize(d)
+        assert d._factorization is None
+
+    def test_fits_below_the_overflow(self):
+        want = fit_optimal_lowrank_dmd(random_walk(1.0), 3)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = fit_optimal_lowrank_dmd(random_walk(1e150), 3)[0]
+        A, B = op.left @ op.right, want.left @ want.right
+        assert np.linalg.norm(A - B) <= 1e-10 * np.linalg.norm(B)
