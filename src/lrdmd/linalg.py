@@ -11,7 +11,7 @@ about 1e13 (Fukaya et al. 2014, 2020). Householder QR (LAPACK) factors the
 rest: near-square matrices and tall ones that are rank deficient to working
 precision. The basis is kept as Q = Q1 T, Q1 the p-row matrix of the last
 Cholesky pass and T a small triangular factor that is never multiplied
-out; QrFactors.lift applies it to a small matrix at one p-row product.
+out; QrFactors.lift_rows applies it to a small matrix at one p-row product.
 
 All routines are deterministic: singular vectors follow a fixed sign
 convention (the largest-magnitude entry of each left singular vector is
@@ -130,7 +130,7 @@ class QrFactors:
 
     R is rho-by-q. Q1 is p-by-rho and T rho-by-rho; Q itself is never
     formed, so every use of the basis is one p-row product with a small
-    matrix (lift, lift_rows and project) or with another basis (inner).
+    matrix (lift_rows and project) or with another basis (inner).
     A Cholesky route holds Q1 column-major, so lift_rows, which forms a
     fit's factors, is a plain product with the row-major Q1^T.
     """
@@ -141,10 +141,6 @@ class QrFactors:
 
     def _small(self, B: np.ndarray) -> np.ndarray:
         return B if self.T is None else self.T @ B
-
-    def lift(self, B: np.ndarray) -> np.ndarray:
-        """Q B, p-by-k, from a rho-by-k B."""
-        return self.Q1 @ self._small(B)
 
     def lift_rows(self, C: np.ndarray) -> np.ndarray:
         """C Q^T, k-by-p, from a k-by-rho C."""

@@ -77,26 +77,20 @@ simulate_reduced = simulate_full
 def reconstruct_from_modes(modes: DmdModes, amps: AmplitudeSchedule) -> RomTrajectory:
     """Modal expansion x~_t = sum_i nu[t,i] phi_i for t = 1..T.
 
-    The state is the real part of the expansion; a conjugate-closed mode
-    set makes the imaginary part vanish, and a warning is raised when it
-    does not (relative to the state norm). Real modes take one real product,
-    Re(nu) Phi^T, and form the imaginary part Im(nu) Phi^T only when nu has
-    a nonzero imaginary entry.
+    The state is the real part of the expansion, formed in one product
+    whose type numpy's promotion picks: real for real modes and amplitudes,
+    complex otherwise. A conjugate-closed mode set makes the imaginary part
+    vanish, and a warning is raised when it does not (relative to the state
+    norm).
     """
     if modes.eigenvalues.shape[0] != amps.values.shape[1]:
         raise ValidationError("modes and amplitude schedule have mismatched mode counts")
-    nu, phi = amps.values, modes.modes
-    if np.iscomplexobj(phi):
-        expanded = nu @ phi.T
+    expanded = amps.values @ modes.modes.T
+    states = np.ascontiguousarray(expanded.real)
+    real_sq = imag_sq = 0.0
+    if np.iscomplexobj(expanded):
         parts = expanded.view(np.float64).reshape(-1, 2)
         real_sq, imag_sq = np.einsum("ij,ij->j", parts, parts)
-        states = np.ascontiguousarray(expanded.real)
-    else:
-        states = np.real(nu) @ phi.T
-        real_sq = imag_sq = 0.0
-        if np.any(np.imag(nu)):
-            imag = np.imag(nu) @ phi.T
-            real_sq, imag_sq = np.vdot(states, states), np.vdot(imag, imag)
     real_norm, imag_norm = float(np.sqrt(real_sq)), float(np.sqrt(imag_sq))
     if imag_norm > 1e-6 * max(real_norm, 1e-300):
         warnings.warn(

@@ -75,14 +75,6 @@ class SnapshotSet:
         return self.states.shape[2]
 
     @property
-    def num_trajectories(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def num_snapshots(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def m(self) -> int:
         N, T, _ = self.states.shape
         return N * (T - 1)
@@ -327,7 +319,7 @@ def save_csv(path, rows, header=None, lead=None) -> None:
 
 def save_snapshots(s: SnapshotSet, path) -> None:
     """Write a SnapshotSet as CSV; load_snapshots round-trips it bit-exactly."""
-    N, T = s.num_trajectories, s.num_snapshots
+    N, T = s.states.shape[:2]
     header = "traj_id,t," + ",".join(f"x{j}" for j in range(s.n))
     keys = (f"{i + 1},{t + 1}" for i in range(N) for t in range(T))
     save_csv(path, s.states.reshape(N * T, s.n), header, keys)

@@ -85,10 +85,11 @@ from .snapshots import SnapshotSet
 #   Z, c = m + u columns:             4 n (m + u)^2
 #   X, and Y when a fit needs it:     4 n m^2 + 4 n m^2 = 8 n m^2.
 # Z is cheaper while (m + u)^2 < 2 m^2, up to u = 0.41 m. At u = m/4 it costs
-# 6.25 n m^2, 22 % below X and Y apart; the fits that need X alone (exact,
-# projected) then pay 56 % over 4 n m^2, less the 2 n m^2 product Q_x^T Y that
-# the projected fit needs when Y is not in the basis. With m = N (T - 1) the
-# gate holds for T >= 5 states per trajectory.
+# 6.25 n m^2, 22 % below X and Y apart. Only the projected fit and
+# span_defect need X's basis alone (the exact fit lifts through Y's, Q_y);
+# they then pay 56 % over 4 n m^2, less the 2 n m^2 product Q_x^T Y that they
+# need when Y is not in the basis. With m = N (T - 1) the gate holds for
+# T >= 5 states per trajectory.
 SHARED_MAX_NEW = 0.25
 
 def _read_only(x):

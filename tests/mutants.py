@@ -222,6 +222,24 @@ MUTANTS = [
         "as_stated lifts Ur V through Qb: its modes are Wq w",
     ),
     (
+        "M33", "rom.py",
+        "if np.iscomplexobj(expanded):",
+        "if False:",
+        "the modal expansion warns when its imaginary part does not vanish",
+    ),
+    (
+        "M34", "kernels.py",
+        "first = start + (-(start - 1) % stride)",
+        "first = start",
+        "propagate_reduced keeps the states at t = 1, 1 + stride, 1 + 2 stride, ...",
+    ),
+    (
+        "M35", "snapshots.py",
+        "if N < 1:",
+        "if N < 0:",
+        "a snapshot array of no trajectories is refused",
+    ),
+    (
         "F1", "solvers.py",
         "return _read_only((f.W, core, core @ self.U.T))",
         "return _read_only((thin_svd(self._y[1]).W, core, core @ self.U.T))",

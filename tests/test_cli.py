@@ -986,6 +986,21 @@ class TestBench:
         assert main(["bench", *flags]) == 0
         assert seen[0] == seen[1] != BenchConfig()
 
+    def test_empty_k_value_skipped(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg.k_values)
+            return ()
+
+        monkeypatch.setattr(lrdmd.cli, "run_benchmark", record)
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("k_values = 1,,3\n")
+        out = str(tmp_path / "r.csv")
+        assert main(["--seed", "7", "bench", "--config", str(cfg), "--out", out]) == 0
+        assert main(["--seed", "7", "bench", "--k-values", "1,,3", "--out", out]) == 0
+        assert seen == [(1, 3), (1, 3)]
+
     def test_seed_required(self, tmp_path):
         code = main(["bench", "--n", "8", "--r", "3", "--m", "5", "--out", str(tmp_path / "r.csv")])
         assert code == 2

@@ -87,8 +87,8 @@ def assert_qr_matches_lapack(M, fast):
     scale = max(s[0], 1.0) if s.size else 1.0
     rho = min(M.shape)
     assert f.R.shape == (rho, M.shape[1])
-    assert np.linalg.norm(f.lift(f.R) - M) <= 1e-13 * scale
-    assert np.linalg.norm(f.project(f.lift(np.eye(rho))) - np.eye(rho)) < 1e-12
+    assert np.linalg.norm(f.lift_rows(f.R.T).T - M) <= 1e-13 * scale
+    assert np.linalg.norm(f.project(f.lift_rows(np.eye(rho)).T) - np.eye(rho)) < 1e-12
     assert_allclose(np.linalg.svd(f.R, compute_uv=False), s, rtol=0, atol=1e-13 * scale)
 
 
@@ -158,6 +158,10 @@ class TestThinSvd:
         M[1, 1] = np.nan
         with pytest.raises(ValidationError):
             thin_svd(M)
+
+    def test_rejects_vector(self):
+        with pytest.raises(ValidationError, match="expected a matrix, got ndim=1"):
+            thin_svd(np.ones(3))
 
 
     @pytest.mark.parametrize(

@@ -63,7 +63,7 @@ def upcast_modes(factors, variant):
     if variant == "as_stated":
         b = qr_factor(factors.Q)
         fq = thin_svd(b.R)
-        Wq = b.lift(fq.W)
+        Wq = b.lift_rows(fq.W.T).T
         core = fq.W.T @ b.project(factors.P) @ (fq.V * fq.sigma)
     else:
         core = factors.transition
@@ -82,7 +82,7 @@ def formed_wq_modes(factors):
     of Wq^T P Vq Sq, mapped to Wq w, one column at a time normalized."""
     b = qr_factor(factors.Q)
     fq = thin_svd(b.R)
-    Wq = b.lift(fq.W)
+    Wq = b.lift_rows(fq.W.T).T
     lam, W = np.linalg.eig(Wq.T @ factors.P @ (fq.V * fq.sigma))
     order = spectral_key(lam)
     return lam[order], normalized(Wq @ W[:, order])
@@ -315,7 +315,7 @@ class TestAsStatedProducts:
     def test_one_project_and_one_lift(self, fit, setting_ii_data, monkeypatch):
         factors = AS_STATED_FITS[fit](setting_ii_data)
         calls = []
-        for name in ("lift", "lift_rows", "project", "inner"):
+        for name in ("lift_rows", "project", "inner"):
             def counted(basis, M, name=name, original=getattr(QrFactors, name)):
                 calls.append(name)
                 return original(basis, M)
@@ -401,6 +401,12 @@ class TestVerifyEigenpairs:
         report = verify_eigenpairs(compute_modes(factors), op)
         assert report.max_residual < 1e-12
         assert report.all_passed
+
+    def test_modes_of_another_dimension_refused(self):
+        op, _ = fit_optimal_lowrank_dmd(DataMatrices(X=np.eye(4), Y=np.eye(4)), 2)
+        modes = DmdModes(eigenvalues=np.ones(2), modes=np.ones((3, 2)))
+        with pytest.raises(ValidationError, match="operator and modes have mismatched dimensions"):
+            verify_eigenpairs(modes, op)
 
     @pytest.mark.parametrize("k", [5, 15])
     def test_exact_variant_satisfies_eigen_equation(self, setting_ii_data, k):

@@ -25,7 +25,7 @@ class TestLoadSnapshots:
     def test_minimal_file(self, tmp_path):
         p = write_csv(tmp_path / "s.csv", "traj_id,t,x0,x1\n1,1,1,0\n1,2,0,1\n")
         s = load_snapshots(p)
-        assert (s.num_trajectories, s.num_snapshots, s.n) == (1, 2, 2)
+        assert (*s.states.shape[:2], s.n) == (1, 2, 2)
         assert_allclose(s.states[0], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_rows_in_any_order(self, tmp_path):
@@ -72,6 +72,11 @@ class TestLoadSnapshots:
     def test_bad_header(self, tmp_path):
         p = write_csv(tmp_path / "s.csv", "id,t,x0\n1,1,1\n")
         with pytest.raises(SnapshotFormatError, match="header"):
+            load_snapshots(p)
+
+    def test_state_column_skipped(self, tmp_path):
+        p = write_csv(tmp_path / "s.csv", "traj_id,t,x0,x2\n1,1,1,2\n1,2,3,4\n")
+        with pytest.raises(SnapshotFormatError, match="expected state column 'x1', got 'x2'"):
             load_snapshots(p)
 
     def test_missing_file(self, tmp_path):
@@ -260,6 +265,15 @@ class TestSnapshotSet:
         with pytest.raises(ValidationError):
             SnapshotSet(states=np.zeros((1, 1, 3)))
 
+    @pytest.mark.parametrize("shape, message", [
+        ((3, 2), r"shape \(N, T, n\)"),
+        ((0, 3, 2), "at least one trajectory"),
+        ((2, 3, 0), "state dimension must be positive"),
+    ])
+    def test_rejects_shape(self, shape, message):
+        with pytest.raises(ValidationError, match=message):
+            SnapshotSet(states=np.zeros(shape))
+
     def test_rejects_non_finite(self):
         states = np.zeros((1, 2, 2))
         states[0, 0, 0] = np.inf
@@ -286,6 +300,11 @@ class TestDataMatrices:
         # ValueError from a reduction over an empty array
         with pytest.raises(ValidationError, match="non-empty"):
             DataMatrices(X=np.zeros(shape), Y=np.zeros(shape))
+
+    @pytest.mark.parametrize("x_shape, y_shape", [((4, 3), (4, 2)), ((4,), (4, 1))])
+    def test_rejects_mismatched_shapes(self, x_shape, y_shape):
+        with pytest.raises(ValidationError, match="matrices of identical shape"):
+            DataMatrices(X=np.ones(x_shape), Y=np.ones(y_shape))
 
     def test_fitters_never_see_non_finite_data(self, rng):
         # a NaN in Y used to give an exact fit full of NaN, with no error

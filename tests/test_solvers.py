@@ -345,6 +345,11 @@ class TestOptimalLowRankDmd:
         with pytest.raises(ValidationError):
             fit_truncated_exact_dmd(d, -1)
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_rank_must_be_an_integer(self, k):
+        with pytest.raises(ValidationError, match="rank must be an integer"):
+            factorize(random_data(26)).fit("optimal", k)
+
 
 class TestResidualAndMaterialize:
     def test_zero_operator(self, rng):
@@ -603,7 +608,7 @@ def two_product_factors(fac, fit, k):
         basis, L, R = fac._y[0], fac._y[1] @ (fac.V / fac.s), fac.U.T
     else:
         basis, L, R = fac._coefs(fit)[:3]
-    left = basis.lift(L[:, :k])
+    left = basis.lift_rows(L[:, :k].T).T
     sign = column_signs(left)
     return left * sign, fac.basis.lift_rows(sign[:, None] * R[:k])
 
