@@ -218,7 +218,7 @@ def cmd_modes(args) -> int:
     ]
     save_csv(outputs[0], eigenvalues[:, None], "lambda_re,lambda_im")
     save_csv(outputs[1], modes, ",".join(f"mode{i}_re,mode{i}_im" for i in range(k)))
-    header = "t," + ",".join(f"amp{i}_re,amp{i}_im" for i in range(k))
+    header = ",".join(["t", *(f"amp{i}_re,amp{i}_im" for i in range(k))])
     save_csv(outputs[2], amps, header, map(str, range(1, amps.shape[0] + 1)))
     residuals = [
         (i, lam.real, lam.imag, res, report.tolerance, ok)

@@ -241,7 +241,8 @@ def verify_eigenpairs(modes: DmdModes, op: DmdOperator) -> EigenpairReport:
         block = op.left[rows] @ reduced
         block -= _real_view(phi[rows] * modes.eigenvalues)
         squares += np.einsum("ij,ij->j", block, block)
-    residuals = np.sqrt(squares.reshape(k, -1).sum(axis=1))
+    # one column per mode, two when complex; k = 0 gives an empty report
+    residuals = np.sqrt(squares.reshape(k, phi.itemsize // 8).sum(axis=1))
     return EigenpairReport(residuals=residuals, tolerance=1e-8 * op.frobenius)
 
 

@@ -37,7 +37,8 @@ class SnapshotSet:
     The data cannot change, so the object keeps the one Factorization that
     solvers.factorize last built for it (see there), and exactly as long
     as itself: a fitted SnapshotSet keeps its n-row bases alive, about its
-    own size again (twice that when X and Y are factored apart).
+    own size again, N T columns whether one basis serves X and Y or, for
+    pairs of two states, each has its own of N.
     """
 
     def __init__(self, states):
@@ -292,9 +293,9 @@ def save_csv(path, rows, header=None, lead=None) -> None:
     of a Python float, the shortest string that reads back bit-exactly; a
     complex entry is two cells, re then im; any other cell is its str().
     ``lead``, when given, yields one prefix per row (such as "traj_id,t"),
-    written as the leading cell(s). Rows are streamed, not joined in memory;
-    a row of mixed cells is joined from a list, which str.join takes faster
-    than a generator.
+    written as the leading cell(s), alone when a row has no cells. Rows
+    are streamed, not joined in memory; a row of mixed cells is joined from
+    a list, which str.join takes faster than a generator.
     """
     if isinstance(rows, np.ndarray):
         M = np.atleast_2d(rows)
@@ -314,7 +315,7 @@ def save_csv(path, rows, header=None, lead=None) -> None:
         if lead is None:
             fh.writelines(f"{c}\n" for c in cells)
         else:
-            fh.writelines(f"{p},{c}\n" for p, c in zip(lead, cells))
+            fh.writelines(f"{p},{c}\n" if c else f"{p}\n" for p, c in zip(lead, cells))
 
 
 def save_snapshots(s: SnapshotSet, path) -> None:

@@ -21,11 +21,11 @@ one tall factorization (linalg.qr_factor) gives X = Q R_x and Y = Q_y R_y
 with orthonormal Q and Q_y, and every core of every fit is then computed
 from the small R factors. Every SnapshotSet holds its pairs as one
 read-only snapshot array of N trajectories of T states, so Y repeats X but
-for the last state of each trajectory. With few trajectories for their
-length, one factorization of all the states serves both (Q_y = Q);
-otherwise X and Y are factored apart, Y on first use. The array is
-factored where it lies, with no copy of X, Y or the distinct columns
-wherever its layout allows. The n-sized work left is forming the factors a
+for the last state of each trajectory. The layout picks the route: for
+T >= 3 one factorization of all N T states serves both (Q_y = Q); pairs of
+two states share none, so X and Y, the array's two planes, are factored
+apart, Y on first use. The array is factored where it lies, with no copy
+of X, Y or the states. The n-sized work left is forming the factors a
 fit returns: one product with the basis forms both where it is X's own, two
 where Y was factored apart (Factorization.fit).
 Factorization.residual_curve evaluates ||Y - A X|| of a fit at every rank
@@ -77,20 +77,6 @@ from .linalg import (
 )
 from .snapshots import SnapshotSet
 
-# Largest share of the columns of Y that may be new, copies of no column of
-# X, for factorize() to factor all N T states of the snapshot array, Z = [X,
-# the u = N last states], in place of X and Y apart. Cholesky QR of an
-# n-by-c matrix costs 4 n c^2 flops (two Grams of n c^2 and one product of
-# 2 n c^2), so
-#   Z, c = m + u columns:             4 n (m + u)^2
-#   X, and Y when a fit needs it:     4 n m^2 + 4 n m^2 = 8 n m^2.
-# Z is cheaper while (m + u)^2 < 2 m^2, up to u = 0.41 m. At u = m/4 it costs
-# 6.25 n m^2, 22 % below X and Y apart. Only the projected fit and
-# span_defect need X's basis alone (the exact fit lifts through Y's, Q_y);
-# they then pay 56 % over 4 n m^2, less the 2 n m^2 product Q_x^T Y that they
-# need when Y is not in the basis. With m = N (T - 1) the gate holds for
-# T >= 5 states per trajectory.
-SHARED_MAX_NEW = 0.25
 
 def _read_only(x):
     """x, an array or a tuple, with every array in it made read-only: a
@@ -206,19 +192,20 @@ class Factorization:
 
     It holds no X and no reference to the SnapshotSet it was built from,
     which holds it (see factorize), so dropping the SnapshotSet frees
-    both. ``Y`` is Y where it lies when Y is factored apart, and None when
-    Y is in the basis.
+    both. ``Y`` is Y, a view of the snapshot array's second plane, when Y
+    is factored apart, and None when Y is in the basis.
 
     ``basis`` is Z = Q R_z (linalg.QrFactors) for the columns Z that
-    factorize() chose, with R_x = R_z[:, x_columns]: X itself, or, when
-    ``y_columns`` is set, every state of the snapshot array, and then Y =
-    Q R_y with R_y = R_z[:, y_columns]. Otherwise Y is factored apart, Y =
-    Q_y R_y, on first use. The rank-r thin SVD R_x = U diag(s) V^T (r the
-    numerical rank of X at tol) gives X = W diag(s) V^T with W = Q U,
-    which is never formed, so X^+ = V diag(1/s) W^T. The thin SVD R_y V =
-    P^ diag(t) U_y^T (``yv``) gives Y V = (Q_y P^) diag(t) U_y^T. It and
-    the r-by-r cores of the truncated and projected fits are computed on
-    first use and cached, so the projected fit never needs Y factored.
+    factorize() chose, with R_x = R_z[:, x_columns]: every state of the
+    snapshot array, with ``y_columns`` set and Y = Q R_y, R_y = R_z[:,
+    y_columns]; or, for pairs of two states, X itself, and Y is factored
+    apart, Y = Q_y R_y, on first use. The rank-r thin SVD R_x = U diag(s)
+    V^T (r the numerical rank of X at tol) gives X = W diag(s) V^T with W
+    = Q U, which is never formed, so X^+ = V diag(1/s) W^T. The thin SVD
+    R_y V = P^ diag(t) U_y^T (``yv``) gives Y V = (Q_y P^) diag(t) U_y^T.
+    It and the r-by-r cores of the truncated and projected fits are
+    computed on first use and cached, so the projected fit never needs Y
+    factored.
     Build it with factorize() and slice it with fit(name, k);
     residual_curve(name) evaluates a rank-k fit's residual at every k from
     the same cached row without forming its factors.
@@ -509,11 +496,10 @@ def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL) -> Factorization:
     """The Factorization of (X, Y) that the fitters slice.
 
     Y repeats X but for the last state of each of the N trajectories of d's
-    snapshot array. When N is at most SHARED_MAX_NEW * m, one tall
-    factorization of all the states, the F-ordered n-by-NT matrix that the
-    array is, serves X and Y. Otherwise X is factored here and Y on first
-    use, as d.X and d.Y give them: views of the array where its layout
-    allows, else copies.
+    snapshot array. For T >= 3 states each, one tall factorization of all
+    the states, the F-ordered n-by-NT matrix that the array is, serves X
+    and Y. Pairs of two states are factored apart, X here and Y on first
+    use, each a view of one plane of the array (see _columns).
 
     d keeps the Factorization built for it, and a call with the same tol
     returns it again (d is read-only, so its data cannot have changed), with
@@ -547,10 +533,12 @@ def factorize(d: SnapshotSet, tol: float = DEFAULT_TOL) -> Factorization:
 
 def _columns(d: SnapshotSet) -> tuple:
     """(Z, x_columns, y_columns, Y): the columns to factor, where X and Y
-    lie among them (y_columns None: Z is d.X, Y is not among them, and Y
-    is d.Y, the matrix to factor on first use)."""
+    lie among them, read from the array's shape alone: all N T states, or
+    for T = 2 (y_columns None) Z = d.X and Y = d.Y, views of the states'
+    two planes, Y to factor on first use."""
     N, T, n = d.states.shape
-    if N > SHARED_MAX_NEW * d.m:
+    # N T columns, not 2 N (T - 1) apart, for T >= 3; at T = 2 one basis doubles each lift
+    if T == 2:
         return d.X, slice(None), None, d.Y
     x_columns = (T * np.arange(N)[:, None] + np.arange(T - 1)).ravel()
     return d.states.reshape(N * T, n).T, x_columns, x_columns + 1, None

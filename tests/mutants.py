@@ -67,7 +67,7 @@ MUTANTS = [
     ),
     (
         "M7", "solvers.py",
-        "if N > SHARED_MAX_NEW * d.m:",
+        "if T == 2:",
         "if True:",
         "trajectory data is factored once, X and Y in one basis",
     ),
@@ -238,6 +238,18 @@ MUTANTS = [
         "if N < 1:",
         "if N < 0:",
         "a snapshot array of no trajectories is refused",
+    ),
+    (
+        "M36", "solvers.py",
+        "if T == 2:",
+        "if T < 5:",
+        "trajectories of three or four states share one basis, with no copy of Y",
+    ),
+    (
+        "M37", "modes.py",
+        "squares.reshape(k, phi.itemsize // 8)",
+        "squares.reshape(k, -1)",
+        "verify_eigenpairs reports an empty mode set as an empty report",
     ),
     (
         "F1", "solvers.py",

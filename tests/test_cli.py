@@ -390,6 +390,32 @@ class TestModes:
         assert code == 0
         assert len((out / "eigenvalues.csv").read_text().splitlines()) == 4
 
+    def test_empty_mode_set(self, tmp_path):
+        # the shift e1 -> e2 -> e3 -> 0 has a nilpotent rank-2 fit: every
+        # mode is dropped with one warning line, and the files hold no mode
+        path = tmp_path / "shift.csv"
+        path.write_text("traj_id,t,x0,x1,x2,x3\n1,1,1,0,0,0\n1,2,0,1,0,0\n1,3,0,0,1,0\n"
+                        "1,4,0,0,0,0\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(lrdmd.cli.__file__).parent.parent)
+        out = tmp_path / "modes"
+        run = subprocess.run(
+            [sys.executable, "-m", "lrdmd.cli", "modes", "--input", str(path), "--rank", "2",
+             "--horizon", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0
+        assert run.stderr == (
+            "warning: DegenerateModeWarning: dropped 2 mode(s) with zero eigenvalue; the "
+            "exact_reconstruction variant reports nonzero eigenvalues only\n"
+        )
+        assert "k=0 max_eigenpair_residual=0.000000e+00" in run.stdout
+        assert (out / "amplitudes.csv").read_text() == "t\n1\n2\n3\n"
+        assert (out / "eigenvalues.csv").read_text() == "lambda_re,lambda_im\n"
+        assert (out / "eigenpair_residuals.csv").read_text() == (
+            "mode,lambda_re,lambda_im,residual,tolerance,passed\n"
+        )
+
 
 class TestSimulate:
     def test_reduced_two_steps_applies_operator(self, small_csv, tmp_path):

@@ -16,7 +16,7 @@ from lrdmd.modes import (
     verify_eigenpairs,
 )
 from lrdmd.rom import simulate_reduced
-from lrdmd.snapshots import DataMatrices
+from lrdmd.snapshots import DataMatrices, SnapshotSet
 from lrdmd.solvers import (
     DmdOperator,
     fit_exact_dmd,
@@ -401,6 +401,18 @@ class TestVerifyEigenpairs:
         report = verify_eigenpairs(compute_modes(factors), op)
         assert report.max_residual < 1e-12
         assert report.all_passed
+
+    def test_empty_mode_set_gives_empty_report(self):
+        # the shift e1 -> e2 -> e3 -> 0 is nilpotent: compute_modes drops
+        # every mode of its rank-2 fit, and the report of no modes is empty
+        states = np.vstack([np.eye(4)[:3], np.zeros(4)])[None]
+        op, _ = fit_optimal_lowrank_dmd(SnapshotSet(states=states), 2)
+        with pytest.warns(DegenerateModeWarning, match="dropped 2 mode"):
+            modes = compute_modes(op)
+        assert modes.modes.shape == (4, 0)
+        report = verify_eigenpairs(modes, op)
+        assert report.residuals.shape == (0,)
+        assert report.max_residual == 0.0 and report.all_passed
 
     def test_modes_of_another_dimension_refused(self):
         op, _ = fit_optimal_lowrank_dmd(DataMatrices(X=np.eye(4), Y=np.eye(4)), 2)

@@ -45,11 +45,13 @@ def random_walk():
 
 
 TRAJECTORY_CASES = {
-    # name: (states, whether one factorization serves X and Y)
+    # name: (states, whether one factorization serves X and Y);
+    # pairs-above-gate holds trajectories of two states, factored apart
     "one-trajectory": (lambda: trajectories(1, 1, 21), True),
     "four-trajectories": (lambda: trajectories(2, 4, 6), True),
     "pairs-above-gate": (lambda: trajectories(3, 12, 2, n=40), False),
-    "three-steps-above-gate": (lambda: trajectories(5, 4, 3), False),
+    "three-steps": (lambda: trajectories(5, 4, 3), True),
+    "four-steps": (lambda: trajectories(7, 6, 4), True),
     "repeated-state": (periodic_states, True),
 }
 
@@ -149,16 +151,13 @@ class TestOneSnapshotArray:
             warnings.simplefilter("ignore", RankDeficiencyWarning)
             fac = factorize(d)
         fac.fit("optimal", 1), fac.fit("exact"), fac.fit("projected", 1)
-        # a view of the snapshot array wherever its layout allows one: all
-        # N T states, or X and Y of two-snapshot trajectories
+        # a view of the snapshot array on either route: all N T states, or
+        # X and Y, the two planes of two-state trajectories
         if shared:
             assert seen == [((n, N * T), True)]
-            assert count_pair_copies == []
         else:
-            # X and Y, each copied at most once, when no view can serve
-            view = T == 2
-            assert seen == [((n, d.m), view), ((n, d.m), view)]
-            assert count_pair_copies == ([] if view else [0, 1])
+            assert seen == [((n, d.m), True), ((n, d.m), True)]
+        assert count_pair_copies == []
 
 
 class TestSameFitsAsExplicitData:
@@ -330,12 +329,15 @@ class TestMemory:
     before tracing starts). The rest is the c-by-c cores a Factorization
     caches, about ten of them at c^2 doubles each, 0.05x apiece at
     c / n = 1/20, and the fit's two n-by-k factors; 0.75x covers both. The
-    copies of X and Y, and of [X, last states], took 4.2x."""
+    copies of X and Y, and of [X, last states], took 4.2x; 50 and 67
+    trajectories of 4 and 3 states, with X and Y factored apart and Y
+    copied, took 2.7x and 2.4x read-only."""
 
     @pytest.mark.parametrize("read_only", [False, True])
-    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("count", [1, 4, 50, 67])
     def test_peak_at_4000_by_200(self, count, read_only):
-        states = np.random.default_rng(1).standard_normal((count, 200 // count, 4000))
+        # 200 states (201 for 67 trajectories of 3)
+        states = np.random.default_rng(1).standard_normal((count, -(-200 // count), 4000))
         states.flags.writeable = not read_only
         tracemalloc.start()
         try:

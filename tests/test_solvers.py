@@ -480,9 +480,13 @@ def equal_first_rows_only():
 COMPRESSION_CASES = {
     # name: (data, the number N of trajectories its pairs chain into when
     # one tall factorization of their m + N states serves X and Y, else
-    # None: unchained pairs are m trajectories of two states, above the gate)
+    # None: unchained pairs are m trajectories of two states, factored
+    # apart; u-at-gate and u-above-gate are such pairs, 5 and 6 of whose 20
+    # columns of Y are new)
     "one-trajectory": (lambda: trajectories(1, 1, 21), 1),
     "four-trajectories": (lambda: trajectories(2, 4, 6), 4),
+    "three-steps": (lambda: trajectories(12, 7, 3), 7),
+    "four-steps": (lambda: trajectories(13, 5, 4), 5),
     "shuffled": (lambda: trajectories(2, 4, 6, shuffle=True), None),
     "u-at-gate": (lambda: with_new_columns(5), None),
     "u-above-gate": (lambda: with_new_columns(6), None),
@@ -566,10 +570,10 @@ class TestCompressedFactorization:
         fac.certified_residual(5)
         assert count_tall_factorizations == [(400, 30), (400, 30)]
 
-    @pytest.mark.parametrize("steps, shared", [(4, False), (5, True)])
+    @pytest.mark.parametrize("steps, shared", [(2, False), (3, True)])
     def test_gate_on_explicit_trajectories(self, steps, shared, count_tall_factorizations):
-        # N = 4 trajectories of T states, passed as explicit X and Y: at
-        # most m/4 = N (T - 1)/4 columns of Y may be new, so T >= 5
+        # N = 4 trajectories of T states, passed as explicit X and Y: pairs
+        # of two states are factored apart, three states or more share one
         d = trajectories(11, 4, steps)
         assert d.states.shape == (4, steps, 60)
         fac = factorize(d)
@@ -590,10 +594,11 @@ class TestCompressedFactorization:
 
 FACTOR_LAYOUTS = {
     # name: (data, whether X and Y share one basis), one per layout that
-    # factorize's _columns tells apart, and pairs given as explicit X and Y
+    # factorize's _columns tells apart, and pairs given as explicit X and Y;
+    # trajectories apart have two states each, the only ones factored apart
     "one-trajectory": (lambda: SnapshotSet(trajectories(1, 1, 21).states), True),
     "shared-trajectories": (lambda: SnapshotSet(trajectories(2, 4, 6).states), True),
-    "trajectories-apart": (lambda: SnapshotSet(trajectories(11, 4, 4).states), False),
+    "trajectories-apart": (lambda: SnapshotSet(trajectories(11, 12, 2).states), False),
     "two-state-pairs": (
         lambda: SnapshotSet(np.random.default_rng(17).standard_normal((12, 2, 60))), False),
     "data-matrices": (lambda: random_data(7, n=40, m=12), False),
